@@ -7,8 +7,8 @@
 /// each window is small but there are many of them. Every cell replays the
 /// same per-tenant streams through a fleet: records are ingested through the
 /// double-buffered queues one stride at a time and Pump() drains them, so the
-/// measured loop covers the whole service path (enqueue, shard-parallel
-/// mining advance, cross-engine batched releases).
+/// measured loop covers the whole service path (enqueue, then a pump that
+/// mines and releases each tenant end to end, tenants in parallel).
 ///
 /// Two properties are enforced, not just measured:
 ///  * Byte identity (hard, every cell): each tenant's fleet release log must
@@ -66,10 +66,6 @@ FleetConfig MakeFleetConfig(const GridShape& shape, size_t tenants,
                             int64_t threads) {
   FleetConfig config;
   config.tenants = tenants;
-  // Shards bound phase-1 parallelism; more than the widest swept pool buys
-  // nothing, fewer than the tenant count wastes none (tenants fold onto
-  // shards round-robin).
-  config.shards = std::min<size_t>(tenants, 8);
   config.threads = threads;
   config.window = shape.window;
   config.stride = shape.stride;
@@ -164,8 +160,8 @@ CellResult RunCell(const FleetConfig& config,
     if (fleet->ReleaseLog(t) != references[t]) {
       std::fprintf(stderr,
                    "DETERMINISM BREACH: tenant %zu fleet log != solo log "
-                   "(tenants=%zu shards=%zu threads=%lld)\n",
-                   t, config.tenants, config.shards,
+                   "(tenants=%zu threads=%lld)\n",
+                   t, config.tenants,
                    static_cast<long long>(config.threads));
       std::exit(1);
     }
@@ -194,7 +190,7 @@ void RunGrid(const GridShape& shape, const RepeatPlan& plan) {
           std::to_string(shape.window) + ", C=" +
           std::to_string(shape.min_support) +
           (shape.hybrid_index ? ", hybrid index" : ""),
-      {"tenants", "shards", "threads", "releases/s", "p50 ms", "p99 ms",
+      {"tenants", "threads", "releases/s", "p50 ms", "p99 ms",
        "speedup", "identical"});
 
   for (size_t tenants : shape.tenants) {
@@ -217,7 +213,6 @@ void RunGrid(const GridShape& shape, const RepeatPlan& plan) {
       rec.dataset = ProfileName(shape.profile);
       rec.threads = static_cast<size_t>(ResolveThreadCount(threads));
       rec.tenants = tenants;
-      rec.shards = config.shards;
       rec.windows = last.stats.releases;
       rec.ns_per_window = releases > 0 ? secs * 1e9 / releases : 0;
       rec.windows_per_sec = rps;
@@ -226,8 +221,8 @@ void RunGrid(const GridShape& shape, const RepeatPlan& plan) {
       rec.p99_ns = last.stats.release_p99_ns;
       g_records.push_back(rec);
 
-      PrintTableRow({std::to_string(tenants), std::to_string(config.shards),
-                     std::to_string(threads), FormatDouble(rps, 1),
+      PrintTableRow({std::to_string(tenants), std::to_string(threads),
+                     FormatDouble(rps, 1),
                      FormatDouble(last.stats.release_p50_ns / 1e6, 3),
                      FormatDouble(last.stats.release_p99_ns / 1e6, 3),
                      FormatDouble(rec.speedup_vs_1t, 2), "yes"});

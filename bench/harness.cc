@@ -142,8 +142,7 @@ bool WriteBenchJson(const std::string& path,
       std::fprintf(f, ", \"speedup_vs_1t\": %.3f", r.speedup_vs_1t);
     }
     if (r.tenants > 0) {
-      std::fprintf(f, ", \"tenants\": %zu, \"shards\": %zu", r.tenants,
-                   r.shards);
+      std::fprintf(f, ", \"tenants\": %zu", r.tenants);
     }
     if (r.p50_ns >= 0) {
       std::fprintf(f, ", \"p50_ns\": %.1f, \"p99_ns\": %.1f", r.p50_ns,
@@ -233,7 +232,6 @@ bool ReadBenchJson(const std::string& path,
       r.speedup_vs_1t = std::stod(value);
     }
     if (ExtractField(line, "tenants", &value)) r.tenants = std::stoul(value);
-    if (ExtractField(line, "shards", &value)) r.shards = std::stoul(value);
     if (ExtractField(line, "p50_ns", &value)) r.p50_ns = std::stod(value);
     if (ExtractField(line, "p99_ns", &value)) r.p99_ns = std::stod(value);
     if (ExtractField(line, "partition_ns", &value)) {

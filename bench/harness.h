@@ -98,13 +98,12 @@ struct BenchRecord {
   /// Thread-sweep rows: throughput relative to the 1-thread row of the same
   /// bench (1.0 at 1 thread; < 1 flags inverse scaling). 0 = not a sweep row.
   double speedup_vs_1t = 0;
-  /// Fleet rows (see fleet_throughput): grid position — how many tenant
-  /// engines and ingest shards the row ran (0 = not a fleet row) — and the
-  /// per-release latency distribution across every tenant's releases
+  /// Fleet rows (see fleet_throughput): how many tenant engines the row ran
+  /// (0 = not a fleet row) and the per-release latency distribution across
+  /// every tenant's releases
   /// (negative = absent). For fleet rows ns_per_window / windows_per_sec
   /// are per *release* aggregate figures.
   size_t tenants = 0;
-  size_t shards = 0;
   double p50_ns = -1;
   double p99_ns = -1;
   /// Per-stage ns/window breakdown (sanitize rows only; negative = absent).

@@ -12,7 +12,7 @@
 ///                 [--out=releases.log] [--attack] [--seed=66]
 ///                 [--checkpoint=path.ckpt] [--checkpoint-every=N]
 ///                 [--restore=path.ckpt] [--pipeline] [--threads=N]
-///                 [--hybrid-index] [--tenants=N] [--shards=N]
+///                 [--hybrid-index] [--tenants=N]
 ///                 [--policy=butterfly|privbasis|continual|heavyhitter]
 ///                 [--policy-epsilon=1.0] [--policy-top-k=32]
 ///                 [--tenant-policies=butterfly,privbasis,...]
@@ -28,11 +28,11 @@
 /// --tenants=N (N > 1) switches to multi-tenant fleet mode: N engines with
 /// tenant-derived seeds run behind the EngineFleet scheduler, each mining
 /// its own stream (per-tenant data seeds; with --data every tenant replays
-/// the same file). --shards bounds the pump parallelism (0 = auto),
-/// --threads sizes the shared pool. --out receives every tenant's releases
-/// (labels carry the tenant id), --checkpoint names a *directory* that
-/// round-robin snapshots rotate through (one tenant per release round), and
-/// --restore reloads whichever tenant snapshots exist in that directory.
+/// the same file). --threads sizes the pump's parallelism (0 = auto).
+/// --out receives every tenant's releases (labels carry the tenant id),
+/// --checkpoint names a *directory* that round-robin snapshots rotate
+/// through (one tenant per release round), and --restore reloads whichever
+/// tenant snapshots exist in that directory.
 /// Per-release analysis flags (--attack, --audit, --pipeline) are
 /// single-engine only.
 ///
@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
   const std::string restore_path = flags.GetString("restore", "");
   const bool pipelined = flags.GetBool("pipeline", false);
   const size_t tenants = static_cast<size_t>(flags.GetInt("tenants", 1));
-  const size_t shards = static_cast<size_t>(flags.GetInt("shards", 0));
 
   ButterflyConfig config;
   config.min_support = flags.GetInt("min-support", 25);
@@ -182,7 +181,6 @@ int main(int argc, char** argv) {
     }
     FleetConfig fleet_config;
     fleet_config.tenants = tenants;
-    fleet_config.shards = shards == 0 ? std::min<size_t>(tenants, 8) : shards;
     fleet_config.threads = config.threads;
     fleet_config.window = window;
     fleet_config.stride = stride;
@@ -231,9 +229,9 @@ int main(int argc, char** argv) {
                   restored, tenants, restore_path.c_str());
     }
 
-    std::printf("butterfly_cli: fleet of %zu tenants, %zu shards, H=%zu "
+    std::printf("butterfly_cli: fleet of %zu tenants, H=%zu "
                 "stride=%zu scheme=%s policies=%s\n",
-                tenants, fleet_config.shards, window, stride,
+                tenants, window, stride,
                 SchemeName(config.scheme).c_str(),
                 tenant_policy_list.empty()
                     ? ReleasePolicyName(config.policy).c_str()

@@ -56,53 +56,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-TaskGroup::~TaskGroup() {
-  // A destroyed group with tasks still pending would let a worker touch a
-  // dead object; a destroyed group whose Wait() was skipped would swallow
-  // task failures. Both are caller bugs — wait here and crash loudly on a
-  // pending exception rather than unwinding past it.
-  Wait();
-}
-
-void TaskGroup::RunInline(const std::function<void()>& task) {
-  try {
-    task();
-  } catch (...) {
-    MutexLock lock(&mu_);
-    if (!error_) error_ = std::current_exception();
-  }
-}
-
-void TaskGroup::Run(std::function<void()> task) {
-  if (pool_ == nullptr || pool_->worker_count() == 0 ||
-      ThreadPool::OnWorkerThread()) {
-    RunInline(task);
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    ++pending_;
-  }
-  pool_->Submit([this, task = std::move(task)] {
-    try {
-      task();
-    } catch (...) {
-      MutexLock lock(&mu_);
-      if (!error_) error_ = std::current_exception();
-    }
-    MutexLock lock(&mu_);
-    if (--pending_ == 0) cv_.NotifyAll();
-  });
-}
-
-void TaskGroup::Wait() {
-  MutexLock lock(&mu_);
-  while (pending_ != 0) cv_.Wait(&mu_);
-  std::exception_ptr error = error_;
-  error_ = nullptr;
-  if (error) std::rethrow_exception(error);
-}
-
 size_t ResolveThreadCount(int64_t requested) {
   if (requested > 0) return static_cast<size_t>(requested);
   unsigned hw = std::thread::hardware_concurrency();

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -44,8 +43,8 @@ class ThreadPool {
   size_t worker_count() const { return workers_.size(); }
 
   /// Enqueues one task for execution on some worker. Fire-and-forget: the
-  /// pool reports neither completion nor failure — use TaskGroup when the
-  /// caller must wait for a batch and see its exceptions.
+  /// pool reports neither completion nor failure — use ParallelFor when the
+  /// caller must wait for the work and see its exceptions.
   void Submit(std::function<void()> task) BFLY_EXCLUDES(mu_);
 
   /// True iff the calling thread is a worker of *some* ThreadPool; used to
@@ -62,47 +61,6 @@ class ThreadPool {
   /// Written once by the constructor before any concurrency exists, joined
   /// by the destructor; never mutated in between — no guard needed.
   std::vector<std::thread> workers_;
-};
-
-/// A batch of plain submitted tasks with completion and exception
-/// propagation — the task API the fleet's cross-engine release scheduler
-/// runs on (ParallelFor is fork-join over one index space; a fleet batch is
-/// a set of independent closures over *different* engines).
-///
-///   TaskGroup group(pool);
-///   for (...) group.Run([=] { ... });
-///   group.Wait();  // blocks until all ran; rethrows the first exception
-///
-/// Run() on a null pool — or from inside a pool worker, where submitting and
-/// blocking could deadlock a fully-subscribed pool — executes the task
-/// inline on the caller. The destructor waits for stragglers and rethrows an
-/// unobserved exception (terminating): a failed task is never silently
-/// dropped. After Wait() the group is empty and reusable.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Schedules one task (inline when there is no pool or the caller is
-  /// itself a pool worker). A task that throws records its exception; the
-  /// first one recorded is rethrown by Wait().
-  void Run(std::function<void()> task) BFLY_EXCLUDES(mu_);
-
-  /// Blocks until every Run() task has finished, then rethrows the first
-  /// exception any of them threw (if any). Resets the group for reuse.
-  void Wait() BFLY_EXCLUDES(mu_);
-
- private:
-  void RunInline(const std::function<void()>& task) BFLY_EXCLUDES(mu_);
-
-  ThreadPool* pool_;
-  Mutex mu_;
-  CondVar cv_;
-  size_t pending_ BFLY_GUARDED_BY(mu_) = 0;
-  std::exception_ptr error_ BFLY_GUARDED_BY(mu_);
 };
 
 /// Total parallelism to use for a requested thread count: values <= 0 mean

@@ -1,6 +1,7 @@
 #include "datagen/fimi_io.h"
 
 #include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -17,14 +18,24 @@ Result<std::vector<Transaction>> ParseFimi(const std::string& content) {
     std::istringstream tokens(line);
     std::string token;
     while (tokens >> token) {
+      // Accumulated in 64 bits and stopped at the first digit that reaches
+      // kInvalidItem, so no token length can overflow or wrap into range.
+      uint64_t value = 0;
       for (char c : token) {
         if (!std::isdigit(static_cast<unsigned char>(c))) {
           std::ostringstream msg;
           msg << "non-numeric token '" << token << "' on line " << line_no;
           return Status::InvalidArgument(msg.str());
         }
+        value = value * 10 + static_cast<uint64_t>(c - '0');
+        if (value >= kInvalidItem) {
+          std::ostringstream msg;
+          msg << "item '" << token << "' on line " << line_no
+              << " is out of range (max " << kInvalidItem - 1 << ")";
+          return Status::InvalidArgument(msg.str());
+        }
       }
-      items.push_back(static_cast<Item>(std::stoul(token)));
+      items.push_back(static_cast<Item>(value));
     }
     if (items.empty()) continue;  // blank line
     dataset.emplace_back(static_cast<Tid>(dataset.size() + 1),

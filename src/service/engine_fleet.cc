@@ -1,6 +1,7 @@
 #include "service/engine_fleet.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -32,7 +33,6 @@ ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant) {
 
 Status FleetConfig::Validate() const {
   if (tenants == 0) return Status::InvalidArgument("fleet needs >= 1 tenant");
-  if (shards == 0) return Status::InvalidArgument("fleet needs >= 1 shard");
   if (window == 0) return Status::InvalidArgument("window must be positive");
   if (stride == 0) return Status::InvalidArgument("stride must be positive");
   // Seed derivation and the serial-engine override do not affect validity,
@@ -48,7 +48,6 @@ Status FleetConfig::Validate() const {
 
 EngineFleet::EngineFleet(FleetConfig config) : config_(std::move(config)) {
   pool_ = SharedPool(ResolveThreadCount(config_.threads));
-  pool_participants_ = pool_ != nullptr ? pool_->worker_count() : 1;
   tenants_.reserve(config_.tenants);
   for (uint64_t id = 0; id < config_.tenants; ++id) {
     auto tenant =
@@ -61,8 +60,7 @@ EngineFleet::EngineFleet(FleetConfig config) : config_(std::move(config)) {
 EngineFleet::EngineFleet(EngineFleet&& other)
     : config_(std::move(other.config_)),
       tenants_(std::move(other.tenants_)),
-      pool_(other.pool_),
-      pool_participants_(other.pool_participants_) {
+      pool_(other.pool_) {
   // A fleet is only moved before concurrent use, but the source's counters
   // are still guarded members — take its (uncontended) lock to read them.
   MutexLock lock(&other.pump_mu_);
@@ -85,28 +83,26 @@ Status EngineFleet::Ingest(uint64_t tenant, Transaction t) {
   return Status::OK();
 }
 
-void EngineFleet::PumpShard(size_t shard, std::vector<Tenant*>* ready) {
-  for (size_t i = shard; i < tenants_.size(); i += config_.shards) {
-    Tenant& tenant = *tenants_[i];
-    for (;;) {
-      // Release points are exact stream positions: a due tenant stops
-      // advancing (its remaining records stay buffered) so the window the
-      // batched release stage sanitizes is byte-for-byte the window a solo
-      // serial run would have released.
-      if (tenant.engine.miner().window().stream_position() >=
-          tenant.next_release_pos) {
-        ready->push_back(&tenant);
-        break;
-      }
-      if (tenant.drain_pos == tenant.draining.size()) {
-        tenant.draining.clear();
-        tenant.drain_pos = 0;
-        MutexLock lock(&tenant.queue_mu);
-        tenant.draining.swap(tenant.queued);
-        if (tenant.draining.empty()) break;
-      }
-      tenant.engine.Append(std::move(tenant.draining[tenant.drain_pos++]));
+size_t EngineFleet::PumpTenant(Tenant* tenant) {
+  size_t released = 0;
+  for (;;) {
+    // Release points are exact stream positions: a due tenant releases
+    // before appending anything further, so the window it sanitizes is
+    // byte-for-byte the window a solo serial run would have released.
+    if (tenant->engine.miner().window().stream_position() >=
+        tenant->next_release_pos) {
+      ReleaseTenant(tenant);
+      ++released;
+      continue;
     }
+    if (tenant->drain_pos == tenant->draining.size()) {
+      tenant->draining.clear();
+      tenant->drain_pos = 0;
+      MutexLock lock(&tenant->queue_mu);
+      tenant->draining.swap(tenant->queued);
+      if (tenant->draining.empty()) return released;
+    }
+    tenant->engine.Append(std::move(tenant->draining[tenant->drain_pos++]));
   }
 }
 
@@ -142,51 +138,23 @@ void EngineFleet::ReleaseTenant(Tenant* tenant) {
 
 size_t EngineFleet::Pump() {
   // Held for the entire drain: a Stats()/checkpoint/restore caller on
-  // another thread waits for a phase-consistent fleet instead of reading
-  // engines that pump tasks are mutating. The pool tasks spawned below
-  // access tenants without this lock — ownership inside the drain is
-  // per-tenant per-phase (see Tenant's comment) — which is exactly why the
-  // lock must span the whole loop, not individual phases.
+  // another thread waits for a quiescent fleet instead of reading engines
+  // that pump participants are mutating. The participants below access
+  // tenants without this lock — each tenant is owned by exactly one of them
+  // for the whole call (see Tenant's comment) — which is why the lock must
+  // span the whole drain.
   MutexLock pump_lock(&pump_mu_);
-  size_t released = 0;
-  std::vector<std::vector<Tenant*>> ready(config_.shards);
-  std::vector<Tenant*> due;
-  for (;;) {
-    // Phase 1: advance every shard in parallel, each tenant stopping at its
-    // next release point. Shard tasks own disjoint tenants and write
-    // disjoint ready lists; TaskGroup::Wait is the phase barrier.
-    for (std::vector<Tenant*>& r : ready) r.clear();
-    {
-      TaskGroup group(pool_);
-      for (size_t s = 0; s < config_.shards; ++s) {
-        group.Run([this, s, &ready] { PumpShard(s, &ready[s]); });
-      }
-      group.Wait();
+  // One index per tenant: the caller and the pool's workers claim tenants
+  // off ParallelFor's shared cursor, so uneven per-tenant costs balance and
+  // each tenant's appends and releases run back to back on one thread.
+  std::vector<size_t> released(tenants_.size(), 0);
+  ParallelFor(pool_, tenants_.size(), 1, [this, &released](size_t begin,
+                                                            size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      released[i] = PumpTenant(tenants_[i].get());
     }
-    due.clear();
-    for (const std::vector<Tenant*>& r : ready) {
-      due.insert(due.end(), r.begin(), r.end());
-    }
-    if (due.empty()) return released;
-    released += due.size();
-
-    // Phase 2: cross-engine batched releases. The due windows — from every
-    // shard — are packed into contiguous batches sized for a few tasks per
-    // worker, so per-task overhead amortizes across many sub-grain
-    // sanitizes and the pool fills regardless of how the shards were laid
-    // out. Tenants appear at most once per phase, so batch tasks share
-    // nothing; cross-tenant execution order is unconstrained by design.
-    const size_t batch =
-        due.size() / (std::max<size_t>(1, pool_participants_) * 4) + 1;
-    TaskGroup group(pool_);
-    for (size_t begin = 0; begin < due.size(); begin += batch) {
-      const size_t end = std::min(begin + batch, due.size());
-      group.Run([this, &due, begin, end] {
-        for (size_t i = begin; i < end; ++i) ReleaseTenant(due[i]);
-      });
-    }
-    group.Wait();
-  }
+  });
+  return std::accumulate(released.begin(), released.end(), size_t{0});
 }
 
 const std::string& EngineFleet::ReleaseLog(uint64_t tenant) const {
@@ -218,7 +186,6 @@ FleetStats EngineFleet::Stats() const {
   MutexLock pump_lock(&pump_mu_);
   FleetStats stats;
   stats.tenants = tenants_.size();
-  stats.shards = config_.shards;
   stats.threads = ResolveThreadCount(config_.threads);
   stats.checkpoints_written = checkpoints_written_;
 

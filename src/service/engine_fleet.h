@@ -7,30 +7,28 @@
 /// each tenant's window is small, but there are many of them. The fleet
 /// turns that around by scaling threads with *tenant count*:
 ///
-///  * Tenants are sharded across the pool (tenant t lives on shard
-///    t % shards). Each tenant owns a mutex+swap double-buffered ingest
-///    queue: producers append under a short lock, the pump swaps the buffer
-///    out and replays it into the engine lock-free.
-///  * Pump() alternates two phases until the queues drain. Phase 1 advances
-///    every shard in parallel, each tenant stopping exactly at its next
-///    release point (the window content at release time is what the
-///    determinism contract is about). Phase 2 coalesces every
-///    ready-to-release window — across all shards — into batched pool tasks
-///    via TaskGroup, so the pool stays full even when each individual
-///    sanitize is far below ParallelFor's grain.
+///  * Each tenant owns a mutex+swap double-buffered ingest queue: producers
+///    append under a short lock, the pump swaps the buffer out and replays
+///    it into the engine lock-free.
+///  * Pump() is one ParallelFor over the tenants: the caller and the pool's
+///    workers claim tenants off a shared cursor, and whoever claims a tenant
+///    drains its queue end to end, releasing inline at each release point
+///    (the window content at release time is what the determinism contract
+///    is about). A tenant's appends and its release run back to back on one
+///    thread, and no barrier separates one tenant's work from another's.
 ///  * Round-robin checkpointing walks the tenants one SaveEngineCheckpoint
 ///    per call, bounding the per-call latency a snapshot adds to the pump
 ///    loop; RestoreTenants reloads whichever snapshots exist.
 ///
 /// Determinism contract: each tenant's release log is byte-identical to
-/// running that tenant alone, serially, at any shard/thread count. Three
+/// running that tenant alone, serially, at any thread count. Three
 /// mechanisms carry it: per-tenant RNG seeds derived in one place
 /// (DeriveTenantSeed, so equal configs never share noise streams), strictly
-/// preserved per-tenant ingest order (the queue is FIFO and one pump task
-/// owns a tenant at a time), and releases fired at exact per-tenant stream
-/// positions (window + k * stride). Cross-tenant ordering is deliberately
-/// unconstrained — tenants share no state, so no observable output depends
-/// on which engine's batch ran first.
+/// preserved per-tenant ingest order (the queue is FIFO and one pump
+/// participant owns a tenant for a whole Pump()), and releases fired at
+/// exact per-tenant stream positions (window + k * stride). Cross-tenant
+/// ordering is deliberately unconstrained — tenants share no state, so no
+/// observable output depends on which tenant was pumped first.
 ///
 /// Engines inside a fleet run serial (threads = 1, pipelining off): the
 /// parallelism budget belongs to the scheduler, and a release task re-
@@ -59,12 +57,11 @@ namespace butterfly {
 /// from (engine.seed, tenant id) and its thread count is forced to 1.
 struct FleetConfig {
   size_t tenants = 1;
-  /// Ingest/pump sharding: tenant t is pumped by shard t % shards. More
-  /// shards than the pool has participants buys nothing; fewer leaves pump
-  /// phase 1 under-parallel. Release batching is shard-independent.
+  /// Ignored: Pump() schedules per tenant, not per shard. Kept only so
+  /// existing callers that still assign it compile; it will be removed.
   size_t shards = 1;
-  /// Scheduler parallelism (caller + workers), resolved like
-  /// ButterflyConfig::threads: 1 = serial, 0 = auto.
+  /// Pump parallelism (the calling thread plus the shared pool's workers),
+  /// resolved like ButterflyConfig::threads: 1 = serial, 0 = auto.
   int64_t threads = 1;
   size_t window = 2000;  ///< per-tenant sliding-window size H
   size_t stride = 100;   ///< slides between consecutive releases per tenant
@@ -89,10 +86,9 @@ ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant);
 
 /// Aggregated fleet statistics: totals across every tenant since creation
 /// (or restore), plus the release-latency distribution of the individual
-/// engine.Release() calls as executed inside the batched pool tasks.
+/// engine.Release() calls as executed inside Pump().
 struct FleetStats {
   size_t tenants = 0;
-  size_t shards = 0;
   size_t threads = 0;
 
   uint64_t ingested = 0;  ///< records appended into engines
@@ -139,11 +135,11 @@ class EngineFleet {
   Status Ingest(uint64_t tenant, Transaction t);
 
   /// Drains every tenant's queue into its engine and emits every release
-  /// that comes due, batching ready windows across engines into pool tasks.
-  /// Returns the number of releases emitted. Call from one driver thread;
-  /// not re-entrant (enforced: holds the pump lock for the whole drain, so
-  /// Stats()/CheckpointNextTenant()/RestoreTenants() from other threads
-  /// serialize against it instead of racing the engines).
+  /// that comes due, tenants in parallel across the calling thread and the
+  /// pool. Returns the number of releases emitted. Call from one driver
+  /// thread; not re-entrant (enforced: holds the pump lock for the whole
+  /// drain, so Stats()/CheckpointNextTenant()/RestoreTenants() from other
+  /// threads serialize against it instead of racing the engines).
   size_t Pump() BFLY_EXCLUDES(pump_mu_);
 
   /// The concatenated WriteRelease bytes of every release \p tenant has
@@ -163,7 +159,7 @@ class EngineFleet {
   /// Aggregates FleetStats over all tenants. Safe to call from a monitoring
   /// thread while the driver thread is inside Pump(): it takes the pump
   /// lock, so it observes the fleet quiescent (before or after the drain,
-  /// never mid-phase).
+  /// never mid-drain).
   FleetStats Stats() const BFLY_EXCLUDES(pump_mu_);
 
   /// Saves the next tenant in round-robin order to
@@ -194,10 +190,10 @@ class EngineFleet {
  private:
   /// One tenant: engine + double-buffered ingest queue + release artifacts.
   /// Pinned by unique_ptr (the mutex is immovable) and touched by at most
-  /// one pump task at a time; `queue_mu` is the only producer/pump shared
-  /// state. The pump-side fields (engine, draining, drain_pos, log, ...)
-  /// are owned by whichever pump task holds the tenant in the current
-  /// phase; readers outside Pump() serialize through the fleet's pump lock,
+  /// one pump participant at a time; `queue_mu` is the only producer/pump
+  /// shared state. The pump-side fields (engine, draining, drain_pos, log,
+  /// ...) are owned by whichever participant claimed the tenant in the
+  /// current Pump(); readers outside Pump() serialize through the pump lock,
   /// which excludes the whole drain — an ownership handoff the per-member
   /// annotations cannot express, so those members carry comments, not
   /// GUARDED_BY.
@@ -230,23 +226,21 @@ class EngineFleet {
 
   explicit EngineFleet(FleetConfig config);
 
-  /// Phase 1 for one shard: advance each owned tenant to its next release
-  /// point or until its buffered records run out; append ready tenants to
-  /// \p ready (a per-shard list, so phase 1 tasks share nothing).
-  void PumpShard(size_t shard, std::vector<Tenant*>* ready);
+  /// Drains one tenant's buffered records into its engine, releasing at
+  /// every release point it crosses; returns the releases emitted.
+  size_t PumpTenant(Tenant* tenant);
 
-  /// Phase 2 unit: one tenant's release, executed inside a batch task.
+  /// One tenant's release: sanitize, serialize into the log, account.
   void ReleaseTenant(Tenant* tenant);
 
   FleetConfig config_;
   std::vector<std::unique_ptr<Tenant>> tenants_;
   ThreadPool* pool_ = nullptr;  ///< shared, not owned (see SharedPool)
-  size_t pool_participants_ = 1;
 
   /// Serializes the fleet-level entry points: Pump() holds it for the whole
   /// drain; Stats(), CheckpointNextTenant() and RestoreTenants() take it so
   /// a monitoring or checkpointing thread never observes (or mutates)
-  /// engines mid-phase. Ingest() deliberately does NOT take it — producers
+  /// engines mid-drain. Ingest() deliberately does NOT take it — producers
   /// only touch queue_mu, so ingest stays wait-free against a long pump.
   /// Lock order: pump_mu_ before any tenant's queue_mu.
   mutable Mutex pump_mu_;

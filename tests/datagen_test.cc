@@ -213,6 +213,26 @@ TEST(FimiIoTest, RejectsMalformedTokens) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(FimiIoTest, RejectsOutOfRangeItemsWithLineNumber) {
+  // 21 digits (past 2^64), 2^32 (used to wrap to item 0) and 2^32 - 1
+  // (used to become kInvalidItem) are all refused, never thrown or wrapped.
+  for (const char* token :
+       {"123456789012345678901", "4294967296", "4294967295"}) {
+    auto r = ParseFimi(std::string("1 2\n3 ") + token + "\n");
+    ASSERT_FALSE(r.ok()) << token;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << token;
+    EXPECT_NE(r.status().message().find("line 2"), std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST(FimiIoTest, AcceptsLargestValidItem) {
+  auto r = ParseFimi("4294967294 0\n");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), 1u);
+  EXPECT_EQ((*r)[0].items, (Itemset{0, 4294967294u}));
+}
+
 TEST(FimiIoTest, LoadMissingFileIsIOError) {
   auto r = LoadFimiFile("/nonexistent/path/data.dat");
   EXPECT_FALSE(r.ok());

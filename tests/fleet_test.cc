@@ -1,7 +1,7 @@
 /// Differential testing of the multi-tenant EngineFleet scheduler against
 /// its determinism contract: each tenant's release log must be
 /// byte-identical to running that tenant alone, serially, at every tested
-/// shard/thread combination — and must survive a kill-and-restore in the
+/// thread count — and must survive a kill-and-restore in the
 /// middle of a round-robin checkpoint pass, where only a prefix of the
 /// tenants has a snapshot on disk.
 
@@ -26,10 +26,9 @@ constexpr size_t kWindow = 40;
 constexpr size_t kStride = 10;
 constexpr size_t kRecords = 100;  // 7 releases: positions 40, 50, ..., 100
 
-FleetConfig MakeFleetConfig(size_t tenants, size_t shards, int64_t threads) {
+FleetConfig MakeFleetConfig(size_t tenants, int64_t threads) {
   FleetConfig config;
   config.tenants = tenants;
-  config.shards = shards;
   config.threads = threads;
   config.window = kWindow;
   config.stride = kStride;
@@ -86,54 +85,77 @@ std::string Concat(const std::vector<std::string>& parts, size_t from = 0) {
   return all;
 }
 
-TEST(FleetTest, ByteIdenticalToSoloAcrossShardAndThreadGrid) {
-  constexpr size_t kTenants = 6;
-  std::vector<std::vector<Transaction>> streams;
-  for (uint64_t t = 0; t < kTenants; ++t) streams.push_back(TenantStream(t));
+uint64_t TotalReleaseCount(const EngineFleet& fleet) {
+  uint64_t total = 0;
+  for (uint64_t t = 0; t < fleet.tenant_count(); ++t) {
+    total += fleet.ReleaseCount(t);
+  }
+  return total;
+}
 
-  // The derived engine config is shard/thread-independent, so one solo
-  // reference covers the whole grid.
-  const FleetConfig reference = MakeFleetConfig(kTenants, 1, 1);
+/// Pumps once and checks Pump()'s return value against the releases the
+/// call actually emitted.
+void PumpAndCheckCount(EngineFleet* fleet) {
+  const uint64_t before = TotalReleaseCount(*fleet);
+  const size_t released = fleet->Pump();
+  EXPECT_EQ(released, TotalReleaseCount(*fleet) - before);
+}
+
+/// Runs `tenants` tenants through a fleet at `threads` and compares every
+/// release log with the tenant's solo serial run.
+void ExpectByteIdenticalToSolo(size_t tenants, int64_t threads) {
+  std::vector<std::vector<Transaction>> streams;
+  for (uint64_t t = 0; t < tenants; ++t) streams.push_back(TenantStream(t));
+
+  // The derived engine config is thread-independent, so the solo reference
+  // is the same at every thread count.
+  const FleetConfig config = MakeFleetConfig(tenants, threads);
   std::vector<std::string> expected;
-  for (uint64_t t = 0; t < kTenants; ++t) {
-    std::vector<std::string> releases = SoloReleases(reference, t, streams[t]);
+  for (uint64_t t = 0; t < tenants; ++t) {
+    std::vector<std::string> releases = SoloReleases(config, t, streams[t]);
     ASSERT_EQ(releases.size(), 7u);
     expected.push_back(Concat(releases));
   }
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    for (int64_t threads : {int64_t{1}, int64_t{8}}) {
-      auto fleet =
-          EngineFleet::Create(MakeFleetConfig(kTenants, shards, threads));
-      ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
-      // Interleaved chunked ingest with pumps at chunk boundaries that do
-      // NOT line up with release points: the scheduler must stop each
-      // tenant at its exact release position regardless.
-      constexpr size_t kChunk = 7;
-      for (size_t begin = 0; begin < kRecords; begin += kChunk) {
-        const size_t end = std::min(begin + kChunk, kRecords);
-        for (uint64_t t = 0; t < kTenants; ++t) {
-          for (size_t i = begin; i < end; ++i) {
-            ASSERT_TRUE(fleet->Ingest(t, streams[t][i]).ok());
-          }
-        }
-        fleet->Pump();
+  auto fleet = EngineFleet::Create(config);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  // Interleaved chunked ingest with pumps at chunk boundaries that do NOT
+  // line up with release points: the scheduler must release each tenant at
+  // its exact release position regardless.
+  constexpr size_t kChunk = 7;
+  for (size_t begin = 0; begin < kRecords; begin += kChunk) {
+    const size_t end = std::min(begin + kChunk, kRecords);
+    for (uint64_t t = 0; t < tenants; ++t) {
+      for (size_t i = begin; i < end; ++i) {
+        ASSERT_TRUE(fleet->Ingest(t, streams[t][i]).ok());
       }
-      fleet->Pump();
-
-      for (uint64_t t = 0; t < kTenants; ++t) {
-        EXPECT_EQ(fleet->ReleaseLog(t), expected[t])
-            << "tenant " << t << " shards=" << shards
-            << " threads=" << threads;
-        EXPECT_EQ(fleet->ReleaseCount(t), 7u);
-        EXPECT_EQ(fleet->StreamPosition(t), kRecords);
-      }
-      FleetStats stats = fleet->Stats();
-      EXPECT_EQ(stats.releases, kTenants * 7u);
-      EXPECT_EQ(stats.ingested, kTenants * kRecords);
-      EXPECT_EQ(stats.queued, 0u);
     }
+    PumpAndCheckCount(&*fleet);
   }
+  EXPECT_EQ(fleet->Pump(), 0u);  // everything was already drained
+
+  for (uint64_t t = 0; t < tenants; ++t) {
+    EXPECT_EQ(fleet->ReleaseLog(t), expected[t])
+        << "tenant " << t << " threads=" << threads;
+    EXPECT_EQ(fleet->ReleaseCount(t), 7u);
+    EXPECT_EQ(fleet->StreamPosition(t), kRecords);
+  }
+  FleetStats stats = fleet->Stats();
+  EXPECT_EQ(stats.releases, tenants * 7u);
+  EXPECT_EQ(stats.ingested, tenants * kRecords);
+  EXPECT_EQ(stats.queued, 0u);
+}
+
+TEST(FleetTest, ByteIdenticalToSoloAcrossThreadCounts) {
+  for (int64_t threads : {int64_t{1}, int64_t{4}, int64_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectByteIdenticalToSolo(/*tenants=*/6, threads);
+  }
+}
+
+TEST(FleetTest, ByteIdenticalWithFewerTenantsThanParticipants) {
+  // 3 tenants on 8 participants: most participants find no tenant to claim.
+  ExpectByteIdenticalToSolo(/*tenants=*/3, /*threads=*/8);
 }
 
 // Regression test for the Stats()/Pump() race the thread-safety
@@ -151,7 +173,7 @@ TEST(FleetTest, ConcurrentStatsAndIngestDuringPump) {
   std::vector<std::vector<Transaction>> streams;
   for (uint64_t t = 0; t < kTenants; ++t) streams.push_back(TenantStream(t));
 
-  auto fleet = EngineFleet::Create(MakeFleetConfig(kTenants, 4, 8));
+  auto fleet = EngineFleet::Create(MakeFleetConfig(kTenants, 8));
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
   const std::string dir = ::testing::TempDir();
 
@@ -210,7 +232,7 @@ TEST(FleetTest, ConcurrentStatsAndIngestDuringPump) {
 }
 
 TEST(FleetTest, TenantSeedsDifferAndThreadsForcedSerial) {
-  const FleetConfig config = MakeFleetConfig(3, 1, 8);
+  const FleetConfig config = MakeFleetConfig(3, 8);
   const ButterflyConfig a = TenantEngineConfig(config, 0);
   const ButterflyConfig b = TenantEngineConfig(config, 1);
   EXPECT_NE(a.seed, b.seed);
@@ -220,7 +242,7 @@ TEST(FleetTest, TenantSeedsDifferAndThreadsForcedSerial) {
 }
 
 TEST(FleetTest, IngestRejectsUnknownTenant) {
-  auto fleet = EngineFleet::Create(MakeFleetConfig(2, 1, 1));
+  auto fleet = EngineFleet::Create(MakeFleetConfig(2, 1));
   ASSERT_TRUE(fleet.ok());
   Status s = fleet->Ingest(2, Transaction(1, Itemset{1}));
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
@@ -234,7 +256,7 @@ TEST(FleetTest, KillAndRestoreMidRoundRobinCheckpoint) {
 
   std::vector<std::vector<Transaction>> streams;
   for (uint64_t t = 0; t < kTenants; ++t) streams.push_back(TenantStream(t));
-  const FleetConfig config = MakeFleetConfig(kTenants, 2, 8);
+  const FleetConfig config = MakeFleetConfig(kTenants, 8);
   std::vector<std::vector<std::string>> solo;
   for (uint64_t t = 0; t < kTenants; ++t) {
     solo.push_back(SoloReleases(config, t, streams[t]));
@@ -253,7 +275,7 @@ TEST(FleetTest, KillAndRestoreMidRoundRobinCheckpoint) {
         ASSERT_TRUE(fleet->Ingest(t, streams[t][i]).ok());
       }
     }
-    fleet->Pump();
+    PumpAndCheckCount(&*fleet);
     auto first = fleet->CheckpointNextTenant(dir);
     ASSERT_TRUE(first.ok()) << first.status().ToString();
     EXPECT_EQ(*first, 0u);
@@ -275,7 +297,7 @@ TEST(FleetTest, KillAndRestoreMidRoundRobinCheckpoint) {
       ASSERT_TRUE(fleet->Ingest(t, streams[t][i]).ok());
     }
   }
-  fleet->Pump();
+  PumpAndCheckCount(&*fleet);
 
   for (uint64_t t = 0; t < kTenants; ++t) {
     const bool restored = t < 2;
@@ -292,7 +314,7 @@ TEST(FleetTest, KillAndRestoreMidRoundRobinCheckpoint) {
 }
 
 TEST(FleetTest, RestoreRefusesWithQueuedRecords) {
-  auto fleet = EngineFleet::Create(MakeFleetConfig(1, 1, 1));
+  auto fleet = EngineFleet::Create(MakeFleetConfig(1, 1));
   ASSERT_TRUE(fleet.ok());
   ASSERT_TRUE(fleet->Ingest(0, Transaction(1, Itemset{1})).ok());
   Status s = fleet->RestoreTenants(::testing::TempDir());
@@ -300,13 +322,13 @@ TEST(FleetTest, RestoreRefusesWithQueuedRecords) {
 }
 
 TEST(FleetConfigTest, ValidateCatchesBadShapes) {
-  FleetConfig config = MakeFleetConfig(1, 1, 1);
+  FleetConfig config = MakeFleetConfig(1, 1);
   config.tenants = 0;
   EXPECT_FALSE(config.Validate().ok());
-  config = MakeFleetConfig(1, 1, 1);
+  config = MakeFleetConfig(1, 1);
   config.stride = 0;
   EXPECT_FALSE(config.Validate().ok());
-  config = MakeFleetConfig(1, 1, 1);
+  config = MakeFleetConfig(1, 1);
   config.engine.epsilon = -1;  // propagates to the derived engine validation
   EXPECT_FALSE(config.Validate().ok());
 }

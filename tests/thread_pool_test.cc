@@ -122,84 +122,5 @@ TEST(ParallelForTest, SkewedBodiesStillCoverEverything) {
   for (size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1);
 }
 
-TEST(TaskGroupTest, WaitBlocksUntilEveryTaskCompletes) {
-  ThreadPool pool(3);
-  TaskGroup group(&pool);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    group.Run([&done] { done.fetch_add(1); });
-  }
-  group.Wait();
-  EXPECT_EQ(done.load(), 100);
-
-  // The group is reusable after a Wait.
-  group.Run([&done] { done.fetch_add(1); });
-  group.Wait();
-  EXPECT_EQ(done.load(), 101);
-}
-
-TEST(TaskGroupTest, WaitRethrowsFirstTaskException) {
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    group.Run([&done, i] {
-      if (i == 7) throw std::runtime_error("task 7 boom");
-      done.fetch_add(1);
-    });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // The failure neither cancels other tasks nor poisons the group: all
-  // non-throwing tasks ran, and the error was consumed by the rethrow.
-  EXPECT_EQ(done.load(), 31);
-  group.Wait();  // no second throw
-}
-
-TEST(TaskGroupTest, NullPoolRunsInline) {
-  TaskGroup group(nullptr);
-  int done = 0;
-  group.Run([&done] { ++done; });
-  EXPECT_EQ(done, 1);  // already ran, before Wait
-  group.Wait();
-  EXPECT_EQ(done, 1);
-}
-
-TEST(TaskGroupTest, InlineExceptionStillSurfacesAtWait) {
-  TaskGroup group(nullptr);
-  group.Run([] { throw std::runtime_error("inline boom"); });
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-}
-
-TEST(TaskGroupTest, RunFromWorkerThreadExecutesInlineWithoutDeadlock) {
-  // A group used on a pool worker must not enqueue onto its own pool: with
-  // every worker blocked in a nested Wait, queued subtasks would never run.
-  ThreadPool pool(2);
-  TaskGroup outer(&pool);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 8; ++i) {
-    outer.Run([&pool, &done] {
-      TaskGroup inner(&pool);
-      for (int j = 0; j < 4; ++j) {
-        inner.Run([&done] { done.fetch_add(1); });
-      }
-      inner.Wait();
-    });
-  }
-  outer.Wait();
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(TaskGroupTest, DestructorWaitsForPendingTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  {
-    TaskGroup group(&pool);
-    for (int i = 0; i < 50; ++i) {
-      group.Run([&done] { done.fetch_add(1); });
-    }
-  }  // destructor must wait, not abandon the tasks
-  EXPECT_EQ(done.load(), 50);
-}
-
 }  // namespace
 }  // namespace butterfly
