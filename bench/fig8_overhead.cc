@@ -12,17 +12,16 @@
 ///  * the `mine_ns` stage — Moment's incremental maintenance per reported
 ///    window, taken from StreamPrivacyEngine's per-stage accounting,
 ///  * scratch vs incremental closed→full expansion per reported window, and
-///  * two sanitize thread sweeps (1/2/4/8) over window traces: the figure
-///    configuration and a dense one (lower C) whose per-window itemset count
-///    exceeds the parallel release's grain floor, so the sweep actually
-///    exercises multi-threaded scaling. Both verify the parallel release is
-///    bit-identical to the serial one.
+///  * two sanitize rows over window traces, with the per-stage split: the
+///    figure configuration and a dense one (lower C, about a thousand
+///    itemsets per window). A release runs on one thread, so each is a
+///    single threads=1 row.
 /// Rows are measured with the harness's warmup + median-of-N discipline.
 /// Results are written as machine-readable JSON (--json=PATH; see
 /// BENCH_overhead.json) so future PRs can diff the trajectory. --smoke runs
 /// a seconds-scale variant, registered in ctest.
 ///
-/// Flags: --smoke --json=PATH --threads=N (extra sweep point, 0 = auto)
+/// Flags: --smoke --json=PATH
 ///        --baseline=PATH (fail if a guarded bench regresses >3x vs artifact)
 ///        --baseline_factor=F (override the 3x bound)
 
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/thread_pool.h"
 #include "core/release_log.h"
 #include "core/stream_engine.h"
 #include "harness.h"
@@ -50,9 +48,8 @@ struct RunShape {
   size_t reports = 20;
   size_t stride = 25;
   std::vector<Support> supports{30, 25, 20, 15, 10};
-  std::vector<size_t> sweep_threads{1, 2, 4, 8};
-  /// Second sweep trace: dense enough (itemsets/window above the parallel
-  /// grain floor) that the thread sweep measures real scaling.
+  /// Second sanitize trace, about a thousand itemsets per window: the bias
+  /// DP, noise and emit stages all show in its split.
   size_t dense_window = 5000;
   Support dense_support = 3;
   /// Slides between releases in the pipelined-release bench — large enough
@@ -459,30 +456,29 @@ struct ReplayTimes {
 };
 
 /// Replays the trace through one engine configuration.
-ReplayTimes TimeReplay(const WindowTrace& trace, ButterflyConfig config,
-                       std::vector<SanitizedOutput>* releases) {
+ReplayTimes TimeReplay(const WindowTrace& trace, ButterflyConfig config) {
   ButterflyEngine engine(config);
-  if (releases) releases->clear();
   Stopwatch watch;
   ReplayTimes times;
   for (const MiningOutput& raw : trace.raw) {
     watch.Restart();
-    SanitizedOutput release =
+    const SanitizedOutput release =
         engine.Sanitize(raw, static_cast<Support>(trace.config.window));
-    times.seconds += watch.Seconds();
+    times.seconds += watch.Seconds();  // the release is freed untimed
     const SanitizeStageTimes& stages = engine.last_stage_times();
     times.partition_ns += stages.partition_ns;
     times.bias_dp_ns += stages.bias_ns;
     times.noise_ns += stages.noise_ns;
     times.emit_ns += stages.emit_ns;
-    if (releases) releases->push_back(std::move(release));
   }
   times.memo_hits = static_cast<double>(engine.bias_memo_hits());
   times.memo_misses = static_cast<double>(engine.bias_memo_misses());
   return times;
 }
 
-void ThreadSweep(DatasetProfile profile, const RunShape& shape,
+/// One sanitize row: the trace replayed through fresh threads=1 engines,
+/// median of reps after warmup, with the per-stage split.
+void SanitizeRow(DatasetProfile profile, const RunShape& shape,
                  const std::string& bench_name, size_t window,
                  Support min_support) {
   TraceConfig trace_config;
@@ -498,99 +494,49 @@ void ThreadSweep(DatasetProfile profile, const RunShape& shape,
   ButterflyConfig config = MakeConfig(trace_config, opt, 0.016, 0.4);
   config.republish_cache = false;  // time the full perturbation path
 
-  PrintTableHeader(
-      "Sanitize thread sweep (" + bench_name + "), " + ProfileName(profile) +
-          ", H=" + std::to_string(window) + ", C=" +
-          std::to_string(trace_config.min_support) + ", " +
-          std::to_string(itemsets) + " itemsets/window",
-      {"threads", "s/window", "windows/s", "speedup", "noise spd",
-       "identical"});
-
-  // Repetitions per thread count, *interleaved* (rep-major order) so machine
-  // load drift hits every row equally; the per-row median damps the
-  // remaining scheduler noise. Engines are fresh per rep — every measurement
-  // is a cold run.
-  const size_t sweep_size = shape.sweep_threads.size();
   for (int i = 0; i < shape.plan.warmup; ++i) {
-    TimeReplay(trace, config, nullptr);  // untimed (caches, cpu clocks)
+    TimeReplay(trace, config);  // untimed (caches, cpu clocks)
   }
-  std::vector<std::vector<ReplayTimes>> samples(sweep_size);
-  std::vector<std::vector<SanitizedOutput>> releases(sweep_size);
+  std::vector<ReplayTimes> samples;
   for (int rep = 0; rep < shape.plan.reps; ++rep) {
-    for (size_t ti = 0; ti < sweep_size; ++ti) {
-      config.threads = static_cast<int64_t>(shape.sweep_threads[ti]);
-      samples[ti].push_back(
-          TimeReplay(trace, config, rep == 0 ? &releases[ti] : nullptr));
-    }
+    samples.push_back(TimeReplay(trace, config));
   }
-  auto median_stage = [](const std::vector<ReplayTimes>& reps,
-                         double ReplayTimes::*field) {
+  const double windows = static_cast<double>(trace.raw.size());
+  auto median_stage = [&](double ReplayTimes::*field) {
     std::vector<double> values;
-    values.reserve(reps.size());
-    for (const ReplayTimes& r : reps) values.push_back(r.*field);
-    return Median(std::move(values));
+    values.reserve(samples.size());
+    for (const ReplayTimes& r : samples) values.push_back(r.*field);
+    return Median(std::move(values)) / windows;
   };
 
-  double ns_1t = 0;
-  double noise_1t = 0;
-  const std::vector<SanitizedOutput>& serial_releases = releases.front();
-  for (size_t ti = 0; ti < sweep_size; ++ti) {
-    const size_t threads = shape.sweep_threads[ti];
-    const std::vector<SanitizedOutput>& got = releases[ti];
-    bool identical = got.size() == serial_releases.size();
-    for (size_t w = 0; identical && w < got.size(); ++w) {
-      identical = got[w].items() == serial_releases[w].items();
-    }
-    if (!identical) {
-      std::fprintf(stderr, "parallel release diverged at %zu threads\n",
-                   threads);
-      std::exit(1);
-    }
-    const double windows = static_cast<double>(trace.raw.size());
-    double per_window =
-        median_stage(samples[ti], &ReplayTimes::seconds) / windows;
-    double noise_per_window =
-        median_stage(samples[ti], &ReplayTimes::noise_ns) / windows;
-    if (threads == 1) {
-      ns_1t = per_window * 1e9;
-      noise_1t = noise_per_window;
-    }
+  BenchRecord rec;
+  rec.bench = bench_name;
+  rec.dataset = ProfileName(profile);
+  rec.threads = 1;
+  rec.windows = trace.raw.size();
+  rec.itemsets_per_window = itemsets;
+  const double per_window = median_stage(&ReplayTimes::seconds);
+  rec.ns_per_window = per_window * 1e9;
+  rec.windows_per_sec = per_window > 0 ? 1.0 / per_window : 0;
+  rec.partition_ns = median_stage(&ReplayTimes::partition_ns);
+  rec.bias_dp_ns = median_stage(&ReplayTimes::bias_dp_ns);
+  rec.noise_ns = median_stage(&ReplayTimes::noise_ns);
+  rec.emit_ns = median_stage(&ReplayTimes::emit_ns);
+  // Memo traffic is a pure function of the trace, identical across reps.
+  rec.memo_hits = samples.back().memo_hits;
+  rec.memo_misses = samples.back().memo_misses;
+  g_records.push_back(rec);
 
-    BenchRecord rec;
-    rec.bench = bench_name;
-    rec.dataset = ProfileName(profile);
-    rec.threads = threads;
-    rec.windows = trace.raw.size();
-    rec.itemsets_per_window = itemsets;
-    rec.ns_per_window = per_window * 1e9;
-    rec.windows_per_sec = per_window > 0 ? 1.0 / per_window : 0;
-    rec.speedup_vs_1t =
-        rec.ns_per_window > 0 ? ns_1t / rec.ns_per_window : 0;
-    rec.partition_ns =
-        median_stage(samples[ti], &ReplayTimes::partition_ns) / windows;
-    rec.bias_dp_ns =
-        median_stage(samples[ti], &ReplayTimes::bias_dp_ns) / windows;
-    rec.noise_ns = noise_per_window;
-    rec.emit_ns = median_stage(samples[ti], &ReplayTimes::emit_ns) / windows;
-    // Memo traffic is a pure function of the trace, identical across reps.
-    rec.memo_hits = samples[ti].back().memo_hits;
-    rec.memo_misses = samples[ti].back().memo_misses;
-    // Tolerance so timer noise does not masquerade as inverse scaling: on the
-    // dense row the serial stages (bias DP, emit) dominate by Amdahl, so the
-    // total is expected flat and a few percent of jitter either way is not a
-    // scaling pathology. The note is reserved for real slowdowns.
-    if (threads > 1 && rec.speedup_vs_1t < 0.90) {
-      rec.note = "inverse scaling: slower than 1 thread";
-    }
-    g_records.push_back(rec);
-
-    const double noise_speedup =
-        noise_per_window > 0 ? noise_1t / noise_per_window : 0;
-    PrintTableRow({std::to_string(threads), FormatDouble(per_window, 6),
-                   FormatDouble(per_window > 0 ? 1.0 / per_window : 0, 1),
-                   FormatDouble(rec.speedup_vs_1t, 2),
-                   FormatDouble(noise_speedup, 2), "yes"});
-  }
+  PrintTableHeader(
+      "Sanitize (" + bench_name + "), " + ProfileName(profile) + ", H=" +
+          std::to_string(window) + ", C=" +
+          std::to_string(trace_config.min_support) + ", " +
+          std::to_string(itemsets) + " itemsets/window",
+      {"s/window", "windows/s", "bias DP ns", "noise ns", "emit ns"});
+  PrintTableRow({FormatDouble(per_window, 6),
+                 FormatDouble(rec.windows_per_sec, 1),
+                 FormatDouble(rec.bias_dp_ns, 0), FormatDouble(rec.noise_ns, 0),
+                 FormatDouble(rec.emit_ns, 0)});
 }
 
 /// Cross-window pipelined Release: full engines (miner + sanitizer) over the
@@ -724,9 +670,8 @@ bool GuardedBench(const std::string& bench) {
          bench == "release/pipelined";
 }
 
-/// Hard speedup floors for the parallel tentpoles (the sanitize sweep's DP
-/// parallelism and the pipelined release overlap), enforced alongside the
-/// baseline guard — but only on hardware that can express a 4-thread
+/// Hard speedup floor for the pipelined release overlap, enforced alongside
+/// the baseline guard — but only on hardware that can express a 4-thread
 /// speedup; smaller machines print a note and pass, unless
 /// BUTTERFLY_REQUIRE_FLOORS=1 makes under-provisioned hardware an error.
 bool CheckSpeedupFloors() {
@@ -745,14 +690,6 @@ bool CheckSpeedupFloors() {
   }
   bool ok = true;
   for (const BenchRecord& r : g_records) {
-    if (r.bench == "sanitize/opt-dense" && r.threads == 4 &&
-        r.speedup_vs_1t > 0 && r.speedup_vs_1t < 1.6) {
-      std::fprintf(stderr,
-                   "FLOOR sanitize/opt-dense @4 threads (%s): speedup %.2f "
-                   "< 1.6\n",
-                   r.dataset.c_str(), r.speedup_vs_1t);
-      ok = false;
-    }
     if (r.bench == "release/pipelined" && r.threads == 4 &&
         r.speedup_vs_1t > 0 && r.speedup_vs_1t < 1.3) {
       std::fprintf(stderr,
@@ -807,7 +744,7 @@ bool CheckHybridFloors() {
 }
 
 /// Regression guard: compares the guarded rows just measured (the sanitize
-/// sweeps and the miner maintenance) against a checked-in baseline artifact;
+/// rows and the miner maintenance) against a checked-in baseline artifact;
 /// fails on a > `factor`× ns/window regression (a generous bound that catches
 /// order-of-magnitude regressions — the bug class where a cache stops firing
 /// or an index degenerates to a rescan — without tripping on machine noise).
@@ -858,7 +795,6 @@ int main(int argc, char** argv) {
   const bool smoke = flags.GetBool("smoke", false);
   const std::string json_path =
       flags.GetString("json", smoke ? "BENCH_overhead.json" : "");
-  const int64_t extra_threads = flags.GetInt("threads", 0);
   const std::string baseline_path = flags.GetString("baseline", "");
   const double baseline_factor = flags.GetDouble("baseline_factor", 3.0);
   if (!flags.ok()) {
@@ -876,17 +812,10 @@ int main(int argc, char** argv) {
     shape.reports = 6;
     shape.stride = 10;
     shape.supports = {25, 15};
-    shape.sweep_threads = {1, 2, 4, 8};
     shape.dense_window = 5000;
     shape.dense_support = 5;
     shape.plan = {/*warmup=*/1, /*reps=*/5};
     profiles = {DatasetProfile::kBmsWebView1};
-  }
-  if (extra_threads > 0 &&
-      std::find(shape.sweep_threads.begin(), shape.sweep_threads.end(),
-                static_cast<size_t>(extra_threads)) ==
-          shape.sweep_threads.end()) {
-    shape.sweep_threads.push_back(static_cast<size_t>(extra_threads));
   }
 
   std::printf("Butterfly reproduction: Fig. 8 (overhead of Butterfly in the "
@@ -899,9 +828,9 @@ int main(int argc, char** argv) {
               shape.plan.warmup);
   for (DatasetProfile profile : profiles) {
     RunDataset(profile, shape);
-    ThreadSweep(profile, shape, "sanitize/opt", shape.window,
+    SanitizeRow(profile, shape, "sanitize/opt", shape.window,
                 shape.supports.back());
-    ThreadSweep(profile, shape, "sanitize/opt-dense", shape.dense_window,
+    SanitizeRow(profile, shape, "sanitize/opt-dense", shape.dense_window,
                 shape.dense_support);
     ReleaseBench(profile, shape);
   }

@@ -55,8 +55,7 @@ BENCHMARK(BM_SanitizeScheme)
     ->Arg(static_cast<int>(ButterflyScheme::kHybrid));
 
 /// A dense synthetic window: `count` distinct 3-item itemsets spread over
-/// FECs of ~8 members — the shape where per-itemset work dominates and the
-/// parallel release path pays off.
+/// FECs of ~8 members — the shape where per-itemset work dominates.
 MiningOutput LargeSyntheticWindow(size_t count) {
   MiningOutput out(25);
   Support support = 25;
@@ -69,15 +68,11 @@ MiningOutput LargeSyntheticWindow(size_t count) {
   return out;
 }
 
-/// The sanitize hot path at 16k itemsets/window versus thread count; the
-/// counter-based RNG keeps the release bit-identical across the sweep (the
-/// determinism suite asserts this; here we only time it). Pass
+/// The sanitize hot path at 16k itemsets/window. Pass
 /// --benchmark_out=FILE --benchmark_out_format=json for a machine-readable
 /// trajectory alongside BENCH_overhead.json.
-void BM_SanitizeParallel(benchmark::State& state) {
-  ButterflyConfig config = SchemeConfig(ButterflyScheme::kOrderPreserving);
-  config.threads = state.range(0);
-  ButterflyEngine engine(config);
+void BM_SanitizeLarge(benchmark::State& state) {
+  ButterflyEngine engine(SchemeConfig(ButterflyScheme::kOrderPreserving));
   MiningOutput raw = LargeSyntheticWindow(16384);
   for (auto _ : state) {
     SanitizedOutput release = engine.Sanitize(raw, 100000);
@@ -86,27 +81,21 @@ void BM_SanitizeParallel(benchmark::State& state) {
   state.counters["itemsets/s"] = benchmark::Counter(
       static_cast<double>(raw.size()) * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate);
-  state.counters["threads"] = static_cast<double>(state.range(0));
 }
 
-BENCHMARK(BM_SanitizeParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_SanitizeLarge)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Same sweep for the basic scheme (independent per-itemset draws).
-void BM_SanitizeParallelBasic(benchmark::State& state) {
-  ButterflyConfig config = SchemeConfig(ButterflyScheme::kBasic);
-  config.threads = state.range(0);
-  ButterflyEngine engine(config);
+/// The same window under the basic scheme (independent per-itemset draws).
+void BM_SanitizeLargeBasic(benchmark::State& state) {
+  ButterflyEngine engine(SchemeConfig(ButterflyScheme::kBasic));
   MiningOutput raw = LargeSyntheticWindow(16384);
   for (auto _ : state) {
     SanitizedOutput release = engine.Sanitize(raw, 100000);
     benchmark::DoNotOptimize(release);
   }
-  state.counters["threads"] = static_cast<double>(state.range(0));
 }
 
-BENCHMARK(BM_SanitizeParallelBasic)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_SanitizeLargeBasic)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_OrderDpVsFecCount(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -91,6 +91,10 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
   // Shared per-call state, heap-allocated so straggler workers finishing
   // after the caller's rethrow still touch valid memory.
   struct Call {
+    // bfly-lint: allow(raw-atomic) the chunk cursor is the one lock-free
+    // protocol in src/: a participant claims [begin, begin + chunk) with a
+    // single fetch_add, and every other shared field is either written
+    // before Submit (whose queue lock publishes it) or guarded by `mu`.
     std::atomic<size_t> cursor{0};
     size_t n = 0;
     size_t chunk = 0;

@@ -1,6 +1,8 @@
 /// \file thread_pool.h
 /// \brief A small reusable worker pool and a chunked ParallelFor on top of
-/// it — the parallel substrate of the release pipeline (no external deps).
+/// it (no external deps). Its users: EngineFleet::Pump (one tenant per
+/// claim), the adversary's breach finder, and the pool a pipelined release
+/// runs its sanitize stage on. A single release never splits across it.
 ///
 /// Design points:
 ///  * A pool of size `threads` spawns `threads - 1` workers; the caller of
@@ -12,8 +14,8 @@
 ///  * ParallelFor called from inside a worker runs inline (no nested
 ///    dispatch), so library code may use it without knowing its caller.
 ///  * Determinism is the caller's contract: bodies must write only to
-///    disjoint, index-addressed slots (see ButterflyEngine::Sanitize, whose
-///    counter-based RNG makes the parallel release bit-identical to serial).
+///    disjoint, index-addressed slots (a fleet tenant's engine, for
+///    instance, is touched by exactly one participant per Pump).
 
 #ifndef BUTTERFLY_COMMON_THREAD_POOL_H_
 #define BUTTERFLY_COMMON_THREAD_POOL_H_

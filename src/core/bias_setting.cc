@@ -1,21 +1,17 @@
 #include "core/bias_setting.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <map>
-#include <memory>
-#include <thread>
 
 #if defined(__SSE2__)
 #include <immintrin.h>
 #endif
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace butterfly {
 
@@ -35,22 +31,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// frontier, which materializes only reachable states.
 constexpr size_t kMaxFlatStatesPerStep = size_t{1} << 20;
 constexpr size_t kMaxFlatBacktrackBytes = size_t{1} << 24;
-
-/// Ceiling on precomputing every step's pairwise-cost table at once (in
-/// doubles — 32 MiB). Above it the tables are built per step into a single
-/// reused buffer, trading the parallel upfront build for bounded memory.
-constexpr size_t kMaxPairTableDoubles = size_t{1} << 22;
-
-/// Minimum per-step work (cell updates × window length) before the step is
-/// dispatched to the helper crew; below it the handoff costs more than the
-/// sweep.
-constexpr size_t kDpParallelStepWork = size_t{1} << 13;
-constexpr size_t kMaxDpHelpers = 7;
-constexpr int kDpSpinIterations = 4096;
-
-/// Producers per chunk when the sparse frontier fans the candidate sweep out
-/// over the pool.
-constexpr size_t kSparseFrontierChunk = 256;
 
 // Integer bias candidates for one FEC: a symmetric grid over [−βᵐ, βᵐ] with
 // at most `max_candidates` points, always containing 0 (so the zero-bias
@@ -115,14 +95,6 @@ struct DpEntry {
   double cost = kInf;
   uint8_t dropped = 0xff;  // candidate index of the FEC that left the window
 };
-
-inline void CpuRelax() {
-#if defined(__SSE2__)
-  _mm_pause();
-#else
-  std::this_thread::yield();
-#endif
-}
 
 // ---------------------------------------------------------------------------
 // Row kernels. All three variants perform the same per-element IEEE
@@ -226,14 +198,13 @@ inline void MinMergeRow(double* best, uint8_t* drop, const double* add,
 // ---------------------------------------------------------------------------
 // Output-major step kernel. One DP step maps previous states p to output
 // slots (q, c) where q = p % keep is the part of the window that survives and
-// d0 = p / keep is the dropped digit. For a fixed slot, the serial sweep's
+// d0 = p / keep is the dropped digit. For a fixed slot, the reference sweep's
 // updates arrive in ascending d0 with strict-< wins; the kernel replays
-// exactly that order per slot, so partitioning the q axis across threads
-// cannot change any cost, tie-break, or backtrack byte.
+// exactly that order per slot, so every cost, tie-break and backtrack byte
+// matches the map-based oracle.
 // ---------------------------------------------------------------------------
 
-/// Everything one step needs, by value or raw pointer, so the parallel region
-/// can hand it to helpers without touching the scratch object.
+/// Everything one step needs, by value or raw pointer into the scratch.
 struct StepJob {
   const double* prev_cost = nullptr;
   double* cur_cost = nullptr;
@@ -248,22 +219,15 @@ struct StepJob {
   bool drops = false;               ///< window full: oldest FEC leaves
 };
 
-void RunBiasStepRange(const StepJob& j, size_t q_begin, size_t q_end) {
+void RunBiasStep(const StepJob& j) {
   alignas(32) double acc[256];
+  // The surviving window digits of q (mixed radix, last digit least
+  // significant), advanced as an odometer.
   uint8_t dig[8] = {0};
   const size_t w = j.w;
   const size_t r_cur = j.r_cur;
   const size_t first_pos = j.drops ? 1 : 0;
-  // Decode q_begin into the surviving window digits (mixed radix, last digit
-  // least significant); the loop advances them as an odometer.
-  {
-    size_t rem = q_begin;
-    for (size_t k = w; k-- > first_pos;) {
-      dig[k] = static_cast<uint8_t>(rem % j.radix[k]);
-      rem /= j.radix[k];
-    }
-  }
-  for (size_t q = q_begin; q < q_end; ++q) {
+  for (size_t q = 0; q < j.keep; ++q) {
     double* out = j.cur_cost + q * r_cur;
     uint8_t* dr = j.drop_row + q * r_cur;
     for (size_t c = 0; c < r_cur; ++c) out[c] = kInf;
@@ -285,8 +249,8 @@ void RunBiasStepRange(const StepJob& j, size_t q_begin, size_t q_end) {
           const double base = j.prev_cost[d0 * j.keep + q];
           if (!(base < kInf)) continue;
           // acc = row0 + Σ row_k, accumulated elementwise in window order —
-          // the same association as the serial added-loop, so every double
-          // matches bit for bit.
+          // the same association as the reference's added-loop, so every
+          // double matches bit for bit.
           std::memcpy(acc, j.pair + j.pair_off[0] + d0 * r_cur,
                       r_cur * sizeof(double));
           for (size_t k = 1; k < w; ++k) {
@@ -322,7 +286,7 @@ void RunBiasStepRange(const StepJob& j, size_t q_begin, size_t q_end) {
 
 /// Fills the pairwise-cost tables (k-major, each T_k laid out [d][c]) and the
 /// per-last-digit feasibility bounds for step \p i. Pure function of the
-/// grids/estimators, so steps can be built in parallel into disjoint slices.
+/// grids/estimators.
 void BuildStepTables(const std::vector<FecProfile>& fecs,
                      const std::vector<std::vector<int64_t>>& grids,
                      const std::vector<std::vector<int64_t>>& est,
@@ -355,120 +319,6 @@ void BuildStepTables(const std::vector<FecProfile>& fecs,
       }
     }
     table += grids[j].size() * r_cur;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Lock-free single-dispatch parallel region. Helpers are submitted to the
-// pool ONCE per DP call and then fed one job per big step through atomics —
-// no per-step Submit, no joins. The caller always participates, so progress
-// never depends on a helper actually being scheduled (important when the DP
-// itself runs on a pool worker during pipelined Release: queued helpers may
-// start late or never, and simply observe the done sentinel).
-// ---------------------------------------------------------------------------
-
-constexpr uint64_t kDpRegionDone = ~uint64_t{0};
-
-struct DpRegion {
-  /// Even values publish a job (0 = none yet); odd values mean the caller is
-  /// mutating the payload; kDpRegionDone retires the helpers.
-  std::atomic<uint64_t> job{0};
-  std::atomic<size_t> cursor{0};
-  std::atomic<size_t> done{0};
-  std::atomic<int> active{0};
-  // Job payload: written only while `job` is odd and `active` == 0, read
-  // only by threads that re-verified an even `job` after registering in
-  // `active` — see the seq_cst handshake in DpHelperLoop / PublishStep.
-  StepJob step;
-  size_t chunk = 1;
-};
-
-void DpClaimChunks(DpRegion* r) {
-  const StepJob& step = r->step;
-  const size_t chunk = r->chunk;
-  const size_t n = step.keep;
-  for (;;) {
-    const size_t begin = r->cursor.fetch_add(chunk, std::memory_order_relaxed);
-    if (begin >= n) break;
-    const size_t end = std::min(begin + chunk, n);
-    RunBiasStepRange(step, begin, end);
-    if (r->done.fetch_add(end - begin, std::memory_order_acq_rel) +
-            (end - begin) ==
-        n) {
-      r->done.notify_all();
-    }
-  }
-}
-
-void DpHelperLoop(std::shared_ptr<DpRegion> r) {
-  uint64_t seen = 0;
-  for (;;) {
-    uint64_t j = r->job.load(std::memory_order_acquire);
-    if (j == kDpRegionDone) return;
-    if (j == seen || (j & 1) != 0) {
-      // Steps arrive back to back within one DP call: spin briefly before
-      // paying for a futex wait.
-      bool advanced = false;
-      for (int spin = 0; spin < kDpSpinIterations; ++spin) {
-        CpuRelax();
-        if (r->job.load(std::memory_order_acquire) != j) {
-          advanced = true;
-          break;
-        }
-      }
-      if (!advanced) r->job.wait(j, std::memory_order_acquire);
-      continue;
-    }
-    // Dekker-style handshake with the caller: register, then re-verify the
-    // job id. Either we see the caller's odd "preparing" store and back out,
-    // or the caller sees our registration and waits for us to finish.
-    r->active.fetch_add(1, std::memory_order_seq_cst);
-    if (r->job.load(std::memory_order_seq_cst) != j) {
-      r->active.fetch_sub(1, std::memory_order_acq_rel);
-      r->active.notify_all();
-      continue;
-    }
-    seen = j;
-    DpClaimChunks(r.get());
-    r->active.fetch_sub(1, std::memory_order_acq_rel);
-    r->active.notify_all();
-  }
-}
-
-void WaitForIdleHelpers(DpRegion* r) {
-  for (;;) {
-    const int a = r->active.load(std::memory_order_seq_cst);
-    if (a == 0) return;
-    r->active.wait(a, std::memory_order_acquire);
-  }
-}
-
-/// Publishes one step to the helpers, participates, and returns once every
-/// output slot is written and no helper still touches the payload.
-void RunStepParallel(DpRegion* r, uint64_t* job_id, const StepJob& job,
-                     size_t participants) {
-  r->job.store(*job_id + 1, std::memory_order_seq_cst);  // odd: preparing
-  WaitForIdleHelpers(r);
-  r->step = job;
-  r->chunk = std::max<size_t>(1, job.keep / (participants * 4));
-  r->cursor.store(0, std::memory_order_relaxed);
-  r->done.store(0, std::memory_order_relaxed);
-  *job_id += 2;
-  r->job.store(*job_id, std::memory_order_release);
-  r->job.notify_all();
-  DpClaimChunks(r);
-  for (;;) {
-    const size_t d = r->done.load(std::memory_order_acquire);
-    if (d == job.keep) break;
-    bool advanced = false;
-    for (int spin = 0; spin < kDpSpinIterations; ++spin) {
-      CpuRelax();
-      if (r->done.load(std::memory_order_acquire) != d) {
-        advanced = true;
-        break;
-      }
-    }
-    if (!advanced) r->done.wait(d, std::memory_order_acquire);
   }
 }
 
@@ -599,8 +449,7 @@ std::vector<double> OrderPreservingBiasesReference(
 std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
                                           int64_t alpha,
                                           const OrderOptConfig& opt,
-                                          BiasDpScratch* scratch,
-                                          ThreadPool* pool) {
+                                          BiasDpScratch* scratch) {
   const size_t n = fecs.size();
   if (n == 0) return {};
   const size_t gamma = std::min<size_t>(opt.gamma, 8);
@@ -632,27 +481,22 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
     for (size_t j = i + 1 - w; j <= i; ++j) {
       states *= s.grids[j].size();
       if (states > kMaxFlatStatesPerStep) {
-        return OrderPreservingBiasesSparse(fecs, alpha, opt, pool);
+        return OrderPreservingBiasesSparse(fecs, alpha, opt);
       }
     }
     s.state_count[i] = states;
     s.step_offset[i] = backtrack_bytes;
     backtrack_bytes += states;
     if (backtrack_bytes > kMaxFlatBacktrackBytes) {
-      return OrderPreservingBiasesSparse(fecs, alpha, opt, pool);
+      return OrderPreservingBiasesSparse(fecs, alpha, opt);
     }
   }
   s.dropped.assign(backtrack_bytes, 0xff);
 
-  // Pairwise cost tables and feasibility bounds. When the total fits the
-  // budget, every step's tables are built upfront in one parallel sweep
-  // (pure writes to disjoint slices); otherwise they are rebuilt per step
-  // into a single reused buffer.
-  s.pair_base.assign(n, 0);
-  s.c_min_base.assign(n, 0);
-  size_t pair_doubles = 0;
+  // Each step's pairwise cost tables and feasibility bounds are built just
+  // before the step, into buffers sized for the largest step.
   size_t max_step_doubles = 0;
-  size_t c_min_entries = 0;
+  size_t max_grid = 0;
   for (size_t i = 1; i < n; ++i) {
     const size_t w = std::min(i, gamma);
     const size_t first_fec = i - w;
@@ -660,51 +504,11 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
     for (size_t k = 0; k < w; ++k) {
       step_doubles += s.grids[first_fec + k].size() * s.grids[i].size();
     }
-    s.pair_base[i] = pair_doubles;
-    pair_doubles += step_doubles;
     max_step_doubles = std::max(max_step_doubles, step_doubles);
-    s.c_min_base[i] = c_min_entries;
-    c_min_entries += s.grids[i - 1].size();
+    max_grid = std::max(max_grid, s.grids[i - 1].size());
   }
-  s.c_min.resize(c_min_entries);
-  const bool precompute_all = pair_doubles <= kMaxPairTableDoubles;
-  if (precompute_all) {
-    s.pair_cost.resize(pair_doubles);
-    ParallelFor(pool, n - 1, 4, [&](size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const size_t i = idx + 1;
-        BuildStepTables(fecs, s.grids, s.est, alpha, i, gamma,
-                        s.pair_cost.data() + s.pair_base[i],
-                        s.c_min.data() + s.c_min_base[i]);
-      }
-    });
-  } else {
-    s.pair_cost.resize(max_step_doubles);
-  }
-
-  // Spin up the helper crew once if any step is big enough to amortize the
-  // per-step handoff.
-  size_t max_step_work = 0;
-  for (size_t i = 1; i < n; ++i) {
-    const size_t w = std::min(i, gamma);
-    max_step_work = std::max(
-        max_step_work, s.state_count[i - 1] * s.grids[i].size() * w);
-  }
-  std::shared_ptr<DpRegion> region;
-  size_t dp_helpers = 0;
-  if (pool != nullptr && max_step_work >= kDpParallelStepWork) {
-    const size_t busy = ThreadPool::OnWorkerThread() ? 1 : 0;
-    const size_t avail =
-        pool->worker_count() > busy ? pool->worker_count() - busy : 0;
-    if (avail > 0) {
-      dp_helpers = std::min(avail, kMaxDpHelpers);
-      region = std::make_shared<DpRegion>();
-      for (size_t h = 0; h < dp_helpers; ++h) {
-        pool->Submit([region] { DpHelperLoop(region); });
-      }
-    }
-  }
-  uint64_t job_id = 0;
+  s.pair_cost.resize(max_step_doubles);
+  s.c_min.resize(max_grid);
 
   // Step 0: FEC 0 alone in the window, zero cost for every candidate.
   s.prev_cost.assign(s.state_count[0], 0.0);
@@ -723,17 +527,15 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
     // No kInf fill: the kernel overwrites every output slot of every row.
     if (s.cur_cost.size() < cur_states) s.cur_cost.resize(cur_states);
 
-    if (!precompute_all) {
-      BuildStepTables(fecs, s.grids, s.est, alpha, i, gamma,
-                      s.pair_cost.data(), s.c_min.data() + s.c_min_base[i]);
-    }
+    BuildStepTables(fecs, s.grids, s.est, alpha, i, gamma, s.pair_cost.data(),
+                    s.c_min.data());
 
     StepJob job;
     job.prev_cost = s.prev_cost.data();
     job.cur_cost = s.cur_cost.data();
     job.drop_row = s.dropped.data() + s.step_offset[i];
-    job.pair = s.pair_cost.data() + (precompute_all ? s.pair_base[i] : 0);
-    job.c_min = s.c_min.data() + s.c_min_base[i];
+    job.pair = s.pair_cost.data();
+    job.c_min = s.c_min.data();
     {
       size_t off = 0;
       for (size_t k = 0; k < w_prev; ++k) {
@@ -746,20 +548,10 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
     job.r_cur = r_cur;
     job.keep = keep;
     job.drops = drops;
-
-    const size_t step_work = prev_states * r_cur * w_prev;
-    if (region && keep >= 2 && step_work >= kDpParallelStepWork) {
-      RunStepParallel(region.get(), &job_id, job, dp_helpers + 1);
-    } else {
-      RunBiasStepRange(job, 0, keep);
-    }
+    RunBiasStep(job);
     std::swap(s.prev_cost, s.cur_cost);
     assert(std::any_of(s.prev_cost.begin(), s.prev_cost.begin() + cur_states,
                        [](double c) { return c < kInf; }));
-  }
-  if (region) {
-    region->job.store(kDpRegionDone, std::memory_order_release);
-    region->job.notify_all();
   }
 
   // Pick the cheapest final state (ties to the lexicographically smallest,
@@ -819,9 +611,9 @@ struct FrontierEntry {
 };
 
 /// The deterministic reduction of a generation buffer: stable-sort by key,
-/// then keep the first minimal-cost entry of every key run. Producers append
-/// in ascending (prev-state rank, candidate) order — the exact order the
-/// map-based reference applies its strict-< updates — so "first minimal
+/// then keep the first minimal-cost entry of every key run. The buffer is
+/// filled in ascending (prev-state rank, candidate) order — the exact order
+/// the map-based reference applies its strict-< updates — so "first minimal
 /// wins" reproduces the reference's tie-breaks bit for bit, and the result
 /// is a frontier sorted by key (= lexicographic window order).
 void SortAndMinMergeFrontier(std::vector<FrontierEntry>* frontier) {
@@ -849,7 +641,7 @@ void SortAndMinMergeFrontier(std::vector<FrontierEntry>* frontier) {
 
 std::vector<double> OrderPreservingBiasesSparse(
     const std::vector<FecProfile>& fecs, int64_t alpha,
-    const OrderOptConfig& opt, ThreadPool* pool) {
+    const OrderOptConfig& opt) {
   const size_t n = fecs.size();
   if (n == 0) return {};
   const size_t gamma = std::min<size_t>(opt.gamma, 8);
@@ -891,53 +683,31 @@ std::vector<double> OrderPreservingBiasesSparse(
                     c_min.data());
 
     const std::vector<FrontierEntry>& prev = steps[i - 1];
-    // Candidate production: fixed-size chunks of previous states, each chunk
-    // writing its own buffer, concatenated in chunk order afterwards — the
-    // buffer order is therefore (prev-state rank, candidate) ascending no
-    // matter how chunks were scheduled.
-    const size_t chunks =
-        (prev.size() + kSparseFrontierChunk - 1) / kSparseFrontierChunk;
-    std::vector<std::vector<FrontierEntry>> produced(chunks);
-    ParallelFor(pool, chunks, 1, [&](size_t begin, size_t end) {
-      for (size_t ch = begin; ch < end; ++ch) {
-        const size_t p_begin = ch * kSparseFrontierChunk;
-        const size_t p_end =
-            std::min(p_begin + kSparseFrontierChunk, prev.size());
-        std::vector<FrontierEntry>& out = produced[ch];
-        out.reserve((p_end - p_begin) * r_cur);
-        uint8_t dig[8] = {0};
-        for (size_t p = p_begin; p < p_end; ++p) {
-          const FrontierEntry& entry = prev[p];
-          uint64_t key = entry.key;
-          for (size_t k = w_prev; k-- > 0;) {
-            dig[k] = static_cast<uint8_t>((key & 0xff) - 1);
-            key >>= 8;
-          }
-          const uint8_t dropped = drops ? dig[0] : 0xff;
-          // Surviving digits of the packed key, shifted up one byte to make
-          // room for the entering candidate.
-          const uint64_t kept_mask =
-              drops ? ((uint64_t{1} << (8 * (w_prev - 1))) - 1) : ~uint64_t{0};
-          const uint64_t stem = (entry.key & kept_mask) << 8;
-          for (size_t c = c_min[dig[w_prev - 1]]; c < r_cur; ++c) {
-            double added = 0.0;
-            for (size_t k = 0; k < w_prev; ++k) {
-              added += pair_cost[pair_off[k] +
-                                 static_cast<size_t>(dig[k]) * r_cur + c];
-            }
-            out.push_back(FrontierEntry{stem | (uint64_t(c) + 1),
-                                        entry.cost + added, dropped});
-          }
-        }
-      }
-    });
-
-    size_t total = 0;
-    for (const auto& chunk : produced) total += chunk.size();
+    // Candidate production in (prev-state rank, candidate) order.
     std::vector<FrontierEntry> generation;
-    generation.reserve(total);
-    for (const auto& chunk : produced) {
-      generation.insert(generation.end(), chunk.begin(), chunk.end());
+    generation.reserve(prev.size() * r_cur);
+    uint8_t dig[8] = {0};
+    for (const FrontierEntry& entry : prev) {
+      uint64_t key = entry.key;
+      for (size_t k = w_prev; k-- > 0;) {
+        dig[k] = static_cast<uint8_t>((key & 0xff) - 1);
+        key >>= 8;
+      }
+      const uint8_t dropped = drops ? dig[0] : 0xff;
+      // Surviving digits of the packed key, shifted up one byte to make room
+      // for the entering candidate.
+      const uint64_t kept_mask =
+          drops ? ((uint64_t{1} << (8 * (w_prev - 1))) - 1) : ~uint64_t{0};
+      const uint64_t stem = (entry.key & kept_mask) << 8;
+      for (size_t c = c_min[dig[w_prev - 1]]; c < r_cur; ++c) {
+        double added = 0.0;
+        for (size_t k = 0; k < w_prev; ++k) {
+          added +=
+              pair_cost[pair_off[k] + static_cast<size_t>(dig[k]) * r_cur + c];
+        }
+        generation.push_back(
+            FrontierEntry{stem | (uint64_t(c) + 1), entry.cost + added, dropped});
+      }
     }
     SortAndMinMergeFrontier(&generation);
     BFLY_CHECK_MSG(!generation.empty(),

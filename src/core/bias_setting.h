@@ -1,7 +1,9 @@
 /// \file bias_setting.h
 /// \brief Per-FEC bias optimization: the order-preserving dynamic program
 /// (Algorithm 1), the ratio-preserving bottom-up rule (Algorithm 2), and the
-/// λ-blend hybrid (§VI-C).
+/// λ-blend hybrid (§VI-C). Every optimizer runs on the calling thread; a
+/// deployment gets its parallelism from running many engines at once
+/// (service/engine_fleet.h), not from splitting one DP.
 
 #ifndef BUTTERFLY_CORE_BIAS_SETTING_H_
 #define BUTTERFLY_CORE_BIAS_SETTING_H_
@@ -13,8 +15,6 @@
 #include "core/config.h"
 
 namespace butterfly {
-
-class ThreadPool;
 
 /// The inputs the optimizers need about one FEC.
 struct FecProfile {
@@ -38,12 +38,10 @@ struct BiasDpScratch {
   std::vector<size_t> step_offset;          ///< per-step base into `dropped`
   std::vector<double> prev_cost;            ///< flat cost table, step i−1
   std::vector<double> cur_cost;             ///< flat cost table, step i
-  std::vector<uint8_t> dropped;    ///< per (step, state) backtrack digit
-  std::vector<double> pair_cost;   ///< pairwise-cost tables (all steps or one)
-  std::vector<size_t> pair_base;   ///< per-step base into `pair_cost`
-  std::vector<uint32_t> c_min;     ///< per last-digit first feasible candidate
-  std::vector<size_t> c_min_base;  ///< per-step base into `c_min`
-  std::vector<uint8_t> choice;     ///< backtracked candidate per FEC
+  std::vector<uint8_t> dropped;   ///< per (step, state) backtrack digit
+  std::vector<double> pair_cost;  ///< the current step's pairwise-cost tables
+  std::vector<uint32_t> c_min;    ///< per last-digit first feasible candidate
+  std::vector<uint8_t> choice;    ///< backtracked candidate per FEC
 };
 
 /// Order-preserving bias setting (Algorithm 1). FECs must be strictly
@@ -57,30 +55,24 @@ struct BiasDpScratch {
 /// windows; \p scratch (optional) lets callers reuse the tables across
 /// releases. Equal-cost ties are broken toward the lexicographically
 /// smallest candidate window, so the result is deterministic and identical
-/// to OrderPreservingBiasesReference.
-///
-/// When \p pool is non-null, large DP steps are computed by an
-/// output-partitioned parallel sweep over the flat table. The decomposition
-/// assigns each output slot to exactly one worker and replays the serial
-/// update order within the slot, so the result (costs, tie-breaks, backtrack
-/// bytes) is bit-identical at any thread count, including pool == nullptr.
+/// to OrderPreservingBiasesReference. Each step is an output-major sweep
+/// whose inner rows run on SIMD kernels that are bit-identical to their
+/// scalar twins.
 std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
                                           int64_t alpha,
                                           const OrderOptConfig& opt,
-                                          BiasDpScratch* scratch = nullptr,
-                                          ThreadPool* pool = nullptr);
+                                          BiasDpScratch* scratch = nullptr);
 
 /// Sparse generation-buffer variant of Algorithm 1, used when an extreme
 /// (γ, grid) configuration would overflow the dense flat tables. Each step's
 /// frontier is a sorted vector of (packed key, cost, dropped digit) entries:
-/// candidate states are produced by a chunked sweep over
-/// (prev-state × candidate-grid) pairs — deterministically concatenated in
-/// producer-rank order — then reduced by SortAndMinMergeFrontier. Bit-identical
-/// to OrderPreservingBiasesReference (pinned by the frontier equivalence
-/// test); exposed for that test and for the micro-benchmarks.
+/// candidate states are appended in (prev-state rank, candidate) order, then
+/// reduced by SortAndMinMergeFrontier. Bit-identical to
+/// OrderPreservingBiasesReference (pinned by the frontier equivalence test);
+/// exposed for that test and for the micro-benchmarks.
 std::vector<double> OrderPreservingBiasesSparse(
     const std::vector<FecProfile>& fecs, int64_t alpha,
-    const OrderOptConfig& opt, ThreadPool* pool = nullptr);
+    const OrderOptConfig& opt);
 
 /// The retained map-based reference implementation of Algorithm 1: one
 /// ordered map of packed-window states per step. Bit-identical to

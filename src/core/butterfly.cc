@@ -157,9 +157,7 @@ Result<ButterflyEngine> ButterflyEngine::Create(const ButterflyConfig& config) {
 }
 
 ButterflyEngine::ButterflyEngine(const ButterflyConfig& config)
-    : config_(config),
-      noise_(config.delta, config.vulnerable_support),
-      pool_(SharedPool(ResolveThreadCount(config.threads))) {
+    : config_(config), noise_(config.delta, config.vulnerable_support) {
   assert(config.Validate().ok());
 }
 
@@ -170,12 +168,12 @@ std::vector<double> ButterflyEngine::ComputeBiases(
       return ZeroBiases(profiles.size());
     case ButterflyScheme::kOrderPreserving:
       return OrderPreservingBiases(profiles, noise_.alpha(),
-                                   config_.order_opt, &dp_scratch_, pool_);
+                                   config_.order_opt, &dp_scratch_);
     case ButterflyScheme::kRatioPreserving:
       return RatioPreservingBiases(profiles);
     case ButterflyScheme::kHybrid: {
       std::vector<double> order = OrderPreservingBiases(
-          profiles, noise_.alpha(), config_.order_opt, &dp_scratch_, pool_);
+          profiles, noise_.alpha(), config_.order_opt, &dp_scratch_);
       std::vector<double> ratio = RatioPreservingBiases(profiles);
       return HybridBiases(profiles, order, ratio, config_.lambda);
     }
@@ -315,89 +313,49 @@ SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
   const bool per_itemset_noise = config_.scheme == ButterflyScheme::kBasic;
   const double variance = noise_.variance();
 
-  // Flatten the FEC membership so the itemset work partitions evenly across
-  // threads regardless of FEC size skew.
+  // Noise stage: one pass in FEC order. A pinned value is republished as is;
+  // a miss draws from its own counter-based stream — keyed on the itemset
+  // for the basic scheme, on the FEC support for the optimized ones, so the
+  // members of one FEC share a draw — and is pinned at once. Store writes
+  // only its own key and released itemsets are unique, so pinning as we go
+  // sees the same cache as pinning after every lookup.
   stage_start = stage_end;
-  size_t total = 0;
-  for (const Fec* fec : fecs) total += fec->size();
-  assert(total == total_itemsets);
-  std::vector<std::pair<uint32_t, uint32_t>>& flat = flat_scratch_;
-  flat.clear();
-  flat.reserve(total);
   for (size_t i = 0; i < fecs.size(); ++i) {
-    for (size_t m = 0; m < fecs[i]->members.size(); ++m) {
-      flat.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(m));
-    }
-  }
-
-  // Phase 1 (parallel): per-itemset value computation into disjoint slots.
-  // Safe concurrently: cache_.Lookup only reads the map structure and stamps
-  // last_seen on the hit slot, and each released itemset is unique, so no
-  // two threads touch the same slot. Every miss derives its noise from its
-  // own counter-based stream — no shared generator state. Members of one FEC
-  // under the optimized schemes key the same stream and hence recompute the
-  // identical shared draw.
-  std::vector<SanitizedItemset>& items = items_scratch_;
-  items.resize(std::max(items.size(), total));
-  std::vector<uint8_t>& needs_store = needs_store_scratch_;
-  needs_store.assign(total, 0);
-  auto sanitize_range = [&](size_t begin, size_t end) {
-    for (size_t k = begin; k < end; ++k) {
-      const Fec& fec = *fecs[flat[k].first];
-      const Itemset& member = fec.members[flat[k].second];
+    const Fec& fec = *fecs[i];
+    for (const Itemset& member : fec.members) {
       SanitizedItemset item;
       item.itemset = member;
-      item.bias = biases[flat[k].first];
+      item.bias = biases[i];
       item.variance = variance;
-
-      bool pinned = false;
-      if (config_.republish_cache) {
-        if (std::optional<RepublishCache::Entry> cached =
-                cache_.Lookup(member, fec.support)) {
-          item.sanitized_support = cached->sanitized_support;
-          item.bias = cached->bias;
-          item.variance = cached->variance;
-          pinned = true;
-        }
-      }
-      if (!pinned) {
+      std::optional<RepublishCache::Entry> pinned;
+      if (config_.republish_cache) pinned = cache_.Lookup(member, fec.support);
+      if (pinned) {
+        item.sanitized_support = pinned->sanitized_support;
+        item.bias = pinned->bias;
+        item.variance = pinned->variance;
+      } else {
         CounterRng stream =
             per_itemset_noise
                 ? CounterRng(config_.seed, epoch, member.Hash())
                 : CounterRng(config_.seed ^ kFecStreamDomain, epoch,
                              static_cast<uint64_t>(fec.support));
         item.sanitized_support = fec.support + noise_.Sample(item.bias, &stream);
-        if (config_.republish_cache) needs_store[k] = 1;
+        if (config_.republish_cache) {
+          cache_.Store(member,
+                       RepublishCache::Entry{fec.support, item.sanitized_support,
+                                             item.bias, item.variance});
+        }
       }
-      items[k] = std::move(item);
+      release.Add(std::move(item));
     }
-  };
-  // Chunk so each participant sees a few chunks for load balance, but never
-  // below a floor that keeps the atomic-cursor and wakeup overhead amortized
-  // (small windows run inline — threading is pure overhead for them).
-  const size_t participants = pool_ ? pool_->worker_count() + 1 : 1;
-  const size_t grain = std::max<size_t>(64, total / (participants * 4));
-  ParallelFor(pool_, total, grain, sanitize_range);
+  }
+  assert(release.size() == total_itemsets);
   stage_end = StageNow();
   last_stage_times_.noise_ns = StageNs(stage_start, stage_end);
 
-  // Phase 2 (serial): pin the fresh draws and assemble the release in the
-  // deterministic FEC order.
-  stage_start = stage_end;
-  for (size_t k = 0; k < total; ++k) {
-    if (needs_store[k]) {
-      const Fec& fec = *fecs[flat[k].first];
-      cache_.Store(items[k].itemset,
-                   RepublishCache::Entry{fec.support,
-                                         items[k].sanitized_support,
-                                         items[k].bias, items[k].variance});
-    }
-    release.Add(std::move(items[k]));
-  }
-
   if (config_.republish_cache) cache_.NextEpoch();
   release.Seal();
-  last_stage_times_.emit_ns = StageNs(stage_start, StageNow());
+  last_stage_times_.emit_ns = StageNs(stage_end, StageNow());
   return release;
 }
 

@@ -24,12 +24,10 @@
 
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/bias_setting.h"
 #include "core/config.h"
 #include "core/fec.h"
@@ -51,8 +49,10 @@ class CheckpointReader;
 struct SanitizeStageTimes {
   double partition_ns = 0;  ///< FEC partition + profile construction
   double bias_ns = 0;       ///< bias reuse/memo lookup + DP on a miss
-  double noise_ns = 0;      ///< per-itemset perturbation (parallel phase)
-  double emit_ns = 0;       ///< republish pinning + release assembly + seal
+  /// The one pass over the FECs: republish lookup, keyed noise draw,
+  /// pinning and release assembly per itemset.
+  double noise_ns = 0;
+  double emit_ns = 0;  ///< republish-cache epoch advance + release seal
   bool bias_cache_hit = false;  ///< previous-window bias reuse fired
   bool bias_memo_hit = false;   ///< cross-window DP memo fired
 };
@@ -79,9 +79,8 @@ class ButterflyEngine {
   /// Noise is drawn from counter-based streams keyed on (engine seed,
   /// release epoch, itemset / FEC identity), so the release is a pure
   /// function of the engine's seed, its call history length, and the input —
-  /// independent of FEC iteration order and of `config.threads`. With
-  /// threads > 1 the per-itemset work is spread over a shared ThreadPool and
-  /// the output is bit-identical to the serial release.
+  /// independent of FEC iteration order and of `config.threads`. The whole
+  /// call runs on the calling thread.
   SanitizedOutput Sanitize(const MiningOutput& frequent, Support window_size,
                            const FecView* fecs = nullptr);
 
@@ -163,9 +162,6 @@ class ButterflyEngine {
   /// Release counter: the per-itemset noise streams are keyed on it, so each
   /// Sanitize call draws fresh, mutually independent noise.
   uint64_t epoch_ = 0;
-  /// Shared worker pool for config_.threads > 1; nullptr when serial. Not
-  /// owned (pools are process-wide, see common/thread_pool.h).
-  ThreadPool* pool_ = nullptr;
 
   // Incremental mode: the previous window's FEC profiles and their biases.
   std::vector<FecProfile> cached_profiles_;
@@ -189,9 +185,6 @@ class ButterflyEngine {
   // Preallocated hot-path scratch, reused across releases.
   BiasDpScratch dp_scratch_;
   std::vector<FecProfile> profiles_scratch_;
-  std::vector<std::pair<uint32_t, uint32_t>> flat_scratch_;
-  std::vector<SanitizedItemset> items_scratch_;
-  std::vector<uint8_t> needs_store_scratch_;
 };
 
 /// Equality of FEC profiles, the cache key of the incremental mode.

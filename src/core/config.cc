@@ -61,9 +61,10 @@ Status ButterflyConfig::Validate() const {
   if (order_opt.gamma > 8) {
     return Status::InvalidArgument("gamma above 8 is not supported");
   }
-  if (threads < 0 || threads > 1024) {
-    return Status::InvalidArgument(
-        "threads must lie in [0, 1024] (0 = hardware concurrency)");
+  if (threads < 0 || threads > kMaxThreads) {
+    return Status::InvalidArgument("threads must lie in [0, " +
+                                   std::to_string(kMaxThreads) +
+                                   "] (0 = hardware concurrency)");
   }
   if (policy != ReleasePolicyKind::kButterfly) {
     if (!(policy_epsilon > 0) || policy_epsilon > 1e6) {

@@ -61,6 +61,10 @@ std::string ReleasePolicyName(ReleasePolicyKind kind);
 /// Parses a --policy= value; nullopt on unknown names.
 std::optional<ReleasePolicyKind> ParseReleasePolicyKind(std::string_view name);
 
+/// Largest value a thread-count knob accepts (ButterflyConfig::threads and
+/// FleetConfig::threads; 0 means hardware concurrency).
+constexpr int64_t kMaxThreads = 1024;
+
 /// Knobs of the order-preserving dynamic program.
 struct OrderOptConfig {
   /// DP window depth γ: each FEC's bias interacts with its γ predecessors.
@@ -144,11 +148,12 @@ struct ButterflyConfig {
 
   uint64_t seed = 0x42u;
 
-  /// Total parallelism of the release path (caller + worker threads).
-  /// 1 = serial; 0 = auto (hardware concurrency). The release content is
-  /// bit-identical for every value — noise is drawn from counter-based
-  /// per-itemset streams, not from a shared sequential generator — so this
-  /// is purely a latency knob.
+  /// Width of the pool a pipelined release (StreamPrivacyEngine::
+  /// SetPipelined) runs its sanitize stage on, counting the caller; it does
+  /// not split any release stage, which always runs on one thread. 1 = no
+  /// pool; 0 = auto (hardware concurrency); at most kMaxThreads. The release
+  /// content is bit-identical for every value, so this is purely a
+  /// scheduling knob.
   int64_t threads = 1;
 
   /// The precision-privacy ratio ε/δ.

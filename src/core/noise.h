@@ -39,7 +39,7 @@ class NoiseModel {
 
   /// Draws one noise value with the given bias, from any source exposing
   /// UniformInt (Rng for sequential use, CounterRng for the keyed per-itemset
-  /// streams of the parallel release path).
+  /// streams of the release path).
   template <typename RngT>
   int64_t Sample(double bias, RngT* rng) const {
     return Centered(bias).Sample(rng);

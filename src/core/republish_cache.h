@@ -42,12 +42,9 @@ class RepublishCache {
       : max_idle_epochs_(max_idle_epochs) {}
 
   /// The pinned sanitized value for \p itemset, if its true support still
-  /// equals \p true_support. Marks the entry as seen this epoch.
-  ///
-  /// Concurrency: Lookup never mutates the map structure — it only stamps
-  /// last_seen on the hit slot — so concurrent Lookups on DISTINCT itemsets
-  /// are safe (the parallel Sanitize relies on this; released itemsets are
-  /// unique). Store and NextEpoch must not run concurrently with anything.
+  /// equals \p true_support. Marks the entry as seen this epoch. Not
+  /// thread-safe: the cache belongs to one engine, whose release runs on one
+  /// thread.
   std::optional<Entry> Lookup(const Itemset& itemset, Support true_support);
 
   /// Pins a fresh sanitized value.

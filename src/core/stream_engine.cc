@@ -177,10 +177,13 @@ ReleaseResult StreamPrivacyEngine::Release() {
   ReleaseResult result;
   const MiningOutput& raw = miner_.GetAllFrequentIncremental();
   FecPartitioner& part = partitions_[active_partition_];
+  Stopwatch sync_watch;
   part.Sync(raw, miner_.expansion_version(), miner_.last_expansion_delta());
+  const double sync_ns = sync_watch.Seconds() * 1e9;
   PolicyStats policy_stats;
   result.output = policy_->Release(raw, MakeWindowContext(part), &policy_stats);
   CopyPolicyStats(policy_stats, &result.stats);
+  result.stats.partition_ns += sync_ns;
   result.stats.mine_ns = mine_ns_;
   mine_ns_ = 0;
   result.stats.frequent_itemsets = raw.size();
@@ -251,8 +254,10 @@ StreamPrivacyEngine::ReleaseTicket StreamPrivacyEngine::ReleaseAsync() {
   const MiningOutputDelta& delta = miner_.last_expansion_delta();
   const size_t next = active_partition_ ^ 1;
   FecPartitioner& part = partitions_[next];
+  Stopwatch sync_watch;
   if (has_pending_delta_) part.ApplyDelta(pending_version_, pending_delta_);
   part.Sync(raw, version, delta);
+  const double sync_ns = sync_watch.Seconds() * 1e9;
   // Save this release's delta so the now-idle buffer (which will be exactly
   // one version behind when it is next used) can catch up incrementally.
   pending_delta_ = delta;
@@ -279,11 +284,12 @@ StreamPrivacyEngine::ReleaseTicket StreamPrivacyEngine::ReleaseAsync() {
   JoinInflight();
   flight->result.stats = stats;
   inflight_ = flight;
-  pipeline_pool_->Submit([this, flight, ctx] {
+  pipeline_pool_->Submit([this, flight, ctx, sync_ns] {
     PolicyStats policy_stats;
     flight->result.output = policy_->ReleaseFromView(ctx, &policy_stats);
     EngineStats& s = flight->result.stats;
     CopyPolicyStats(policy_stats, &s);
+    s.partition_ns += sync_ns;
     {
       MutexLock lock(&flight->mu);
       flight->done = true;

@@ -36,6 +36,8 @@
 
 namespace butterfly {
 
+class ThreadPool;
+
 namespace persist {
 class CheckpointWriter;
 class CheckpointReader;
@@ -46,8 +48,12 @@ struct EngineStats {
   double mine_ns = 0;       ///< miner maintenance since the previous release
   double partition_ns = 0;  ///< FEC sync + profile construction
   double bias_ns = 0;       ///< bias reuse/memo lookup + DP on a miss
-  double noise_ns = 0;      ///< per-itemset perturbation (parallel phase)
-  double emit_ns = 0;       ///< republish pinning + release assembly + seal
+  /// Per-itemset perturbation. Under Butterfly this is the one pass over the
+  /// FECs that also looks up and pins republished values and assembles the
+  /// release.
+  double noise_ns = 0;
+  /// Butterfly: republish-cache epoch advance + release seal.
+  double emit_ns = 0;
 
   bool bias_cache_hit = false;  ///< previous-window bias reuse fired
   bool bias_memo_hit = false;   ///< cross-window DP memo fired

@@ -35,6 +35,11 @@ Status FleetConfig::Validate() const {
   if (tenants == 0) return Status::InvalidArgument("fleet needs >= 1 tenant");
   if (window == 0) return Status::InvalidArgument("window must be positive");
   if (stride == 0) return Status::InvalidArgument("stride must be positive");
+  if (threads < 0 || threads > kMaxThreads) {
+    return Status::InvalidArgument("fleet threads must lie in [0, " +
+                                   std::to_string(kMaxThreads) +
+                                   "] (0 = hardware concurrency)");
+  }
   // Seed derivation and the serial-engine override do not affect validity,
   // so validating one tenant per distinct policy assignment covers every
   // tenant (with no per-tenant policies, that is just tenant 0).

@@ -1,11 +1,9 @@
 /// \file engine_fleet.h
 /// \brief EngineFleet: many tenant StreamPrivacyEngines behind one scheduler.
 ///
-/// The single-engine pipeline scales threads with *window size* — a pool
-/// only fills when one window's sanitize has enough itemsets to split. A
-/// service mining thousands of concurrent streams has the opposite shape:
-/// each tenant's window is small, but there are many of them. The fleet
-/// turns that around by scaling threads with *tenant count*:
+/// A single engine releases on one thread. A service mining thousands of
+/// concurrent streams has many small windows rather than one big one, so
+/// the fleet is where threads come in: it scales them with *tenant count*:
 ///
 ///  * Each tenant owns a mutex+swap double-buffered ingest queue: producers
 ///    append under a short lock, the pump swaps the buffer out and replays
@@ -60,8 +58,8 @@ struct FleetConfig {
   /// Ignored: Pump() schedules per tenant, not per shard. Kept only so
   /// existing callers that still assign it compile; it will be removed.
   size_t shards = 1;
-  /// Pump parallelism (the calling thread plus the shared pool's workers),
-  /// resolved like ButterflyConfig::threads: 1 = serial, 0 = auto.
+  /// Pump parallelism (the calling thread plus the shared pool's workers):
+  /// 1 = serial, 0 = auto (hardware concurrency), at most kMaxThreads.
   int64_t threads = 1;
   size_t window = 2000;  ///< per-tenant sliding-window size H
   size_t stride = 100;   ///< slides between consecutive releases per tenant

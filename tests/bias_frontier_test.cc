@@ -1,8 +1,8 @@
 /// \file bias_frontier_test.cc
 /// \brief Frontier equivalence for Algorithm 1: the flat output-major DP, the
 /// sparse generation-buffer frontier, and the map-based oracle must agree bit
-/// for bit across γ ∈ {1..8}, with and without a thread pool, and with the
-/// SIMD row kernels forced down to their scalar twins.
+/// for bit across γ ∈ {1..8}, and with the SIMD row kernels forced down to
+/// their scalar twins.
 
 #include <cstdint>
 #include <vector>
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/bias_setting.h"
 #include "core/fec.h"
 
@@ -79,36 +78,6 @@ TEST(BiasFrontierTest, StarvedStateBudgetKeepsAllThreeAligned) {
                        "flat starved γ=" + std::to_string(gamma));
     ExpectBitIdentical(OrderPreservingBiasesSparse(fecs, 7, opt), oracle,
                        "sparse starved γ=" + std::to_string(gamma));
-  }
-}
-
-TEST(BiasFrontierTest, PooledExecutionIsBitIdenticalToSerial) {
-  // The output-major flat sweep and the chunked sparse production both claim
-  // work dynamically; neither may let scheduling reach the result.
-  BiasDpScratch scratch;
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    ThreadPool* pool = SharedPool(threads);
-    ASSERT_NE(pool, nullptr);
-    for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}, size_t{5}}) {
-      for (uint64_t seed = 1; seed <= 8; ++seed) {
-        Rng rng(seed * 977 + gamma);
-        std::vector<FecProfile> fecs =
-            RandomProfiles(&rng, static_cast<size_t>(rng.UniformInt(2, 40)));
-        const int64_t alpha = rng.UniformInt(1, 12);
-        OrderOptConfig opt;
-        opt.gamma = gamma;
-        const std::string label = "threads=" + std::to_string(threads) +
-                                  " γ=" + std::to_string(gamma) +
-                                  " seed=" + std::to_string(seed);
-        std::vector<double> serial = OrderPreservingBiases(fecs, alpha, opt);
-        ExpectBitIdentical(
-            OrderPreservingBiases(fecs, alpha, opt, &scratch, pool), serial,
-            "flat+pool " + label);
-        ExpectBitIdentical(OrderPreservingBiasesSparse(fecs, alpha, opt, pool),
-                           OrderPreservingBiasesSparse(fecs, alpha, opt),
-                           "sparse+pool " + label);
-      }
-    }
   }
 }
 

@@ -1,7 +1,7 @@
 /// Kill-and-restore differential testing of the checkpoint subsystem: an
 /// engine snapshotted mid-stream and rebuilt from the file must emit
 /// byte-identical releases to the uninterrupted run, across the mining-fuzz
-/// stream grid, every scheme, serial and parallel sanitization, and
+/// stream grid, every scheme, threads=1 and threads=8 engines, and
 /// randomized kill points — the bit-identical-resume guarantee of
 /// DESIGN.md §10. Corruption cases (truncation, bit flips, wrong magic,
 /// config mismatch) must fail with a clean Status and leave the snapshot

@@ -331,6 +331,16 @@ TEST(FleetConfigTest, ValidateCatchesBadShapes) {
   config = MakeFleetConfig(1, 1);
   config.engine.epsilon = -1;  // propagates to the derived engine validation
   EXPECT_FALSE(config.Validate().ok());
+  // The pump's own width: tenant engines are forced to threads=1, so only
+  // the fleet validator sees it, and a huge value would size the pool.
+  for (int64_t threads : {int64_t{-1}, kMaxThreads + 1}) {
+    config = MakeFleetConfig(1, 1);
+    config.threads = threads;
+    EXPECT_FALSE(config.Validate().ok()) << threads;
+  }
+  config = MakeFleetConfig(1, 1);
+  config.threads = kMaxThreads;
+  EXPECT_TRUE(config.Validate().ok());
 }
 
 }  // namespace

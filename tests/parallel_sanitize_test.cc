@@ -1,6 +1,6 @@
 /// \file parallel_sanitize_test.cc
-/// \brief The reproducibility contract of the parallel release path: for
-/// every scheme, with and without the republish cache, the release is
+/// \brief The reproducibility contract of the release path: for every
+/// scheme, with and without the republish cache, the release is
 /// byte-identical across thread counts {1, 2, 8} and across repeated runs
 /// with the same seed — noise comes from counter-based per-itemset streams,
 /// never from shared sequential generator state.

@@ -1,8 +1,9 @@
 /// \file thread_stress_test.cc
-/// \brief Stress load for the pool and the parallel release path, sized for
+/// \brief Stress load for the pool and for concurrent engines, sized for
 /// -DBUTTERFLY_SANITIZER=thread builds: many overlapping ParallelFor rounds,
-/// concurrent engines on separate threads, and republish-cache-enabled
-/// parallel sanitization (whose Lookup stamps are the subtlest shared state).
+/// and independent engines sanitizing at once on separate threads — the
+/// shape of a fleet, where each release runs on one thread and engines
+/// share nothing (each owns its republish cache, DP scratch and epoch).
 /// Under a plain build it doubles as a scheduling smoke test.
 
 #include <atomic>
@@ -53,47 +54,59 @@ TEST(ThreadStressTest, RepeatedParallelForRounds) {
   EXPECT_EQ(total.load(), 200ull * (511ull * 512ull / 2));
 }
 
-TEST(ThreadStressTest, ParallelSanitizeWithRepublishCache) {
-  // The republish path in a parallel release: epoch after epoch, hit slots
-  // are stamped concurrently while values stay pinned. Drift every other
-  // window forces a mix of hits and fresh keyed draws.
-  ButterflyEngine engine(StressConfig(ButterflyScheme::kHybrid, 4));
+TEST(ThreadStressTest, ConcurrentEnginesKeepTheirRepublishPins) {
+  // Four engines with the republish cache run the same epoch sequence at
+  // once, one per thread. One drift in the middle changes every support, so
+  // that release takes fresh draws; every other epoch repeats its
+  // predecessor and must republish the pinned values.
   MiningOutput stable = DenseWindow(4000, 30);
   MiningOutput drifted = DenseWindow(4000, 31);
-  SanitizedOutput previous;
-  for (int epoch = 0; epoch < 12; ++epoch) {
-    // One drift in the middle: supports change, so that release takes fresh
-    // draws; every other epoch repeats its predecessor and must stay pinned.
-    bool drift = (epoch == 6);
-    const MiningOutput& raw = drift ? drifted : stable;
-    SanitizedOutput release = engine.Sanitize(raw, 100000);
-    ASSERT_EQ(release.size(), raw.size());
-    if (epoch > 0 && !drift && epoch != 7) {
-      for (const SanitizedItemset& item : previous.items()) {
-        ASSERT_EQ(release.SanitizedSupportOf(item.itemset),
-                  item.sanitized_support);
+  std::vector<std::thread> callers;
+  std::atomic<int> failures{0};
+  for (int e = 0; e < 4; ++e) {
+    callers.emplace_back([&, e] {
+      ButterflyConfig config = StressConfig(ButterflyScheme::kHybrid, 1);
+      config.seed = 0x2000 + static_cast<uint64_t>(e);
+      ButterflyEngine engine(config);
+      SanitizedOutput previous;
+      for (int epoch = 0; epoch < 12; ++epoch) {
+        const bool drift = (epoch == 6);
+        const MiningOutput& raw = drift ? drifted : stable;
+        SanitizedOutput release = engine.Sanitize(raw, 100000);
+        if (release.size() != raw.size()) failures.fetch_add(1);
+        if (epoch > 0 && !drift && epoch != 7) {
+          for (const SanitizedItemset& item : previous.items()) {
+            if (release.SanitizedSupportOf(item.itemset) !=
+                item.sanitized_support) {
+              failures.fetch_add(1);
+              break;
+            }
+          }
+        }
+        previous = std::move(release);
       }
-    }
-    previous = std::move(release);
+    });
   }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(ThreadStressTest, ConcurrentEnginesShareThePool) {
-  // Several engines sanitize simultaneously from caller threads; all share
-  // the width-4 pool. Each engine's output must match its serial twin.
+TEST(ThreadStressTest, ConcurrentEnginesMatchTheirSerialTwins) {
+  // Several engines sanitize simultaneously from caller threads. Each one
+  // configured with threads=4 must match its threads=1 twin.
   MiningOutput raw = DenseWindow(2000, 40);
   std::vector<std::thread> callers;
   std::atomic<int> failures{0};
   for (int e = 0; e < 4; ++e) {
     callers.emplace_back([&, e] {
-      ButterflyConfig parallel = StressConfig(ButterflyScheme::kBasic, 4);
-      parallel.seed = 0x1000 + static_cast<uint64_t>(e);
-      parallel.republish_cache = false;
-      ButterflyConfig serial = parallel;
+      ButterflyConfig wide = StressConfig(ButterflyScheme::kBasic, 4);
+      wide.seed = 0x1000 + static_cast<uint64_t>(e);
+      wide.republish_cache = false;
+      ButterflyConfig serial = wide;
       serial.threads = 1;
-      ButterflyEngine p(parallel), s(serial);
+      ButterflyEngine w(wide), s(serial);
       for (int round = 0; round < 5; ++round) {
-        if (!(p.Sanitize(raw, 100000).items() ==
+        if (!(w.Sanitize(raw, 100000).items() ==
               s.Sanitize(raw, 100000).items())) {
           failures.fetch_add(1);
         }

@@ -86,6 +86,14 @@ the repo invariants that back those guarantees:
                         a Mutex guarding nothing is a lock whose protocol
                         lives only in comments.
 
+  raw-atomic            std::atomic / std::atomic_ref / std::memory_order
+                        (and the rest of the std::atomic* family). Clang's
+                        -Wthread-safety cannot see a lock-free protocol, so
+                        its correctness rests on review alone; use Mutex
+                        from common/mutex.h unless a bench row shows the
+                        lock costs, and justify each remaining site with an
+                        allowance.
+
 Allowlist annotation (same line or the line above the finding):
 
     // bfly-lint: allow(<rule>) <justification>
@@ -117,6 +125,7 @@ RULES = (
     "ordering-taint",
     "policy-budget",
     "lock-discipline",
+    "raw-atomic",
 )
 
 # Files whose whole purpose exempts them from a rule.
@@ -255,6 +264,9 @@ RELEASE_ITEMS_CALL_RE = re.compile(r"\bReleaseItems\s*\(")
 MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:static\s+)?(?:mutable\s+)?(?:std::)?[Mm]utex\s+(\w+)\s*;")
 GUARDED_BY_RE_TMPL = r"BFLY_GUARDED_BY\s*\(\s*{name}\s*\)"
+
+# --- raw-atomic -----------------------------------------------------------
+RAW_ATOMIC_RE = re.compile(r"\bstd::(?:atomic\w*|memory_order\w*)")
 
 
 @dataclass
@@ -894,6 +906,19 @@ def check_lock_discipline(path: Path, rel: str, lines: list[str],
             f"mutex member '{name}': {detail}"))
 
 
+def check_raw_atomic(path: Path, rel: str, lines: list[str],
+                     allowances: dict[int, Allowance], scan: FileScan) -> None:
+    for idx, raw in enumerate(lines, start=1):
+        m = RAW_ATOMIC_RE.search(strip_strings_and_line_comment(raw))
+        if not m or suppressed(scan, allowances, idx, "raw-atomic"):
+            continue
+        scan.findings.append(Finding(
+            path, idx, "raw-atomic",
+            f"{m.group(0)}: -Wthread-safety cannot see a lock-free protocol; "
+            "use Mutex from common/mutex.h, or justify the site with "
+            "// bfly-lint: allow(raw-atomic) <why>"))
+
+
 def scan_file(path: Path, root: Path) -> FileScan:
     scan = FileScan()
     try:
@@ -926,6 +951,7 @@ def scan_file(path: Path, root: Path) -> FileScan:
     check_ordering_taint(path, rel, lines, header_lines, allowances, scan)
     check_policy_budget(path, rel, lines, allowances, scan)
     check_lock_discipline(path, rel, lines, allowances, scan)
+    check_raw_atomic(path, rel, lines, allowances, scan)
 
     # An allowance that names an unknown rule, lacks a justification, or
     # suppresses nothing is itself a finding — dead suppressions rot.

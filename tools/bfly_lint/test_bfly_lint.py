@@ -100,6 +100,11 @@ class RuleFiresTest(unittest.TestCase):
     def test_lock_discipline(self):
         self.check_fixture("lock_discipline_violation.cc", "lock-discipline")
 
+    def test_raw_atomic(self):
+        # Declarations, memory orders and atomic_ref all fire; the justified
+        # cursor and the mention inside a comment do not.
+        self.check_fixture("raw_atomic_violation.cc", "raw-atomic")
+
     def test_stale_allowance(self):
         self.check_fixture("stale_allowance.cc", "stale-allow")
 
