@@ -27,14 +27,11 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/flags.h"
-#include "core/release_log.h"
 #include "core/stream_engine.h"
 #include "harness.h"
 #include "metrics/timing.h"
@@ -52,9 +49,8 @@ struct RunShape {
   /// DP, noise and emit stages all show in its split.
   size_t dense_window = 5000;
   Support dense_support = 3;
-  /// Slides between releases in the pipelined-release bench — large enough
-  /// that the mining overlapped under an in-flight sanitize is a real share
-  /// of the release period (the overlap is what the bench measures).
+  /// Slides between releases in the full-engine release bench, so each
+  /// release period includes a real share of mining.
   size_t release_stride = 200;
   RepeatPlan plan{/*warmup=*/1, /*reps=*/7};
 };
@@ -539,13 +535,9 @@ void SanitizeRow(DatasetProfile profile, const RunShape& shape,
                  FormatDouble(rec.emit_ns, 0)});
 }
 
-/// Cross-window pipelined Release: full engines (miner + sanitizer) over the
-/// same stream, serial vs pipelined, at 1 and 4 threads. Pipelined mode
-/// issues ReleaseAsync and keeps appending, so the sanitize/emit stage of
-/// window W overlaps the mining of window W+1; the measured quantity is
-/// windows/sec of the whole append+release loop after the one-time window
-/// fill. Every rep byte-compares the serialized release logs against the
-/// serial ones — the overlap must be pure scheduling.
+/// Full-engine Release: miner + sanitizer over one stream, one release every
+/// `release_stride` slides. The measured quantity is windows/sec of the
+/// whole append+release loop after the one-time window fill.
 void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
   const size_t window = shape.dense_window;
   const Support min_support = shape.dense_support;
@@ -560,17 +552,13 @@ void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
 
   struct RunSample {
     double seconds = 0;  ///< release-loop wall time (post-fill)
-    std::string log;
     double memo_hits = 0;
     double memo_misses = 0;
   };
-  auto run_once = [&](bool pipelined, int64_t threads) {
+  auto run_once = [&] {
     ButterflyConfig config = MakeConfig(trace_config, opt, 0.016, 0.4);
-    config.threads = threads;
     config.republish_cache = false;  // time the full perturbation path
     StreamPrivacyEngine engine(window, config);
-    engine.SetPipelined(pipelined);
-    std::vector<StreamPrivacyEngine::ReleaseTicket> tickets;
     std::vector<ReleaseResult> results;
     RunSample sample;
     Stopwatch watch;
@@ -580,25 +568,12 @@ void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
       engine.Append(t);
       ++fed;
       if (fed < window) continue;
-      if (fed == window) watch.Restart();  // fill is identical either way
+      if (fed == window) watch.Restart();  // exclude the one-time fill
       if ((fed - window) % stride != 0 || reported >= shape.reports) continue;
       ++reported;
-      if (pipelined) {
-        tickets.push_back(engine.ReleaseAsync());
-      } else {
-        results.push_back(engine.Release());
-      }
+      results.push_back(engine.Release());
     }
-    for (auto& ticket : tickets) results.push_back(ticket.Wait());
     sample.seconds = watch.Seconds();
-    std::ostringstream log;
-    for (size_t w = 0; w < results.size(); ++w) {
-      if (!WriteRelease(&log, "w" + std::to_string(w), results[w].output)
-               .ok()) {
-        std::exit(1);
-      }
-    }
-    sample.log = log.str();
     if (!results.empty()) {
       sample.memo_hits =
           static_cast<double>(results.back().stats.bias_memo_hits);
@@ -608,57 +583,33 @@ void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
     return sample;
   };
 
-  PrintTableHeader(
-      "Pipelined release, " + ProfileName(profile) + ", H=" +
-          std::to_string(window) + ", C=" + std::to_string(min_support) +
-          ", stride " + std::to_string(stride),
-      {"mode", "threads", "s/window", "windows/s", "overlap spd",
-       "identical"});
-
-  const double windows = static_cast<double>(shape.reports);
-  for (int64_t threads : {int64_t{1}, int64_t{4}}) {
-    run_once(false, threads);  // warmup
-    std::vector<double> serial_secs, piped_secs;
-    RunSample serial_last, piped_last;
-    for (int rep = 0; rep < shape.plan.reps; ++rep) {
-      serial_last = run_once(false, threads);
-      piped_last = run_once(true, threads);
-      serial_secs.push_back(serial_last.seconds);
-      piped_secs.push_back(piped_last.seconds);
-      if (piped_last.log != serial_last.log) {
-        std::fprintf(stderr,
-                     "pipelined release diverged from serial @%lld threads\n",
-                     static_cast<long long>(threads));
-        std::exit(1);
-      }
-    }
-    const double serial_pw = Median(std::move(serial_secs)) / windows;
-    const double piped_pw = Median(std::move(piped_secs)) / windows;
-    const double overlap_speedup = piped_pw > 0 ? serial_pw / piped_pw : 0;
-    for (const auto& [bench, per_window, sample] :
-         {std::tuple<std::string, double, const RunSample*>{
-              "release/serial", serial_pw, &serial_last},
-          {"release/pipelined", piped_pw, &piped_last}}) {
-      BenchRecord rec;
-      rec.bench = bench;
-      rec.dataset = ProfileName(profile);
-      rec.threads = static_cast<size_t>(threads);
-      rec.windows = shape.reports;
-      rec.ns_per_window = per_window * 1e9;
-      rec.windows_per_sec = per_window > 0 ? 1.0 / per_window : 0;
-      if (bench == "release/pipelined") rec.speedup_vs_1t = overlap_speedup;
-      rec.memo_hits = sample->memo_hits;
-      rec.memo_misses = sample->memo_misses;
-      g_records.push_back(rec);
-      PrintTableRow({bench == "release/serial" ? "serial" : "pipelined",
-                     std::to_string(threads), FormatDouble(per_window, 6),
-                     FormatDouble(per_window > 0 ? 1.0 / per_window : 0, 1),
-                     bench == "release/serial"
-                         ? "1.00"
-                         : FormatDouble(overlap_speedup, 2),
-                     "yes"});
-    }
+  run_once();  // warmup
+  std::vector<double> secs;
+  RunSample last;
+  for (int rep = 0; rep < shape.plan.reps; ++rep) {
+    last = run_once();
+    secs.push_back(last.seconds);
   }
+  const double per_window =
+      Median(std::move(secs)) / static_cast<double>(shape.reports);
+  BenchRecord rec;
+  rec.bench = "release/serial";
+  rec.dataset = ProfileName(profile);
+  rec.threads = 1;
+  rec.windows = shape.reports;
+  rec.ns_per_window = per_window * 1e9;
+  rec.windows_per_sec = per_window > 0 ? 1.0 / per_window : 0;
+  rec.memo_hits = last.memo_hits;
+  rec.memo_misses = last.memo_misses;
+  g_records.push_back(rec);
+
+  PrintTableHeader("Release, " + ProfileName(profile) + ", H=" +
+                       std::to_string(window) + ", C=" +
+                       std::to_string(min_support) + ", stride " +
+                       std::to_string(stride),
+                   {"s/window", "windows/s"});
+  PrintTableRow(
+      {FormatDouble(per_window, 6), FormatDouble(rec.windows_per_sec, 1)});
 }
 
 /// True for the benches the baseline regression guard covers.
@@ -666,47 +617,14 @@ bool GuardedBench(const std::string& bench) {
   return bench == "sanitize/opt" || bench == "sanitize/opt-dense" ||
          bench == "mine/moment" || bench == "mine/hybrid" ||
          bench == "mine/dense-1m" || bench == "expand/scratch" ||
-         bench == "expand/incremental" || bench == "release/serial" ||
-         bench == "release/pipelined";
-}
-
-/// Hard speedup floor for the pipelined release overlap, enforced alongside
-/// the baseline guard — but only on hardware that can express a 4-thread
-/// speedup; smaller machines print a note and pass, unless
-/// BUTTERFLY_REQUIRE_FLOORS=1 makes under-provisioned hardware an error.
-bool CheckSpeedupFloors() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw < 4) {
-    if (FloorsRequired()) {
-      std::fprintf(stderr,
-                   "FLOOR hardware: %u hardware thread(s) < 4 but "
-                   "BUTTERFLY_REQUIRE_FLOORS=1 — run on a >=4-core machine\n",
-                   hw);
-      return false;
-    }
-    AnnotateFloorsSkipped("fig8_overhead",
-                          std::to_string(hw) + " hardware thread(s) < 4");
-    return true;
-  }
-  bool ok = true;
-  for (const BenchRecord& r : g_records) {
-    if (r.bench == "release/pipelined" && r.threads == 4 &&
-        r.speedup_vs_1t > 0 && r.speedup_vs_1t < 1.3) {
-      std::fprintf(stderr,
-                   "FLOOR release/pipelined @4 threads (%s): overlap speedup "
-                   "%.2f < 1.3\n",
-                   r.dataset.c_str(), r.speedup_vs_1t);
-      ok = false;
-    }
-  }
-  return ok;
+         bench == "expand/incremental" || bench == "release/serial";
 }
 
 /// Hybrid-row-store floors: at BMS scale the container overhead must stay
 /// within noise of the dense rows (<= 1.1x mine_ns), and at the WebScale1M
-/// alphabet the hybrid must outright win. Wall-clock comparisons, so like
-/// the speedup floors they only hard-fail under BUTTERFLY_REQUIRE_FLOORS=1
-/// (the dedicated bench runner); elsewhere a miss prints loudly and passes.
+/// alphabet the hybrid must outright win. Wall-clock comparisons, so they
+/// only hard-fail under BUTTERFLY_REQUIRE_FLOORS=1 (the dedicated bench
+/// runner); elsewhere a miss prints loudly and passes.
 bool CheckHybridFloors() {
   const BenchRecord* dense_1m = nullptr;
   bool ok = true;
@@ -848,7 +766,6 @@ int main(int argc, char** argv) {
       !CheckBaseline(baseline_path, baseline_factor)) {
     return 1;
   }
-  if (!baseline_path.empty() && !CheckSpeedupFloors()) return 1;
   if (!CheckHybridFloors()) return 1;
   return 0;
 }

@@ -232,8 +232,8 @@ void RunGrid(const GridShape& shape, const RepeatPlan& plan) {
 
 /// The issue's scaling floor: at the 64-tenant BMS-scale row, the 8-thread
 /// fleet must clear 3x the 1-thread fleet's aggregate releases/sec.
-/// Hardware-gated exactly like fig8's speedup floors: a < 4-core host skips
-/// with an explicit annotation (or fails under BUTTERFLY_REQUIRE_FLOORS=1).
+/// Hardware-gated: a < 4-core host skips with an explicit annotation (or
+/// fails under BUTTERFLY_REQUIRE_FLOORS=1).
 bool CheckFleetFloors() {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw < 4) {

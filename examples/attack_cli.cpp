@@ -50,12 +50,15 @@ int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const std::string log_path = flags.GetString("log", "");
   const std::string truth_path = flags.GetString("truth", "");
-  const size_t window = static_cast<size_t>(flags.GetInt("window", 2000));
+  const size_t window = flags.GetSize("window", 2000);
   const Support vulnerable = flags.GetInt("vulnerable", 5);
   const double delta = flags.GetDouble("delta", 0.4);
   const std::string policy_name = flags.GetString("policy", "butterfly");
   if (!flags.ok()) return Fail(flags.errors().front());
   if (log_path.empty()) return Fail("--log=<release log> is required");
+  // NoiseModel only asserts these; an impossible model must not reach it.
+  if (!(delta > 0)) return Fail("--delta must be positive");
+  if (vulnerable <= 0) return Fail("--vulnerable must be positive");
   std::optional<ReleasePolicyKind> policy = ParseReleasePolicyKind(policy_name);
   if (!policy) return Fail("unknown policy '" + policy_name + "'");
   const bool interval_attack = *policy == ReleasePolicyKind::kButterfly;

@@ -11,7 +11,7 @@
 ///                 [--stride=100] [--reports=10] [--records=N]
 ///                 [--out=releases.log] [--attack] [--seed=66]
 ///                 [--checkpoint=path.ckpt] [--checkpoint-every=N]
-///                 [--restore=path.ckpt] [--pipeline] [--threads=N]
+///                 [--restore=path.ckpt] [--threads=N]
 ///                 [--hybrid-index] [--tenants=N]
 ///                 [--policy=butterfly|privbasis|continual|heavyhitter]
 ///                 [--policy-epsilon=1.0] [--policy-top-k=32]
@@ -28,13 +28,13 @@
 /// --tenants=N (N > 1) switches to multi-tenant fleet mode: N engines with
 /// tenant-derived seeds run behind the EngineFleet scheduler, each mining
 /// its own stream (per-tenant data seeds; with --data every tenant replays
-/// the same file). --threads sizes the pump's parallelism (0 = auto).
+/// the same file). --threads sizes the fleet pump only (0 = auto): a single
+/// engine releases on the calling thread whatever its value.
 /// --out receives every tenant's releases (labels carry the tenant id),
 /// --checkpoint names a *directory* that round-robin snapshots rotate
 /// through (one tenant per release round), and --restore reloads whichever
 /// tenant snapshots exist in that directory.
-/// Per-release analysis flags (--attack, --audit, --pipeline) are
-/// single-engine only.
+/// Per-release analysis flags (--attack, --audit) are single-engine only.
 ///
 /// --hybrid-index keeps the window index's per-item rows in compressed
 /// array/bitmap/run containers (DESIGN.md §13) instead of dense bitmaps —
@@ -44,14 +44,6 @@
 ///
 /// --attack additionally replays the intra-window adversary against both the
 /// raw and the sanitized output of every reported window.
-///
-/// --pipeline overlaps each window's sanitize with the stream appends that
-/// follow it: releases are issued through ReleaseAsync and resolved at the
-/// next report point, so mining window W+1 runs while window W is being
-/// sanitized on the pool (give it --threads>=2). The release bytes are
-/// identical to the serial path; only the schedule changes. Windows that are
-/// about to be checkpointed resolve immediately (a snapshot requires no
-/// release in flight).
 ///
 /// --checkpoint snapshots the engine to the given path after every
 /// --checkpoint-every reported windows (atomic rename; a crash mid-write
@@ -122,20 +114,18 @@ int main(int argc, char** argv) {
 
   const std::string data_path = flags.GetString("data", "");
   const std::string profile_name = flags.GetString("profile", "webview1");
-  size_t window = static_cast<size_t>(flags.GetInt("window", 2000));
-  const size_t stride = static_cast<size_t>(flags.GetInt("stride", 100));
-  const size_t reports = static_cast<size_t>(flags.GetInt("reports", 10));
-  const size_t records = static_cast<size_t>(flags.GetInt("records", 0));
+  size_t window = flags.GetSize("window", 2000);
+  const size_t stride = flags.GetSize("stride", 100);
+  const size_t reports = flags.GetSize("reports", 10);
+  const size_t records = flags.GetSize("records", 0);
   const std::string out_path = flags.GetString("out", "");
   const bool run_attack = flags.GetBool("attack", false);
   const bool run_audit = flags.GetBool("audit", false);
   const std::string save_data_path = flags.GetString("save-data", "");
   const std::string checkpoint_path = flags.GetString("checkpoint", "");
-  const size_t checkpoint_every =
-      static_cast<size_t>(flags.GetInt("checkpoint-every", 1));
+  const size_t checkpoint_every = flags.GetSize("checkpoint-every", 1);
   const std::string restore_path = flags.GetString("restore", "");
-  const bool pipelined = flags.GetBool("pipeline", false);
-  const size_t tenants = static_cast<size_t>(flags.GetInt("tenants", 1));
+  const size_t tenants = flags.GetSize("tenants", 1);
 
   ButterflyConfig config;
   config.min_support = flags.GetInt("min-support", 25);
@@ -149,12 +139,13 @@ int main(int argc, char** argv) {
   std::string scheme_name = flags.GetString("scheme", "hybrid");
   const std::string policy_name = flags.GetString("policy", "butterfly");
   config.policy_epsilon = flags.GetDouble("policy-epsilon", 1.0);
-  config.policy_top_k = static_cast<size_t>(flags.GetInt("policy-top-k", 32));
+  config.policy_top_k = flags.GetSize("policy-top-k", 32);
   const std::string tenant_policy_list = flags.GetString("tenant-policies", "");
 
   if (!flags.ok()) return Fail(flags.errors().front());
   std::vector<std::string> unread = flags.UnreadFlags();
   if (!unread.empty()) return Fail("unknown flag --" + unread.front());
+  if (stride == 0) return Fail("--stride must be positive");
 
   std::optional<ButterflyScheme> scheme = ParseScheme(scheme_name);
   if (!scheme) return Fail("unknown scheme '" + scheme_name + "'");
@@ -174,9 +165,9 @@ int main(int argc, char** argv) {
   }
 
   if (tenants > 1) {
-    if (run_attack || run_audit || pipelined) {
+    if (run_attack || run_audit) {
       return Fail(
-          "--attack/--audit/--pipeline analyze one engine's releases; "
+          "--attack/--audit analyze one engine's releases; "
           "drop them or --tenants");
     }
     FleetConfig fleet_config;
@@ -347,8 +338,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  engine->SetPipelined(pipelined);
-
   AttackConfig attack;
   attack.vulnerable_support = config.vulnerable_support;
 
@@ -369,35 +358,31 @@ int main(int argc, char** argv) {
   SanitizedOutput previous_release;
   bool have_previous = false;
 
-  // One issued-but-unresolved release. In pipelined mode its sanitize runs
-  // on the pool while the loop below appends the next stride; everything the
-  // report needs is captured at issue time because the window has moved on
-  // by the time the ticket is resolved.
-  struct PendingRelease {
-    std::string window_label;
-    size_t fed = 0;  ///< stream position at issue time (for the log label)
-    MiningOutput raw;
-    StreamPrivacyEngine::ReleaseTicket ticket;
-  };
-  std::optional<PendingRelease> pending;
+  for (size_t i = fed; i < data->size(); ++i) {
+    engine->Append((*data)[i]);
+    ++fed;
+    if (fed < window || (fed - window) % stride != 0 || reported >= reports) {
+      continue;
+    }
+    ++reported;
 
-  auto resolve = [&](PendingRelease p) -> int {
-    ReleaseResult result = p.ticket.Wait();
-    const SanitizedOutput& release = result.output;
+    MiningOutput raw = engine->RawOutput();
+    const SanitizedOutput release = engine->Release().output;
 
     if (!out_path.empty()) {
-      std::string label = "Ds(" + std::to_string(p.fed) + "," +
+      std::string label = "Ds(" + std::to_string(fed) + "," +
                           std::to_string(window) + ")";
       Status s = AppendReleaseToFile(out_path, label, release);
       if (!s.ok()) return Fail(s.ToString());
     }
 
-    std::printf("%-16s %9zu %8.5f %8.4f %8.4f", p.window_label.c_str(),
-                p.raw.size(), AvgPred(p.raw, release), Ropp(p.raw, release),
-                Rrpp(p.raw, release, 0.95));
+    std::printf("%-16s %9zu %8.5f %8.4f %8.4f",
+                engine->miner().window().Label().c_str(), raw.size(),
+                AvgPred(raw, release), Ropp(raw, release),
+                Rrpp(raw, release, 0.95));
     if (run_attack) {
       std::vector<InferredPattern> breaches = FindIntraWindowBreaches(
-          p.raw, static_cast<Support>(window), attack);
+          raw, static_cast<Support>(window), attack);
       PrivacyEvaluation eval = EvaluatePrivacy(breaches, release);
       SanitizedAttackReport interval_report = AttackSanitizedRelease(
           release, engine->sanitizer().noise(), breaches);
@@ -407,7 +392,7 @@ int main(int argc, char** argv) {
     }
     if (run_audit) {
       AuditReport audit =
-          AuditRelease(p.raw, release, config,
+          AuditRelease(raw, release, config,
                        have_previous ? &previous_raw : nullptr,
                        have_previous ? &previous_release : nullptr);
       std::printf(" %6s", audit.passed ? "PASS" : "FAIL");
@@ -417,44 +402,15 @@ int main(int argc, char** argv) {
           std::printf("\n    audit: %s", violation.c_str());
         }
       }
-      previous_raw = std::move(p.raw);
+      previous_raw = std::move(raw);
       previous_release = release;
       have_previous = true;
     }
     std::printf("\n");
     std::fflush(stdout);
-    return 0;
-  };
 
-  for (size_t i = fed; i < data->size(); ++i) {
-    engine->Append((*data)[i]);
-    ++fed;
-    if (fed < window || (fed - window) % stride != 0 || reported >= reports) {
-      continue;
-    }
-    ++reported;
-
-    if (pending) {
-      if (int rc = resolve(std::move(*pending))) return rc;
-      pending.reset();
-    }
-
-    PendingRelease current;
-    current.window_label = engine->miner().window().Label();
-    current.fed = fed;
-    current.raw = engine->RawOutput();
-    current.ticket = engine->ReleaseAsync();
-
-    const bool checkpoint_due = !checkpoint_path.empty() &&
-                                checkpoint_every > 0 &&
-                                reported % checkpoint_every == 0;
-    if (!pipelined || checkpoint_due) {
-      if (int rc = resolve(std::move(current))) return rc;
-    } else {
-      pending = std::move(current);
-    }
-
-    if (checkpoint_due) {
+    if (!checkpoint_path.empty() && checkpoint_every > 0 &&
+        reported % checkpoint_every == 0) {
       persist::CheckpointWriteStats ckpt;
       Status s = persist::SaveEngineCheckpoint(*engine, checkpoint_path, &ckpt);
       if (!s.ok()) return Fail(s.ToString());
@@ -463,10 +419,6 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(ckpt.bytes),
                   ckpt.seconds * 1e3);
     }
-  }
-  if (pending) {
-    if (int rc = resolve(std::move(*pending))) return rc;
-    pending.reset();
   }
   if (run_audit && audit_failures > 0) {
     std::fprintf(stderr, "butterfly_cli: %zu window(s) failed the audit\n",

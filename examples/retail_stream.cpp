@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
 
   FlagParser flags(argc, argv);
   const std::string checkpoint_path = flags.GetString("checkpoint", "");
-  const size_t checkpoint_every =
-      static_cast<size_t>(flags.GetInt("checkpoint-every", 1));
+  const size_t checkpoint_every = flags.GetSize("checkpoint-every", 1);
   const std::string restore_path = flags.GetString("restore", "");
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.errors().front().c_str());

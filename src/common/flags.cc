@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace butterfly {
@@ -42,13 +43,30 @@ int64_t FlagParser::GetInt(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(it->second.c_str(), &end, 10);
   if (end == it->second.c_str() || *end != '\0') {
     errors_.push_back("flag --" + name + " expects an integer, got '" +
                       it->second + "'");
     return default_value;
   }
+  if (errno == ERANGE) {
+    errors_.push_back("flag --" + name + " is out of range: '" + it->second +
+                      "'");
+    return default_value;
+  }
   return static_cast<int64_t>(v);
+}
+
+size_t FlagParser::GetSize(const std::string& name,
+                           size_t default_value) const {
+  // Defaults are small counts, so the round trip through int64_t is exact;
+  // a negative result can only come from the command line.
+  const int64_t v = GetInt(name, static_cast<int64_t>(default_value));
+  if (v >= 0) return static_cast<size_t>(v);
+  errors_.push_back("flag --" + name + " expects a non-negative count, got '" +
+                    values_.at(name) + "'");
+  return default_value;
 }
 
 double FlagParser::GetDouble(const std::string& name,
@@ -57,10 +75,16 @@ double FlagParser::GetDouble(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
+  errno = 0;
   double v = std::strtod(it->second.c_str(), &end);
   if (end == it->second.c_str() || *end != '\0') {
     errors_.push_back("flag --" + name + " expects a number, got '" +
                       it->second + "'");
+    return default_value;
+  }
+  if (errno == ERANGE) {
+    errors_.push_back("flag --" + name + " is out of range: '" + it->second +
+                      "'");
     return default_value;
   }
   return v;

@@ -6,6 +6,8 @@
 #ifndef BUTTERFLY_COMMON_FLAGS_H_
 #define BUTTERFLY_COMMON_FLAGS_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -22,12 +24,15 @@ class FlagParser {
   bool Has(const std::string& name) const;
 
   /// Typed accessors; return the default when the flag is absent. A present
-  /// flag with an unparseable value is recorded as an error.
+  /// flag with an unparseable or out-of-range value is recorded as an error
+  /// (and the default returned).
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
+  /// A count: an integer flag that must not be negative.
+  size_t GetSize(const std::string& name, size_t default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -102,9 +102,8 @@ inline uint64_t DeriveTenantSeed(uint64_t config_seed, uint64_t tenant_id) {
 /// a CounterRng's i-th output is a pure function of (key, i). The sanitizer
 /// keys one stream per released itemset — (engine seed, release epoch,
 /// itemset identity) — so the noise an itemset receives is independent of
-/// FEC iteration order, thread count, and scheduling: a fleet tenant, a
-/// pipelined release and a restored engine draw exactly the noise a solo
-/// serial run draws.
+/// FEC iteration order, thread count, and scheduling: a fleet tenant and a
+/// restored engine draw exactly the noise a solo serial run draws.
 class CounterRng {
  public:
   explicit CounterRng(uint64_t k0, uint64_t k1 = 0, uint64_t k2 = 0) {

@@ -1,8 +1,8 @@
 /// \file thread_annotations.h
 /// \brief Clang thread-safety-analysis attribute macros (no-ops elsewhere).
 ///
-/// The release pipeline's concurrency is deliberate and narrow — a task
-/// queue, a fleet pump barrier, a double-buffered flight handoff — but each
+/// The concurrency here is deliberate and narrow — the pool's task queue and
+/// ParallelFor barrier, the fleet's ingest queues and pump lock — but each
 /// of those is exactly the kind of protocol a refactor can silently break:
 /// TSAN only sees the interleavings a test happens to schedule, while
 /// Clang's `-Wthread-safety` analysis proves lock discipline on every path

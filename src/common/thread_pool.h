@@ -1,8 +1,8 @@
 /// \file thread_pool.h
 /// \brief A small reusable worker pool and a chunked ParallelFor on top of
 /// it (no external deps). Its users: EngineFleet::Pump (one tenant per
-/// claim), the adversary's breach finder, and the pool a pipelined release
-/// runs its sanitize stage on. A single release never splits across it.
+/// claim) and the adversary's breach finder. A single release never splits
+/// across it.
 ///
 /// Design points:
 ///  * A pool of size `threads` spawns `threads - 1` workers; the caller of

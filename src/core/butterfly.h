@@ -84,14 +84,6 @@ class ButterflyEngine {
   SanitizedOutput Sanitize(const MiningOutput& frequent, Support window_size,
                            const FecView* fecs = nullptr);
 
-  /// Sanitizes one window given only its FEC partition view — the release is
-  /// a pure function of the partition, so no MiningOutput is needed. This is
-  /// the entry point of the pipelined Release path, which snapshots a
-  /// partition and sanitizes it on the pool while the miner advances.
-  /// \p total_itemsets must equal the total member count of \p fecs.
-  SanitizedOutput SanitizeView(const FecView& fecs, size_t total_itemsets,
-                               Support window_size);
-
   /// The per-FEC biases the configured scheme would assign to \p frequent —
   /// exposed for tests and for the bias-setting benchmarks.
   std::vector<double> ComputeBiases(const std::vector<FecProfile>& profiles);
@@ -142,6 +134,12 @@ class ButterflyEngine {
   Status Restore(persist::CheckpointReader* reader);
 
  private:
+  /// Sanitize's body over a FEC partition view: the release is a pure
+  /// function of the partition. \p total_itemsets must equal the total
+  /// member count of \p fecs.
+  SanitizedOutput SanitizeView(const FecView& fecs, size_t total_itemsets,
+                               Support window_size);
+
   /// Attempts to satisfy this window's bias setting from the cached one
   /// (incremental mode); see ButterflyConfig::bias_cache_tolerance.
   bool TryReuseBiases(const std::vector<FecProfile>& profiles,

@@ -148,12 +148,12 @@ struct ButterflyConfig {
 
   uint64_t seed = 0x42u;
 
-  /// Width of the pool a pipelined release (StreamPrivacyEngine::
-  /// SetPipelined) runs its sanitize stage on, counting the caller; it does
-  /// not split any release stage, which always runs on one thread. 1 = no
-  /// pool; 0 = auto (hardware concurrency); at most kMaxThreads. The release
-  /// content is bit-identical for every value, so this is purely a
-  /// scheduling knob.
+  /// Read by no release stage: a release runs entirely on the calling
+  /// thread, and its content is bit-identical for every value. The field
+  /// stays because the end-to-end benchmark assigns it and the checkpoint's
+  /// CONF section bit-compares it on restore; a checkpoint format change
+  /// can drop it once the benchmark stops assigning it. Validated to
+  /// [0, kMaxThreads].
   int64_t threads = 1;
 
   /// The precision-privacy ratio ε/δ.

@@ -96,32 +96,6 @@ void FecPartitioner::RefreshView() {
   view_dirty_ = false;
 }
 
-bool FecPartitioner::ApplyDelta(uint64_t version,
-                                const MiningOutputDelta& delta) {
-  if (!synced_ || delta.rebuilt || version != applied_version_ + 1) {
-    return false;
-  }
-  // Same patch order as Sync: removals first (including the old side of
-  // every support change) so a member moving between classes never
-  // transiently collides. No mirrored-output size assert here — the
-  // producer's output for this intermediate version no longer exists.
-  for (const auto& [itemset, support] : delta.removed) {
-    Remove(itemset, support);
-  }
-  for (const MiningOutputDelta::SupportChange& c : delta.changed) {
-    Remove(c.itemset, c.old_support);
-  }
-  for (const auto& [itemset, support] : delta.added) {
-    Insert(itemset, support);
-  }
-  for (const MiningOutputDelta::SupportChange& c : delta.changed) {
-    Insert(c.itemset, c.new_support);
-  }
-  applied_version_ = version;
-  RefreshView();
-  return true;
-}
-
 void FecPartitioner::Sync(const MiningOutput& out, uint64_t version,
                           const MiningOutputDelta& delta) {
   if (synced_ && version == applied_version_) {

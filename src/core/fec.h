@@ -58,16 +58,6 @@ class FecPartitioner {
   /// True iff the last Sync applied the delta instead of rebuilding.
   bool last_sync_was_incremental() const { return last_incremental_; }
 
-  /// Catches a lagging partition up one version from a *saved* producer
-  /// delta, without access to the producer's full output (which has moved
-  /// on). Used by the pipelined release path, where two partitions alternate
-  /// and the idle one is always one release behind: replaying the previous
-  /// release's delta here lets the following Sync patch incrementally
-  /// instead of rebuilding. Strictly best-effort — a no-op unless \p version
-  /// is exactly the next version and \p delta is a precise patch; when it
-  /// declines, a later Sync simply rebuilds. Returns true iff applied.
-  bool ApplyDelta(uint64_t version, const MiningOutputDelta& delta);
-
   /// Drops all state; the next Sync rebuilds from the full output.
   void Reset();
 

@@ -2,11 +2,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
 
 #include "common/check.h"
-#include "common/mutex.h"
-#include "common/thread_pool.h"
 #include "persist/serializer.h"
 #include "policy/butterfly_policy.h"
 
@@ -156,153 +153,30 @@ const ButterflyEngine& StreamPrivacyEngine::sanitizer() const {
   return static_cast<const ButterflyReleasePolicy&>(*policy_).engine();
 }
 
-WindowContext StreamPrivacyEngine::MakeWindowContext(
-    const FecPartitioner& part) const {
+ReleaseResult StreamPrivacyEngine::Release() {
+  ReleaseResult result;
+  const MiningOutput& raw = miner_.GetAllFrequentIncremental();
+  Stopwatch sync_watch;
+  partition_.Sync(raw, miner_.expansion_version(),
+                  miner_.last_expansion_delta());
+  const double sync_ns = sync_watch.Seconds() * 1e9;
   WindowContext ctx;
   ctx.window_size = static_cast<Support>(miner_.window().size());
   ctx.stream_position = miner_.window().stream_position();
-  ctx.fecs = &part.view();
-  ctx.total_itemsets = part.total_members();
-  return ctx;
-}
-
-ReleaseResult StreamPrivacyEngine::Release() {
-  // The OnWorkerThread() leg mirrors ReleaseAsync's re-entrancy guard:
-  // called from a pool task (a fleet release batch), the release must run
-  // inline rather than bounce through an async flight.
-  if (pipelined_ && pipeline_pool_ != nullptr &&
-      !ThreadPool::OnWorkerThread()) {
-    return ReleaseAsync().Wait();
-  }
-  ReleaseResult result;
-  const MiningOutput& raw = miner_.GetAllFrequentIncremental();
-  FecPartitioner& part = partitions_[active_partition_];
-  Stopwatch sync_watch;
-  part.Sync(raw, miner_.expansion_version(), miner_.last_expansion_delta());
-  const double sync_ns = sync_watch.Seconds() * 1e9;
+  ctx.fecs = &partition_.view();
   PolicyStats policy_stats;
-  result.output = policy_->Release(raw, MakeWindowContext(part), &policy_stats);
+  result.output = policy_->Release(raw, ctx, &policy_stats);
   CopyPolicyStats(policy_stats, &result.stats);
   result.stats.partition_ns += sync_ns;
   result.stats.mine_ns = mine_ns_;
   mine_ns_ = 0;
   result.stats.frequent_itemsets = raw.size();
-  result.stats.fec_count = part.view().size();
+  result.stats.fec_count = partition_.view().size();
   FillIndexMemoryStats(miner_.bitmap_index(), &result.stats);
   return result;
 }
 
-ReleaseResult StreamPrivacyEngine::ReleaseTicket::Wait() {
-  BFLY_CHECK_MSG(flight_ != nullptr,
-                 "Wait() on an empty or already-consumed release ticket");
-  ReleaseResult result;
-  {
-    MutexLock lock(&flight_->mu);
-    while (!flight_->done) flight_->cv.Wait(&flight_->mu);
-    result = std::move(flight_->result);
-  }
-  flight_.reset();
-  return result;
-}
-
-void StreamPrivacyEngine::SetPipelined(bool on) {
-  if (!on) JoinInflight();
-  pipelined_ = on;
-  pipeline_pool_ = on ? SharedPool(ResolveThreadCount(config().threads))
-                      : nullptr;
-}
-
-bool StreamPrivacyEngine::ReleaseInFlight() const {
-  if (!inflight_) return false;
-  MutexLock lock(&inflight_->mu);
-  return !inflight_->done;
-}
-
-void StreamPrivacyEngine::JoinInflight() {
-  if (!inflight_) return;
-  {
-    MutexLock lock(&inflight_->mu);
-    while (!inflight_->done) inflight_->cv.Wait(&inflight_->mu);
-  }
-  inflight_.reset();
-}
-
-StreamPrivacyEngine::ReleaseTicket StreamPrivacyEngine::ReleaseAsync() {
-  auto flight = std::make_shared<ReleaseTicket::Flight>();
-  // Re-entrancy guard: inside a fleet, engine calls run on pool workers.
-  // A pipelined ReleaseAsync would Submit the sanitize stage and the next
-  // one would JoinInflight() — a worker blocking on a task queued *behind*
-  // every other release task, which deadlocks once all workers wait at
-  // once. On a worker thread the flight therefore completes synchronously
-  // (the batch-level overlap the fleet scheduler provides is the same
-  // overlap pipelining buys a solo engine).
-  if (!pipelined_ || pipeline_pool_ == nullptr ||
-      ThreadPool::OnWorkerThread()) {
-    // Degenerate (serial) flight: complete before anyone can wait on it.
-    flight->result = Release();
-    MutexLock lock(&flight->mu);
-    flight->done = true;
-    return ReleaseTicket(std::move(flight));
-  }
-
-  // Caller-side stage: snapshot everything the background stage reads. The
-  // previous flight may still be sanitizing the *other* partition buffer —
-  // the mining view and the idle buffer are disjoint from it, so this whole
-  // stage overlaps with that flight.
-  const MiningOutput& raw = miner_.GetAllFrequentIncremental();
-  const uint64_t version = miner_.expansion_version();
-  const MiningOutputDelta& delta = miner_.last_expansion_delta();
-  const size_t next = active_partition_ ^ 1;
-  FecPartitioner& part = partitions_[next];
-  Stopwatch sync_watch;
-  if (has_pending_delta_) part.ApplyDelta(pending_version_, pending_delta_);
-  part.Sync(raw, version, delta);
-  const double sync_ns = sync_watch.Seconds() * 1e9;
-  // Save this release's delta so the now-idle buffer (which will be exactly
-  // one version behind when it is next used) can catch up incrementally.
-  pending_delta_ = delta;
-  pending_version_ = version;
-  has_pending_delta_ = true;
-  active_partition_ = next;
-
-  EngineStats stats;
-  stats.mine_ns = mine_ns_;
-  mine_ns_ = 0;
-  stats.frequent_itemsets = raw.size();
-  stats.fec_count = part.view().size();
-  // Index memory must be snapshotted on the caller thread: the miner keeps
-  // mutating the row table while the flight sanitizes.
-  FillIndexMemoryStats(miner_.bitmap_index(), &stats);
-  // The context is snapshotted here, on the caller's thread: window size and
-  // stream position advance with the very next Append, and the view pointer
-  // must name the buffer synced above, not whichever is active later.
-  const WindowContext ctx = MakeWindowContext(part);
-
-  // The policy is exclusive: join the previous flight before handing it
-  // the new window. (Submit's queue mutex publishes the partition writes
-  // above to the worker.)
-  JoinInflight();
-  flight->result.stats = stats;
-  inflight_ = flight;
-  pipeline_pool_->Submit([this, flight, ctx, sync_ns] {
-    PolicyStats policy_stats;
-    flight->result.output = policy_->ReleaseFromView(ctx, &policy_stats);
-    EngineStats& s = flight->result.stats;
-    CopyPolicyStats(policy_stats, &s);
-    s.partition_ns += sync_ns;
-    {
-      MutexLock lock(&flight->mu);
-      flight->done = true;
-    }
-    flight->cv.NotifyAll();
-  });
-  return ReleaseTicket(std::move(flight));
-}
-
 void StreamPrivacyEngine::Checkpoint(persist::CheckpointWriter* writer) const {
-  BFLY_CHECK_MSG(!ReleaseInFlight(),
-                 "checkpoint requires no in-flight pipelined release; Wait() "
-                 "on the outstanding ticket first");
   writer->Tag(kEngineTag);
   writer->U64(miner_.window().capacity());
   WriteConfig(writer, config());
@@ -311,18 +185,11 @@ void StreamPrivacyEngine::Checkpoint(persist::CheckpointWriter* writer) const {
 }
 
 Status StreamPrivacyEngine::RestoreBody(persist::CheckpointReader* reader) {
-  JoinInflight();
   if (Status s = miner_.Restore(reader); !s.ok()) return s;
   if (Status s = policy_->Restore(reader); !s.ok()) return s;
-  // Reconstructible state: the FEC partitions resync from the first
-  // post-restore expansion, and the mine-time accumulator restarts. The
-  // pipelining mode itself is scheduling, not state, and survives as set.
-  partitions_[0].Reset();
-  partitions_[1].Reset();
-  active_partition_ = 0;
-  has_pending_delta_ = false;
-  pending_version_ = 0;
-  pending_delta_.Reset();
+  // Reconstructible state: the FEC partition resyncs from the first
+  // post-restore expansion, and the mine-time accumulator restarts.
+  partition_.Reset();
   mine_ns_ = 0;
   return Status::OK();
 }

@@ -11,12 +11,9 @@
 /// file-level wrappers in persist/engine_checkpoint.h) capture every piece
 /// of state a bit-identical resume needs.
 ///
-/// With SetPipelined(true) the engine overlaps windows: ReleaseAsync()
-/// snapshots the mining output into a FEC partition on the caller's thread,
-/// then runs the sanitize/emit stage on the shared pool while the caller
-/// keeps Append()ing window W+1 into the miner. Releases remain byte
-/// identical to serial mode at every thread count (the sanitizer's noise is
-/// counter-keyed, not order-keyed), so pipelining is pure scheduling.
+/// Release() runs to completion on the calling thread: the expansion walk,
+/// the FEC sync, then the policy's bias, noise and emit stages, in that
+/// order.
 
 #ifndef BUTTERFLY_CORE_STREAM_ENGINE_H_
 #define BUTTERFLY_CORE_STREAM_ENGINE_H_
@@ -26,17 +23,13 @@
 #include <memory>
 #include <utility>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/butterfly.h"
 #include "metrics/timing.h"
 #include "moment/moment.h"
 #include "policy/release_policy.h"
 
 namespace butterfly {
-
-class ThreadPool;
 
 namespace persist {
 class CheckpointWriter;
@@ -109,24 +102,6 @@ class StreamPrivacyEngine {
         config_(config),
         policy_(MakeReleasePolicy(config)) {}
 
-  /// Movable; an in-flight pipelined release is joined first, because its
-  /// pool task holds a pointer into the source engine.
-  StreamPrivacyEngine(StreamPrivacyEngine&& other)
-      : miner_((other.JoinInflight(), std::move(other.miner_))),
-        config_(other.config_),
-        policy_(std::move(other.policy_)),
-        partitions_{std::move(other.partitions_[0]),
-                    std::move(other.partitions_[1])},
-        active_partition_(other.active_partition_),
-        mine_ns_(other.mine_ns_),
-        pipelined_(other.pipelined_),
-        pipeline_pool_(other.pipeline_pool_),
-        pending_delta_(std::move(other.pending_delta_)),
-        pending_version_(other.pending_version_),
-        has_pending_delta_(other.has_pending_delta_) {}
-
-  ~StreamPrivacyEngine() { JoinInflight(); }
-
   /// Feeds the next stream record. Time spent in the miner's incremental
   /// maintenance accumulates into the next Release()'s stats.mine_ns.
   void Append(Transaction t) {
@@ -160,64 +135,7 @@ class StreamPrivacyEngine {
   /// whose support changed since the last release, instead of
   /// re-partitioning and re-sorting every class per window. The release is
   /// bit-identical to sanitizing RawOutput() from scratch.
-  ///
-  /// In pipelined mode this is ReleaseAsync() + Wait(): correct, but with no
-  /// overlap — call ReleaseAsync() and keep appending to overlap windows.
   ReleaseResult Release();
-
-  /// Handle to one in-flight pipelined release. Wait() blocks until the
-  /// sanitize/emit stage finishes and moves the result out (valid once).
-  /// Tickets outlive the next ReleaseAsync() call — each flight owns its
-  /// result — so a caller may hold several and drain them at the end.
-  class ReleaseTicket {
-   public:
-    ReleaseTicket() = default;
-    bool valid() const { return flight_ != nullptr; }
-    ReleaseResult Wait();
-
-   private:
-    friend class StreamPrivacyEngine;
-    struct Flight {
-      Mutex mu;
-      CondVar cv;
-      bool done BFLY_GUARDED_BY(mu) = false;
-      /// Deliberately not GUARDED_BY(mu): the worker writes it before
-      /// setting `done` under the lock, and readers move it only after
-      /// observing `done` — the lock acquisition publishes the write
-      /// (message-passing handoff, single producer, single consumer).
-      ReleaseResult result;
-    };
-    explicit ReleaseTicket(std::shared_ptr<Flight> flight)
-        : flight_(std::move(flight)) {}
-    std::shared_ptr<Flight> flight_;
-  };
-
-  /// Starts a release of the current window and returns without waiting for
-  /// the sanitize/emit stage, which runs on the shared pool while the caller
-  /// keeps Append()ing the next window. The caller-side part snapshots
-  /// everything the background stage reads: the mining output is synced into
-  /// the idle one of two alternating FEC partitions (double-buffered, so the
-  /// handoff copies nothing and never touches the partition a still-running
-  /// flight reads), and the previous flight is joined before the sanitizer —
-  /// exclusive by design — is handed the new one. At most one flight is in
-  /// flight; the released bytes are identical to serial Release() at any
-  /// thread count. Without SetPipelined(true) (or with threads <= 1) this
-  /// degrades to a synchronous Release() wrapped in a completed ticket — as
-  /// does a call made from a pool worker thread (e.g. an EngineFleet release
-  /// batch), where submitting a dependent task and blocking on it could
-  /// deadlock a fully-subscribed pool.
-  ReleaseTicket ReleaseAsync();
-
-  /// Toggles cross-window pipelining (off by default). Purely a scheduling
-  /// mode — released bytes never change — so it is deliberately not a
-  /// ButterflyConfig field and does not enter checkpoints. Uses the shared
-  /// pool for config().threads; with threads <= 1 there is no pool and the
-  /// engine stays effectively serial. Disabling joins any in-flight release.
-  void SetPipelined(bool on);
-  bool pipelined() const { return pipelined_; }
-
-  /// True while a pipelined release is still running on the pool.
-  bool ReleaseInFlight() const;
 
   const MomentMiner& miner() const { return miner_; }
 
@@ -237,11 +155,8 @@ class StreamPrivacyEngine {
   const ButterflyEngine& sanitizer() const;
 
   const ButterflyConfig& config() const { return config_; }
-  /// The incrementally maintained FEC partition of the most recent release
-  /// (in pipelined mode, the active one of the two alternating buffers).
-  const FecPartitioner& fec_partition() const {
-    return partitions_[active_partition_];
-  }
+  /// The incrementally maintained FEC partition of the most recent release.
+  const FecPartitioner& fec_partition() const { return partition_; }
 
   /// Serializes the full engine: window capacity + config header (which
   /// carries the policy identity and knobs), then the miner (window, bitmap
@@ -250,7 +165,6 @@ class StreamPrivacyEngine {
   /// backends: epoch and cumulative budget). The FEC partition and
   /// the miner's expansion cache are reconstructible and are not written —
   /// the first post-restore Release rebuilds both with identical content.
-  /// Requires no in-flight pipelined release (checked): Wait() first.
   /// See persist/engine_checkpoint.h for the file-level wrappers.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
@@ -270,33 +184,13 @@ class StreamPrivacyEngine {
   /// Restores the component sections that follow the capacity+config header.
   Status RestoreBody(persist::CheckpointReader* reader);
 
-  /// Blocks until the in-flight pipelined release (if any) finishes. The
-  /// flight's result stays retrievable through its ticket.
-  void JoinInflight();
-
-  /// Builds the WindowContext for the current window (size, absolute stream
-  /// position, and the given partition's view).
-  WindowContext MakeWindowContext(const FecPartitioner& part) const;
-
   MomentMiner miner_;
   ButterflyConfig config_;
   std::unique_ptr<ReleasePolicy> policy_;
-  /// Release-path FEC partitions. Serial mode only ever uses slot 0;
-  /// pipelined mode alternates so the caller syncs one buffer while the
-  /// in-flight sanitize stage reads the other. The idle buffer is two
-  /// releases stale, so ReleaseAsync replays the saved previous delta
-  /// (pending_delta_) before syncing the current one — both patches apply
-  /// incrementally and the buffers never need copying or rebuilding.
-  FecPartitioner partitions_[2];
-  size_t active_partition_ = 0;
+  /// Release-path FEC partition, synced incrementally from the miner's
+  /// expansion delta on every release.
+  FecPartitioner partition_;
   double mine_ns_ = 0;
-
-  bool pipelined_ = false;
-  ThreadPool* pipeline_pool_ = nullptr;  ///< shared, not owned; see SetPipelined
-  std::shared_ptr<ReleaseTicket::Flight> inflight_;
-  MiningOutputDelta pending_delta_;  ///< previous release's expansion delta
-  uint64_t pending_version_ = 0;
-  bool has_pending_delta_ = false;
 };
 
 }  // namespace butterfly

@@ -25,13 +25,4 @@ SanitizedOutput ButterflyReleasePolicy::Release(const MiningOutput& frequent,
   return release;
 }
 
-SanitizedOutput ButterflyReleasePolicy::ReleaseFromView(
-    const WindowContext& ctx, PolicyStats* stats) {
-  if (stats != nullptr) stats->epoch = engine_.epoch();
-  SanitizedOutput release =
-      engine_.SanitizeView(*ctx.fecs, ctx.total_itemsets, ctx.window_size);
-  FillStats(stats);
-  return release;
-}
-
 }  // namespace butterfly

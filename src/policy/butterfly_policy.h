@@ -25,9 +25,6 @@ class ButterflyReleasePolicy final : public ReleasePolicy {
                           const WindowContext& ctx,
                           PolicyStats* stats) override;
 
-  SanitizedOutput ReleaseFromView(const WindowContext& ctx,
-                                  PolicyStats* stats) override;
-
   uint64_t epoch() const override { return engine_.epoch(); }
 
   /// Delegates to ButterflyEngine's BFLE section — the on-disk framing is

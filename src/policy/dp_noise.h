@@ -5,9 +5,8 @@
 /// Every sampler takes a CounterRng so a draw is a pure function of the
 /// stream's key — (seed, epoch, identity) — never of draw order. That is the
 /// same determinism contract the Butterfly sanitizer carries (bit-identical
-/// releases at any thread count, across pipelining, and across
-/// checkpoint/restore), extended to the Laplace/Gumbel draws the DP
-/// mechanisms need.
+/// releases at any thread count and across checkpoint/restore), extended to
+/// the Laplace/Gumbel draws the DP mechanisms need.
 
 #ifndef BUTTERFLY_POLICY_DP_NOISE_H_
 #define BUTTERFLY_POLICY_DP_NOISE_H_

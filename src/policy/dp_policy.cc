@@ -33,26 +33,6 @@ SanitizedOutput DpPolicyBase::Release(const MiningOutput& frequent,
   for (const FrequentItemset& f : frequent.itemsets()) {
     items.push_back({&f.itemset, f.support});
   }
-  return ReleaseCommon(items, ctx, stats);
-}
-
-SanitizedOutput DpPolicyBase::ReleaseFromView(const WindowContext& ctx,
-                                              PolicyStats* stats) {
-  std::vector<DpItem> items;
-  items.reserve(ctx.total_itemsets);
-  if (ctx.fecs != nullptr) {
-    for (const Fec* fec : *ctx.fecs) {
-      for (const Itemset& member : fec->members) {
-        items.push_back({&member, fec->support});
-      }
-    }
-  }
-  return ReleaseCommon(items, ctx, stats);
-}
-
-SanitizedOutput DpPolicyBase::ReleaseCommon(const std::vector<DpItem>& items,
-                                            const WindowContext& ctx,
-                                            PolicyStats* stats) {
   const uint64_t release_epoch = epoch_;
   SanitizedOutput out(min_support_, ctx.window_size);
   const double start_ns = NowNs();

@@ -4,9 +4,9 @@
 ///
 /// The three DP policies (PrivBasis-style, continual-release, heavy-hitter)
 /// differ only in their mechanism; everything around it is common and lives
-/// here: flattening either input form (MiningOutput or snapshotted FecView)
-/// into one (itemset, support) list, epoch and cumulative-budget accounting,
-/// keyed noise-stream construction, and the tagged checkpoint section.
+/// here: flattening the MiningOutput into one (itemset, support) list, epoch
+/// and cumulative-budget accounting, keyed noise-stream construction, and
+/// the tagged checkpoint section.
 ///
 /// These backends are testbed mechanisms for the utility-vs-breach frontier
 /// bench, not audited DP implementations: the accounting models are the
@@ -38,9 +38,6 @@ class DpPolicyBase : public ReleasePolicy {
   SanitizedOutput Release(const MiningOutput& frequent,
                           const WindowContext& ctx,
                           PolicyStats* stats) override;
-
-  SanitizedOutput ReleaseFromView(const WindowContext& ctx,
-                                  PolicyStats* stats) override;
 
   uint64_t epoch() const override { return epoch_; }
 
@@ -87,9 +84,6 @@ class DpPolicyBase : public ReleasePolicy {
   Support min_support() const { return min_support_; }
 
  private:
-  SanitizedOutput ReleaseCommon(const std::vector<DpItem>& items,
-                                const WindowContext& ctx, PolicyStats* stats);
-
   uint64_t seed_;
   double epsilon_;
   size_t top_k_;

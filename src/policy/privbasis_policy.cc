@@ -28,8 +28,8 @@ void PrivBasisReleasePolicy::ReleaseItems(const std::vector<DpItem>& items,
   const double support_scale = 2.0 / epsilon_half;
 
   // Item scores: the max support of any frequent itemset containing the
-  // item. A max over the input is insensitive to input order, which keeps
-  // the serial and pipelined paths byte-identical.
+  // item. A max over the input is insensitive to input order, as
+  // ReleaseItems' contract requires.
   std::unordered_map<Item, Support> score;
   for (const DpItem& entry : items) {
     for (Item item : entry.itemset->items()) {

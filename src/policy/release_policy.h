@@ -16,10 +16,6 @@
 ///     (common/rng.h CounterRng) keyed on (seed, epoch/identity), never from
 ///     sequential generators — so releases are bit-identical at any thread
 ///     count and across checkpoint/restore.
-///   * View completeness: a FecView carries every released itemset with its
-///     support, so Release(output, ctx) and ReleaseFromView(ctx) — the
-///     pipelined path, which only has the snapshot — emit byte-identical
-///     releases.
 ///   * Sealed outputs: every returned SanitizedOutput is Seal()ed (sorted by
 ///     itemset), the order the release log and the adversary tooling assume.
 ///   * Checkpointing: Checkpoint/Restore round-trip all cross-release state
@@ -48,8 +44,7 @@ class CheckpointReader;
 }  // namespace persist
 
 /// Everything a policy may know about the window being released, beyond the
-/// mining output itself. Snapshotted on the caller's thread by the pipelined
-/// path, so a policy running on a pool worker reads no live miner state.
+/// mining output itself.
 struct WindowContext {
   /// The (public) window size H.
   Support window_size = 0;
@@ -61,8 +56,6 @@ struct WindowContext {
   /// partitioning it exactly). Null means the policy partitions or iterates
   /// the MiningOutput itself; non-null is the incremental fast path.
   const FecView* fecs = nullptr;
-  /// Total itemsets across the partition; must equal the output size.
-  size_t total_itemsets = 0;
 };
 
 /// Per-release statistics a policy reports back. The Butterfly backend fills
@@ -111,13 +104,6 @@ class ReleasePolicy {
   virtual SanitizedOutput Release(const MiningOutput& frequent,
                                   const WindowContext& ctx,
                                   PolicyStats* stats) = 0;
-
-  /// Sanitizes one window given only its snapshotted FEC partition
-  /// (ctx.fecs != nullptr) — the pipelined path, which runs on a pool worker
-  /// after the miner has moved on. Byte-identical to Release() on the output
-  /// the partition mirrors.
-  virtual SanitizedOutput ReleaseFromView(const WindowContext& ctx,
-                                          PolicyStats* stats) = 0;
 
   /// The epoch the NEXT release will be drawn under (= releases emitted so
   /// far). Essential checkpoint state for every backend.

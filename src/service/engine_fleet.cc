@@ -18,11 +18,9 @@ namespace butterfly {
 ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant) {
   ButterflyConfig engine = config.engine;
   engine.seed = DeriveTenantSeed(config.engine.seed, tenant);
-  // Engines inside a fleet are strictly serial: the thread budget belongs
-  // to the fleet scheduler, and a release task re-entering the pool it runs
-  // on could deadlock it. The release bytes are thread-count-invariant, so
-  // this changes scheduling only — but it also keeps the forced value in
-  // checkpoints, where SameConfig bit-compares it on restore.
+  // No release stage reads threads, but checkpoints carry it and
+  // SameConfig bit-compares it on restore: forcing one value keeps tenant
+  // checkpoint bytes independent of the fleet's thread count.
   engine.threads = 1;
   if (!config.tenant_policies.empty()) {
     engine.policy =

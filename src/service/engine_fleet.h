@@ -28,10 +28,9 @@
 /// ordering is deliberately unconstrained — tenants share no state, so no
 /// observable output depends on which tenant was pumped first.
 ///
-/// Engines inside a fleet run serial (threads = 1, pipelining off): the
-/// parallelism budget belongs to the scheduler, and a release task re-
-/// entering the pool it runs on could deadlock it (see
-/// StreamPrivacyEngine::ReleaseAsync's worker-thread guard).
+/// Tenant engines are forced to threads = 1. No release stage reads the
+/// field; forcing it keeps tenant checkpoint bytes independent of the
+/// fleet's own thread count, which is what sizes the pump.
 
 #ifndef BUTTERFLY_SERVICE_ENGINE_FLEET_H_
 #define BUTTERFLY_SERVICE_ENGINE_FLEET_H_

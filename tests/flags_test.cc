@@ -38,6 +38,28 @@ TEST(FlagParserTest, BadIntRecordsError) {
   EXPECT_FALSE(flags.ok());
 }
 
+TEST(FlagParserTest, OutOfRangeIntRecordsError) {
+  FlagParser flags = Parse({"--seed=99999999999999999999999"});
+  EXPECT_EQ(flags.GetInt("seed", 66), 66);
+  ASSERT_FALSE(flags.ok());
+  EXPECT_NE(flags.errors().front().find("--seed"), std::string::npos);
+}
+
+TEST(FlagParserTest, SizeFlag) {
+  FlagParser flags = Parse({"--window=2000", "--zero=0"});
+  EXPECT_EQ(flags.GetSize("window", 1), 2000u);
+  EXPECT_EQ(flags.GetSize("zero", 1), 0u);
+  EXPECT_EQ(flags.GetSize("missing", 7), 7u);
+  EXPECT_TRUE(flags.ok());
+}
+
+TEST(FlagParserTest, NegativeSizeRecordsError) {
+  FlagParser flags = Parse({"--window=-1"});
+  EXPECT_EQ(flags.GetSize("window", 2000), 2000u);
+  ASSERT_FALSE(flags.ok());
+  EXPECT_NE(flags.errors().front().find("--window"), std::string::npos);
+}
+
 TEST(FlagParserTest, DoubleFlag) {
   FlagParser flags = Parse({"--eps=0.016"});
   EXPECT_DOUBLE_EQ(flags.GetDouble("eps", 0), 0.016);
@@ -47,6 +69,13 @@ TEST(FlagParserTest, BadDoubleRecordsError) {
   FlagParser flags = Parse({"--eps=zero"});
   flags.GetDouble("eps", 1.0);
   EXPECT_FALSE(flags.ok());
+}
+
+TEST(FlagParserTest, OutOfRangeDoubleRecordsError) {
+  FlagParser flags = Parse({"--eps=1e999"});
+  EXPECT_DOUBLE_EQ(flags.GetDouble("eps", 0.5), 0.5);
+  ASSERT_FALSE(flags.ok());
+  EXPECT_NE(flags.errors().front().find("--eps"), std::string::npos);
 }
 
 TEST(FlagParserTest, BareFlagIsBooleanTrue) {

@@ -2,8 +2,7 @@
 /// and the three DP mechanisms — must honor the interface contract of
 /// policy/release_policy.h. The suite pins, per backend:
 ///
-///  * determinism: byte-identical release logs across thread counts and
-///    across the serial vs pipelined release paths;
+///  * determinism: byte-identical release logs across thread counts;
 ///  * sealed outputs: every release arrives Seal()ed (itemset-sorted);
 ///  * checkpointing: kill-and-restore at arbitrary cut points resumes with
 ///    byte-identical releases, and a snapshot taken under one policy is
@@ -69,12 +68,10 @@ std::string ReleaseBytes(size_t fed, const SanitizedOutput& release) {
 /// One full run: feed the case's stream, release on the case schedule,
 /// return the byte-exact release log (one entry per release).
 std::vector<std::string> RunLog(ReleasePolicyKind kind,
-                                const StreamCase& param, int threads,
-                                bool pipelined) {
+                                const StreamCase& param, int threads) {
   auto engine = StreamPrivacyEngine::Create(param.window,
                                             PolicyConfig(kind, param, threads));
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  engine->SetPipelined(pipelined);
   std::vector<std::string> releases;
   const std::vector<Transaction> stream = RandomStream(param);
   for (size_t i = 0; i < stream.size(); ++i) {
@@ -95,19 +92,15 @@ class PolicyGridTest
     : public ::testing::TestWithParam<std::tuple<ReleasePolicyKind, int>> {};
 
 // The core determinism contract: one policy's release log is a pure
-// function of (config, stream) — thread count and the serial vs pipelined
-// release path must not leak into the bytes.
-TEST_P(PolicyGridTest, LogsAreByteIdenticalAcrossThreadsAndPipelining) {
+// function of (config, stream) — the thread count must not leak into the
+// bytes.
+TEST_P(PolicyGridTest, LogsAreByteIdenticalAcrossThreads) {
   const auto [kind, case_index] = GetParam();
   const StreamCase param = kCases[case_index];
-  const std::vector<std::string> reference = RunLog(kind, param, 1, false);
+  const std::vector<std::string> reference = RunLog(kind, param, 1);
   ASSERT_FALSE(reference.empty());
-  EXPECT_EQ(RunLog(kind, param, 8, false), reference)
-      << "threads=8 serial diverged for " << ReleasePolicyName(kind);
-  EXPECT_EQ(RunLog(kind, param, 1, true), reference)
-      << "pipelined (threads=1) diverged for " << ReleasePolicyName(kind);
-  EXPECT_EQ(RunLog(kind, param, 8, true), reference)
-      << "pipelined (threads=8) diverged for " << ReleasePolicyName(kind);
+  EXPECT_EQ(RunLog(kind, param, 8), reference)
+      << "threads=8 diverged for " << ReleasePolicyName(kind);
 }
 
 // Every release must arrive Seal()ed: strictly itemset-sorted, supports
@@ -145,7 +138,7 @@ TEST_P(PolicyGridTest, ReleasesAreSealedAndClamped) {
 TEST_P(PolicyGridTest, CheckpointRestoreResumesByteIdentically) {
   const auto [kind, case_index] = GetParam();
   const StreamCase param = kCases[case_index];
-  const std::vector<std::string> expected = RunLog(kind, param, 1, false);
+  const std::vector<std::string> expected = RunLog(kind, param, 1);
   const std::vector<Transaction> stream = RandomStream(param);
   const std::string path =
       TempPath("bfly_policy_resume_" + ReleasePolicyName(kind) + ".ckpt");
@@ -263,7 +256,6 @@ TEST(ButterflyAdapterTest, InterfaceIsByteIdenticalToDirectEngine) {
     ctx.window_size = window;
     ctx.stream_position = param.window + 10u * static_cast<uint64_t>(release);
     ctx.fecs = nullptr;
-    ctx.total_itemsets = 0;
 
     PolicyStats stats;
     const SanitizedOutput via_policy = policy->Release(frequent, ctx, &stats);
