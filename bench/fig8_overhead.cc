@@ -11,7 +11,8 @@
 /// Beyond the figure, this binary tracks the release-path perf trajectory:
 ///  * the `mine_ns` stage — Moment's incremental maintenance per reported
 ///    window, taken from StreamPrivacyEngine's per-stage accounting,
-///  * scratch vs incremental closed→full expansion per reported window, and
+///  * the closed→full expansion per reported window (the one Release()
+///    consumes), and
 ///  * two sanitize rows over window traces, with the per-stage split: the
 ///    figure configuration and a dense one (lower C, about a thousand
 ///    itemsets per window). A release runs on one thread, so each is a
@@ -60,7 +61,6 @@ std::vector<BenchRecord> g_records;
 struct OverheadRow {
   double mining_per_window = 0;
   double expand_scratch_per_window = 0;
-  double expand_incremental_per_window = 0;
   double basic_per_window = 0;
   double opt_per_window = 0;
   size_t frequent = 0;
@@ -104,19 +104,11 @@ OverheadRow MeasureOnce(Support min_support, const RunShape& shape,
     }
     ++reported;
 
-    // The output walk is timed both ways: the full re-expansion of the
-    // closed lattice and the incremental cache path Release() rides on.
+    // The output walk: RawOutput() expands the closed lattice from scratch
+    // and keeps the result, which Release() below consumes.
     Stopwatch watch;
-    MiningOutput raw = engine.miner().GetAllFrequent();
+    const MiningOutput& raw = engine.RawOutput();
     row.expand_scratch_per_window += watch.Seconds();
-
-    watch.Restart();
-    const MiningOutput& raw_incremental = engine.RawOutput();
-    row.expand_incremental_per_window += watch.Seconds();
-    if (!raw_incremental.SameAs(raw)) {
-      std::fprintf(stderr, "incremental expansion diverged from scratch\n");
-      std::exit(1);
-    }
 
     row.frequent = raw.size();
     row.fecs = PartitionIntoFecs(raw).size();
@@ -126,11 +118,12 @@ OverheadRow MeasureOnce(Support min_support, const RunShape& shape,
         basic_engine.Sanitize(raw, static_cast<Support>(shape.window));
     row.basic_per_window += watch.Seconds();
 
-    // The optimized path is the engine's own Release() (incremental FEC
-    // partition + sanitize); its stats also carry the mining maintenance
-    // attributed to this window. The very first report sits right after the
-    // one-time window fill (H appends of CET construction), which is not the
-    // steady-state maintenance cost the figure tracks — discard it.
+    // The optimized path is the engine's own Release() (FEC partition +
+    // sanitize of the expansion above); its stats also carry the mining
+    // maintenance attributed to this window. The very first report sits
+    // right after the one-time window fill (H appends of CET construction),
+    // which is not the steady-state maintenance cost the figure tracks —
+    // discard it.
     watch.Restart();
     ReleaseResult opt_release = engine.Release();
     row.opt_per_window += watch.Seconds();
@@ -149,7 +142,6 @@ OverheadRow MeasureOnce(Support min_support, const RunShape& shape,
   double n = static_cast<double>(reported);
   row.mining_per_window /= static_cast<double>(std::max<size_t>(1, mining_reports));
   row.expand_scratch_per_window /= n;
-  row.expand_incremental_per_window /= n;
   row.basic_per_window /= n;
   row.opt_per_window /= n;
   return row;
@@ -182,8 +174,6 @@ OverheadRow Measure(DatasetProfile profile, Support min_support,
   row.mining_per_window = median_of(&OverheadRow::mining_per_window);
   row.expand_scratch_per_window =
       median_of(&OverheadRow::expand_scratch_per_window);
-  row.expand_incremental_per_window =
-      median_of(&OverheadRow::expand_incremental_per_window);
   row.basic_per_window = median_of(&OverheadRow::basic_per_window);
   row.opt_per_window = median_of(&OverheadRow::opt_per_window);
   return row;
@@ -296,12 +286,10 @@ void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
                     ? map_per_window / row.mining_per_window
                     : 0);
   }
-  for (const auto& [bench, seconds] :
-       {std::pair<std::string, double>{"expand/scratch",
-                                       row.expand_scratch_per_window},
-        {"expand/incremental", row.expand_incremental_per_window}}) {
+  {
+    const double seconds = row.expand_scratch_per_window;
     BenchRecord rec;
-    rec.bench = bench;
+    rec.bench = "expand/scratch";
     rec.dataset = ProfileName(profile);
     rec.threads = 1;
     rec.windows = shape.reports;
@@ -316,20 +304,18 @@ void RunDataset(DatasetProfile profile, const RunShape& shape) {
   PrintTableHeader(
       "Fig 8: per-window running time (s), " + ProfileName(profile) + ", H=" +
           std::to_string(shape.window),
-      {"C", "Mining alg", "Expand", "Expand-inc", "Basic", "Opt", "frequent",
-       "FECs"});
+      {"C", "Mining alg", "Expand", "Basic", "Opt", "frequent", "FECs"});
   for (Support c : shape.supports) {
     OverheadRow row = Measure(profile, c, shape);
     PrintTableRow({std::to_string(c), FormatDouble(row.mining_per_window, 5),
                    FormatDouble(row.expand_scratch_per_window, 5),
-                   FormatDouble(row.expand_incremental_per_window, 5),
                    FormatDouble(row.basic_per_window, 5),
                    FormatDouble(row.opt_per_window, 5),
                    std::to_string(row.frequent), std::to_string(row.fecs)});
   }
 
-  // The miner trajectory rows (mine/moment vs mine/map-cet, expand/*) are
-  // recorded at the paper's figure window (H = dense_window = 5000) — the
+  // The miner trajectory rows (mine/moment vs mine/map-cet, expand/scratch)
+  // are recorded at the paper's figure window (H = dense_window = 5000) — the
   // configuration whose maintenance cost the tentpole optimizes — even in
   // smoke mode, where the figure table above runs a smaller window to stay
   // seconds-scale.
@@ -447,8 +433,6 @@ struct ReplayTimes {
   double bias_dp_ns = 0;
   double noise_ns = 0;
   double emit_ns = 0;
-  double memo_hits = 0;    ///< cumulative over the replay (deterministic)
-  double memo_misses = 0;
 };
 
 /// Replays the trace through one engine configuration.
@@ -467,8 +451,6 @@ ReplayTimes TimeReplay(const WindowTrace& trace, ButterflyConfig config) {
     times.noise_ns += stages.noise_ns;
     times.emit_ns += stages.emit_ns;
   }
-  times.memo_hits = static_cast<double>(engine.bias_memo_hits());
-  times.memo_misses = static_cast<double>(engine.bias_memo_misses());
   return times;
 }
 
@@ -518,9 +500,6 @@ void SanitizeRow(DatasetProfile profile, const RunShape& shape,
   rec.bias_dp_ns = median_stage(&ReplayTimes::bias_dp_ns);
   rec.noise_ns = median_stage(&ReplayTimes::noise_ns);
   rec.emit_ns = median_stage(&ReplayTimes::emit_ns);
-  // Memo traffic is a pure function of the trace, identical across reps.
-  rec.memo_hits = samples.back().memo_hits;
-  rec.memo_misses = samples.back().memo_misses;
   g_records.push_back(rec);
 
   PrintTableHeader(
@@ -550,17 +529,13 @@ void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
   trace_config.min_support = min_support;
   SchemeVariant opt{"Opt", ButterflyScheme::kOrderPreserving, 1.0};
 
-  struct RunSample {
-    double seconds = 0;  ///< release-loop wall time (post-fill)
-    double memo_hits = 0;
-    double memo_misses = 0;
-  };
+  // Release-loop wall time (post-fill).
   auto run_once = [&] {
     ButterflyConfig config = MakeConfig(trace_config, opt, 0.016, 0.4);
     config.republish_cache = false;  // time the full perturbation path
     StreamPrivacyEngine engine(window, config);
+    // Held until the clock stops, so freeing the releases stays untimed.
     std::vector<ReleaseResult> results;
-    RunSample sample;
     Stopwatch watch;
     size_t fed = 0;
     size_t reported = 0;
@@ -573,23 +548,12 @@ void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
       ++reported;
       results.push_back(engine.Release());
     }
-    sample.seconds = watch.Seconds();
-    if (!results.empty()) {
-      sample.memo_hits =
-          static_cast<double>(results.back().stats.bias_memo_hits);
-      sample.memo_misses =
-          static_cast<double>(results.back().stats.bias_memo_misses);
-    }
-    return sample;
+    return watch.Seconds();
   };
 
   run_once();  // warmup
   std::vector<double> secs;
-  RunSample last;
-  for (int rep = 0; rep < shape.plan.reps; ++rep) {
-    last = run_once();
-    secs.push_back(last.seconds);
-  }
+  for (int rep = 0; rep < shape.plan.reps; ++rep) secs.push_back(run_once());
   const double per_window =
       Median(std::move(secs)) / static_cast<double>(shape.reports);
   BenchRecord rec;
@@ -599,8 +563,6 @@ void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
   rec.windows = shape.reports;
   rec.ns_per_window = per_window * 1e9;
   rec.windows_per_sec = per_window > 0 ? 1.0 / per_window : 0;
-  rec.memo_hits = last.memo_hits;
-  rec.memo_misses = last.memo_misses;
   g_records.push_back(rec);
 
   PrintTableHeader("Release, " + ProfileName(profile) + ", H=" +
@@ -617,7 +579,7 @@ bool GuardedBench(const std::string& bench) {
   return bench == "sanitize/opt" || bench == "sanitize/opt-dense" ||
          bench == "mine/moment" || bench == "mine/hybrid" ||
          bench == "mine/dense-1m" || bench == "expand/scratch" ||
-         bench == "expand/incremental" || bench == "release/serial";
+         bench == "release/serial";
 }
 
 /// Hybrid-row-store floors: at BMS scale the container overhead must stay
@@ -739,8 +701,8 @@ int main(int argc, char** argv) {
   std::printf("Butterfly reproduction: Fig. 8 (overhead of Butterfly in the "
               "mining system)\nH=%zu, %zu reported windows, stride %zu; "
               "'Mining alg' = incremental Moment maintenance per reported "
-              "window (the mine_ns stage); 'Expand' / 'Expand-inc' = scratch "
-              "vs incremental closed->full output walk; medians of %d "
+              "window (the mine_ns stage); 'Expand' = closed->full output "
+              "walk; medians of %d "
               "repetitions after %d warmup\n",
               shape.window, shape.reports, shape.stride, shape.plan.reps,
               shape.plan.warmup);

@@ -30,9 +30,7 @@ WindowTrace CollectTrace(const TraceConfig& config) {
     if (fed < config.window) continue;
     size_t past_fill = fed - config.window;
     if (past_fill % config.stride == 0 && trace.raw.size() < config.reports) {
-      // Incremental expansion: only the closed itemsets that changed since
-      // the previous report are re-expanded (identical output, faster replay).
-      trace.raw.push_back(miner.GetAllFrequentIncremental());
+      trace.raw.push_back(miner.GetAllFrequent());
     }
   }
   return trace;
@@ -157,10 +155,6 @@ bool WriteBenchJson(const std::string& path,
     if (r.mine_ns >= 0) {
       std::fprintf(f, ", \"mine_ns\": %.1f", r.mine_ns);
     }
-    if (r.memo_hits >= 0) {
-      std::fprintf(f, ", \"memo_hits\": %.0f, \"memo_misses\": %.0f",
-                   r.memo_hits, r.memo_misses);
-    }
     if (r.index_bytes > 0) {
       std::fprintf(f,
                    ", \"index_bytes\": %zu, \"index_dense_bytes\": %zu, "
@@ -241,7 +235,6 @@ bool ReadBenchJson(const std::string& path,
     if (ExtractField(line, "noise_ns", &value)) r.noise_ns = std::stod(value);
     if (ExtractField(line, "emit_ns", &value)) r.emit_ns = std::stod(value);
     if (ExtractField(line, "mine_ns", &value)) r.mine_ns = std::stod(value);
-    if (ExtractField(line, "memo_hits", &value)) r.memo_hits = std::stod(value);
     if (ExtractField(line, "index_bytes", &value)) {
       r.index_bytes = std::stoul(value);
     }
@@ -259,9 +252,6 @@ bool ReadBenchJson(const std::string& path,
     }
     if (ExtractField(line, "index_pinned_rows", &value)) {
       r.index_pinned_rows = std::stoul(value);
-    }
-    if (ExtractField(line, "memo_misses", &value)) {
-      r.memo_misses = std::stod(value);
     }
     if (ExtractField(line, "note", &value)) r.note = value;
     records->push_back(std::move(r));

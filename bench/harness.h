@@ -113,10 +113,6 @@ struct BenchRecord {
   double emit_ns = -1;
   /// Mining maintenance ns/window (mine rows only; negative = absent).
   double mine_ns = -1;
-  /// Cumulative sanitizer DP-memo traffic over the measured replay
-  /// (sanitize/release rows only; negative = absent).
-  double memo_hits = -1;
-  double memo_misses = -1;
   /// Window-index row-table memory at the last release (mine rows only;
   /// 0 = absent): live payload bytes, what the same rows would cost as dense
   /// bitmaps, and the live-row histogram by container representation. For a

@@ -1,7 +1,6 @@
 #include "core/butterfly.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
@@ -26,19 +25,6 @@ inline std::chrono::steady_clock::time_point StageNow() {
 inline double StageNs(std::chrono::steady_clock::time_point from,
                       std::chrono::steady_clock::time_point to) {
   return std::chrono::duration<double, std::nano>(to - from).count();
-}
-
-/// Order-independent key of a FEC profile vector for the DP memo. Collisions
-/// are resolved by exact profile comparison, so the hash only needs to be
-/// well-mixed, not perfect.
-uint64_t HashProfiles(const std::vector<FecProfile>& profiles) {
-  uint64_t h = SplitMix64Mix(0x6275746572666c79ull ^ profiles.size());
-  for (const FecProfile& p : profiles) {
-    h = SplitMix64Mix(h ^ static_cast<uint64_t>(p.support));
-    h = SplitMix64Mix(h ^ static_cast<uint64_t>(p.member_count));
-    h = SplitMix64Mix(h ^ std::bit_cast<uint64_t>(p.max_bias));
-  }
-  return h;
 }
 
 }  // namespace
@@ -90,66 +76,6 @@ bool ButterflyEngine::TryReuseBiases(const std::vector<FecProfile>& profiles,
   return true;
 }
 
-bool ButterflyEngine::MemoEnabled() const {
-  // Only the schemes that run the Algorithm 1 DP gain anything; memoizing
-  // the trivial settings would just burn memory.
-  return config_.bias_memo_capacity > 0 &&
-         (config_.scheme == ButterflyScheme::kOrderPreserving ||
-          config_.scheme == ButterflyScheme::kHybrid);
-}
-
-bool ButterflyEngine::MemoLookup(const std::vector<FecProfile>& profiles,
-                                 std::vector<double>* biases) {
-  if (!MemoEnabled() || profiles.empty()) return false;
-  auto bucket = bias_memo_.find(HashProfiles(profiles));
-  if (bucket != bias_memo_.end()) {
-    for (MemoEntry& entry : bucket->second) {
-      if (entry.profiles == profiles) {
-        entry.last_used = ++bias_memo_clock_;
-        *biases = entry.biases;
-        ++bias_memo_hits_;
-        return true;
-      }
-    }
-  }
-  ++bias_memo_misses_;
-  return false;
-}
-
-void ButterflyEngine::MemoInsert(const std::vector<FecProfile>& profiles,
-                                 const std::vector<double>& biases) {
-  if (!MemoEnabled() || profiles.empty()) return;
-  if (bias_memo_size_ >= config_.bias_memo_capacity) {
-    // Evict the least recently used entry; a linear scan is fine at the
-    // default capacity and only runs once the memo is full.
-    std::unordered_map<uint64_t, std::vector<MemoEntry>>::iterator lru_bucket =
-        bias_memo_.end();
-    size_t lru_index = 0;
-    uint64_t lru_used = UINT64_MAX;
-    // bfly-lint: allow(unordered-iteration) last_used clock values are
-    // unique, so the scan finds the one true minimum in any visit order;
-    // memoized biases are pure functions of the profiles, so eviction
-    // choice can never change a released value.
-    for (auto it = bias_memo_.begin(); it != bias_memo_.end(); ++it) {
-      for (size_t i = 0; i < it->second.size(); ++i) {
-        if (it->second[i].last_used < lru_used) {
-          lru_used = it->second[i].last_used;
-          lru_bucket = it;
-          lru_index = i;
-        }
-      }
-    }
-    if (lru_bucket != bias_memo_.end()) {
-      lru_bucket->second.erase(lru_bucket->second.begin() + lru_index);
-      if (lru_bucket->second.empty()) bias_memo_.erase(lru_bucket);
-      --bias_memo_size_;
-    }
-  }
-  std::vector<MemoEntry>& chain = bias_memo_[HashProfiles(profiles)];
-  chain.push_back(MemoEntry{profiles, biases, ++bias_memo_clock_});
-  ++bias_memo_size_;
-}
-
 Result<ButterflyEngine> ButterflyEngine::Create(const ButterflyConfig& config) {
   Status status = config.Validate();
   if (!status.ok()) return status;
@@ -194,12 +120,11 @@ SanitizedOutput ButterflyEngine::Sanitize(const MiningOutput& frequent,
     return SanitizeView(*fecs, frequent.size(), window_size);
   }
   const auto start = StageNow();
-  std::vector<Fec> local = PartitionIntoFecs(frequent);
-  FecView view;
-  view.reserve(local.size());
-  for (const Fec& fec : local) view.push_back(&fec);
+  FecPartitioner partition;
+  partition.Rebuild(frequent);
   const double partition_ns = StageNs(start, StageNow());
-  SanitizedOutput release = SanitizeView(view, frequent.size(), window_size);
+  SanitizedOutput release =
+      SanitizeView(partition.view(), frequent.size(), window_size);
   last_stage_times_.partition_ns += partition_ns;
   return release;
 }
@@ -247,14 +172,8 @@ Status ButterflyEngine::Restore(persist::CheckpointReader* reader) {
   epoch_ = epoch;
   cached_profiles_ = std::move(profiles);
   cached_biases_ = std::move(biases);
-  // Reconstructible state is simply reset: the DP memo refills with
-  // bit-identical entries as profiles recur, and the diagnostics restart.
+  // The diagnostics restart.
   last_biases_were_cached_ = false;
-  bias_memo_.clear();
-  bias_memo_size_ = 0;
-  bias_memo_clock_ = 0;
-  bias_memo_hits_ = 0;
-  bias_memo_misses_ = 0;
   last_stage_times_ = SanitizeStageTimes{};
   return Status::OK();
 }
@@ -283,25 +202,17 @@ SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
   auto stage_end = StageNow();
   last_stage_times_.partition_ns += StageNs(stage_start, stage_end);
 
-  // Bias stage: previous-window reuse, then the cross-window DP memo, then a
-  // fresh optimization. All three produce identical biases for identical
-  // profiles (the reuse path only diverges under a nonzero drift tolerance).
+  // Bias stage: previous-window reuse, else a fresh optimization. Both give
+  // identical biases for identical profiles (the reuse path only diverges
+  // under a nonzero drift tolerance).
   stage_start = stage_end;
   std::vector<double> biases;
   last_biases_were_cached_ = false;
   if (config_.cache_bias_settings && TryReuseBiases(profiles, &biases)) {
     last_biases_were_cached_ = true;
     last_stage_times_.bias_cache_hit = true;
-  } else if (MemoLookup(profiles, &biases)) {
-    last_biases_were_cached_ = true;
-    last_stage_times_.bias_memo_hit = true;
-    if (config_.cache_bias_settings) {
-      cached_profiles_ = profiles;
-      cached_biases_ = biases;
-    }
   } else {
     biases = ComputeBiases(profiles);
-    MemoInsert(profiles, biases);
     if (config_.cache_bias_settings) {
       cached_profiles_ = profiles;
       cached_biases_ = biases;

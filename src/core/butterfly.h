@@ -12,18 +12,14 @@
 ///   4. pins sanitized values across windows while true supports are
 ///      unchanged (republish cache, Prior Knowledge 2).
 ///
-/// The bias-setting stage is cached at two levels: the previous window's
-/// profiles (with optional drift tolerance, ButterflyConfig::
-/// bias_cache_tolerance) and a cross-window memo keyed on the exact FEC
-/// support-profile vector (profiles repeat heavily under sliding windows),
-/// so repeated profiles skip the Algorithm 1 DP entirely while producing
-/// bit-identical biases.
+/// The bias-setting stage reuses the previous window's biases when the FEC
+/// profiles match them (within ButterflyConfig::bias_cache_tolerance) and
+/// otherwise runs the configured scheme's optimization.
 
 #ifndef BUTTERFLY_CORE_BUTTERFLY_H_
 #define BUTTERFLY_CORE_BUTTERFLY_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,13 +44,12 @@ class CheckpointReader;
 /// BENCH_overhead.json) and for tests pinning the cache behavior.
 struct SanitizeStageTimes {
   double partition_ns = 0;  ///< FEC partition + profile construction
-  double bias_ns = 0;       ///< bias reuse/memo lookup + DP on a miss
+  double bias_ns = 0;       ///< previous-window reuse, else the optimization
   /// The one pass over the FECs: republish lookup, keyed noise draw,
   /// pinning and release assembly per itemset.
   double noise_ns = 0;
   double emit_ns = 0;  ///< republish-cache epoch advance + release seal
   bool bias_cache_hit = false;  ///< previous-window bias reuse fired
-  bool bias_memo_hit = false;   ///< cross-window DP memo fired
 };
 
 class ButterflyEngine {
@@ -71,10 +66,10 @@ class ButterflyEngine {
   /// model and the metrics.
   ///
   /// \p fecs optionally supplies a prebuilt FEC partition of \p frequent
-  /// (strictly ascending by support, partitioning it exactly) — the fast
-  /// path StreamPrivacyEngine maintains incrementally across window slides.
-  /// With fecs == nullptr the engine partitions from scratch. Both paths
-  /// emit the bit-identical release; the prebuilt one only skips work.
+  /// (strictly ascending by support, partitioning it exactly), such as the
+  /// one StreamPrivacyEngine builds per release. With fecs == nullptr the
+  /// engine partitions \p frequent itself. Both paths emit the bit-identical
+  /// release.
   ///
   /// Noise is drawn from counter-based streams keyed on (engine seed,
   /// release epoch, itemset / FEC identity), so the release is a pure
@@ -97,19 +92,14 @@ class ButterflyEngine {
   /// the sequence, not restart it.
   uint64_t epoch() const { return epoch_; }
 
-  /// True iff the last Sanitize call reused cached bias settings (the FEC
-  /// structure was unchanged, or the DP memo held the profile vector).
+  /// True iff the last Sanitize call reused the previous window's bias
+  /// settings instead of running the optimization.
   bool last_biases_were_cached() const { return last_biases_were_cached_; }
 
   /// Stage breakdown of the last Sanitize call.
   const SanitizeStageTimes& last_stage_times() const {
     return last_stage_times_;
   }
-
-  /// Cumulative cross-window DP-memo hits / misses (misses count only
-  /// windows that ran the optimizer, not previous-window cache hits).
-  uint64_t bias_memo_hits() const { return bias_memo_hits_; }
-  uint64_t bias_memo_misses() const { return bias_memo_misses_; }
 
   /// Drops every pinned sanitized value so the next Sanitize draws fresh
   /// noise. Intended for audit-driven redraw: bounded noise admits unlucky
@@ -122,15 +112,14 @@ class ButterflyEngine {
   /// Serializes the sanitizer's essential cross-release state: the epoch
   /// counter, the republish cache, and the previous window's bias settings
   /// (essential under a nonzero bias_cache_tolerance, where the reuse path
-  /// may legitimately diverge from a fresh optimization). The DP memo is
-  /// reconstructible — memo hits are bit-identical to recomputation — and is
-  /// dropped; so are the stage timings and memo hit counters. The config is
-  /// serialized by the owner (StreamPrivacyEngine), not here.
+  /// may legitimately diverge from a fresh optimization). The stage timings
+  /// are not written. The config is serialized by the owner
+  /// (StreamPrivacyEngine), not here.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
   /// Restores from a checkpoint section into an engine built with the same
-  /// config. Resets the DP memo and diagnostics; returns Status errors on
-  /// corrupted sections.
+  /// config. Resets the diagnostics; returns Status errors on corrupted
+  /// sections.
   Status Restore(persist::CheckpointReader* reader);
 
  private:
@@ -145,15 +134,6 @@ class ButterflyEngine {
   bool TryReuseBiases(const std::vector<FecProfile>& profiles,
                       std::vector<double>* biases);
 
-  /// Cross-window DP memo (exact profile-vector match). Lookup returns true
-  /// and fills \p biases on a hit; Insert stores a fresh optimization,
-  /// evicting the least recently used entry past the configured capacity.
-  bool MemoLookup(const std::vector<FecProfile>& profiles,
-                  std::vector<double>* biases);
-  void MemoInsert(const std::vector<FecProfile>& profiles,
-                  const std::vector<double>& biases);
-  bool MemoEnabled() const;
-
   ButterflyConfig config_;
   NoiseModel noise_;
   RepublishCache cache_;
@@ -165,18 +145,6 @@ class ButterflyEngine {
   std::vector<FecProfile> cached_profiles_;
   std::vector<double> cached_biases_;
   bool last_biases_were_cached_ = false;
-
-  // Cross-window DP memo: profile-vector hash -> entries (collision chain).
-  struct MemoEntry {
-    std::vector<FecProfile> profiles;
-    std::vector<double> biases;
-    uint64_t last_used = 0;
-  };
-  std::unordered_map<uint64_t, std::vector<MemoEntry>> bias_memo_;
-  size_t bias_memo_size_ = 0;
-  uint64_t bias_memo_clock_ = 0;
-  uint64_t bias_memo_hits_ = 0;
-  uint64_t bias_memo_misses_ = 0;
 
   SanitizeStageTimes last_stage_times_;
 

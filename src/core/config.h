@@ -114,14 +114,6 @@ struct ButterflyConfig {
   /// quantifies both sides.
   Support bias_cache_tolerance = 0;
 
-  /// Capacity (entries) of the cross-window bias-DP memo: optimized bias
-  /// settings keyed on the exact FEC support-profile vector, so windows
-  /// whose profile repeats skip the Algorithm 1 DP entirely and reuse its
-  /// bit-identical result. Profiles repeat heavily under sliding windows —
-  /// the republish-cache insight applied to the optimizer. 0 disables the
-  /// memo; it only engages for the order-preserving and hybrid schemes.
-  size_t bias_memo_capacity = 128;
-
   /// Store the miner's window index as hybrid array/bitmap/run containers
   /// instead of dense per-item bitmaps (see stream/window_bitmap_index.h).
   /// Mined output and release logs are bit-identical either way; hybrid
@@ -151,8 +143,8 @@ struct ButterflyConfig {
   /// Read by no release stage: a release runs entirely on the calling
   /// thread, and its content is bit-identical for every value. The field
   /// stays because the end-to-end benchmark assigns it and the checkpoint's
-  /// CONF section bit-compares it on restore; a checkpoint format change
-  /// can drop it once the benchmark stops assigning it. Validated to
+  /// CONF section bit-compares it on restore; checkpoint format v5 can drop
+  /// it once the benchmark stops assigning it. Validated to
   /// [0, kMaxThreads].
   int64_t threads = 1;
 

@@ -9,8 +9,6 @@
 #ifndef BUTTERFLY_CORE_FEC_H_
 #define BUTTERFLY_CORE_FEC_H_
 
-#include <cstdint>
-#include <map>
 #include <vector>
 
 #include "mining/mining_result.h"
@@ -26,54 +24,28 @@ struct Fec {
 };
 
 /// A borrowed, support-ascending view of a FEC partition. The pointees are
-/// owned by the producer (a local partition or a FecPartitioner) and stay
-/// valid until it next mutates.
+/// owned by the FecPartitioner that produced it and stay valid until its
+/// next Rebuild.
 using FecView = std::vector<const Fec*>;
 
 /// Partitions a mining output into FECs, strictly ascending by support.
 std::vector<Fec> PartitionIntoFecs(const MiningOutput& output);
 
-/// Maintains the support→FEC partition of a mined output *incrementally*
-/// across window slides: Sync patches only the itemsets named by the
-/// producer's MiningOutputDelta (the same delta the Moment expansion cache
-/// computes), instead of rebuilding and re-sorting every class per window.
-/// The resulting partition — class order and member order — is always
-/// identical to PartitionIntoFecs over the full output.
+/// The FEC partition of one mined output, owned together with its view.
+/// StreamPrivacyEngine rebuilds one per release and hands the view to the
+/// release policy.
 class FecPartitioner {
  public:
-  /// Brings the partition up to \p out, the producer's output at version
-  /// \p version; \p delta describes the change from the previous version.
-  /// Falls back to a full rebuild when the delta cannot be applied (first
-  /// sync, producer rebuild, or a missed version). Idempotent per version.
-  void Sync(const MiningOutput& out, uint64_t version,
-            const MiningOutputDelta& delta);
+  /// Replaces the partition with PartitionIntoFecs(\p out).
+  void Rebuild(const MiningOutput& out);
 
   /// The current partition, strictly ascending by support. Pointers stay
-  /// valid until the next Sync or Reset.
+  /// valid until the next Rebuild.
   const FecView& view() const { return view_; }
 
-  /// Sum of member counts across classes (= size of the mirrored output).
-  size_t total_members() const { return total_members_; }
-
-  /// True iff the last Sync applied the delta instead of rebuilding.
-  bool last_sync_was_incremental() const { return last_incremental_; }
-
-  /// Drops all state; the next Sync rebuilds from the full output.
-  void Reset();
-
  private:
-  void Rebuild(const MiningOutput& out);
-  void Insert(const Itemset& itemset, Support support);
-  void Remove(const Itemset& itemset, Support support);
-  void RefreshView();
-
-  std::map<Support, Fec> classes_;
+  std::vector<Fec> fecs_;
   FecView view_;
-  bool view_dirty_ = false;
-  bool synced_ = false;
-  bool last_incremental_ = false;
-  uint64_t applied_version_ = 0;
-  size_t total_members_ = 0;
 };
 
 /// The maximum adjustable bias βᵐ = sqrt(ε·t² − σ²) (Definition 7, with the

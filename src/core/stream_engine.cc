@@ -34,7 +34,6 @@ void WriteConfig(persist::CheckpointWriter* writer,
   writer->Bool(config.republish_cache);
   writer->Bool(config.cache_bias_settings);
   writer->I64(config.bias_cache_tolerance);
-  writer->U64(config.bias_memo_capacity);
   writer->Bool(config.hybrid_index);
   writer->U64(config.seed);
   writer->I64(config.threads);
@@ -63,7 +62,6 @@ Status ReadConfig(persist::CheckpointReader* reader, ButterflyConfig* config) {
   config->republish_cache = reader->Bool();
   config->cache_bias_settings = reader->Bool();
   config->bias_cache_tolerance = reader->I64();
-  config->bias_memo_capacity = reader->U64();
   config->hybrid_index = reader->Bool();
   config->seed = reader->U64();
   config->threads = reader->I64();
@@ -95,7 +93,6 @@ bool SameConfig(const ButterflyConfig& a, const ButterflyConfig& b) {
          a.republish_cache == b.republish_cache &&
          a.cache_bias_settings == b.cache_bias_settings &&
          a.bias_cache_tolerance == b.bias_cache_tolerance &&
-         a.bias_memo_capacity == b.bias_memo_capacity &&
          a.hybrid_index == b.hybrid_index && a.seed == b.seed &&
          a.threads == b.threads && a.policy == b.policy &&
          SameBits(a.policy_epsilon, b.policy_epsilon) &&
@@ -109,9 +106,6 @@ void CopyPolicyStats(const PolicyStats& policy, EngineStats* stats) {
   stats->noise_ns = policy.noise_ns;
   stats->emit_ns = policy.emit_ns;
   stats->bias_cache_hit = policy.bias_cache_hit;
-  stats->bias_memo_hit = policy.bias_memo_hit;
-  stats->bias_memo_hits = policy.bias_memo_hits;
-  stats->bias_memo_misses = policy.bias_memo_misses;
   stats->epoch = policy.epoch;
   stats->epsilon_spent = policy.epsilon_spent;
   stats->epsilon_cumulative = policy.epsilon_cumulative;
@@ -153,13 +147,21 @@ const ButterflyEngine& StreamPrivacyEngine::sanitizer() const {
   return static_cast<const ButterflyReleasePolicy&>(*policy_).engine();
 }
 
+const MiningOutput& StreamPrivacyEngine::RawOutput() {
+  if (!raw_) {
+    Stopwatch watch;
+    raw_ = miner_.GetAllFrequent();
+    expand_ns_ += watch.Seconds() * 1e9;
+  }
+  return *raw_;
+}
+
 ReleaseResult StreamPrivacyEngine::Release() {
   ReleaseResult result;
-  const MiningOutput& raw = miner_.GetAllFrequentIncremental();
-  Stopwatch sync_watch;
-  partition_.Sync(raw, miner_.expansion_version(),
-                  miner_.last_expansion_delta());
-  const double sync_ns = sync_watch.Seconds() * 1e9;
+  const MiningOutput& raw = RawOutput();
+  Stopwatch partition_watch;
+  partition_.Rebuild(raw);
+  const double partition_ns = partition_watch.Seconds() * 1e9;
   WindowContext ctx;
   ctx.window_size = static_cast<Support>(miner_.window().size());
   ctx.stream_position = miner_.window().stream_position();
@@ -167,9 +169,11 @@ ReleaseResult StreamPrivacyEngine::Release() {
   PolicyStats policy_stats;
   result.output = policy_->Release(raw, ctx, &policy_stats);
   CopyPolicyStats(policy_stats, &result.stats);
-  result.stats.partition_ns += sync_ns;
+  result.stats.partition_ns += partition_ns;
   result.stats.mine_ns = mine_ns_;
+  result.stats.expand_ns = expand_ns_;
   mine_ns_ = 0;
+  expand_ns_ = 0;
   result.stats.frequent_itemsets = raw.size();
   result.stats.fec_count = partition_.view().size();
   FillIndexMemoryStats(miner_.bitmap_index(), &result.stats);
@@ -187,10 +191,12 @@ void StreamPrivacyEngine::Checkpoint(persist::CheckpointWriter* writer) const {
 Status StreamPrivacyEngine::RestoreBody(persist::CheckpointReader* reader) {
   if (Status s = miner_.Restore(reader); !s.ok()) return s;
   if (Status s = policy_->Restore(reader); !s.ok()) return s;
-  // Reconstructible state: the FEC partition resyncs from the first
-  // post-restore expansion, and the mine-time accumulator restarts.
-  partition_.Reset();
+  // Derived state: the next RawOutput() or Release() re-expands the
+  // restored window and rebuilds the partition; the timers restart.
+  raw_.reset();
+  partition_ = FecPartitioner();
   mine_ns_ = 0;
+  expand_ns_ = 0;
   return Status::OK();
 }
 

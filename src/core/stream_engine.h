@@ -11,9 +11,12 @@
 /// file-level wrappers in persist/engine_checkpoint.h) capture every piece
 /// of state a bit-identical resume needs.
 ///
-/// Release() runs to completion on the calling thread: the expansion walk,
-/// the FEC sync, then the policy's bias, noise and emit stages, in that
-/// order.
+/// Release() runs to completion on the calling thread: the closed→full
+/// expansion (unless RawOutput() already made it for this window), the FEC
+/// partition, then the policy's bias, noise and emit stages, in that order.
+/// Each window's output is expanded once and partitioned once per release;
+/// nothing derived from a window outlives it except what the checkpoint
+/// carries.
 
 #ifndef BUTTERFLY_CORE_STREAM_ENGINE_H_
 #define BUTTERFLY_CORE_STREAM_ENGINE_H_
@@ -21,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/status.h"
@@ -39,8 +43,11 @@ class CheckpointReader;
 /// Per-release pipeline statistics, snapshotted by Release().
 struct EngineStats {
   double mine_ns = 0;       ///< miner maintenance since the previous release
-  double partition_ns = 0;  ///< FEC sync + profile construction
-  double bias_ns = 0;       ///< bias reuse/memo lookup + DP on a miss
+  /// Closed→full expansion of this window's output: counted once, in the
+  /// release that consumes it, whether RawOutput() or Release() made it.
+  double expand_ns = 0;
+  double partition_ns = 0;  ///< FEC partition + profile construction
+  double bias_ns = 0;       ///< previous-window reuse, else the optimization
   /// Per-itemset perturbation. Under Butterfly this is the one pass over the
   /// FECs that also looks up and pins republished values and assembles the
   /// release.
@@ -49,13 +56,6 @@ struct EngineStats {
   double emit_ns = 0;
 
   bool bias_cache_hit = false;  ///< previous-window bias reuse fired
-  bool bias_memo_hit = false;   ///< cross-window DP memo fired
-
-  /// Cumulative sanitizer DP-memo traffic up to and including this release
-  /// (misses count only windows that actually ran the optimizer). Exposed
-  /// here so the overhead benchmarks can emit memo hit rates per row.
-  uint64_t bias_memo_hits = 0;
-  uint64_t bias_memo_misses = 0;
 
   /// Differential-privacy accounting, filled by the DP release policies
   /// (zero under the Butterfly backend, whose guarantee is the paper's
@@ -108,6 +108,7 @@ class StreamPrivacyEngine {
     Stopwatch watch;
     miner_.Append(std::move(t));
     mine_ns_ += watch.Seconds() * 1e9;
+    raw_.reset();
   }
 
   /// True once the window holds H records.
@@ -116,25 +117,22 @@ class StreamPrivacyEngine {
   /// The raw (unprotected) full frequent-itemset output — what a mining
   /// system without output-privacy protection would publish.
   ///
-  /// Freshness: served from the miner's incremental expansion cache, which
-  /// is revalidated on this call, so the content always reflects every
-  /// Append made so far (identical to expanding the closed lattice from
-  /// scratch). The returned reference is invalidated by the next Append(),
-  /// Release(), RawOutput() or Restore() — copy it to keep it.
-  const MiningOutput& RawOutput() { return miner_.GetAllFrequentIncremental(); }
+  /// Freshness: the first call after an Append() or a Restore() expands the
+  /// miner's closed itemsets (miner().GetAllFrequent()) and keeps the
+  /// result; later calls, and Release(), return that same object. The
+  /// returned reference is invalidated by the next Append() or Restore() —
+  /// copy it to keep it.
+  const MiningOutput& RawOutput();
 
   /// The raw closed frequent itemsets (Moment's native output).
   MiningOutput RawClosedOutput() const { return miner_.GetClosedFrequent(); }
 
   /// The sanitized release for the current window, with per-stage stats.
   ///
-  /// Routes through the configured ReleasePolicy. The policy is fed from the
-  /// incremental expansion cache by reference — no per-release copy of the
-  /// full MiningOutput is materialized — and the FEC partition it receives
-  /// is itself incremental: the expansion delta patches only the itemsets
-  /// whose support changed since the last release, instead of
-  /// re-partitioning and re-sorting every class per window. The release is
-  /// bit-identical to sanitizing RawOutput() from scratch.
+  /// Routes RawOutput() through the configured ReleasePolicy, together with
+  /// its FEC partition, built from scratch for this release. The window is
+  /// expanded once whether or not the caller called RawOutput() first, and
+  /// the release is the same either way.
   ReleaseResult Release();
 
   const MomentMiner& miner() const { return miner_; }
@@ -155,16 +153,16 @@ class StreamPrivacyEngine {
   const ButterflyEngine& sanitizer() const;
 
   const ButterflyConfig& config() const { return config_; }
-  /// The incrementally maintained FEC partition of the most recent release.
+  /// The FEC partition of the most recent release.
   const FecPartitioner& fec_partition() const { return partition_; }
 
   /// Serializes the full engine: window capacity + config header (which
   /// carries the policy identity and knobs), then the miner (window, bitmap
   /// index, CET arena) and the release policy's own section (for Butterfly:
   /// epoch, republish cache, previous-window bias settings; for the DP
-  /// backends: epoch and cumulative budget). The FEC partition and
-  /// the miner's expansion cache are reconstructible and are not written —
-  /// the first post-restore Release rebuilds both with identical content.
+  /// backends: epoch and cumulative budget). The expansion and the FEC
+  /// partition are derived from the window and are not written — the first
+  /// post-restore Release rebuilds both with identical content.
   /// See persist/engine_checkpoint.h for the file-level wrappers.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
@@ -187,10 +185,13 @@ class StreamPrivacyEngine {
   MomentMiner miner_;
   ButterflyConfig config_;
   std::unique_ptr<ReleasePolicy> policy_;
-  /// Release-path FEC partition, synced incrementally from the miner's
-  /// expansion delta on every release.
+  /// The current window's full output (see RawOutput); empty after an
+  /// Append or a Restore until the next expansion.
+  std::optional<MiningOutput> raw_;
+  /// Release-path FEC partition, rebuilt from raw_ on every release.
   FecPartitioner partition_;
   double mine_ns_ = 0;
+  double expand_ns_ = 0;  ///< expansion time not yet reported by Release
 };
 
 }  // namespace butterfly

@@ -19,19 +19,6 @@ void MiningOutput::Seal() {
             });
 }
 
-bool MiningOutput::UpdateSupport(const Itemset& itemset, Support support) {
-  auto indexed = index_.find(itemset);
-  if (indexed == index_.end()) return false;
-  indexed->second = support;
-  auto it = std::lower_bound(itemsets_.begin(), itemsets_.end(), itemset,
-                             [](const FrequentItemset& a, const Itemset& b) {
-                               return a.itemset < b;
-                             });
-  assert(it != itemsets_.end() && it->itemset == itemset);
-  it->support = support;
-  return true;
-}
-
 std::optional<Support> MiningOutput::SupportOf(const Itemset& itemset) const {
   auto it = index_.find(itemset);
   if (it == index_.end()) return std::nullopt;

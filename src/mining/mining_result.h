@@ -24,38 +24,6 @@ struct FrequentItemset {
   bool operator==(const FrequentItemset& other) const = default;
 };
 
-/// The exact change between two versions of a maintained MiningOutput, as
-/// reported by incremental producers (MomentMiner's closed→full expansion
-/// cache). Consumers that mirror the output — the FEC partitioner — patch
-/// just these itemsets instead of re-deriving their state per window.
-struct MiningOutputDelta {
-  /// One itemset whose support changed between the versions.
-  struct SupportChange {
-    Itemset itemset;
-    Support old_support = 0;
-    Support new_support = 0;
-  };
-
-  /// True when the producer rebuilt from scratch (or cannot describe the
-  /// change precisely); consumers must resync from the full output.
-  bool rebuilt = true;
-  std::vector<std::pair<Itemset, Support>> added;    ///< with new support
-  std::vector<std::pair<Itemset, Support>> removed;  ///< with old support
-  std::vector<SupportChange> changed;
-
-  /// Resets to "no change" while keeping vector capacity.
-  void Reset() {
-    rebuilt = false;
-    added.clear();
-    removed.clear();
-    changed.clear();
-  }
-
-  bool Empty() const {
-    return !rebuilt && added.empty() && removed.empty() && changed.empty();
-  }
-};
-
 /// A set of mined itemsets with O(1) support lookup. Itemsets are kept in
 /// lexicographic order for deterministic iteration and comparison.
 class MiningOutput {
@@ -70,12 +38,6 @@ class MiningOutput {
 
   /// Sorts itemsets lexicographically; call once after the last Add.
   void Seal();
-
-  /// Updates the support of an already-present itemset in place (the sealed
-  /// order is unaffected). Returns false if the itemset is absent. Used by
-  /// the incremental closed-set expansion to patch support drift without
-  /// rebuilding the output. Requires a sealed output.
-  bool UpdateSupport(const Itemset& itemset, Support support);
 
   size_t size() const { return itemsets_.size(); }
   bool empty() const { return itemsets_.empty(); }

@@ -142,7 +142,6 @@ void MomentMiner::Append(Transaction t) {
   index_.Apply(&added, evicted ? &*evicted : nullptr);
   if (evicted) UpdateDelete(kRoot, *evicted);
   UpdateAdd(kRoot, added);
-  expansion_dirty_ = true;
 }
 
 Bitmap& MomentMiner::ScratchAt(size_t depth) {
@@ -450,175 +449,6 @@ MiningOutput MomentMiner::GetAllFrequent() const {
   return ExpandClosed(GetClosedFrequent());
 }
 
-namespace {
-
-/// Calls fn(subset) for every non-empty subset of `s`.
-template <typename Fn>
-void ForEachSubset(const Itemset& s, size_t start, std::vector<Item>* prefix,
-                   const Fn& fn) {
-  if (!prefix->empty()) fn(Itemset::FromSorted(*prefix));
-  for (size_t i = start; i < s.size(); ++i) {
-    prefix->push_back(s[i]);
-    ForEachSubset(s, i + 1, prefix, fn);
-    prefix->pop_back();
-  }
-}
-
-}  // namespace
-
-const MiningOutput& MomentMiner::RebuildExpansionFromScratch(
-    MiningOutput closed) {
-  // Full expansion, then remember its accumulator. No precise delta exists
-  // on this path, so consumers are told to resync.
-  cached_all_ = ExpandClosed(closed);
-  expansion_best_.clear();
-  expansion_best_.reserve(cached_all_.size());
-  for (const FrequentItemset& f : cached_all_.itemsets()) {
-    expansion_best_.emplace(f.itemset, f.support);
-  }
-  cached_closed_ = std::move(closed);
-  expansion_cached_ = true;
-  expansion_delta_.Reset();
-  expansion_delta_.rebuilt = true;
-  ++expansion_version_;
-  return cached_all_;
-}
-
-const MiningOutput& MomentMiner::GetAllFrequentIncremental() {
-  if (!expansion_dirty_ && expansion_cached_) return cached_all_;
-  MiningOutput closed = GetClosedFrequent();
-  expansion_dirty_ = false;
-
-  if (!expansion_cached_) {
-    return RebuildExpansionFromScratch(std::move(closed));
-  }
-
-  // Diff the two sealed (lexicographically sorted) closed outputs; a support
-  // change counts as removed + added, so its subsets are re-expanded too.
-  std::vector<const Itemset*> changed;
-  const auto& old_items = cached_closed_.itemsets();
-  const auto& new_items = closed.itemsets();
-  size_t o = 0, n = 0;
-  while (o < old_items.size() || n < new_items.size()) {
-    if (o == old_items.size()) {
-      changed.push_back(&new_items[n++].itemset);
-    } else if (n == new_items.size()) {
-      changed.push_back(&old_items[o++].itemset);
-    } else if (old_items[o].itemset < new_items[n].itemset) {
-      changed.push_back(&old_items[o++].itemset);
-    } else if (new_items[n].itemset < old_items[o].itemset) {
-      changed.push_back(&new_items[n++].itemset);
-    } else {
-      if (old_items[o].support != new_items[n].support) {
-        changed.push_back(&new_items[n].itemset);
-      }
-      ++o;
-      ++n;
-    }
-  }
-  if (changed.empty()) {
-    cached_closed_ = std::move(closed);
-    return cached_all_;
-  }
-
-  // Crossover heuristic. Patching recomputes every subset of every changed
-  // closed itemset with a scan over the *whole* new closed set (ContainsAll
-  // probes, a few ns each), while a scratch re-expansion pays one
-  // accumulator update per subset of *every* closed itemset — a subset
-  // materialization plus a hash insert plus the final re-sort, worth about
-  // kCrossoverScanBudget probes. Patching also keeps its persistent
-  // accumulator and (without membership churn) patches the sealed output in
-  // place, so it wins whenever its scans stay under that budget; on dense
-  // windows (|closed| in the hundreds) with broad drift the |affected| ×
-  // |closed| scans blow past it, and falling back to scratch is faster.
-  // The fallback publishes a rebuilt delta so mirrors resync.
-  constexpr size_t kCrossoverScanBudget = 64;
-  auto subsets_of = [](size_t len) {
-    // Capped at 2^20 subsets so long itemsets cannot overflow the model.
-    return (size_t{1} << std::min<size_t>(len, 20)) - 1;
-  };
-  size_t patch_subsets = 0;
-  for (const Itemset* z : changed) patch_subsets += subsets_of(z->size());
-  size_t scratch_subsets = 0;
-  for (const FrequentItemset& z : new_items) {
-    scratch_subsets += subsets_of(z.itemset.size());
-  }
-  if (patch_subsets * new_items.size() >
-      kCrossoverScanBudget * scratch_subsets) {
-    return RebuildExpansionFromScratch(std::move(closed));
-  }
-
-  // Only subsets of changed closed itemsets can change value: for any other
-  // frequent X, every closed superset of X kept its support, and no closed
-  // itemset newly contains X.
-  std::unordered_set<Itemset, ItemsetHash> affected;
-  std::vector<Item> prefix;
-  for (const Itemset* z : changed) {
-    ForEachSubset(*z, 0, &prefix,
-                  [&](Itemset subset) { affected.insert(std::move(subset)); });
-  }
-  // The loop below appends to expansion_delta_, whose order downstream
-  // mirrors (the FEC partitioner) observe — walk the affected set in sorted
-  // order so the delta is identical on every platform and hash seed.
-  std::vector<const Itemset*> affected_sorted;
-  affected_sorted.reserve(affected.size());
-  // bfly-lint: allow(unordered-iteration) materialized and sorted below
-  for (const Itemset& x : affected) affected_sorted.push_back(&x);
-  std::sort(affected_sorted.begin(), affected_sorted.end(),
-            [](const Itemset* a, const Itemset* b) { return *a < *b; });
-
-  // Recompute each affected subset's max over the new closed supersets.
-  // Support-only drift is patched into the sealed output in place; itemsets
-  // entering or leaving the frequent set force a rebuild from the
-  // accumulator (still no global re-expansion). Every realized change is
-  // recorded in expansion_delta_ so downstream mirrors can patch too.
-  expansion_delta_.Reset();
-  bool membership_changed = false;
-  for (const Itemset* xp : affected_sorted) {
-    const Itemset& x = *xp;
-    Support best = 0;
-    bool frequent = false;
-    for (const FrequentItemset& z : new_items) {
-      if (z.itemset.ContainsAll(x)) {
-        frequent = true;
-        if (z.support > best) best = z.support;
-      }
-    }
-    auto it = expansion_best_.find(x);
-    if (frequent) {
-      if (it == expansion_best_.end()) {
-        expansion_best_.emplace(x, best);
-        expansion_delta_.added.emplace_back(x, best);
-        membership_changed = true;
-      } else if (it->second != best) {
-        expansion_delta_.changed.push_back({x, it->second, best});
-        if (!membership_changed) cached_all_.UpdateSupport(x, best);
-        it->second = best;
-      }
-    } else if (it != expansion_best_.end()) {
-      expansion_delta_.removed.emplace_back(x, it->second);
-      expansion_best_.erase(it);
-      membership_changed = true;
-    }
-  }
-
-  if (membership_changed) {
-    MiningOutput rebuilt(min_support_);
-    // bfly-lint: allow(unordered-iteration) Seal() sorts before exposure
-    for (const auto& [itemset, support] : expansion_best_) {
-      rebuilt.Add(itemset, support);
-    }
-    rebuilt.Seal();
-    cached_all_ = std::move(rebuilt);
-  }
-  // The delta above is exact even on the membership path (the output was
-  // re-materialized, but only the recorded itemsets changed value), so the
-  // version advances only when something actually changed.
-  if (!expansion_delta_.Empty()) ++expansion_version_;
-  cached_closed_ = std::move(closed);
-  return cached_all_;
-}
-
 std::optional<Support> MomentMiner::SupportOf(const Itemset& itemset) const {
   std::optional<Support> best;
   VisitTree(kRoot, [&](const CetNode& node) {
@@ -894,17 +724,6 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
   arena_ = std::move(arena);
   free_ = std::move(free_list);
 
-  // The closed→full expansion cache is reconstructible state: drop it and
-  // let the first post-restore expansion rebuild it. The rebuilt content is
-  // identical to what the uninterrupted run would serve, so downstream
-  // consumers (the FEC partitioner, after its own Reset) stay bit-identical.
-  expansion_dirty_ = true;
-  expansion_cached_ = false;
-  cached_closed_ = MiningOutput();
-  cached_all_ = MiningOutput();
-  expansion_best_.clear();
-  expansion_version_ = 0;
-  expansion_delta_ = MiningOutputDelta();
   return Status::OK();
 }
 

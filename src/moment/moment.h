@@ -47,7 +47,6 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitmap.h"
@@ -130,30 +129,6 @@ class MomentMiner {
   /// All frequent itemsets of the current window (closed set expanded).
   MiningOutput GetAllFrequent() const;
 
-  /// All frequent itemsets, maintained incrementally across slides. The
-  /// previous call's closed→full expansion is cached; a slide that left the
-  /// closed set unchanged returns the cache untouched (an Append sets a
-  /// dirty flag, cleared after re-validation), and a slide that changed only
-  /// a few closed itemsets re-expands just the subsets of those. The result
-  /// is always identical to GetAllFrequent(). Returns a reference into the
-  /// miner, valid until the next non-const call.
-  ///
-  /// Each call that changes the cached output also bumps expansion_version()
-  /// and records the exact per-itemset change in last_expansion_delta(), so
-  /// downstream mirrors (the FEC partitioner) can patch instead of rebuild.
-  const MiningOutput& GetAllFrequentIncremental();
-
-  /// Version of the incrementally maintained output: 0 before the first
-  /// expansion, then +1 per GetAllFrequentIncremental call whose result
-  /// differs from the previous one.
-  uint64_t expansion_version() const { return expansion_version_; }
-
-  /// The change from version−1 to version of the incremental output.
-  /// `rebuilt` is set when no precise delta exists (the first expansion).
-  const MiningOutputDelta& last_expansion_delta() const {
-    return expansion_delta_;
-  }
-
   /// Live node counts by kind.
   MomentStats Stats() const;
 
@@ -172,8 +147,6 @@ class MomentMiner {
   /// Serializes the window, the bitmap index and the CET arena (free list,
   /// per-node links/counts/flags). Node itemsets are NOT written — each one
   /// is its root path's item sequence, and Restore rebuilds them in one DFS.
-  /// The expansion cache is reconstructible and also not written; the first
-  /// post-restore expansion rebuilds it with identical content.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
   /// Restores from a checkpoint section into a miner constructed with the
@@ -201,13 +174,6 @@ class MomentMiner {
   void UpdateAdd(uint32_t idx, const Transaction& t);
   /// Returns true if the node should be removed from its parent.
   bool UpdateDelete(uint32_t idx, const Transaction& t);
-
-  /// Rebuilds the incremental-expansion cache from scratch over \p closed
-  /// and publishes a rebuilt (imprecise) delta. Shared by the first
-  /// expansion and the crossover fallback in GetAllFrequentIncremental,
-  /// which routes here when the accumulated closed-set churn makes patching
-  /// slower than re-expanding.
-  const MiningOutput& RebuildExpansionFromScratch(MiningOutput closed);
 
   /// (Re)derives a node's extension counts from its tidset (expected in
   /// tidset_scratch_[depth]) and builds its subtree.
@@ -255,23 +221,6 @@ class MomentMiner {
   std::vector<Support> count_scratch_;    ///< dense item id -> running count
   std::vector<Item> touched_scratch_;     ///< items seen by BuildExtCounts
   std::vector<Item> missing_scratch_;     ///< new items in MergeAddExtCounts
-
-  // --- incremental closed→full expansion cache (GetAllFrequentIncremental).
-  /// Set by Append (any CET mutation), cleared once the cache is revalidated.
-  bool expansion_dirty_ = true;
-  /// True once a full expansion has been built and the cache is usable.
-  bool expansion_cached_ = false;
-  /// The closed output the cache was built from (the diff baseline).
-  MiningOutput cached_closed_;
-  /// The cached full expansion, patched in place on support-only drift.
-  MiningOutput cached_all_;
-  /// frequent itemset → max support over closed supersets; the persistent
-  /// form of ExpandClosed's accumulator, patched per changed closed itemset.
-  std::unordered_map<Itemset, Support, ItemsetHash> expansion_best_;
-  /// Version counter and exact change record of cached_all_ (see
-  /// expansion_version / last_expansion_delta).
-  uint64_t expansion_version_ = 0;
-  MiningOutputDelta expansion_delta_;
 };
 
 }  // namespace butterfly

@@ -33,7 +33,8 @@ namespace butterfly::persist {
 /// (policy_epsilon, policy_top_k); the sanitizer section is the configured
 /// policy's own tagged section (BFLE for Butterfly, PVBS/CTNL/HVHT for the
 /// DP backends).
-inline constexpr uint32_t kCheckpointVersion = 3;
+/// v4: CONF section drops the bias-DP memo capacity.
+inline constexpr uint32_t kCheckpointVersion = 4;
 
 /// File magic; also the grep-able signature of a snapshot file.
 inline constexpr char kCheckpointMagic[8] = {'B', 'F', 'L', 'Y',

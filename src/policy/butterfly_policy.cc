@@ -10,9 +10,6 @@ void ButterflyReleasePolicy::FillStats(PolicyStats* stats) const {
   stats->noise_ns = stages.noise_ns;
   stats->emit_ns = stages.emit_ns;
   stats->bias_cache_hit = stages.bias_cache_hit;
-  stats->bias_memo_hit = stages.bias_memo_hit;
-  stats->bias_memo_hits = engine_.bias_memo_hits();
-  stats->bias_memo_misses = engine_.bias_memo_misses();
 }
 
 SanitizedOutput ButterflyReleasePolicy::Release(const MiningOutput& frequent,

@@ -53,8 +53,9 @@ struct WindowContext {
   /// backend keys its dyadic noise nodes on this interval.
   uint64_t stream_position = 0;
   /// Optional prebuilt FEC partition of the output (support-ascending,
-  /// partitioning it exactly). Null means the policy partitions or iterates
-  /// the MiningOutput itself; non-null is the incremental fast path.
+  /// partitioning it exactly), as StreamPrivacyEngine builds once per
+  /// release. Null means the policy partitions or iterates the MiningOutput
+  /// itself.
   const FecView* fecs = nullptr;
 };
 
@@ -63,14 +64,11 @@ struct WindowContext {
 /// accounting and leave the Butterfly-specific fields at their defaults.
 struct PolicyStats {
   double partition_ns = 0;  ///< input partition / profile construction
-  double bias_ns = 0;       ///< bias reuse/memo lookup + DP on a miss
+  double bias_ns = 0;       ///< previous-window reuse, else the optimization
   double noise_ns = 0;      ///< per-itemset perturbation
   double emit_ns = 0;       ///< release assembly + seal
 
   bool bias_cache_hit = false;  ///< previous-window bias reuse fired
-  bool bias_memo_hit = false;   ///< cross-window DP memo fired
-  uint64_t bias_memo_hits = 0;
-  uint64_t bias_memo_misses = 0;
 
   /// The epoch this release was drawn under (pre-increment).
   uint64_t epoch = 0;

@@ -128,13 +128,12 @@ void EngineFleet::ReleaseTenant(Tenant* tenant) {
 
   EngineStats& sum = tenant->cumulative;
   sum.mine_ns += result.stats.mine_ns;
+  sum.expand_ns += result.stats.expand_ns;
   sum.partition_ns += result.stats.partition_ns;
   sum.bias_ns += result.stats.bias_ns;
   sum.noise_ns += result.stats.noise_ns;
   sum.emit_ns += result.stats.emit_ns;
-  // Engine-cumulative counters and point-in-time gauges: keep the latest.
-  sum.bias_memo_hits = result.stats.bias_memo_hits;
-  sum.bias_memo_misses = result.stats.bias_memo_misses;
+  // Point-in-time gauges: keep the latest.
   sum.index_bytes = result.stats.index_bytes;
   sum.epoch = result.stats.epoch;
 }
@@ -204,12 +203,11 @@ FleetStats EngineFleet::Stats() const {
     }
     stats.releases += tenant->releases;
     stats.mine_ns += tenant->cumulative.mine_ns;
+    stats.expand_ns += tenant->cumulative.expand_ns;
     stats.partition_ns += tenant->cumulative.partition_ns;
     stats.bias_ns += tenant->cumulative.bias_ns;
     stats.noise_ns += tenant->cumulative.noise_ns;
     stats.emit_ns += tenant->cumulative.emit_ns;
-    stats.bias_memo_hits += tenant->cumulative.bias_memo_hits;
-    stats.bias_memo_misses += tenant->cumulative.bias_memo_misses;
     stats.index_bytes += tenant->cumulative.index_bytes;
     latencies.insert(latencies.end(), tenant->latencies_ns.begin(),
                      tenant->latencies_ns.end());

@@ -97,13 +97,11 @@ struct FleetStats {
 
   /// Cumulative per-stage sums over every release (see EngineStats).
   double mine_ns = 0;
+  double expand_ns = 0;
   double partition_ns = 0;
   double bias_ns = 0;
   double noise_ns = 0;
   double emit_ns = 0;
-
-  uint64_t bias_memo_hits = 0;
-  uint64_t bias_memo_misses = 0;
 
   /// Sum of the tenants' window-index payload bytes at their last release.
   size_t index_bytes = 0;

@@ -1,7 +1,7 @@
 /// Property tests pinning the flat-table order-preserving DP to the retained
 /// map-based reference (they must be bit-identical — the reference doubles as
 /// the overflow fallback, so any divergence would make releases depend on
-/// table sizes), and the cross-window DP memo to the cold path.
+/// table sizes).
 
 #include <cstdint>
 #include <vector>
@@ -10,7 +10,6 @@
 
 #include "common/rng.h"
 #include "core/bias_setting.h"
-#include "core/butterfly.h"
 #include "core/fec.h"
 
 namespace butterfly {
@@ -84,70 +83,6 @@ TEST(BiasDpPropertyTest, TinyStateBudgetStillMatchesReference) {
   opt.max_states = 64;
   EXPECT_EQ(OrderPreservingBiases(fecs, 7, opt),
             OrderPreservingBiasesReference(fecs, 7, opt));
-}
-
-MiningOutput MakeOutput(std::vector<std::pair<Itemset, Support>> entries) {
-  MiningOutput out(25);
-  for (auto& [itemset, support] : entries) out.Add(itemset, support);
-  out.Seal();
-  return out;
-}
-
-ButterflyConfig MemoConfig(size_t memo_capacity) {
-  ButterflyConfig config;
-  config.scheme = ButterflyScheme::kOrderPreserving;
-  config.republish_cache = false;   // fresh noise every epoch
-  config.cache_bias_settings = false;  // isolate the memo from the 1-deep cache
-  config.bias_memo_capacity = memo_capacity;
-  return config;
-}
-
-TEST(BiasMemoTest, MemoHitsProduceBitIdenticalReleases) {
-  // Two alternating windows: the previous-window cache is off, so every
-  // window past the first pair must be served by the memo — and the release
-  // stream must equal a memo-free engine's exactly.
-  ButterflyEngine with_memo(MemoConfig(128));
-  ButterflyEngine without_memo(MemoConfig(0));
-  MiningOutput a = MakeOutput(
-      {{Itemset{1}, 30}, {Itemset{2}, 30}, {Itemset{3}, 41}, {Itemset{4}, 55}});
-  MiningOutput b = MakeOutput(
-      {{Itemset{1}, 31}, {Itemset{2}, 31}, {Itemset{3}, 42}, {Itemset{4}, 55}});
-  for (int round = 0; round < 6; ++round) {
-    const MiningOutput& raw = round % 2 == 0 ? a : b;
-    SanitizedOutput ra = with_memo.Sanitize(raw, 2000);
-    SanitizedOutput rb = without_memo.Sanitize(raw, 2000);
-    EXPECT_EQ(ra.items(), rb.items()) << "round " << round;
-  }
-  EXPECT_EQ(with_memo.bias_memo_hits(), 4u);
-  EXPECT_EQ(with_memo.bias_memo_misses(), 2u);
-  EXPECT_EQ(without_memo.bias_memo_hits(), 0u);
-}
-
-TEST(BiasMemoTest, MemoHitSetsCachedFlagAndStageBit) {
-  ButterflyEngine engine(MemoConfig(128));
-  MiningOutput raw = MakeOutput({{Itemset{1}, 30}, {Itemset{2}, 44}});
-  engine.Sanitize(raw, 2000);
-  EXPECT_FALSE(engine.last_biases_were_cached());
-  EXPECT_FALSE(engine.last_stage_times().bias_memo_hit);
-  engine.Sanitize(raw, 2000);
-  EXPECT_TRUE(engine.last_biases_were_cached());
-  EXPECT_TRUE(engine.last_stage_times().bias_memo_hit);
-}
-
-TEST(BiasMemoTest, EvictionUnderCapacityOneStaysCorrect) {
-  // Capacity 1 with alternating profiles forces an eviction every window;
-  // correctness (vs the memo-free engine) must survive the thrash.
-  ButterflyEngine thrash(MemoConfig(1));
-  ButterflyEngine cold(MemoConfig(0));
-  MiningOutput a = MakeOutput({{Itemset{1}, 30}, {Itemset{2}, 44}});
-  MiningOutput b = MakeOutput({{Itemset{1}, 33}, {Itemset{2}, 44}});
-  for (int round = 0; round < 6; ++round) {
-    const MiningOutput& raw = round % 2 == 0 ? a : b;
-    SanitizedOutput ra = thrash.Sanitize(raw, 2000);
-    SanitizedOutput rb = cold.Sanitize(raw, 2000);
-    EXPECT_EQ(ra.items(), rb.items()) << "round " << round;
-  }
-  EXPECT_EQ(thrash.bias_memo_hits(), 0u);  // every window evicted the other
 }
 
 }  // namespace

@@ -1,0 +1,120 @@
+/// \file engine_expansion_test.cc
+/// \brief StreamPrivacyEngine expands each window once: RawOutput() keeps the
+/// expansion until the next Append or Restore, Release() consumes the same
+/// object, and EngineStats::expand_ns reports the expansion in exactly one
+/// release. Every result equals the miner's from-scratch GetAllFrequent().
+
+#include <gtest/gtest.h>
+
+#include "core/stream_engine.h"
+#include "datagen/profiles.h"
+#include "moment/moment.h"
+#include "persist/serializer.h"
+
+namespace butterfly {
+namespace {
+
+ButterflyConfig SmallConfig() {
+  ButterflyConfig config;
+  config.min_support = 5;
+  config.vulnerable_support = 2;
+  config.epsilon = 0.1;
+  config.delta = 0.4;
+  return config;
+}
+
+TEST(StreamPrivacyEngineTest, RawOutputMatchesScratchAfterAppend) {
+  auto engine = StreamPrivacyEngine::Create(100, SmallConfig());
+  ASSERT_TRUE(engine.ok());
+  auto data = *GenerateProfile(DatasetProfile::kBmsWebView1, 220, 5);
+  size_t fed = 0;
+  for (const Transaction& t : data) {
+    engine->Append(t);
+    if (++fed % 13 != 0) continue;
+    EXPECT_TRUE(engine->RawOutput().SameAs(engine->miner().GetAllFrequent()))
+        << "after record " << fed;
+  }
+}
+
+TEST(StreamPrivacyEngineTest, RawOutputWithoutAppendReturnsTheSameObject) {
+  StreamPrivacyEngine engine(150, SmallConfig());
+  auto data = *GenerateProfile(DatasetProfile::kBmsPos, 200, 9);
+  for (const Transaction& t : data) engine.Append(t);
+
+  const MiningOutput& first = engine.RawOutput();
+  MiningOutput copy = first;
+  const MiningOutput& second = engine.RawOutput();
+  EXPECT_EQ(&first, &second);
+  EXPECT_TRUE(second.SameAs(copy));
+  engine.Release();
+  EXPECT_EQ(&engine.RawOutput(), &first);  // Release consumes, not replaces
+}
+
+TEST(StreamPrivacyEngineTest, RawOutputMatchesScratchAfterRestore) {
+  auto data = *GenerateProfile(DatasetProfile::kBmsWebView1, 300, 3);
+  StreamPrivacyEngine source(100, SmallConfig());
+  for (size_t i = 0; i < 250; ++i) source.Append(data[i]);
+  persist::CheckpointWriter writer;
+  source.Checkpoint(&writer);
+
+  // The target holds the expansion of a different window when it restores.
+  StreamPrivacyEngine target(100, SmallConfig());
+  for (size_t i = 0; i < 120; ++i) target.Append(data[i]);
+  const MiningOutput stale = target.RawOutput();
+  ASSERT_FALSE(stale.SameAs(source.miner().GetAllFrequent()));
+
+  persist::CheckpointReader reader(writer.data());
+  ASSERT_TRUE(target.Restore(&reader).ok());
+  EXPECT_TRUE(target.RawOutput().SameAs(target.miner().GetAllFrequent()));
+  EXPECT_TRUE(target.RawOutput().SameAs(source.RawOutput()));
+}
+
+TEST(StreamPrivacyEngineTest, ReleaseIsIdenticalWithAndWithoutRawOutput) {
+  // Three engines, same stream and seed: one calls Release() alone, one
+  // calls RawOutput() first, and one sanitizes the scratch expansion.
+  ButterflyConfig config = SmallConfig();
+  config.scheme = ButterflyScheme::kHybrid;
+  StreamPrivacyEngine alone(100, config);
+  StreamPrivacyEngine raw_first(100, config);
+  StreamPrivacyEngine scratch(100, config);
+  auto data = *GenerateProfile(DatasetProfile::kBmsPos, 200, 11);
+  size_t fed = 0;
+  size_t reports = 0;
+  for (const Transaction& t : data) {
+    alone.Append(t);
+    raw_first.Append(t);
+    scratch.Append(t);
+    if (++fed % 20 != 0 || !alone.WindowFull()) continue;
+    SanitizedOutput via_release = alone.Release().output;
+    raw_first.RawOutput();
+    SanitizedOutput via_raw_first = raw_first.Release().output;
+    SanitizedOutput via_scratch = scratch.sanitizer().Sanitize(
+        scratch.miner().GetAllFrequent(),
+        static_cast<Support>(scratch.miner().window().size()));
+    EXPECT_EQ(via_release.items(), via_raw_first.items()) << "report " << fed;
+    EXPECT_EQ(via_release.items(), via_scratch.items()) << "report " << fed;
+    ++reports;
+  }
+  EXPECT_GT(reports, 0u);
+}
+
+TEST(StreamPrivacyEngineTest, ExpandTimeIsReportedOncePerWindow) {
+  StreamPrivacyEngine engine(100, SmallConfig());
+  auto data = *GenerateProfile(DatasetProfile::kBmsWebView1, 140, 7);
+  for (size_t i = 0; i < 120; ++i) engine.Append(data[i]);
+
+  // A release on a fresh window expands it.
+  EXPECT_GT(engine.Release().stats.expand_ns, 0);
+  // The same window again: nothing left to expand.
+  EXPECT_EQ(engine.Release().stats.expand_ns, 0);
+
+  // RawOutput() makes the expansion; the next release reports it, once.
+  engine.Append(data[120]);
+  engine.RawOutput();
+  engine.RawOutput();
+  EXPECT_GT(engine.Release().stats.expand_ns, 0);
+  EXPECT_EQ(engine.Release().stats.expand_ns, 0);
+}
+
+}  // namespace
+}  // namespace butterfly

@@ -48,6 +48,22 @@ TEST(FecTest, MembersSortedLexicographically) {
   EXPECT_EQ(fecs[0].members[2], (Itemset{9}));
 }
 
+TEST(FecTest, PartitionerViewMatchesPartitionAndIsReplacedByRebuild) {
+  FecPartitioner partitioner;
+  EXPECT_TRUE(partitioner.view().empty());
+  for (const MiningOutput& out :
+       {MakeOutput({{Itemset{1}, 5}, {Itemset{2}, 7}, {Itemset{1, 2}, 5}}),
+        MakeOutput({{Itemset{3}, 4}})}) {
+    partitioner.Rebuild(out);
+    std::vector<Fec> expected = PartitionIntoFecs(out);
+    ASSERT_EQ(partitioner.view().size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(partitioner.view()[i]->support, expected[i].support);
+      EXPECT_EQ(partitioner.view()[i]->members, expected[i].members);
+    }
+  }
+}
+
 TEST(FecTest, EmptyOutputNoFecs) {
   MiningOutput out(2);
   out.Seal();

@@ -144,6 +144,8 @@ void ExpectByteIdenticalToSolo(size_t tenants, int64_t threads) {
   EXPECT_EQ(stats.releases, tenants * 7u);
   EXPECT_EQ(stats.ingested, tenants * kRecords);
   EXPECT_EQ(stats.queued, 0u);
+  // Every release expanded its window inside the pump.
+  EXPECT_GT(stats.expand_ns, 0);
 }
 
 TEST(FleetTest, ByteIdenticalToSoloAcrossThreadCounts) {

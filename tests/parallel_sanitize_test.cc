@@ -155,53 +155,5 @@ TEST(ParallelSanitizeOrderTest, InsertionOrderIrrelevant) {
   }
 }
 
-/// The cross-window DP memo is a pure latency optimization: releases with
-/// the memo on must be bit-identical to releases with it off, for the DP
-/// schemes, at every thread count. The previous-window bias cache is turned
-/// off so every window actually consults the memo.
-TEST(ParallelSanitizeMemoTest, MemoOnOffBitIdenticalAcrossThreads) {
-  for (ButterflyScheme scheme :
-       {ButterflyScheme::kOrderPreserving, ButterflyScheme::kHybrid}) {
-    ButterflyConfig no_memo = MakeConfig(scheme, false, 1);
-    no_memo.cache_bias_settings = false;
-    no_memo.bias_memo_capacity = 0;
-    std::vector<SanitizedOutput> cold = Replay(no_memo);
-    for (int64_t threads : {1, 2, 8}) {
-      ButterflyConfig with_memo = MakeConfig(scheme, false, threads);
-      with_memo.cache_bias_settings = false;
-      with_memo.bias_memo_capacity = 128;
-      ExpectIdentical(cold, Replay(with_memo),
-                      SchemeName(scheme) + "+memo @" +
-                          std::to_string(threads) + " threads");
-    }
-  }
-}
-
-/// Guaranteed memo *hits* stay identical too: replay the trace twice through
-/// one engine — every second-pass window hits the memo (its profile vector
-/// was stored on the first pass) — and compare against a memo-free engine
-/// fed the same call sequence.
-TEST(ParallelSanitizeMemoTest, MemoHitsBitIdenticalAcrossThreads) {
-  for (int64_t threads : {1, 2, 8}) {
-    ButterflyConfig memo_config = MakeConfig(
-        ButterflyScheme::kOrderPreserving, false, threads);
-    memo_config.cache_bias_settings = false;
-    ButterflyConfig cold_config = memo_config;
-    cold_config.bias_memo_capacity = 0;
-    ButterflyEngine with_memo(memo_config), without_memo(cold_config);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t w = 0; w < Trace().size(); ++w) {
-        SanitizedOutput a = with_memo.Sanitize(Trace()[w], 600);
-        SanitizedOutput b = without_memo.Sanitize(Trace()[w], 600);
-        EXPECT_EQ(a.items(), b.items())
-            << "pass " << pass << " window " << w << " @" << threads;
-      }
-    }
-    EXPECT_GE(with_memo.bias_memo_hits(), Trace().size())
-        << "second pass should be all memo hits @" << threads;
-    EXPECT_EQ(without_memo.bias_memo_hits(), 0u);
-  }
-}
-
 }  // namespace
 }  // namespace butterfly

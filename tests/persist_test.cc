@@ -1,7 +1,7 @@
 /// Format-level tests of the persist substrate: primitive round-trips, the
 /// CRC-32 implementation against its published test vector, the CRC-guarded
 /// file framing (magic / version / size / payload / CRC), the reader's
-/// corruption guards, and the golden v3 snapshot that pins the on-disk
+/// corruption guards, and the golden v4 snapshot that pins the on-disk
 /// format — any byte-level change to the serialization fails the golden
 /// test and forces an explicit format-version decision.
 
@@ -229,19 +229,19 @@ TEST_F(CheckpointFileTest, CorruptionIsCaught) {
             StatusCode::kInvalidArgument);
 }
 
-// --- Golden v3 snapshot -----------------------------------------------------
+// --- Golden v4 snapshot -----------------------------------------------------
 //
-// A fixed engine state serialized with format version 3 (v3: the CONF
-// section carries the release-policy identity byte and knobs), checked into
+// A fixed engine state serialized with format version 4 (v4: the CONF
+// section no longer carries a bias-DP memo capacity), checked into
 // tests/data/. Two guards in one: the current writer must still
 // produce exactly these bytes (byte-stable format ⇒ deterministic
-// checkpoints), and the current reader must still accept them (v3 files
+// checkpoints), and the current reader must still accept them (v4 files
 // written by older builds stay loadable). To regenerate after a DELIBERATE
 // format change — which requires bumping kCheckpointVersion — run this test
 // once with BUTTERFLY_REGEN_GOLDEN=1 in the environment.
 
 std::string GoldenPath() {
-  return std::string(BUTTERFLY_TEST_DATA_DIR) + "/engine_checkpoint_v3.ckpt";
+  return std::string(BUTTERFLY_TEST_DATA_DIR) + "/engine_checkpoint_v4.ckpt";
 }
 
 /// A small but non-trivial pinned engine state: full window, recycled CET
@@ -270,7 +270,7 @@ StreamPrivacyEngine GoldenEngine() {
   return engine;
 }
 
-TEST(GoldenSnapshotTest, FormatV3IsByteStable) {
+TEST(GoldenSnapshotTest, FormatV4IsByteStable) {
   StreamPrivacyEngine engine = GoldenEngine();
   CheckpointWriter writer;
   engine.Checkpoint(&writer);
@@ -290,7 +290,7 @@ TEST(GoldenSnapshotTest, FormatV3IsByteStable) {
          "with BUTTERFLY_REGEN_GOLDEN=1";
 }
 
-TEST(GoldenSnapshotTest, FormatV3StaysLoadableAndResumesIdentically) {
+TEST(GoldenSnapshotTest, FormatV4StaysLoadableAndResumesIdentically) {
   auto restored = persist::LoadEngineCheckpoint(GoldenPath());
   ASSERT_TRUE(restored.ok())
       << restored.status().ToString()

@@ -147,7 +147,6 @@ TEST(BiasCacheTest, DisabledByConfig) {
   ButterflyConfig config = BaseConfig();
   config.scheme = ButterflyScheme::kOrderPreserving;
   config.cache_bias_settings = false;
-  config.bias_memo_capacity = 0;  // also no cross-window DP memo
   ButterflyEngine engine(config);
   MiningOutput raw = LeakyOutput();
   engine.Sanitize(raw, 2000);

@@ -8,7 +8,7 @@
 /// holds enough FECs that the Algorithm 1 DP runs full γ-windows over
 /// multi-point bias grids. Re-record a constant only for a deliberate change
 /// to the released values. The replay also checks each release's stats
-/// against its output and that the FEC partition mostly syncs incrementally.
+/// against its output and against a from-scratch partition of RawOutput().
 
 #include <algorithm>
 #include <cstdint>
@@ -64,8 +64,6 @@ struct Replay {
   size_t releases = 0;
   size_t min_fecs = SIZE_MAX;
   bool any_bias = false;  ///< some released itemset carries a nonzero bias
-  /// Releases after the first whose FEC sync patched instead of rebuilding.
-  size_t incremental_syncs = 0;
 };
 
 Replay ReplayStream(const ButterflyConfig& config) {
@@ -84,10 +82,11 @@ Replay ReplayStream(const ButterflyConfig& config) {
     EXPECT_EQ(result.stats.frequent_itemsets, result.output.size()) << label;
     EXPECT_GT(result.stats.fec_count, 0u) << label;
     EXPECT_LE(result.stats.fec_count, result.stats.frequent_itemsets) << label;
-    if (replay.releases > 0 &&
-        engine.fec_partition().last_sync_was_incremental()) {
-      ++replay.incremental_syncs;
-    }
+    EXPECT_EQ(result.stats.fec_count,
+              PartitionIntoFecs(engine.RawOutput()).size())
+        << label;
+    EXPECT_EQ(engine.RawOutput().size(), result.stats.frequent_itemsets)
+        << label;
     ++replay.releases;
     replay.min_fecs = std::min(replay.min_fecs, result.stats.fec_count);
     for (const SanitizedItemset& item : result.output.items()) {
@@ -118,9 +117,6 @@ TEST(ReleaseGoldenTest, LogDigestsMatchRecordedConstants) {
       const Replay replay = ReplayStream(GoldenConfig(golden.scheme, threads));
       EXPECT_EQ(replay.releases, kReleases) << label;
       EXPECT_GE(replay.min_fecs, kMinFecs) << label;
-      // Not every release: Moment's crossover heuristic rebuilds the
-      // expansion on some slides, and a rebuilt delta forces a full resync.
-      EXPECT_GT(2 * replay.incremental_syncs, replay.releases - 1) << label;
       EXPECT_EQ(replay.any_bias, golden.scheme != ButterflyScheme::kBasic)
           << label;
       EXPECT_EQ(replay.digest, golden.digest)
