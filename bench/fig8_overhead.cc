@@ -12,7 +12,7 @@
 ///  * the `mine_ns` stage — Moment's incremental maintenance per reported
 ///    window, taken from StreamPrivacyEngine's per-stage accounting,
 ///  * the closed→full expansion per reported window (the one Release()
-///    consumes), and
+///    consumes), on the figure's datasets and on WebScale1M, and
 ///  * two sanitize rows over window traces, with the per-stage split: the
 ///    figure configuration and a dense one (lower C, about a thousand
 ///    itemsets per window). A release runs on one thread, so each is a
@@ -65,13 +65,8 @@ struct OverheadRow {
   double opt_per_window = 0;
   size_t frequent = 0;
   size_t fecs = 0;
-  /// Window-index row-table accounting from the last release's stats.
-  size_t index_bytes = 0;
-  size_t index_dense_bytes = 0;
-  size_t index_array_rows = 0;
-  size_t index_bitmap_rows = 0;
-  size_t index_run_rows = 0;
-  size_t index_pinned_rows = 0;
+  /// Window-index row-table accounting after the last release.
+  IndexMemoryStats index;
 };
 
 /// One full stream pass: mines through a StreamPrivacyEngine (whose mine_ns
@@ -131,12 +126,7 @@ OverheadRow MeasureOnce(Support min_support, const RunShape& shape,
       row.mining_per_window += opt_release.stats.mine_ns / 1e9;
       ++mining_reports;
     }
-    row.index_bytes = opt_release.stats.index_bytes;
-    row.index_dense_bytes = opt_release.stats.index_dense_equivalent_bytes;
-    row.index_array_rows = opt_release.stats.index_array_rows;
-    row.index_bitmap_rows = opt_release.stats.index_bitmap_rows;
-    row.index_run_rows = opt_release.stats.index_run_rows;
-    row.index_pinned_rows = opt_release.stats.index_pinned_rows;
+    row.index = engine.miner().bitmap_index().MemoryStats();
     (void)basic_release;
   }
   double n = static_cast<double>(reported);
@@ -208,13 +198,13 @@ double MeasureMapMinerPerWindow(DatasetProfile profile, Support min_support,
   return Median(std::move(reps)) / static_cast<double>(shape.reports);
 }
 
-void CopyIndexStats(const OverheadRow& row, BenchRecord* rec) {
-  rec->index_bytes = row.index_bytes;
-  rec->index_dense_bytes = row.index_dense_bytes;
-  rec->index_array_rows = row.index_array_rows;
-  rec->index_bitmap_rows = row.index_bitmap_rows;
-  rec->index_run_rows = row.index_run_rows;
-  rec->index_pinned_rows = row.index_pinned_rows;
+void CopyIndexStats(const IndexMemoryStats& stats, BenchRecord* rec) {
+  rec->index_bytes = stats.index_bytes;
+  rec->index_dense_bytes = stats.dense_equivalent_bytes;
+  rec->index_array_rows = stats.array_rows;
+  rec->index_bitmap_rows = stats.bitmap_rows;
+  rec->index_run_rows = stats.run_rows;
+  rec->index_pinned_rows = stats.pinned_rows;
 }
 
 void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
@@ -231,7 +221,7 @@ void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
     rec.windows_per_sec =
         row.mining_per_window > 0 ? 1.0 / row.mining_per_window : 0;
     rec.mine_ns = rec.ns_per_window;
-    CopyIndexStats(row, &rec);
+    CopyIndexStats(row.index, &rec);
     g_records.push_back(rec);
   }
   {
@@ -251,7 +241,7 @@ void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
         hybrid_row.mining_per_window > 0 ? 1.0 / hybrid_row.mining_per_window
                                          : 0;
     rec.mine_ns = rec.ns_per_window;
-    CopyIndexStats(hybrid_row, &rec);
+    CopyIndexStats(hybrid_row.index, &rec);
     g_records.push_back(rec);
     std::printf("mine_ns per reported window: dense rows %.0f ns, hybrid rows "
                 "%.0f ns (%.2fx); hybrid index %zu bytes vs dense %zu "
@@ -260,10 +250,13 @@ void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
                 row.mining_per_window > 0
                     ? hybrid_row.mining_per_window / row.mining_per_window
                     : 0,
-                hybrid_row.index_bytes, hybrid_row.index_dense_bytes,
-                hybrid_row.index_dense_bytes > 0
-                    ? 100.0 * static_cast<double>(hybrid_row.index_bytes) /
-                          static_cast<double>(hybrid_row.index_dense_bytes)
+                hybrid_row.index.index_bytes,
+                hybrid_row.index.dense_equivalent_bytes,
+                hybrid_row.index.dense_equivalent_bytes > 0
+                    ? 100.0 *
+                          static_cast<double>(hybrid_row.index.index_bytes) /
+                          static_cast<double>(
+                              hybrid_row.index.dense_equivalent_bytes)
                     : 0);
   }
   {
@@ -333,7 +326,10 @@ void RunDataset(DatasetProfile profile, const RunShape& shape) {
 /// steady-state miner maintenance under both row stores and records the
 /// index memory accounting; the memory ceiling (hybrid <= 10% of the
 /// dense-row equivalent) is enforced unconditionally — it is deterministic —
-/// while the speed win is a floor (see CheckHybridFloors).
+/// while the speed win is a floor (see CheckHybridFloors). On the hybrid
+/// store it also times the expansion (GetAllFrequent) at each report point,
+/// outside the maintenance clock: at this alphabet almost every CET node is
+/// an infrequent-gateway leaf, which the output walk must not pay for.
 void RunWebScaleRow(const RunShape& shape) {
   const DatasetProfile profile = DatasetProfile::kWebScale1M;
   const size_t window = 5000;
@@ -344,29 +340,49 @@ void RunWebScaleRow(const RunShape& shape) {
 
   struct StoreSample {
     double per_window = 0;
+    double expand_per_window = 0;  ///< hybrid store only
+    size_t frequent = 0;           ///< itemsets at the last report point
     IndexMemoryStats stats;
   };
   auto measure_store = [&](IndexRowStore store) {
     StoreSample sample;
+    const bool expand = store == IndexRowStore::kHybrid;
     auto run_once = [&] {
       MomentMiner miner(window, min_support, store);
       size_t fed = 0;
+      size_t reported = 0;
       double steady_seconds = 0;
+      double expand_seconds = 0;
       Stopwatch watch;
       for (const Transaction& t : *data) {
         const bool timed = ++fed > window;
         if (timed) watch.Restart();
         miner.Append(t);
         if (timed) steady_seconds += watch.Seconds();
+        if (!expand || fed < window || (fed - window) % shape.stride != 0 ||
+            reported >= shape.reports) {
+          continue;
+        }
+        ++reported;
+        watch.Restart();
+        const MiningOutput all = miner.GetAllFrequent();
+        expand_seconds += watch.Seconds();
+        sample.frequent = all.size();
       }
       sample.stats = miner.bitmap_index().MemoryStats();
-      return steady_seconds;
+      return std::pair{steady_seconds, expand_seconds};
     };
     for (int i = 0; i < shape.plan.warmup; ++i) run_once();
-    std::vector<double> reps;
-    for (int i = 0; i < shape.plan.reps; ++i) reps.push_back(run_once());
-    sample.per_window = Median(std::move(reps)) /
-                        static_cast<double>(shape.reports);
+    std::vector<double> mine_reps;
+    std::vector<double> expand_reps;
+    for (int i = 0; i < shape.plan.reps; ++i) {
+      const auto [mine_seconds, expand_seconds] = run_once();
+      mine_reps.push_back(mine_seconds);
+      expand_reps.push_back(expand_seconds);
+    }
+    const double reports = static_cast<double>(shape.reports);
+    sample.per_window = Median(std::move(mine_reps)) / reports;
+    sample.expand_per_window = Median(std::move(expand_reps)) / reports;
     return sample;
   };
 
@@ -376,18 +392,19 @@ void RunWebScaleRow(const RunShape& shape) {
   PrintTableHeader(
       "Million-item alphabet, " + ProfileName(profile) + ", H=" +
           std::to_string(window) + ", C=" + std::to_string(min_support),
-      {"store", "mine ns/window", "index bytes", "dense-equiv", "rows a/b/r",
-       "pinned"});
+      {"store", "mine ns/window", "expand ns/window", "index bytes",
+       "dense-equiv", "rows a/b/r", "pinned"});
   auto histogram = [](const IndexMemoryStats& s) {
     return std::to_string(s.array_rows) + "/" + std::to_string(s.bitmap_rows) +
            "/" + std::to_string(s.run_rows);
   };
-  PrintTableRow({"dense", FormatDouble(dense.per_window * 1e9, 0),
+  PrintTableRow({"dense", FormatDouble(dense.per_window * 1e9, 0), "-",
                  std::to_string(dense.stats.index_bytes),
                  std::to_string(dense.stats.dense_equivalent_bytes),
                  histogram(dense.stats),
                  std::to_string(dense.stats.pinned_rows)});
   PrintTableRow({"hybrid", FormatDouble(hybrid.per_window * 1e9, 0),
+                 FormatDouble(hybrid.expand_per_window * 1e9, 0),
                  std::to_string(hybrid.stats.index_bytes),
                  std::to_string(hybrid.stats.dense_equivalent_bytes),
                  histogram(hybrid.stats),
@@ -405,12 +422,19 @@ void RunWebScaleRow(const RunShape& shape) {
     rec.windows_per_sec =
         sample->per_window > 0 ? 1.0 / sample->per_window : 0;
     rec.mine_ns = rec.ns_per_window;
-    rec.index_bytes = sample->stats.index_bytes;
-    rec.index_dense_bytes = sample->stats.dense_equivalent_bytes;
-    rec.index_array_rows = sample->stats.array_rows;
-    rec.index_bitmap_rows = sample->stats.bitmap_rows;
-    rec.index_run_rows = sample->stats.run_rows;
-    rec.index_pinned_rows = sample->stats.pinned_rows;
+    CopyIndexStats(sample->stats, &rec);
+    g_records.push_back(rec);
+  }
+  {
+    BenchRecord rec;
+    rec.bench = "expand/scratch";
+    rec.dataset = ProfileName(profile);
+    rec.threads = 1;
+    rec.windows = shape.reports;
+    rec.itemsets_per_window = hybrid.frequent;
+    rec.ns_per_window = hybrid.expand_per_window * 1e9;
+    rec.windows_per_sec =
+        hybrid.expand_per_window > 0 ? 1.0 / hybrid.expand_per_window : 0;
     g_records.push_back(rec);
   }
 

@@ -135,7 +135,7 @@ class TidContainer {
   }
 
   /// Heap bytes of the live representation (payload only; the accounting
-  /// feed for ReleaseResult's index_bytes line).
+  /// feed for WindowBitmapIndex::MemoryStats()'s index_bytes).
   size_t MemoryBytes() const;
 
   /// Serialization accessors — valid for the matching kind() only.

@@ -113,16 +113,6 @@ void CopyPolicyStats(const PolicyStats& policy, EngineStats* stats) {
 
 }  // namespace
 
-void FillIndexMemoryStats(const WindowBitmapIndex& index, EngineStats* stats) {
-  const IndexMemoryStats mem = index.MemoryStats();
-  stats->index_bytes = mem.index_bytes;
-  stats->index_dense_equivalent_bytes = mem.dense_equivalent_bytes;
-  stats->index_array_rows = mem.array_rows;
-  stats->index_bitmap_rows = mem.bitmap_rows;
-  stats->index_run_rows = mem.run_rows;
-  stats->index_pinned_rows = mem.pinned_rows;
-}
-
 Result<StreamPrivacyEngine> StreamPrivacyEngine::Create(
     size_t window_capacity, const ButterflyConfig& config) {
   if (window_capacity == 0) {
@@ -176,7 +166,6 @@ ReleaseResult StreamPrivacyEngine::Release() {
   expand_ns_ = 0;
   result.stats.frequent_itemsets = raw.size();
   result.stats.fec_count = partition_.view().size();
-  FillIndexMemoryStats(miner_.bitmap_index(), &result.stats);
   return result;
 }
 

@@ -40,7 +40,10 @@ class CheckpointWriter;
 class CheckpointReader;
 }  // namespace persist
 
-/// Per-release pipeline statistics, snapshotted by Release().
+/// Per-release pipeline statistics, snapshotted by Release(): stage times,
+/// flags and counts of this release. Release() does not read the window
+/// index, so its memory gauge is not here; call
+/// `miner().bitmap_index().MemoryStats()` for it.
 struct EngineStats {
   double mine_ns = 0;       ///< miner maintenance since the previous release
   /// Closed→full expansion of this window's output: counted once, in the
@@ -66,16 +69,6 @@ struct EngineStats {
   uint64_t epoch = 0;            ///< the epoch this release was drawn under
   size_t frequent_itemsets = 0;  ///< size of the raw mined output
   size_t fec_count = 0;          ///< frequency equivalence classes released
-
-  /// Window-index memory accounting at release time (see IndexMemoryStats):
-  /// payload bytes of the live rows, the dense-bitmap-equivalent bytes of
-  /// the same rows, and the live-row histogram by container representation.
-  size_t index_bytes = 0;
-  size_t index_dense_equivalent_bytes = 0;
-  size_t index_array_rows = 0;
-  size_t index_bitmap_rows = 0;
-  size_t index_run_rows = 0;
-  size_t index_pinned_rows = 0;
 };
 
 /// What one Release() returns: the sanitized output plus its statistics.
@@ -83,9 +76,6 @@ struct ReleaseResult {
   SanitizedOutput output;
   EngineStats stats;
 };
-
-/// Copies a window index's IndexMemoryStats into the index_* stat fields.
-void FillIndexMemoryStats(const WindowBitmapIndex& index, EngineStats* stats);
 
 class StreamPrivacyEngine {
  public:

@@ -433,11 +433,31 @@ void MomentMiner::VisitTree(uint32_t idx, const Fn& fn) const {
   }
 }
 
+template <typename Fn>
+void MomentMiner::VisitFrequent(uint32_t idx, const Fn& fn) const {
+  const CetNode& node = N(idx);
+  fn(node);
+  if (node.children.empty()) return;
+  // A frequent node's children are its extension items above the branch
+  // item, and each child's support is that item's extension count. Both
+  // arrays ascend by item, so one merge from the first child's item reads
+  // every child's support without touching the child.
+  const std::vector<CetNode::ExtCount>& ext = node.ext_counts;
+  auto ec = std::lower_bound(
+      ext.begin(), ext.end(), node.children.front().item,
+      [](const CetNode::ExtCount& e, Item j) { return e.item < j; });
+  for (const CetNode::ChildEntry& entry : node.children) {
+    while (ec != ext.end() && ec->item < entry.item) ++ec;
+    BFLY_DCHECK_MSG(ec != ext.end() && ec->item == entry.item,
+                    "CET child without an extension count");
+    if (ec->count >= min_support_) VisitFrequent(entry.node, fn);
+  }
+}
+
 MiningOutput MomentMiner::GetClosedFrequent() const {
   MiningOutput output(min_support_);
-  VisitTree(kRoot, [&](const CetNode& node) {
-    if (!node.is_root() && node.frequent_explored && !node.unpromising &&
-        node.closed) {
+  VisitFrequent(kRoot, [&](const CetNode& node) {
+    if (!node.is_root() && !node.unpromising && node.closed) {
       output.Add(node.itemset, node.support);
     }
   });
@@ -450,12 +470,15 @@ MiningOutput MomentMiner::GetAllFrequent() const {
 }
 
 std::optional<Support> MomentMiner::SupportOf(const Itemset& itemset) const {
+  if (itemset.empty()) {
+    // Every record contains ∅, closed or not.
+    const auto window_size = static_cast<Support>(window_.size());
+    if (window_size < min_support_) return std::nullopt;
+    return window_size;
+  }
   std::optional<Support> best;
-  VisitTree(kRoot, [&](const CetNode& node) {
-    if (node.is_root() || !node.frequent_explored || node.unpromising ||
-        !node.closed) {
-      return;
-    }
+  VisitFrequent(kRoot, [&](const CetNode& node) {
+    if (node.is_root() || node.unpromising || !node.closed) return;
     if (node.itemset.ContainsAll(itemset) &&
         (!best || node.support > *best)) {
       best = node.support;
@@ -693,7 +716,9 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
   }
 
   // One DFS reconstructs every node's itemset from its root path and proves
-  // the links form a tree (each live node reached exactly once).
+  // the links form a tree (each live node reached exactly once). It also
+  // checks the links VisitFrequent trusts: only a frequent, promising node
+  // has children, and each child's support is its parent's extension count.
   std::vector<uint8_t> visited(arena_size, 0);
   std::vector<uint32_t> stack = {kRoot};
   visited[kRoot] = 1;
@@ -702,6 +727,21 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
     const uint32_t idx = stack.back();
     stack.pop_back();
     const CetNode& node = arena[idx];
+    if (!node.frequent_explored &&
+        (!node.children.empty() || !node.ext_counts.empty())) {
+      return reader->Fail(
+          "checkpoint corrupt: infrequent CET node with children or counts");
+    }
+    if (idx != kRoot &&
+        node.frequent_explored != (node.support >= min_support_)) {
+      return reader->Fail(
+          "checkpoint corrupt: CET frequent flag disagrees with its support");
+    }
+    if (node.unpromising && !node.children.empty()) {
+      return reader->Fail(
+          "checkpoint corrupt: unpromising CET node with children");
+    }
+    auto ec = node.ext_counts.begin();
     for (const CetNode::ChildEntry& entry : node.children) {
       CetNode& child = arena[entry.node];
       if (visited[entry.node]) {
@@ -710,6 +750,13 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
       if (child.branch_item != entry.item ||
           (idx != kRoot && entry.item <= node.branch_item)) {
         return reader->Fail("checkpoint corrupt: CET branch items disagree");
+      }
+      while (ec != node.ext_counts.end() && ec->item < entry.item) ++ec;
+      if (ec == node.ext_counts.end() || ec->item != entry.item ||
+          ec->count != child.support) {
+        return reader->Fail(
+            "checkpoint corrupt: CET child support disagrees with its "
+            "parent's extension count");
       }
       child.itemset.AssignWith(node.itemset, entry.item);
       visited[entry.node] = 1;

@@ -122,8 +122,8 @@ class MomentMiner {
   MiningOutput GetClosedFrequent() const;
 
   /// The support of one itemset, answered from the CET without materializing
-  /// the full output: T(X) = max{T(Z) : Z closed, X ⊆ Z}. Returns nullopt
-  /// when X is not frequent in the current window.
+  /// the full output: T(X) = max{T(Z) : Z closed, X ⊆ Z}, and T(∅) = |W|.
+  /// Returns nullopt when X is not frequent in the current window.
   std::optional<Support> SupportOf(const Itemset& itemset) const;
 
   /// All frequent itemsets of the current window (closed set expanded).
@@ -207,6 +207,12 @@ class MomentMiner {
   /// branch item) order.
   template <typename Fn>
   void VisitTree(uint32_t idx, const Fn& fn) const;
+
+  /// fn(node) over the frequent nodes of the subtree of the frequent node
+  /// idx, in VisitTree's order. A child's support is read from its parent's
+  /// extension counts, so an infrequent-gateway leaf is never loaded.
+  template <typename Fn>
+  void VisitFrequent(uint32_t idx, const Fn& fn) const;
 
   SlidingWindow window_;
   Support min_support_;

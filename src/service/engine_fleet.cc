@@ -133,9 +133,6 @@ void EngineFleet::ReleaseTenant(Tenant* tenant) {
   sum.bias_ns += result.stats.bias_ns;
   sum.noise_ns += result.stats.noise_ns;
   sum.emit_ns += result.stats.emit_ns;
-  // Point-in-time gauges: keep the latest.
-  sum.index_bytes = result.stats.index_bytes;
-  sum.epoch = result.stats.epoch;
 }
 
 size_t EngineFleet::Pump() {
@@ -208,7 +205,8 @@ FleetStats EngineFleet::Stats() const {
     stats.bias_ns += tenant->cumulative.bias_ns;
     stats.noise_ns += tenant->cumulative.noise_ns;
     stats.emit_ns += tenant->cumulative.emit_ns;
-    stats.index_bytes += tenant->cumulative.index_bytes;
+    stats.index_bytes +=
+        tenant->engine.miner().bitmap_index().MemoryStats().index_bytes;
     latencies.insert(latencies.end(), tenant->latencies_ns.begin(),
                      tenant->latencies_ns.end());
   }

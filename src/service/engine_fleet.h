@@ -103,7 +103,9 @@ struct FleetStats {
   double noise_ns = 0;
   double emit_ns = 0;
 
-  /// Sum of the tenants' window-index payload bytes at their last release.
+  /// Sum of the tenants' window-index payload bytes now, as of the Stats()
+  /// call (each engine's `bitmap_index().MemoryStats()`), not as of each
+  /// tenant's last release.
   size_t index_bytes = 0;
 
   uint64_t checkpoints_written = 0;
@@ -214,8 +216,7 @@ class EngineFleet {
     uint64_t releases = 0;
     std::vector<double> latencies_ns;  ///< one entry per release
 
-    /// Cumulative stage sums (mine/partition/bias/noise/emit) and the last
-    /// release's index accounting.
+    /// Cumulative stage sums (mine/expand/partition/bias/noise/emit).
     EngineStats cumulative;
   };
 

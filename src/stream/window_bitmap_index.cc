@@ -207,8 +207,11 @@ Support WindowBitmapIndex::SupportOf(const Itemset& itemset) const {
 IndexMemoryStats WindowBitmapIndex::MemoryStats() const {
   IndexMemoryStats stats;
   const size_t dense_row_bytes = Bitmap::WordsFor(capacity_) * 8;
-  for (const auto& [item, dense] : remap_.SortedMappings()) {
-    (void)item;
+  // A dense id is live exactly when its row has a set bit (Restore rejects
+  // live rows with none), so the row counts enumerate the live rows without
+  // the remap's item order.
+  for (uint32_t dense = 0; dense < row_counts_.size(); ++dense) {
+    if (row_counts_[dense] == 0) continue;
     stats.dense_equivalent_bytes += dense_row_bytes;
     if (store_ == IndexRowStore::kDense) {
       stats.index_bytes += dense_row_bytes;

@@ -66,8 +66,8 @@ enum class IndexRowStore : uint8_t {
   kHybrid = 1,  ///< hybrid array/bitmap/run TidContainer per live item
 };
 
-/// Memory accounting of the live row table, surfaced through
-/// `EngineStats.index_bytes` and the bench memory columns.
+/// Memory accounting of the live row table: the gauge behind
+/// `FleetStats::index_bytes` and the bench memory columns.
 struct IndexMemoryStats {
   /// Payload bytes of the live rows in their current representation.
   size_t index_bytes = 0;
@@ -80,6 +80,9 @@ struct IndexMemoryStats {
   size_t run_rows = 0;
   /// Rows pinned on the dense path (subset of bitmap_rows).
   size_t pinned_rows = 0;
+
+  friend bool operator==(const IndexMemoryStats&,
+                         const IndexMemoryStats&) = default;
 };
 
 /// Per-item tid-bitmaps over the current window, one bit per slot.
@@ -101,7 +104,8 @@ class WindowBitmapIndex {
   size_t size() const { return size_; }
   IndexRowStore row_store() const { return store_; }
 
-  /// Live-row memory accounting (O(live rows)).
+  /// Live-row memory accounting: one pass over the dense ids, with no copy,
+  /// sort or allocation (O(dense_limit())).
   IndexMemoryStats MemoryStats() const;
 
   /// Computes tidset(I) into \p out (resized to H bits) and returns its

@@ -94,11 +94,19 @@ uint64_t TotalReleaseCount(const EngineFleet& fleet) {
 }
 
 /// Pumps once and checks Pump()'s return value against the releases the
-/// call actually emitted.
+/// call actually emitted, and the fleet's index gauge against the engines'
+/// own, read now (not as of each tenant's last release).
 void PumpAndCheckCount(EngineFleet* fleet) {
   const uint64_t before = TotalReleaseCount(*fleet);
   const size_t released = fleet->Pump();
   EXPECT_EQ(released, TotalReleaseCount(*fleet) - before);
+  size_t index_bytes = 0;
+  for (uint64_t t = 0; t < fleet->tenant_count(); ++t) {
+    index_bytes +=
+        fleet->engine(t).miner().bitmap_index().MemoryStats().index_bytes;
+  }
+  EXPECT_GT(index_bytes, 0u);
+  EXPECT_EQ(fleet->Stats().index_bytes, index_bytes);
 }
 
 /// Runs `tenants` tenants through a fleet at `threads` and compares every

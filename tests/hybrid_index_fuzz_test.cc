@@ -305,6 +305,38 @@ std::vector<Transaction> RandomStream(const IndexFuzzCase& param) {
   return stream;
 }
 
+// The gauge's invariants: the histogram covers every live row, and the
+// dense equivalent prices each at one H-bit bitmap (which is exactly what a
+// dense-store row costs).
+void ExpectMemoryAccounting(const WindowBitmapIndex& index) {
+  const IndexMemoryStats stats = index.MemoryStats();
+  EXPECT_EQ(stats.array_rows + stats.bitmap_rows + stats.run_rows,
+            index.live_items());
+  EXPECT_EQ(stats.dense_equivalent_bytes,
+            index.live_items() * Bitmap::WordsFor(index.capacity()) * 8);
+  EXPECT_LE(stats.pinned_rows, stats.bitmap_rows);
+  if (index.row_store() == IndexRowStore::kDense) {
+    EXPECT_EQ(stats.index_bytes, stats.dense_equivalent_bytes);
+  }
+}
+
+// Checkpoints a window and its index, restores both, and checks the
+// restored gauge: the same invariants and the same reading.
+void ExpectAccountingSurvivesRestore(const SlidingWindow& window,
+                                     const WindowBitmapIndex& index) {
+  persist::CheckpointWriter writer;
+  window.Checkpoint(&writer);
+  index.Checkpoint(&writer);
+  SlidingWindow restored_window(window.capacity());
+  WindowBitmapIndex restored(index.capacity(), index.row_store());
+  persist::CheckpointReader reader(writer.data());
+  ASSERT_TRUE(restored_window.Restore(&reader).ok());
+  Status status = restored.Restore(&reader, restored_window);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectMemoryAccounting(restored);
+  EXPECT_TRUE(restored.MemoryStats() == index.MemoryStats());
+}
+
 class HybridIndexFuzzTest : public ::testing::TestWithParam<IndexFuzzCase> {};
 
 TEST_P(HybridIndexFuzzTest, HybridIndexMatchesDenseEverywhere) {
@@ -359,16 +391,13 @@ TEST_P(HybridIndexFuzzTest, HybridIndexMatchesDenseEverywhere) {
       ASSERT_TRUE(dense.Validate(dense_window).ok());
       Status hybrid_valid = hybrid.Validate(hybrid_window);
       ASSERT_TRUE(hybrid_valid.ok()) << hybrid_valid.ToString();
+      SCOPED_TRACE("record " + std::to_string(i));
+      ExpectMemoryAccounting(dense);
+      ExpectMemoryAccounting(hybrid);
+      ExpectAccountingSurvivesRestore(dense_window, dense);
+      ExpectAccountingSurvivesRestore(hybrid_window, hybrid);
     }
   }
-
-  // Memory accounting sanity: the hybrid store never reports more payload
-  // than its dense-equivalent bound, and the histogram covers all live rows.
-  IndexMemoryStats stats = hybrid.MemoryStats();
-  EXPECT_EQ(stats.array_rows + stats.bitmap_rows + stats.run_rows,
-            hybrid.live_items());
-  EXPECT_EQ(stats.dense_equivalent_bytes,
-            hybrid.live_items() * Bitmap::WordsFor(param.capacity) * 8);
 }
 
 TEST_P(HybridIndexFuzzTest, MomentMinerOutputIsIdenticalAcrossStores) {
@@ -449,13 +478,14 @@ TEST(HybridEngineTest, ReleaseLogsAreByteIdenticalAcrossStoresAndThreads) {
           ReleaseResult r = engine.Release();
           log.insert(log.end(), r.output.items().begin(),
                      r.output.items().end());
+          const IndexMemoryStats memory =
+              engine.miner().bitmap_index().MemoryStats();
           if (hybrid) {
             // The hybrid engine reports real compression accounting.
-            EXPECT_GT(r.stats.index_bytes, 0u);
-            EXPECT_GT(r.stats.index_dense_equivalent_bytes, 0u);
+            EXPECT_GT(memory.index_bytes, 0u);
+            EXPECT_GT(memory.dense_equivalent_bytes, 0u);
           } else {
-            EXPECT_EQ(r.stats.index_bytes,
-                      r.stats.index_dense_equivalent_bytes);
+            EXPECT_EQ(memory.index_bytes, memory.dense_equivalent_bytes);
           }
         }
       }

@@ -4,13 +4,25 @@
 /// self-check, the static miner, and the map-CET reference implementation
 /// (bit-identical output on every slide). Also pins the arena's steady-state
 /// behavior: once a periodic workload's node population stabilizes, churn is
-/// served from the free list and the pool stops growing.
+/// served from the free list and the pool stops growing. The output walk
+/// descends only into frequent children, reading each child's support from
+/// its parent: a Zipf stream where infrequent gateways dominate pins it to
+/// the map CET, and patched arenas pin the restore checks that keep a
+/// corrupt parent-child link from reaching it.
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "datagen/zipf.h"
 #include "mining/closed.h"
 #include "moment/map_cet_miner.h"
 #include "moment/moment.h"
+#include "persist/serializer.h"
 
 namespace butterfly {
 namespace {
@@ -185,6 +197,278 @@ TEST(MomentStressTest, ArenaRecyclesAfterAlphabetTurnover) {
   }
   Status status = miner.Validate();
   ASSERT_TRUE(status.ok()) << status.ToString();
+}
+
+// --- The pruned output walk where infrequent gateways dominate ------------
+
+// Zipf-distributed records over a 4001-item alphabet. Ranks are scattered
+// over the item ids (7919 is coprime to 4001), so popular items do not all
+// sit at the small ids.
+std::vector<Itemset> ZipfRecords(size_t count, uint64_t seed) {
+  constexpr size_t kAlphabet = 4001;
+  Rng rng(seed);
+  ZipfSampler zipf(kAlphabet, 1.1);
+  std::vector<Itemset> records;
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<Item> items;
+    const int64_t length = rng.UniformInt(2, 8);
+    for (int64_t k = 0; k < length; ++k) {
+      items.push_back(
+          static_cast<Item>(zipf.Sample(&rng) * 7919 % kAlphabet));
+    }
+    records.emplace_back(std::move(items));
+  }
+  return records;
+}
+
+// The closed itemsets match the map CET's, and SupportOf answers every
+// frequent itemset with its support.
+void ExpectSameAsMapCet(const MomentMiner& miner, const MapCetMiner& map_cet,
+                        const std::string& where) {
+  ASSERT_TRUE(miner.GetClosedFrequent().SameAs(map_cet.GetClosedFrequent()))
+      << where;
+  const MiningOutput all = miner.GetAllFrequent();
+  for (const FrequentItemset& f : all.itemsets()) {
+    ASSERT_EQ(miner.SupportOf(f.itemset), f.support)
+        << where << ": " << f.itemset.ToString();
+  }
+}
+
+class GatewayDominatedTest : public ::testing::TestWithParam<IndexRowStore> {};
+
+TEST_P(GatewayDominatedTest, PrunedWalkMatchesMapCet) {
+  constexpr size_t kWindow = 300;
+  constexpr Support kMinSupport = 6;
+  const std::vector<Itemset> records = ZipfRecords(3 * kWindow, 17);
+  MomentMiner miner(kWindow, kMinSupport, GetParam());
+  MapCetMiner map_cet(kWindow, kMinSupport);
+  for (size_t i = 0; i < records.size(); ++i) {
+    miner.Append(Transaction(0, records[i]));
+    map_cet.Append(Transaction(0, records[i]));
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectSameAsMapCet(miner, map_cet, "record " + std::to_string(i)));
+    if (i + 1 != 2 * kWindow && i + 1 != records.size()) continue;
+
+    // The pruning has something to skip: almost every node is a leaf.
+    const MomentStats stats = miner.Stats();
+    EXPECT_GE(stats.infrequent_gateway * 10, stats.total() * 9)
+        << stats.infrequent_gateway << " of " << stats.total();
+    Status valid = miner.Validate();
+    ASSERT_TRUE(valid.ok()) << valid.ToString();
+
+    // A restored miner answers the same, and keeps maintaining from there.
+    persist::CheckpointWriter writer;
+    miner.Checkpoint(&writer);
+    MomentMiner restored(kWindow, kMinSupport, GetParam());
+    persist::CheckpointReader reader(writer.data());
+    Status status = restored.Restore(&reader);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ASSERT_NO_FATAL_FAILURE(ExpectSameAsMapCet(
+        restored, map_cet, "restored at " + std::to_string(i)));
+    miner = std::move(restored);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Stores, GatewayDominatedTest,
+                         ::testing::Values(IndexRowStore::kDense,
+                                           IndexRowStore::kHybrid));
+
+// --- Restore rejects links the pruned walk cannot trust --------------------
+
+// Where one live CET node's fields sit in a serialized miner.
+struct NodeBytes {
+  bool root = false;
+  size_t flags_at = 0;
+  uint8_t flags = 0;
+  struct Ext {
+    Item item;
+    size_t item_at;
+    Support count;
+    size_t count_at;
+  };
+  std::vector<Ext> ext;
+  std::vector<Item> children;
+
+  bool frequent() const { return (flags & 1) != 0; }
+  bool unpromising() const { return (flags & 2) != 0; }
+};
+
+// Walks the CET arena section of MomentMiner::Checkpoint's output, which
+// follows the miner tag, min_support, the window and the index.
+std::vector<NodeBytes> ParseArena(const MomentMiner& miner,
+                                  const std::string& bytes) {
+  persist::CheckpointWriter prefix;
+  miner.window().Checkpoint(&prefix);
+  miner.bitmap_index().Checkpoint(&prefix);
+  const size_t arena_at = 4 + 8 + prefix.bytes();
+  persist::CheckpointReader reader(std::string_view(bytes).substr(arena_at));
+  auto at = [&] { return bytes.size() - reader.remaining(); };
+
+  EXPECT_TRUE(
+      reader.ExpectTag(persist::SectionTag('A', 'R', 'E', 'N'), "arena").ok());
+  const uint64_t arena_size = reader.U64();
+  const uint64_t free_count = reader.U64();
+  std::vector<uint8_t> is_free(arena_size, 0);
+  for (uint64_t i = 0; i < free_count; ++i) is_free[reader.U32()] = 1;
+  std::vector<NodeBytes> nodes;
+  for (uint64_t idx = 0; idx < arena_size; ++idx) {
+    if (is_free[idx]) continue;
+    NodeBytes node;
+    node.root = idx == 0;
+    reader.U32();  // branch item
+    reader.I64();  // support
+    node.flags_at = at();
+    node.flags = reader.U8();
+    const uint64_t ext_count = reader.U64();
+    for (uint64_t e = 0; e < ext_count; ++e) {
+      NodeBytes::Ext ext;
+      ext.item_at = at();
+      ext.item = reader.U32();
+      ext.count_at = at();
+      ext.count = reader.I64();
+      node.ext.push_back(ext);
+    }
+    const uint64_t child_count = reader.U64();
+    for (uint64_t c = 0; c < child_count; ++c) {
+      node.children.push_back(reader.U32());
+      reader.U32();  // child node index
+    }
+    nodes.push_back(std::move(node));
+  }
+  EXPECT_TRUE(reader.ok() && reader.AtEnd());
+  return nodes;
+}
+
+// Items spaced by ten, so an item minus one is never in the window.
+Itemset LinkRecord(int i) {
+  switch (i % 6) {
+    case 0: return Itemset{10, 20, 30};
+    case 1: return Itemset{10, 20};
+    case 2: return Itemset{20, 30, 40};
+    case 3: return Itemset{10, 30, 50};
+    case 4: return Itemset{10, 20, 30, 40};
+    default: return Itemset{40, 60};
+  }
+}
+
+class CorruptArenaTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kWindow = 12;
+  static constexpr Support kMinSupport = 3;
+
+  void SetUp() override {
+    for (int i = 0; i < 40; ++i) miner_.Append(Transaction(0, LinkRecord(i)));
+    persist::CheckpointWriter writer;
+    miner_.Checkpoint(&writer);
+    saved_ = writer.data();
+    nodes_ = ParseArena(miner_, saved_);
+  }
+
+  // The first non-root node that satisfies \p pred; the test fails if
+  // none does.
+  template <typename Pred>
+  const NodeBytes& Find(const Pred& pred) {
+    for (const NodeBytes& node : nodes_) {
+      if (!node.root && pred(node)) return node;
+    }
+    ADD_FAILURE() << "no CET node of the wanted shape";
+    return nodes_.front();
+  }
+
+  // A frequent, promising node with children.
+  const NodeBytes& Parent() {
+    return Find([](const NodeBytes& n) {
+      return n.frequent() && !n.unpromising() && !n.children.empty();
+    });
+  }
+
+  // The saved bytes with the encoding of \p write put over those at \p at.
+  template <typename Write>
+  std::string Patched(size_t at, const Write& write) const {
+    persist::CheckpointWriter field;
+    write(&field);
+    std::string bytes = saved_;
+    bytes.replace(at, field.bytes(), field.data());
+    return bytes;
+  }
+
+  // Restore must fail with \p why, never read out of bounds.
+  void ExpectRejected(const std::string& bytes, const std::string& why) {
+    MomentMiner restored(kWindow, kMinSupport);
+    persist::CheckpointReader reader(bytes);
+    Status status = restored.Restore(&reader);
+    ASSERT_FALSE(status.ok()) << why;
+    EXPECT_NE(status.message().find("checkpoint corrupt: " + why),
+              std::string::npos)
+        << status.ToString();
+  }
+
+  MomentMiner miner_{kWindow, kMinSupport};
+  std::string saved_;
+  std::vector<NodeBytes> nodes_;
+};
+
+TEST_F(CorruptArenaTest, UnpatchedBytesRestoreTheSameOutput) {
+  MomentMiner restored(kWindow, kMinSupport);
+  persist::CheckpointReader reader(saved_);
+  Status status = restored.Restore(&reader);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(restored.GetClosedFrequent().SameAs(miner_.GetClosedFrequent()));
+  Status valid = restored.Validate();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+}
+
+TEST_F(CorruptArenaTest, RejectsAnInfrequentNodeWithChildrenOrCounts) {
+  const NodeBytes& node = Parent();
+  ExpectRejected(Patched(node.flags_at,
+                         [&](persist::CheckpointWriter* w) {
+                           w->U8(node.flags & ~1);
+                         }),
+                 "infrequent CET node with children or counts");
+}
+
+TEST_F(CorruptArenaTest, RejectsAFrequentFlagThatDisagreesWithTheSupport) {
+  const NodeBytes& leaf =
+      Find([](const NodeBytes& n) { return !n.frequent(); });
+  ExpectRejected(Patched(leaf.flags_at,
+                         [&](persist::CheckpointWriter* w) {
+                           w->U8(leaf.flags | 1);
+                         }),
+                 "CET frequent flag disagrees with its support");
+}
+
+TEST_F(CorruptArenaTest, RejectsAnUnpromisingNodeWithChildren) {
+  const NodeBytes& node = Parent();
+  ExpectRejected(Patched(node.flags_at,
+                         [&](persist::CheckpointWriter* w) {
+                           w->U8(node.flags | 2);
+                         }),
+                 "unpromising CET node with children");
+}
+
+TEST_F(CorruptArenaTest, RejectsAChildTheParentDoesNotCount) {
+  const NodeBytes& node = Parent();
+  const Item child = node.children.front();
+  const NodeBytes::Ext* ext = nullptr;
+  for (const NodeBytes::Ext& e : node.ext) {
+    if (e.item == child) ext = &e;
+  }
+  ASSERT_NE(ext, nullptr);
+  const std::string why =
+      "CET child support disagrees with its parent's extension count";
+  // The parent's count for the child's item differs from its support.
+  ExpectRejected(Patched(ext->count_at,
+                         [&](persist::CheckpointWriter* w) {
+                           w->I64(ext->count + 1);
+                         }),
+                 why);
+  // The child's item is missing from the parent's counts (the item below it
+  // keeps the counts ascending).
+  ExpectRejected(Patched(ext->item_at,
+                         [&](persist::CheckpointWriter* w) {
+                           w->U32(ext->item - 1);
+                         }),
+                 why);
 }
 
 }  // namespace

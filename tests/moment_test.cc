@@ -136,6 +136,18 @@ TEST(MomentTest, SupportOfAnswersFromTree) {
   EXPECT_EQ(miner.SupportOf(Itemset{kA, kB}), 3);
   EXPECT_EQ(miner.SupportOf(Itemset{kA, kB, kC}), 3);
   EXPECT_FALSE(miner.SupportOf(Itemset{99}).has_value());
+
+  // T(∅) is the window size, not the largest closed support (2 here).
+  MomentMiner alternating(4, 1);
+  for (Item item : {1, 2, 1, 2}) {
+    alternating.Append(Transaction(0, Itemset{item}));
+  }
+  EXPECT_EQ(alternating.SupportOf(Itemset{}), 4);
+  // Below the threshold ∅ is infrequent, like any other itemset.
+  MomentMiner filling(4, 3);
+  filling.Append(Transaction(0, Itemset{1}));
+  filling.Append(Transaction(0, Itemset{2}));
+  EXPECT_FALSE(filling.SupportOf(Itemset{}).has_value());
 }
 
 TEST(MomentTest, SupportOfMatchesExpansionOnRandomStreams) {
