@@ -11,8 +11,8 @@
 
 #include <vector>
 
+#include "common/timing.h"
 #include "harness.h"
-#include "metrics/timing.h"
 #include "metrics/utility_metrics.h"
 
 namespace butterfly::bench {

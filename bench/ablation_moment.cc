@@ -7,8 +7,8 @@
 
 #include <vector>
 
+#include "common/timing.h"
 #include "harness.h"
-#include "metrics/timing.h"
 #include "moment/moment.h"
 #include "moment/recompute_miner.h"
 

@@ -16,7 +16,11 @@
 ///  * two sanitize rows over window traces, with the per-stage split: the
 ///    figure configuration and a dense one (lower C, about a thousand
 ///    itemsets per window). A release runs on one thread, so each is a
-///    single threads=1 row.
+///    single threads=1 row;
+///  * a `release/serial` row: appends and releases through the whole
+///    engine, with all six stages and the time none of them covers
+///    (`unattributed_ns`). The stages must cover at least 95% of its wall
+///    time; otherwise the binary prints STAGE COVERAGE and exits 1.
 /// Rows are measured with the harness's warmup + median-of-N discipline.
 /// Results are written as machine-readable JSON (--json=PATH; see
 /// BENCH_overhead.json) so future PRs can diff the trajectory. --smoke runs
@@ -33,9 +37,9 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "common/timing.h"
 #include "core/stream_engine.h"
 #include "harness.h"
-#include "metrics/timing.h"
 #include "moment/map_cet_miner.h"
 
 namespace butterfly::bench {
@@ -123,7 +127,7 @@ OverheadRow MeasureOnce(Support min_support, const RunShape& shape,
     ReleaseResult opt_release = engine.Release();
     row.opt_per_window += watch.Seconds();
     if (reported > 1) {
-      row.mining_per_window += opt_release.stats.mine_ns / 1e9;
+      row.mining_per_window += opt_release.stats.spans[Stage::kMine] / 1e9;
       ++mining_reports;
     }
     row.index = engine.miner().bitmap_index().MemoryStats();
@@ -220,7 +224,7 @@ void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
     rec.ns_per_window = row.mining_per_window * 1e9;
     rec.windows_per_sec =
         row.mining_per_window > 0 ? 1.0 / row.mining_per_window : 0;
-    rec.mine_ns = rec.ns_per_window;
+    rec.spans[Stage::kMine] = rec.ns_per_window;
     CopyIndexStats(row.index, &rec);
     g_records.push_back(rec);
   }
@@ -240,7 +244,7 @@ void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
     rec.windows_per_sec =
         hybrid_row.mining_per_window > 0 ? 1.0 / hybrid_row.mining_per_window
                                          : 0;
-    rec.mine_ns = rec.ns_per_window;
+    rec.spans[Stage::kMine] = rec.ns_per_window;
     CopyIndexStats(hybrid_row.index, &rec);
     g_records.push_back(rec);
     std::printf("mine_ns per reported window: dense rows %.0f ns, hybrid rows "
@@ -270,7 +274,7 @@ void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
     rec.itemsets_per_window = row.frequent;
     rec.ns_per_window = map_per_window * 1e9;
     rec.windows_per_sec = map_per_window > 0 ? 1.0 / map_per_window : 0;
-    rec.mine_ns = rec.ns_per_window;
+    rec.spans[Stage::kMine] = rec.ns_per_window;
     g_records.push_back(rec);
     std::printf("mine_ns per reported window: map CET %.0f ns, bitmap+arena "
                 "%.0f ns (%.2fx)\n",
@@ -421,7 +425,7 @@ void RunWebScaleRow(const RunShape& shape) {
     rec.ns_per_window = sample->per_window * 1e9;
     rec.windows_per_sec =
         sample->per_window > 0 ? 1.0 / sample->per_window : 0;
-    rec.mine_ns = rec.ns_per_window;
+    rec.spans[Stage::kMine] = rec.ns_per_window;
     CopyIndexStats(sample->stats, &rec);
     g_records.push_back(rec);
   }
@@ -450,14 +454,34 @@ void RunWebScaleRow(const RunShape& shape) {
   }
 }
 
-/// One replay measurement: total seconds plus the engine's per-stage sums.
+/// One timed loop: its wall time and the stage spans of the work in it.
 struct ReplayTimes {
   double seconds = 0;
-  double partition_ns = 0;
-  double bias_dp_ns = 0;
-  double noise_ns = 0;
-  double emit_ns = 0;
+  StageSpans spans;
 };
+
+/// The rep with the median wall time (the upper middle one for an even
+/// count), so a row's stage split and its wall time come from one run.
+ReplayTimes MedianRep(std::vector<ReplayTimes> reps) {
+  std::sort(reps.begin(), reps.end(),
+            [](const ReplayTimes& a, const ReplayTimes& b) {
+              return a.seconds < b.seconds;
+            });
+  return reps[reps.size() / 2];
+}
+
+/// Fills \p rec's per-window wall time and stage split from \p times,
+/// measured over \p windows windows.
+void RecordPerWindow(const ReplayTimes& times, size_t windows,
+                     BenchRecord* rec) {
+  const double n = static_cast<double>(windows);
+  const double per_window = times.seconds / n;
+  rec->windows = windows;
+  rec->ns_per_window = per_window * 1e9;
+  rec->windows_per_sec = per_window > 0 ? 1.0 / per_window : 0;
+  rec->spans = times.spans;
+  for (double& ns : rec->spans.ns) ns /= n;
+}
 
 /// Replays the trace through one engine configuration.
 ReplayTimes TimeReplay(const WindowTrace& trace, ButterflyConfig config) {
@@ -467,19 +491,15 @@ ReplayTimes TimeReplay(const WindowTrace& trace, ButterflyConfig config) {
   for (const MiningOutput& raw : trace.raw) {
     watch.Restart();
     const SanitizedOutput release =
-        engine.Sanitize(raw, static_cast<Support>(trace.config.window));
+        engine.Sanitize(raw, static_cast<Support>(trace.config.window),
+                        /*fecs=*/nullptr, &times.spans);
     times.seconds += watch.Seconds();  // the release is freed untimed
-    const SanitizeStageTimes& stages = engine.last_stage_times();
-    times.partition_ns += stages.partition_ns;
-    times.bias_dp_ns += stages.bias_ns;
-    times.noise_ns += stages.noise_ns;
-    times.emit_ns += stages.emit_ns;
   }
   return times;
 }
 
 /// One sanitize row: the trace replayed through fresh threads=1 engines,
-/// median of reps after warmup, with the per-stage split.
+/// the median rep after warmup, with the per-stage split.
 void SanitizeRow(DatasetProfile profile, const RunShape& shape,
                  const std::string& bench_name, size_t window,
                  Support min_support) {
@@ -503,27 +523,13 @@ void SanitizeRow(DatasetProfile profile, const RunShape& shape,
   for (int rep = 0; rep < shape.plan.reps; ++rep) {
     samples.push_back(TimeReplay(trace, config));
   }
-  const double windows = static_cast<double>(trace.raw.size());
-  auto median_stage = [&](double ReplayTimes::*field) {
-    std::vector<double> values;
-    values.reserve(samples.size());
-    for (const ReplayTimes& r : samples) values.push_back(r.*field);
-    return Median(std::move(values)) / windows;
-  };
 
   BenchRecord rec;
   rec.bench = bench_name;
   rec.dataset = ProfileName(profile);
   rec.threads = 1;
-  rec.windows = trace.raw.size();
   rec.itemsets_per_window = itemsets;
-  const double per_window = median_stage(&ReplayTimes::seconds);
-  rec.ns_per_window = per_window * 1e9;
-  rec.windows_per_sec = per_window > 0 ? 1.0 / per_window : 0;
-  rec.partition_ns = median_stage(&ReplayTimes::partition_ns);
-  rec.bias_dp_ns = median_stage(&ReplayTimes::bias_dp_ns);
-  rec.noise_ns = median_stage(&ReplayTimes::noise_ns);
-  rec.emit_ns = median_stage(&ReplayTimes::emit_ns);
+  RecordPerWindow(MedianRep(std::move(samples)), trace.raw.size(), &rec);
   g_records.push_back(rec);
 
   PrintTableHeader(
@@ -532,15 +538,18 @@ void SanitizeRow(DatasetProfile profile, const RunShape& shape,
           std::to_string(trace_config.min_support) + ", " +
           std::to_string(itemsets) + " itemsets/window",
       {"s/window", "windows/s", "bias DP ns", "noise ns", "emit ns"});
-  PrintTableRow({FormatDouble(per_window, 6),
+  PrintTableRow({FormatDouble(rec.ns_per_window / 1e9, 6),
                  FormatDouble(rec.windows_per_sec, 1),
-                 FormatDouble(rec.bias_dp_ns, 0), FormatDouble(rec.noise_ns, 0),
-                 FormatDouble(rec.emit_ns, 0)});
+                 FormatDouble(rec.spans[Stage::kBias], 0),
+                 FormatDouble(rec.spans[Stage::kNoise], 0),
+                 FormatDouble(rec.spans[Stage::kEmit], 0)});
 }
 
-/// Full-engine Release: miner + sanitizer over one stream, one release every
-/// `release_stride` slides. The measured quantity is windows/sec of the
-/// whole append+release loop after the one-time window fill.
+/// Full-engine Release: miner + sanitizer over one stream. The window fill
+/// and a first release run untimed; then each of `reports` timed iterations
+/// appends one `release_stride` of records and releases. The timed region is
+/// exactly the work whose spans the releases report, so the row shows how
+/// much of a release's wall time its stages cover.
 void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
   const size_t window = shape.dense_window;
   const Support min_support = shape.dense_support;
@@ -553,49 +562,81 @@ void ReleaseBench(DatasetProfile profile, const RunShape& shape) {
   trace_config.min_support = min_support;
   SchemeVariant opt{"Opt", ButterflyScheme::kOrderPreserving, 1.0};
 
-  // Release-loop wall time (post-fill).
+  size_t itemsets = 0;
   auto run_once = [&] {
     ButterflyConfig config = MakeConfig(trace_config, opt, 0.016, 0.4);
     config.republish_cache = false;  // time the full perturbation path
     StreamPrivacyEngine engine(window, config);
+    size_t next = 0;
+    for (; next < window; ++next) engine.Append((*data)[next]);
     // Held until the clock stops, so freeing the releases stays untimed.
     std::vector<ReleaseResult> results;
+    results.reserve(shape.reports + 1);
+    results.push_back(engine.Release());  // its mine span is the fill
+    ReplayTimes times;
     Stopwatch watch;
-    size_t fed = 0;
-    size_t reported = 0;
-    for (const Transaction& t : *data) {
-      engine.Append(t);
-      ++fed;
-      if (fed < window) continue;
-      if (fed == window) watch.Restart();  // exclude the one-time fill
-      if ((fed - window) % stride != 0 || reported >= shape.reports) continue;
-      ++reported;
+    for (size_t r = 0; r < shape.reports; ++r) {
+      for (size_t i = 0; i < stride; ++i) engine.Append((*data)[next++]);
       results.push_back(engine.Release());
+      times.spans += results.back().stats.spans;
     }
-    return watch.Seconds();
+    times.seconds = watch.Seconds();
+    itemsets = results.back().stats.frequent_itemsets;
+    return times;
   };
 
   run_once();  // warmup
-  std::vector<double> secs;
-  for (int rep = 0; rep < shape.plan.reps; ++rep) secs.push_back(run_once());
-  const double per_window =
-      Median(std::move(secs)) / static_cast<double>(shape.reports);
+  std::vector<ReplayTimes> reps;
+  for (int rep = 0; rep < shape.plan.reps; ++rep) reps.push_back(run_once());
   BenchRecord rec;
   rec.bench = "release/serial";
   rec.dataset = ProfileName(profile);
   rec.threads = 1;
-  rec.windows = shape.reports;
-  rec.ns_per_window = per_window * 1e9;
-  rec.windows_per_sec = per_window > 0 ? 1.0 / per_window : 0;
+  rec.itemsets_per_window = itemsets;
+  RecordPerWindow(MedianRep(std::move(reps)), shape.reports, &rec);
+  rec.unattributed_ns = rec.ns_per_window - rec.spans.Total();
   g_records.push_back(rec);
 
+  std::vector<std::string> columns{"s/window", "windows/s"};
+  std::vector<std::string> cells{FormatDouble(rec.ns_per_window / 1e9, 6),
+                                 FormatDouble(rec.windows_per_sec, 1)};
+  for (size_t s = 0; s < kStageCount; ++s) {
+    columns.push_back(std::string(kStageNames[s]) + " ns");
+    cells.push_back(FormatDouble(rec.spans.ns[s], 0));
+  }
+  columns.push_back("unattributed ns");
+  cells.push_back(FormatDouble(rec.unattributed_ns, 0));
   PrintTableHeader("Release, " + ProfileName(profile) + ", H=" +
                        std::to_string(window) + ", C=" +
                        std::to_string(min_support) + ", stride " +
                        std::to_string(stride),
-                   {"s/window", "windows/s"});
-  PrintTableRow(
-      {FormatDouble(per_window, 6), FormatDouble(rec.windows_per_sec, 1)});
+                   columns);
+  PrintTableRow(cells);
+}
+
+/// The share of a `release/serial` row's wall time its stages must cover.
+constexpr double kMinStageCoverage = 0.95;
+
+/// Checks that the stages of a release add up to its wall time. The spans
+/// and the wall time of a row come from the same run, so a sanitizer build,
+/// which slows both, is held to the same floor as an optimized one.
+bool CheckStageCoverage() {
+  bool ok = true;
+  for (const BenchRecord& r : g_records) {
+    if (r.bench != "release/serial" || r.ns_per_window <= 0) continue;
+    const double coverage = r.spans.Total() / r.ns_per_window;
+    std::printf("stage coverage %s (%s): %.1f%%\n", r.bench.c_str(),
+                r.dataset.c_str(), 100 * coverage);
+    if (coverage < kMinStageCoverage) {
+      std::fprintf(stderr,
+                   "STAGE COVERAGE %s (%s): the stages cover %.1f%% of "
+                   "%.0f ns/window, < %.0f%%\n",
+                   r.bench.c_str(), r.dataset.c_str(), 100 * coverage,
+                   r.ns_per_window, 100 * kMinStageCoverage);
+      ok = false;
+    }
+  }
+  return ok;
 }
 
 /// True for the benches the baseline regression guard covers.
@@ -748,10 +789,11 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s (%zu records)\n", json_path.c_str(),
                 g_records.size());
   }
+  bool ok = CheckStageCoverage();
   if (!baseline_path.empty() &&
       !CheckBaseline(baseline_path, baseline_factor)) {
-    return 1;
+    ok = false;
   }
-  if (!CheckHybridFloors()) return 1;
-  return 0;
+  if (!CheckHybridFloors()) ok = false;
+  return ok ? 0 : 1;
 }

@@ -37,10 +37,10 @@
 
 #include "common/flags.h"
 #include "common/thread_pool.h"
+#include "common/timing.h"
 #include "core/release_log.h"
 #include "core/stream_engine.h"
 #include "harness.h"
-#include "metrics/timing.h"
 #include "service/engine_fleet.h"
 
 namespace butterfly::bench {

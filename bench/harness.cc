@@ -5,8 +5,8 @@
 #include <cstdlib>
 
 #include "common/thread_pool.h"
+#include "common/timing.h"
 #include "core/stream_engine.h"
-#include "metrics/timing.h"
 
 namespace butterfly::bench {
 
@@ -146,14 +146,14 @@ bool WriteBenchJson(const std::string& path,
       std::fprintf(f, ", \"p50_ns\": %.1f, \"p99_ns\": %.1f", r.p50_ns,
                    r.p99_ns);
     }
-    if (r.partition_ns >= 0) {
-      std::fprintf(f,
-                   ", \"partition_ns\": %.1f, \"bias_dp_ns\": %.1f, "
-                   "\"noise_ns\": %.1f, \"emit_ns\": %.1f",
-                   r.partition_ns, r.bias_dp_ns, r.noise_ns, r.emit_ns);
+    for (size_t s = 0; s < kStageCount; ++s) {
+      if (r.spans.ns[s] == 0) continue;
+      std::fprintf(f, ", \"%.*s_ns\": %.1f",
+                   static_cast<int>(kStageNames[s].size()),
+                   kStageNames[s].data(), r.spans.ns[s]);
     }
-    if (r.mine_ns >= 0) {
-      std::fprintf(f, ", \"mine_ns\": %.1f", r.mine_ns);
+    if (r.unattributed_ns > 0) {
+      std::fprintf(f, ", \"unattributed_ns\": %.1f", r.unattributed_ns);
     }
     if (r.index_bytes > 0) {
       std::fprintf(f,
@@ -228,13 +228,14 @@ bool ReadBenchJson(const std::string& path,
     if (ExtractField(line, "tenants", &value)) r.tenants = std::stoul(value);
     if (ExtractField(line, "p50_ns", &value)) r.p50_ns = std::stod(value);
     if (ExtractField(line, "p99_ns", &value)) r.p99_ns = std::stod(value);
-    if (ExtractField(line, "partition_ns", &value)) {
-      r.partition_ns = std::stod(value);
+    for (size_t s = 0; s < kStageCount; ++s) {
+      if (ExtractField(line, std::string(kStageNames[s]) + "_ns", &value)) {
+        r.spans.ns[s] = std::stod(value);
+      }
     }
-    if (ExtractField(line, "bias_dp_ns", &value)) r.bias_dp_ns = std::stod(value);
-    if (ExtractField(line, "noise_ns", &value)) r.noise_ns = std::stod(value);
-    if (ExtractField(line, "emit_ns", &value)) r.emit_ns = std::stod(value);
-    if (ExtractField(line, "mine_ns", &value)) r.mine_ns = std::stod(value);
+    if (ExtractField(line, "unattributed_ns", &value)) {
+      r.unattributed_ns = std::stod(value);
+    }
     if (ExtractField(line, "index_bytes", &value)) {
       r.index_bytes = std::stoul(value);
     }

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/timing.h"
 #include "core/butterfly.h"
 #include "datagen/profiles.h"
 #include "inference/breach_finder.h"
@@ -106,13 +107,11 @@ struct BenchRecord {
   size_t tenants = 0;
   double p50_ns = -1;
   double p99_ns = -1;
-  /// Per-stage ns/window breakdown (sanitize rows only; negative = absent).
-  double partition_ns = -1;
-  double bias_dp_ns = -1;
-  double noise_ns = -1;
-  double emit_ns = -1;
-  /// Mining maintenance ns/window (mine rows only; negative = absent).
-  double mine_ns = -1;
+  /// Per-stage ns/window; a zero stage is not written.
+  StageSpans spans;
+  /// Release rows: ns_per_window minus spans.Total(), the time no stage
+  /// covers (0 = not a release row).
+  double unattributed_ns = 0;
   /// Window-index row-table memory at the last release (mine rows only;
   /// 0 = absent): live payload bytes, what the same rows would cost as dense
   /// bitmaps, and the live-row histogram by container representation. For a

@@ -133,20 +133,19 @@ void BM_EngineReleaseStride(benchmark::State& state) {
   StreamPrivacyEngine engine(window, config);
   size_t next = 0;
   for (; next < window; ++next) engine.Append(data[next]);  // fill
-  double mine_ns = 0, sanitize_ns = 0;
+  StageSpans spans;
   for (auto _ : state) {
     if (next + stride > data.size()) next = window;  // recycle the tail
     for (size_t i = 0; i < stride; ++i) engine.Append(data[next++]);
     ReleaseResult r = engine.Release();
-    mine_ns += r.stats.mine_ns;
-    sanitize_ns +=
-        r.stats.partition_ns + r.stats.bias_ns + r.stats.noise_ns +
-        r.stats.emit_ns;
+    spans += r.stats.spans;
     benchmark::DoNotOptimize(r.output);
   }
   const double n = static_cast<double>(state.iterations());
-  state.counters["mine_ns/release"] = mine_ns / n;
-  state.counters["sanitize_ns/release"] = sanitize_ns / n;
+  for (size_t s = 0; s < kStageCount; ++s) {
+    state.counters[std::string(kStageNames[s]) + "_ns/release"] =
+        spans.ns[s] / n;
+  }
   state.counters["releases/s"] =
       benchmark::Counter(n, benchmark::Counter::kIsRate);
 }

@@ -97,7 +97,7 @@ FrontierRow MeasurePoint(const WindowTrace& trace,
     ctx.window_size = window;
     ctx.stream_position =
         trace.config.window + w * trace.config.stride;
-    PolicyStats stats;
+    ReleaseStats stats;
     const SanitizedOutput release =
         policy->Release(trace.raw[w], ctx, &stats);
     row.released_itemsets += static_cast<double>(release.size());

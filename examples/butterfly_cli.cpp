@@ -60,9 +60,9 @@
 #include <utility>
 
 #include "common/flags.h"
+#include "common/timing.h"
 #include "core/release_log.h"
 #include "core/stream_engine.h"
-#include "metrics/timing.h"
 #include "persist/engine_checkpoint.h"
 #include "datagen/fimi_io.h"
 #include "datagen/profiles.h"

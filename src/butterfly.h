@@ -15,6 +15,7 @@
 #include "common/pattern.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/timing.h"
 #include "common/transaction.h"
 #include "common/types.h"
 
@@ -59,7 +60,6 @@
 #include "metrics/auditor.h"
 #include "metrics/privacy_metrics.h"
 #include "metrics/sanitized_attack.h"
-#include "metrics/timing.h"
 #include "metrics/topk.h"
 #include "metrics/utility_metrics.h"
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -13,20 +12,6 @@ namespace butterfly {
 
 namespace {
 constexpr uint32_t kSanitizerTag = persist::SectionTag('B', 'F', 'L', 'E');
-}  // namespace
-
-namespace {
-
-/// Monotonic now, for the per-stage wall-clock breakdown.
-inline std::chrono::steady_clock::time_point StageNow() {
-  return std::chrono::steady_clock::now();
-}
-
-inline double StageNs(std::chrono::steady_clock::time_point from,
-                      std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double, std::nano>(to - from).count();
-}
-
 }  // namespace
 
 std::vector<FecProfile> BuildFecProfiles(const std::vector<Fec>& fecs,
@@ -115,18 +100,16 @@ constexpr uint64_t kFecStreamDomain = 0x9e3779b97f4a7c15ull;
 
 SanitizedOutput ButterflyEngine::Sanitize(const MiningOutput& frequent,
                                           Support window_size,
-                                          const FecView* fecs) {
+                                          const FecView* fecs,
+                                          StageSpans* spans) {
+  StageClock clock(spans);
   if (fecs != nullptr) {
-    return SanitizeView(*fecs, frequent.size(), window_size);
+    return SanitizeView(*fecs, frequent.size(), window_size, &clock);
   }
-  const auto start = StageNow();
   FecPartitioner partition;
   partition.Rebuild(frequent);
-  const double partition_ns = StageNs(start, StageNow());
-  SanitizedOutput release =
-      SanitizeView(partition.view(), frequent.size(), window_size);
-  last_stage_times_.partition_ns += partition_ns;
-  return release;
+  clock.Lap(Stage::kPartition);
+  return SanitizeView(partition.view(), frequent.size(), window_size, &clock);
 }
 
 void ButterflyEngine::Checkpoint(persist::CheckpointWriter* writer) const {
@@ -174,23 +157,22 @@ Status ButterflyEngine::Restore(persist::CheckpointReader* reader) {
   cached_biases_ = std::move(biases);
   // The diagnostics restart.
   last_biases_were_cached_ = false;
-  last_stage_times_ = SanitizeStageTimes{};
   return Status::OK();
 }
 
 SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
                                               size_t total_itemsets,
-                                              Support window_size) {
-  last_stage_times_ = SanitizeStageTimes{};
+                                              Support window_size,
+                                              StageClock* clock) {
   const uint64_t epoch = epoch_++;
   SanitizedOutput release(config_.min_support, window_size);
   if (total_itemsets == 0) {
     if (config_.republish_cache) cache_.NextEpoch();
     release.Seal();
+    clock->Lap(Stage::kEmit);
     return release;
   }
 
-  auto stage_start = StageNow();
   std::vector<FecProfile>& profiles = profiles_scratch_;
   profiles.clear();
   profiles.reserve(fecs.size());
@@ -199,18 +181,15 @@ SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
         fec->support, fec->size(),
         MaxAdjustableBias(fec->support, config_.epsilon, noise_.variance())});
   }
-  auto stage_end = StageNow();
-  last_stage_times_.partition_ns += StageNs(stage_start, stage_end);
+  clock->Lap(Stage::kPartition);
 
   // Bias stage: previous-window reuse, else a fresh optimization. Both give
   // identical biases for identical profiles (the reuse path only diverges
   // under a nonzero drift tolerance).
-  stage_start = stage_end;
   std::vector<double> biases;
   last_biases_were_cached_ = false;
   if (config_.cache_bias_settings && TryReuseBiases(profiles, &biases)) {
     last_biases_were_cached_ = true;
-    last_stage_times_.bias_cache_hit = true;
   } else {
     biases = ComputeBiases(profiles);
     if (config_.cache_bias_settings) {
@@ -218,8 +197,7 @@ SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
       cached_biases_ = biases;
     }
   }
-  stage_end = StageNow();
-  last_stage_times_.bias_ns = StageNs(stage_start, stage_end);
+  clock->Lap(Stage::kBias);
 
   const bool per_itemset_noise = config_.scheme == ButterflyScheme::kBasic;
   const double variance = noise_.variance();
@@ -230,7 +208,6 @@ SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
   // members of one FEC share a draw — and is pinned at once. Store writes
   // only its own key and released itemsets are unique, so pinning as we go
   // sees the same cache as pinning after every lookup.
-  stage_start = stage_end;
   for (size_t i = 0; i < fecs.size(); ++i) {
     const Fec& fec = *fecs[i];
     for (const Itemset& member : fec.members) {
@@ -261,12 +238,11 @@ SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
     }
   }
   assert(release.size() == total_itemsets);
-  stage_end = StageNow();
-  last_stage_times_.noise_ns = StageNs(stage_start, stage_end);
+  clock->Lap(Stage::kNoise);
 
   if (config_.republish_cache) cache_.NextEpoch();
   release.Seal();
-  last_stage_times_.emit_ns = StageNs(stage_end, StageNow());
+  clock->Lap(Stage::kEmit);
   return release;
 }
 

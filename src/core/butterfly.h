@@ -24,6 +24,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/timing.h"
 #include "core/bias_setting.h"
 #include "core/config.h"
 #include "core/fec.h"
@@ -38,19 +39,6 @@ namespace persist {
 class CheckpointWriter;
 class CheckpointReader;
 }  // namespace persist
-
-/// Wall-clock breakdown of the last Sanitize call, in nanoseconds per stage.
-/// Exposed for the overhead benchmarks (fig8_overhead emits these into
-/// BENCH_overhead.json) and for tests pinning the cache behavior.
-struct SanitizeStageTimes {
-  double partition_ns = 0;  ///< FEC partition + profile construction
-  double bias_ns = 0;       ///< previous-window reuse, else the optimization
-  /// The one pass over the FECs: republish lookup, keyed noise draw,
-  /// pinning and release assembly per itemset.
-  double noise_ns = 0;
-  double emit_ns = 0;  ///< republish-cache epoch advance + release seal
-  bool bias_cache_hit = false;  ///< previous-window bias reuse fired
-};
 
 class ButterflyEngine {
  public:
@@ -76,8 +64,12 @@ class ButterflyEngine {
   /// function of the engine's seed, its call history length, and the input —
   /// independent of FEC iteration order and of `config.threads`. The whole
   /// call runs on the calling thread.
+  ///
+  /// With \p spans non-null the call adds its partition, bias, noise and
+  /// emit time to it.
   SanitizedOutput Sanitize(const MiningOutput& frequent, Support window_size,
-                           const FecView* fecs = nullptr);
+                           const FecView* fecs = nullptr,
+                           StageSpans* spans = nullptr);
 
   /// The per-FEC biases the configured scheme would assign to \p frequent —
   /// exposed for tests and for the bias-setting benchmarks.
@@ -96,11 +88,6 @@ class ButterflyEngine {
   /// settings instead of running the optimization.
   bool last_biases_were_cached() const { return last_biases_were_cached_; }
 
-  /// Stage breakdown of the last Sanitize call.
-  const SanitizeStageTimes& last_stage_times() const {
-    return last_stage_times_;
-  }
-
   /// Drops every pinned sanitized value so the next Sanitize draws fresh
   /// noise. Intended for audit-driven redraw: bounded noise admits unlucky
   /// draws whose constraint system provably pins a vulnerable pattern
@@ -112,9 +99,8 @@ class ButterflyEngine {
   /// Serializes the sanitizer's essential cross-release state: the epoch
   /// counter, the republish cache, and the previous window's bias settings
   /// (essential under a nonzero bias_cache_tolerance, where the reuse path
-  /// may legitimately diverge from a fresh optimization). The stage timings
-  /// are not written. The config is serialized by the owner
-  /// (StreamPrivacyEngine), not here.
+  /// may legitimately diverge from a fresh optimization). The config is
+  /// serialized by the owner (StreamPrivacyEngine), not here.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
   /// Restores from a checkpoint section into an engine built with the same
@@ -125,9 +111,9 @@ class ButterflyEngine {
  private:
   /// Sanitize's body over a FEC partition view: the release is a pure
   /// function of the partition. \p total_itemsets must equal the total
-  /// member count of \p fecs.
+  /// member count of \p fecs. Laps each stage on \p clock.
   SanitizedOutput SanitizeView(const FecView& fecs, size_t total_itemsets,
-                               Support window_size);
+                               Support window_size, StageClock* clock);
 
   /// Attempts to satisfy this window's bias setting from the cached one
   /// (incremental mode); see ButterflyConfig::bias_cache_tolerance.
@@ -145,8 +131,6 @@ class ButterflyEngine {
   std::vector<FecProfile> cached_profiles_;
   std::vector<double> cached_biases_;
   bool last_biases_were_cached_ = false;
-
-  SanitizeStageTimes last_stage_times_;
 
   // Preallocated hot-path scratch, reused across releases.
   BiasDpScratch dp_scratch_;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "common/check.h"
 #include "persist/serializer.h"
@@ -99,18 +100,6 @@ bool SameConfig(const ButterflyConfig& a, const ButterflyConfig& b) {
          a.policy_top_k == b.policy_top_k;
 }
 
-/// Maps a policy's per-release stats into the engine-level snapshot.
-void CopyPolicyStats(const PolicyStats& policy, EngineStats* stats) {
-  stats->partition_ns = policy.partition_ns;
-  stats->bias_ns = policy.bias_ns;
-  stats->noise_ns = policy.noise_ns;
-  stats->emit_ns = policy.emit_ns;
-  stats->bias_cache_hit = policy.bias_cache_hit;
-  stats->epoch = policy.epoch;
-  stats->epsilon_spent = policy.epsilon_spent;
-  stats->epsilon_cumulative = policy.epsilon_cumulative;
-}
-
 }  // namespace
 
 Result<StreamPrivacyEngine> StreamPrivacyEngine::Create(
@@ -139,9 +128,9 @@ const ButterflyEngine& StreamPrivacyEngine::sanitizer() const {
 
 const MiningOutput& StreamPrivacyEngine::RawOutput() {
   if (!raw_) {
-    Stopwatch watch;
+    StageClock clock(&pending_);
     raw_ = miner_.GetAllFrequent();
-    expand_ns_ += watch.Seconds() * 1e9;
+    clock.Lap(Stage::kExpand);
   }
   return *raw_;
 }
@@ -149,21 +138,15 @@ const MiningOutput& StreamPrivacyEngine::RawOutput() {
 ReleaseResult StreamPrivacyEngine::Release() {
   ReleaseResult result;
   const MiningOutput& raw = RawOutput();
-  Stopwatch partition_watch;
+  StageClock clock(&pending_);
   partition_.Rebuild(raw);
-  const double partition_ns = partition_watch.Seconds() * 1e9;
+  clock.Lap(Stage::kPartition);
+  result.stats.spans = std::exchange(pending_, StageSpans{});
   WindowContext ctx;
   ctx.window_size = static_cast<Support>(miner_.window().size());
   ctx.stream_position = miner_.window().stream_position();
   ctx.fecs = &partition_.view();
-  PolicyStats policy_stats;
-  result.output = policy_->Release(raw, ctx, &policy_stats);
-  CopyPolicyStats(policy_stats, &result.stats);
-  result.stats.partition_ns += partition_ns;
-  result.stats.mine_ns = mine_ns_;
-  result.stats.expand_ns = expand_ns_;
-  mine_ns_ = 0;
-  expand_ns_ = 0;
+  result.output = policy_->Release(raw, ctx, &result.stats);
   result.stats.frequent_itemsets = raw.size();
   result.stats.fec_count = partition_.view().size();
   return result;
@@ -184,8 +167,7 @@ Status StreamPrivacyEngine::RestoreBody(persist::CheckpointReader* reader) {
   // restored window and rebuilds the partition; the timers restart.
   raw_.reset();
   partition_ = FecPartitioner();
-  mine_ns_ = 0;
-  expand_ns_ = 0;
+  pending_ = StageSpans{};
   return Status::OK();
 }
 

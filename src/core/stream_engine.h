@@ -4,12 +4,11 @@
 /// This is the primary public entry point for applications.
 ///
 /// The release surface is one call: Release() returns a ReleaseResult
-/// bundling the sanitized output with an EngineStats snapshot (per-stage
-/// nanoseconds, cache-hit flags, the release epoch), so callers no longer
-/// juggle the engine's timing accumulator and the sanitizer's stage times
-/// as two objects. The engine also checkpoints: Checkpoint/Restore (and the
-/// file-level wrappers in persist/engine_checkpoint.h) capture every piece
-/// of state a bit-identical resume needs.
+/// bundling the sanitized output with its ReleaseStats (the StageSpans of
+/// the release, its epoch, epsilon and counts). The engine also
+/// checkpoints: Checkpoint/Restore (and the file-level wrappers in
+/// persist/engine_checkpoint.h) capture every piece of state a
+/// bit-identical resume needs.
 ///
 /// Release() runs to completion on the calling thread: the closed→full
 /// expansion (unless RawOutput() already made it for this window), the FEC
@@ -28,8 +27,8 @@
 #include <utility>
 
 #include "common/status.h"
+#include "common/timing.h"
 #include "core/butterfly.h"
-#include "metrics/timing.h"
 #include "moment/moment.h"
 #include "policy/release_policy.h"
 
@@ -40,41 +39,12 @@ class CheckpointWriter;
 class CheckpointReader;
 }  // namespace persist
 
-/// Per-release pipeline statistics, snapshotted by Release(): stage times,
-/// flags and counts of this release. Release() does not read the window
-/// index, so its memory gauge is not here; call
-/// `miner().bitmap_index().MemoryStats()` for it.
-struct EngineStats {
-  double mine_ns = 0;       ///< miner maintenance since the previous release
-  /// Closed→full expansion of this window's output: counted once, in the
-  /// release that consumes it, whether RawOutput() or Release() made it.
-  double expand_ns = 0;
-  double partition_ns = 0;  ///< FEC partition + profile construction
-  double bias_ns = 0;       ///< previous-window reuse, else the optimization
-  /// Per-itemset perturbation. Under Butterfly this is the one pass over the
-  /// FECs that also looks up and pins republished values and assembles the
-  /// release.
-  double noise_ns = 0;
-  /// Butterfly: republish-cache epoch advance + release seal.
-  double emit_ns = 0;
-
-  bool bias_cache_hit = false;  ///< previous-window bias reuse fired
-
-  /// Differential-privacy accounting, filled by the DP release policies
-  /// (zero under the Butterfly backend, whose guarantee is the paper's
-  /// (epsilon, delta) interval model, not DP). See PolicyStats.
-  double epsilon_spent = 0;
-  double epsilon_cumulative = 0;
-
-  uint64_t epoch = 0;            ///< the epoch this release was drawn under
-  size_t frequent_itemsets = 0;  ///< size of the raw mined output
-  size_t fec_count = 0;          ///< frequency equivalence classes released
-};
-
 /// What one Release() returns: the sanitized output plus its statistics.
+/// Release() does not read the window index, so its memory gauge is not
+/// here; call `miner().bitmap_index().MemoryStats()` for it.
 struct ReleaseResult {
   SanitizedOutput output;
-  EngineStats stats;
+  ReleaseStats stats;
 };
 
 class StreamPrivacyEngine {
@@ -92,13 +62,17 @@ class StreamPrivacyEngine {
         config_(config),
         policy_(MakeReleasePolicy(config)) {}
 
-  /// Feeds the next stream record. Time spent in the miner's incremental
-  /// maintenance accumulates into the next Release()'s stats.mine_ns.
+  /// Feeds the next stream record. The miner's incremental maintenance is
+  /// timed into the next Release()'s mine span, and freeing the previous
+  /// window's expansion, when there is one, into its expand span.
   void Append(Transaction t) {
-    Stopwatch watch;
+    StageClock clock(&pending_);
     miner_.Append(std::move(t));
-    mine_ns_ += watch.Seconds() * 1e9;
-    raw_.reset();
+    clock.Lap(Stage::kMine);
+    if (raw_) {
+      raw_.reset();
+      clock.Lap(Stage::kExpand);
+    }
   }
 
   /// True once the window holds H records.
@@ -122,7 +96,10 @@ class StreamPrivacyEngine {
   /// Routes RawOutput() through the configured ReleasePolicy, together with
   /// its FEC partition, built from scratch for this release. The window is
   /// expanded once whether or not the caller called RawOutput() first, and
-  /// the release is the same either way.
+  /// the release is the same either way. Its spans hold every stage timed
+  /// since the previous Release() (or restore): the appends' mine and
+  /// expand laps, the expansion, this release's partition and the policy's
+  /// stages.
   ReleaseResult Release();
 
   const MomentMiner& miner() const { return miner_; }
@@ -180,8 +157,8 @@ class StreamPrivacyEngine {
   std::optional<MiningOutput> raw_;
   /// Release-path FEC partition, rebuilt from raw_ on every release.
   FecPartitioner partition_;
-  double mine_ns_ = 0;
-  double expand_ns_ = 0;  ///< expansion time not yet reported by Release
+  /// Stage time not yet reported by a Release().
+  StageSpans pending_;
 };
 
 }  // namespace butterfly

@@ -1,8 +1,8 @@
 #include "persist/engine_checkpoint.h"
 
-#include <chrono>
 #include <utility>
 
+#include "common/timing.h"
 #include "persist/checkpoint.h"
 #include "persist/serializer.h"
 
@@ -11,7 +11,7 @@ namespace butterfly::persist {
 Status SaveEngineCheckpoint(const StreamPrivacyEngine& engine,
                             const std::string& path,
                             CheckpointWriteStats* stats) {
-  const auto start = std::chrono::steady_clock::now();
+  Stopwatch watch;
   CheckpointWriter writer;
   engine.Checkpoint(&writer);
   uint64_t bytes = 0;
@@ -19,9 +19,7 @@ Status SaveEngineCheckpoint(const StreamPrivacyEngine& engine,
   if (!status.ok()) return status;
   if (stats != nullptr) {
     stats->bytes = bytes;
-    stats->seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
+    stats->seconds = watch.Seconds();
   }
   return Status::OK();
 }

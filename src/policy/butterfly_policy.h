@@ -23,7 +23,7 @@ class ButterflyReleasePolicy final : public ReleasePolicy {
 
   SanitizedOutput Release(const MiningOutput& frequent,
                           const WindowContext& ctx,
-                          PolicyStats* stats) override;
+                          ReleaseStats* stats) override;
 
   uint64_t epoch() const override { return engine_.epoch(); }
 
@@ -43,9 +43,6 @@ class ButterflyReleasePolicy final : public ReleasePolicy {
   const ButterflyEngine& engine() const { return engine_; }
 
  private:
-  /// Copies the sanitizer's per-stage timings and cache flags into \p stats.
-  void FillStats(PolicyStats* stats) const;
-
   ButterflyEngine engine_;
 };
 

@@ -1,22 +1,10 @@
 #include "policy/dp_policy.h"
 
-#include <chrono>
 #include <utility>
 
 #include "persist/serializer.h"
 
 namespace butterfly {
-
-namespace {
-
-double NowNs() {
-  return static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 DpPolicyBase::DpPolicyBase(const ButterflyConfig& config, uint32_t section_tag)
     : seed_(config.seed),
@@ -27,18 +15,19 @@ DpPolicyBase::DpPolicyBase(const ButterflyConfig& config, uint32_t section_tag)
 
 SanitizedOutput DpPolicyBase::Release(const MiningOutput& frequent,
                                       const WindowContext& ctx,
-                                      PolicyStats* stats) {
+                                      ReleaseStats* stats) {
+  StageClock clock(stats != nullptr ? &stats->spans : nullptr);
   std::vector<DpItem> items;
   items.reserve(frequent.size());
   for (const FrequentItemset& f : frequent.itemsets()) {
     items.push_back({&f.itemset, f.support});
   }
+  clock.Lap(Stage::kPartition);
   const uint64_t release_epoch = epoch_;
   SanitizedOutput out(min_support_, ctx.window_size);
-  const double start_ns = NowNs();
   ReleaseItems(items, ctx, &out);
   out.Seal();
-  const double mechanism_ns = NowNs() - start_ns;
+  clock.Lap(Stage::kNoise);
 
   const double spent = EpsilonSpent();
   cumulative_epsilon_ = Accumulate(cumulative_epsilon_, spent);
@@ -46,7 +35,6 @@ SanitizedOutput DpPolicyBase::Release(const MiningOutput& frequent,
 
   if (stats != nullptr) {
     stats->epoch = release_epoch;
-    stats->noise_ns = mechanism_ns;
     stats->epsilon_spent = spent;
     stats->epsilon_cumulative = cumulative_epsilon_;
   }

@@ -37,7 +37,7 @@ class DpPolicyBase : public ReleasePolicy {
  public:
   SanitizedOutput Release(const MiningOutput& frequent,
                           const WindowContext& ctx,
-                          PolicyStats* stats) override;
+                          ReleaseStats* stats) override;
 
   uint64_t epoch() const override { return epoch_; }
 
@@ -47,7 +47,7 @@ class DpPolicyBase : public ReleasePolicy {
   void Checkpoint(persist::CheckpointWriter* writer) const override;
   Status Restore(persist::CheckpointReader* reader) override;
 
-  /// The per-element budget consumed so far (what PolicyStats reports as
+  /// The per-element budget consumed so far (what ReleaseStats reports as
   /// epsilon_cumulative after each release).
   double cumulative_epsilon() const { return cumulative_epsilon_; }
 

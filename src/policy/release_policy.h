@@ -31,6 +31,7 @@
 #include <memory>
 
 #include "common/status.h"
+#include "common/timing.h"
 #include "core/config.h"
 #include "core/fec.h"
 #include "core/sanitized_output.h"
@@ -59,16 +60,14 @@ struct WindowContext {
   const FecView* fecs = nullptr;
 };
 
-/// Per-release statistics a policy reports back. The Butterfly backend fills
-/// the stage timings and cache fields; the DP backends fill the epsilon
-/// accounting and leave the Butterfly-specific fields at their defaults.
-struct PolicyStats {
-  double partition_ns = 0;  ///< input partition / profile construction
-  double bias_ns = 0;       ///< previous-window reuse, else the optimization
-  double noise_ns = 0;      ///< per-itemset perturbation
-  double emit_ns = 0;       ///< release assembly + seal
-
-  bool bias_cache_hit = false;  ///< previous-window bias reuse fired
+/// The record of one release: the time it spent in each stage and its
+/// accounting. StreamPrivacyEngine fills every field; a policy adds its own
+/// stages to `spans` and sets the epoch and the epsilon fields.
+struct ReleaseStats {
+  /// Butterfly: partition (profiles), bias, noise and emit; a DP backend:
+  /// partition (flattening the input) and noise (the mechanism and the
+  /// seal). The engine adds mine, expand and its FEC partition.
+  StageSpans spans;
 
   /// The epoch this release was drawn under (pre-increment).
   uint64_t epoch = 0;
@@ -81,6 +80,9 @@ struct PolicyStats {
   /// at policy_epsilon for the continual estimator, whose dyadic node noise
   /// is reused across windows. See DESIGN.md §15.
   double epsilon_cumulative = 0;
+
+  size_t frequent_itemsets = 0;  ///< size of the raw mined output
+  size_t fec_count = 0;          ///< frequency equivalence classes released
 };
 
 /// Abstract release backend. Implementations live in src/policy/ and are
@@ -97,11 +99,12 @@ class ReleasePolicy {
   virtual ReleasePolicyKind kind() const = 0;
 
   /// Sanitizes one window's raw output for publication. Consumes one epoch.
-  /// \p ctx.fecs may carry a prebuilt partition of \p frequent; \p stats may
-  /// be null.
+  /// \p ctx.fecs may carry a prebuilt partition of \p frequent. \p stats
+  /// may be null; otherwise the call adds its stage spans to it and sets its
+  /// epoch and epsilon fields.
   virtual SanitizedOutput Release(const MiningOutput& frequent,
                                   const WindowContext& ctx,
-                                  PolicyStats* stats) = 0;
+                                  ReleaseStats* stats) = 0;
 
   /// The epoch the NEXT release will be drawn under (= releases emitted so
   /// far). Essential checkpoint state for every backend.

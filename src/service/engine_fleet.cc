@@ -7,8 +7,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/timing.h"
 #include "core/release_log.h"
-#include "metrics/timing.h"
 #include "persist/checkpoint.h"
 #include "persist/engine_checkpoint.h"
 #include "persist/serializer.h"
@@ -125,14 +125,7 @@ void EngineFleet::ReleaseTenant(Tenant* tenant) {
   tenant->log += out.str();
   ++tenant->releases;
   tenant->next_release_pos += config_.stride;
-
-  EngineStats& sum = tenant->cumulative;
-  sum.mine_ns += result.stats.mine_ns;
-  sum.expand_ns += result.stats.expand_ns;
-  sum.partition_ns += result.stats.partition_ns;
-  sum.bias_ns += result.stats.bias_ns;
-  sum.noise_ns += result.stats.noise_ns;
-  sum.emit_ns += result.stats.emit_ns;
+  tenant->cumulative += result.stats.spans;
 }
 
 size_t EngineFleet::Pump() {
@@ -199,12 +192,7 @@ FleetStats EngineFleet::Stats() const {
       stats.queued += static_cast<uint64_t>(tenant->queued.size());
     }
     stats.releases += tenant->releases;
-    stats.mine_ns += tenant->cumulative.mine_ns;
-    stats.expand_ns += tenant->cumulative.expand_ns;
-    stats.partition_ns += tenant->cumulative.partition_ns;
-    stats.bias_ns += tenant->cumulative.bias_ns;
-    stats.noise_ns += tenant->cumulative.noise_ns;
-    stats.emit_ns += tenant->cumulative.emit_ns;
+    stats.spans += tenant->cumulative;
     stats.index_bytes +=
         tenant->engine.miner().bitmap_index().MemoryStats().index_bytes;
     latencies.insert(latencies.end(), tenant->latencies_ns.begin(),
@@ -279,7 +267,7 @@ Status EngineFleet::RestoreTenants(const std::string& dir) {
         config_.window + tenant->releases * config_.stride;
     tenant->log.clear();
     tenant->latencies_ns.clear();
-    tenant->cumulative = EngineStats{};
+    tenant->cumulative = StageSpans{};
   }
   return Status::OK();
 }

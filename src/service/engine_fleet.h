@@ -95,13 +95,8 @@ struct FleetStats {
   double release_p50_ns = 0;  ///< median per-release latency
   double release_p99_ns = 0;  ///< tail per-release latency
 
-  /// Cumulative per-stage sums over every release (see EngineStats).
-  double mine_ns = 0;
-  double expand_ns = 0;
-  double partition_ns = 0;
-  double bias_ns = 0;
-  double noise_ns = 0;
-  double emit_ns = 0;
+  /// Stage spans summed over every release (see ReleaseStats).
+  StageSpans spans;
 
   /// Sum of the tenants' window-index payload bytes now, as of the Stats()
   /// call (each engine's `bitmap_index().MemoryStats()`), not as of each
@@ -216,8 +211,8 @@ class EngineFleet {
     uint64_t releases = 0;
     std::vector<double> latencies_ns;  ///< one entry per release
 
-    /// Cumulative stage sums (mine/expand/partition/bias/noise/emit).
-    EngineStats cumulative;
+    /// Stage spans summed over this tenant's releases.
+    StageSpans cumulative;
   };
 
   explicit EngineFleet(FleetConfig config);

@@ -5,11 +5,11 @@
 #ifndef BUTTERFLY_STREAM_WINDOW_DRIVER_H_
 #define BUTTERFLY_STREAM_WINDOW_DRIVER_H_
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
 
+#include "common/timing.h"
 #include "stream/sliding_window.h"
 #include "stream/transaction_source.h"
 
@@ -64,11 +64,9 @@ class WindowDriver {
     if (on_slide_) {
       SlideEvent event{window_->transactions().back(),
                        evicted ? &*evicted : nullptr};
-      const auto start = std::chrono::steady_clock::now();
+      Stopwatch watch;
       on_slide_(event);
-      slide_ns_ += std::chrono::duration<double, std::nano>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
+      slide_ns_ += watch.Seconds() * 1e9;
     }
     if (on_report_ && report_stride_ > 0 && window_->Full() &&
         window_->stream_position() % report_stride_ == 0) {

@@ -1,8 +1,8 @@
 /// \file engine_expansion_test.cc
 /// \brief StreamPrivacyEngine expands each window once: RawOutput() keeps the
 /// expansion until the next Append or Restore, Release() consumes the same
-/// object, and EngineStats::expand_ns reports the expansion in exactly one
-/// release. Every result equals the miner's from-scratch GetAllFrequent().
+/// object, and the release's expand span reports the expansion in exactly
+/// one release. Every result equals the miner's from-scratch GetAllFrequent().
 
 #include <gtest/gtest.h>
 
@@ -104,16 +104,16 @@ TEST(StreamPrivacyEngineTest, ExpandTimeIsReportedOncePerWindow) {
   for (size_t i = 0; i < 120; ++i) engine.Append(data[i]);
 
   // A release on a fresh window expands it.
-  EXPECT_GT(engine.Release().stats.expand_ns, 0);
+  EXPECT_GT(engine.Release().stats.spans[Stage::kExpand], 0);
   // The same window again: nothing left to expand.
-  EXPECT_EQ(engine.Release().stats.expand_ns, 0);
+  EXPECT_EQ(engine.Release().stats.spans[Stage::kExpand], 0);
 
   // RawOutput() makes the expansion; the next release reports it, once.
   engine.Append(data[120]);
   engine.RawOutput();
   engine.RawOutput();
-  EXPECT_GT(engine.Release().stats.expand_ns, 0);
-  EXPECT_EQ(engine.Release().stats.expand_ns, 0);
+  EXPECT_GT(engine.Release().stats.spans[Stage::kExpand], 0);
+  EXPECT_EQ(engine.Release().stats.spans[Stage::kExpand], 0);
 }
 
 }  // namespace

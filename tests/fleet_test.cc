@@ -153,7 +153,7 @@ void ExpectByteIdenticalToSolo(size_t tenants, int64_t threads) {
   EXPECT_EQ(stats.ingested, tenants * kRecords);
   EXPECT_EQ(stats.queued, 0u);
   // Every release expanded its window inside the pump.
-  EXPECT_GT(stats.expand_ns, 0);
+  EXPECT_GT(stats.spans[Stage::kExpand], 0);
 }
 
 TEST(FleetTest, ByteIdenticalToSoloAcrossThreadCounts) {

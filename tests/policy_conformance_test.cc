@@ -257,7 +257,7 @@ TEST(ButterflyAdapterTest, InterfaceIsByteIdenticalToDirectEngine) {
     ctx.stream_position = param.window + 10u * static_cast<uint64_t>(release);
     ctx.fecs = nullptr;
 
-    PolicyStats stats;
+    ReleaseStats stats;
     const SanitizedOutput via_policy = policy->Release(frequent, ctx, &stats);
     const SanitizedOutput via_engine = direct.Sanitize(frequent, window);
     EXPECT_EQ(via_policy.items(), via_engine.items())

@@ -35,7 +35,7 @@ TEST(UmbrellaTest, TypesFromEveryModuleVisible) {
   [[maybe_unused]] WitnessQuery witness;
   [[maybe_unused]] NoiseModel noise(0.4, 5);
   [[maybe_unused]] AuditReport audit;
-  [[maybe_unused]] StageTimes times;
+  [[maybe_unused]] StageSpans spans;
   SUCCEED();
 }
 

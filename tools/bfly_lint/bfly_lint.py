@@ -94,6 +94,15 @@ the repo invariants that back those guarantees:
                         lock costs, and justify each remaining site with an
                         allowance.
 
+  raw-clock             A std::chrono clock (steady_clock, system_clock,
+                        high_resolution_clock) outside src/common/timing.h.
+                        Time goes through its Stopwatch or StageClock, so
+                        every stage a release spends time in lands in the one
+                        StageSpans record instead of a private counter no
+                        bench sums. bench/e2e/ is exempt: the end-to-end
+                        benchmark times the program from outside with its
+                        own clock on purpose.
+
 Allowlist annotation (same line or the line above the finding):
 
     // bfly-lint: allow(<rule>) <justification>
@@ -126,6 +135,7 @@ RULES = (
     "policy-budget",
     "lock-discipline",
     "raw-atomic",
+    "raw-clock",
 )
 
 # Files whose whole purpose exempts them from a rule.
@@ -133,6 +143,9 @@ BANNED_RNG_EXEMPT = ("src/common/rng.h",)
 WRITER_BYPASS_EXEMPT = ("src/persist/serializer.h", "src/persist/serializer.cc")
 # The annotated wrapper wraps the one std::mutex the tree is allowed.
 LOCK_DISCIPLINE_EXEMPT = ("src/common/mutex.h",)
+# The one clock of the program, and the benchmark that times it from outside.
+RAW_CLOCK_EXEMPT = ("src/common/timing.h",)
+RAW_CLOCK_EXEMPT_DIRS = ("bench/e2e/",)
 
 ALLOW_RE = re.compile(
     r"//\s*bfly-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)\s*(.*)")
@@ -267,6 +280,10 @@ GUARDED_BY_RE_TMPL = r"BFLY_GUARDED_BY\s*\(\s*{name}\s*\)"
 
 # --- raw-atomic -----------------------------------------------------------
 RAW_ATOMIC_RE = re.compile(r"\bstd::(?:atomic\w*|memory_order\w*)")
+
+# --- raw-clock ------------------------------------------------------------
+RAW_CLOCK_RE = re.compile(
+    r"\b(?:steady_clock|system_clock|high_resolution_clock)\b")
 
 
 @dataclass
@@ -919,6 +936,25 @@ def check_raw_atomic(path: Path, rel: str, lines: list[str],
             "// bfly-lint: allow(raw-atomic) <why>"))
 
 
+def raw_clock_exempt(rel: str) -> bool:
+    return rel in RAW_CLOCK_EXEMPT or rel.startswith(RAW_CLOCK_EXEMPT_DIRS)
+
+
+def check_raw_clock(path: Path, rel: str, lines: list[str],
+                    allowances: dict[int, Allowance], scan: FileScan) -> None:
+    if raw_clock_exempt(rel):
+        return
+    for idx, raw in enumerate(lines, start=1):
+        m = RAW_CLOCK_RE.search(strip_strings_and_line_comment(raw))
+        if not m or suppressed(scan, allowances, idx, "raw-clock"):
+            continue
+        scan.findings.append(Finding(
+            path, idx, "raw-clock",
+            f"std::chrono::{m.group(0)}: time with Stopwatch or StageClock "
+            "from common/timing.h, so the span reaches the stage record, or "
+            "justify the site with // bfly-lint: allow(raw-clock) <why>"))
+
+
 def scan_file(path: Path, root: Path) -> FileScan:
     scan = FileScan()
     try:
@@ -952,6 +988,7 @@ def scan_file(path: Path, root: Path) -> FileScan:
     check_policy_budget(path, rel, lines, allowances, scan)
     check_lock_discipline(path, rel, lines, allowances, scan)
     check_raw_atomic(path, rel, lines, allowances, scan)
+    check_raw_clock(path, rel, lines, allowances, scan)
 
     # An allowance that names an unknown rule, lacks a justification, or
     # suppresses nothing is itself a finding — dead suppressions rot.

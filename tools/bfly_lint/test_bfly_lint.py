@@ -105,6 +105,18 @@ class RuleFiresTest(unittest.TestCase):
         # cursor and the mention inside a comment do not.
         self.check_fixture("raw_atomic_violation.cc", "raw-atomic")
 
+    def test_raw_clock(self):
+        # steady/system/high_resolution clocks fire, with or without the
+        # std::chrono qualifier; the justified site, a duration type and the
+        # clock named in a comment or a string do not.
+        self.check_fixture("raw_clock_violation.cc", "raw-clock")
+
+    def test_raw_clock_exemptions_are_path_based(self):
+        self.assertTrue(bfly_lint.raw_clock_exempt("src/common/timing.h"))
+        self.assertTrue(bfly_lint.raw_clock_exempt("bench/e2e/bfly_bench.cc"))
+        self.assertFalse(bfly_lint.raw_clock_exempt("src/core/butterfly.cc"))
+        self.assertFalse(bfly_lint.raw_clock_exempt("bench/fig8_overhead.cc"))
+
     def test_stale_allowance(self):
         self.check_fixture("stale_allowance.cc", "stale-allow")
 
