@@ -45,7 +45,7 @@ enum class Stage {
   kMine,       ///< miner maintenance: the appends since the previous release
   kExpand,     ///< closed->full expansion of the window, and freeing it
   kPartition,  ///< FEC partition / input flattening and profile construction
-  kBias,       ///< previous-window bias reuse, else the optimization
+  kBias,       ///< the configured scheme's per-FEC bias setting
   kNoise,      ///< per-itemset perturbation and release assembly
   kEmit,       ///< republish-cache epoch advance and release seal
 };

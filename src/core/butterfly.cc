@@ -1,6 +1,5 @@
 #include "core/butterfly.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -13,53 +12,6 @@ namespace butterfly {
 namespace {
 constexpr uint32_t kSanitizerTag = persist::SectionTag('B', 'F', 'L', 'E');
 }  // namespace
-
-std::vector<FecProfile> BuildFecProfiles(const std::vector<Fec>& fecs,
-                                         double epsilon,
-                                         double noise_variance) {
-  std::vector<FecProfile> profiles;
-  profiles.reserve(fecs.size());
-  for (const Fec& fec : fecs) {
-    profiles.push_back(FecProfile{
-        fec.support, fec.size(),
-        MaxAdjustableBias(fec.support, epsilon, noise_variance)});
-  }
-  return profiles;
-}
-
-bool ButterflyEngine::TryReuseBiases(const std::vector<FecProfile>& profiles,
-                                     std::vector<double>* biases) {
-  if (cached_profiles_.size() != profiles.size() || profiles.empty()) {
-    return false;
-  }
-  const Support tolerance = config_.bias_cache_tolerance;
-  if (tolerance == 0) {
-    // Exact structural match: the cached biases are bit-identical to what a
-    // fresh optimization would produce.
-    if (!(profiles == cached_profiles_)) return false;
-    *biases = cached_biases_;
-    return true;
-  }
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    Support drift = profiles[i].support - cached_profiles_[i].support;
-    if (drift > tolerance || drift < -tolerance) return false;
-  }
-  // Clamp the cached biases into the new adjustable range and make sure the
-  // estimators are still strictly increasing; otherwise fall back to a fresh
-  // optimization.
-  std::vector<double> candidate(profiles.size());
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    candidate[i] = std::clamp(cached_biases_[i], -profiles[i].max_bias,
-                              profiles[i].max_bias);
-    if (i > 0) {
-      double prev = static_cast<double>(profiles[i - 1].support) + candidate[i - 1];
-      double cur = static_cast<double>(profiles[i].support) + candidate[i];
-      if (cur <= prev) return false;
-    }
-  }
-  *biases = std::move(candidate);
-  return true;
-}
 
 Result<ButterflyEngine> ButterflyEngine::Create(const ButterflyConfig& config) {
   Status status = config.Validate();
@@ -100,30 +52,21 @@ constexpr uint64_t kFecStreamDomain = 0x9e3779b97f4a7c15ull;
 
 SanitizedOutput ButterflyEngine::Sanitize(const MiningOutput& frequent,
                                           Support window_size,
-                                          const FecView* fecs,
+                                          const std::vector<Fec>* fecs,
                                           StageSpans* spans) {
   StageClock clock(spans);
   if (fecs != nullptr) {
     return SanitizeView(*fecs, frequent.size(), window_size, &clock);
   }
-  FecPartitioner partition;
-  partition.Rebuild(frequent);
+  const std::vector<Fec> partition = PartitionIntoFecs(frequent);
   clock.Lap(Stage::kPartition);
-  return SanitizeView(partition.view(), frequent.size(), window_size, &clock);
+  return SanitizeView(partition, frequent.size(), window_size, &clock);
 }
 
 void ButterflyEngine::Checkpoint(persist::CheckpointWriter* writer) const {
   writer->Tag(kSanitizerTag);
   writer->U64(epoch_);
   cache_.Checkpoint(writer);
-  writer->U64(cached_profiles_.size());
-  for (const FecProfile& p : cached_profiles_) {
-    writer->I64(p.support);
-    writer->U64(p.member_count);
-    writer->F64(p.max_bias);
-  }
-  writer->U64(cached_biases_.size());
-  for (double b : cached_biases_) writer->F64(b);
 }
 
 Status ButterflyEngine::Restore(persist::CheckpointReader* reader) {
@@ -134,33 +77,11 @@ Status ButterflyEngine::Restore(persist::CheckpointReader* reader) {
   const uint64_t epoch = reader->U64();
   if (!reader->ok()) return reader->status();
   if (Status s = cache_.Restore(reader); !s.ok()) return s;
-  const uint64_t profile_count = reader->ReadCount(24, "cached FEC profiles");
-  if (!reader->ok()) return reader->status();
-  std::vector<FecProfile> profiles(profile_count);
-  for (uint64_t i = 0; i < profile_count; ++i) {
-    profiles[i].support = reader->I64();
-    profiles[i].member_count = reader->U64();
-    profiles[i].max_bias = reader->F64();
-  }
-  const uint64_t bias_count = reader->ReadCount(8, "cached biases");
-  if (!reader->ok()) return reader->status();
-  if (bias_count != profile_count) {
-    return reader->Fail(
-        "checkpoint corrupt: cached biases disagree with cached profiles");
-  }
-  std::vector<double> biases(bias_count);
-  for (uint64_t i = 0; i < bias_count; ++i) biases[i] = reader->F64();
-  if (!reader->ok()) return reader->status();
-
   epoch_ = epoch;
-  cached_profiles_ = std::move(profiles);
-  cached_biases_ = std::move(biases);
-  // The diagnostics restart.
-  last_biases_were_cached_ = false;
   return Status::OK();
 }
 
-SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
+SanitizedOutput ButterflyEngine::SanitizeView(const std::vector<Fec>& fecs,
                                               size_t total_itemsets,
                                               Support window_size,
                                               StageClock* clock) {
@@ -176,27 +97,14 @@ SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
   std::vector<FecProfile>& profiles = profiles_scratch_;
   profiles.clear();
   profiles.reserve(fecs.size());
-  for (const Fec* fec : fecs) {
+  for (const Fec& fec : fecs) {
     profiles.push_back(FecProfile{
-        fec->support, fec->size(),
-        MaxAdjustableBias(fec->support, config_.epsilon, noise_.variance())});
+        fec.support, fec.size(),
+        MaxAdjustableBias(fec.support, config_.epsilon, noise_.variance())});
   }
   clock->Lap(Stage::kPartition);
 
-  // Bias stage: previous-window reuse, else a fresh optimization. Both give
-  // identical biases for identical profiles (the reuse path only diverges
-  // under a nonzero drift tolerance).
-  std::vector<double> biases;
-  last_biases_were_cached_ = false;
-  if (config_.cache_bias_settings && TryReuseBiases(profiles, &biases)) {
-    last_biases_were_cached_ = true;
-  } else {
-    biases = ComputeBiases(profiles);
-    if (config_.cache_bias_settings) {
-      cached_profiles_ = profiles;
-      cached_biases_ = biases;
-    }
-  }
+  const std::vector<double> biases = ComputeBiases(profiles);
   clock->Lap(Stage::kBias);
 
   const bool per_itemset_noise = config_.scheme == ButterflyScheme::kBasic;
@@ -209,7 +117,7 @@ SanitizedOutput ButterflyEngine::SanitizeView(const FecView& fecs,
   // only its own key and released itemsets are unique, so pinning as we go
   // sees the same cache as pinning after every lookup.
   for (size_t i = 0; i < fecs.size(); ++i) {
-    const Fec& fec = *fecs[i];
+    const Fec& fec = fecs[i];
     for (const Itemset& member : fec.members) {
       SanitizedItemset item;
       item.itemset = member;

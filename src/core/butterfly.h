@@ -12,9 +12,8 @@
 ///   4. pins sanitized values across windows while true supports are
 ///      unchanged (republish cache, Prior Knowledge 2).
 ///
-/// The bias-setting stage reuses the previous window's biases when the FEC
-/// profiles match them (within ButterflyConfig::bias_cache_tolerance) and
-/// otherwise runs the configured scheme's optimization.
+/// A release's biases are a pure function of its own window's FEC profiles.
+/// Only the epoch counter and the republish cache cross windows.
 
 #ifndef BUTTERFLY_CORE_BUTTERFLY_H_
 #define BUTTERFLY_CORE_BUTTERFLY_H_
@@ -68,12 +67,8 @@ class ButterflyEngine {
   /// With \p spans non-null the call adds its partition, bias, noise and
   /// emit time to it.
   SanitizedOutput Sanitize(const MiningOutput& frequent, Support window_size,
-                           const FecView* fecs = nullptr,
+                           const std::vector<Fec>* fecs = nullptr,
                            StageSpans* spans = nullptr);
-
-  /// The per-FEC biases the configured scheme would assign to \p frequent —
-  /// exposed for tests and for the bias-setting benchmarks.
-  std::vector<double> ComputeBiases(const std::vector<FecProfile>& profiles);
 
   const ButterflyConfig& config() const { return config_; }
   const NoiseModel& noise() const { return noise_; }
@@ -84,10 +79,6 @@ class ButterflyEngine {
   /// the sequence, not restart it.
   uint64_t epoch() const { return epoch_; }
 
-  /// True iff the last Sanitize call reused the previous window's bias
-  /// settings instead of running the optimization.
-  bool last_biases_were_cached() const { return last_biases_were_cached_; }
-
   /// Drops every pinned sanitized value so the next Sanitize draws fresh
   /// noise. Intended for audit-driven redraw: bounded noise admits unlucky
   /// draws whose constraint system provably pins a vulnerable pattern
@@ -96,29 +87,25 @@ class ButterflyEngine {
   /// configurations are impossible is itself a (second-order) leak.
   void ForgetPinnedValues() { cache_.Clear(); }
 
-  /// Serializes the sanitizer's essential cross-release state: the epoch
-  /// counter, the republish cache, and the previous window's bias settings
-  /// (essential under a nonzero bias_cache_tolerance, where the reuse path
-  /// may legitimately diverge from a fresh optimization). The config is
-  /// serialized by the owner (StreamPrivacyEngine), not here.
+  /// Serializes the sanitizer's cross-release state: the epoch counter and
+  /// the republish cache. The config is serialized by the owner
+  /// (StreamPrivacyEngine), not here.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
   /// Restores from a checkpoint section into an engine built with the same
-  /// config. Resets the diagnostics; returns Status errors on corrupted
-  /// sections.
+  /// config; returns Status errors on corrupted sections.
   Status Restore(persist::CheckpointReader* reader);
 
  private:
-  /// Sanitize's body over a FEC partition view: the release is a pure
-  /// function of the partition. \p total_itemsets must equal the total
-  /// member count of \p fecs. Laps each stage on \p clock.
-  SanitizedOutput SanitizeView(const FecView& fecs, size_t total_itemsets,
-                               Support window_size, StageClock* clock);
+  /// Sanitize's body over a FEC partition: the release is a pure function
+  /// of the partition. \p total_itemsets must equal the total member count
+  /// of \p fecs. Laps each stage on \p clock.
+  SanitizedOutput SanitizeView(const std::vector<Fec>& fecs,
+                               size_t total_itemsets, Support window_size,
+                               StageClock* clock);
 
-  /// Attempts to satisfy this window's bias setting from the cached one
-  /// (incremental mode); see ButterflyConfig::bias_cache_tolerance.
-  bool TryReuseBiases(const std::vector<FecProfile>& profiles,
-                      std::vector<double>* biases);
+  /// The per-FEC biases the configured scheme assigns to \p profiles.
+  std::vector<double> ComputeBiases(const std::vector<FecProfile>& profiles);
 
   ButterflyConfig config_;
   NoiseModel noise_;
@@ -127,27 +114,10 @@ class ButterflyEngine {
   /// Sanitize call draws fresh, mutually independent noise.
   uint64_t epoch_ = 0;
 
-  // Incremental mode: the previous window's FEC profiles and their biases.
-  std::vector<FecProfile> cached_profiles_;
-  std::vector<double> cached_biases_;
-  bool last_biases_were_cached_ = false;
-
   // Preallocated hot-path scratch, reused across releases.
   BiasDpScratch dp_scratch_;
   std::vector<FecProfile> profiles_scratch_;
 };
-
-/// Equality of FEC profiles, the cache key of the incremental mode.
-inline bool operator==(const FecProfile& a, const FecProfile& b) {
-  return a.support == b.support && a.member_count == b.member_count &&
-         a.max_bias == b.max_bias;
-}
-
-/// Convenience: FecProfiles (support, member count, max adjustable bias)
-/// for a mining output under the given requirement.
-std::vector<FecProfile> BuildFecProfiles(const std::vector<Fec>& fecs,
-                                         double epsilon,
-                                         double noise_variance);
 
 }  // namespace butterfly
 

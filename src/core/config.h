@@ -99,21 +99,6 @@ struct ButterflyConfig {
   /// Knowledge 2). On by default.
   bool republish_cache = true;
 
-  /// Reuse the previous window's bias settings when the FEC structure
-  /// (supports and member counts) is unchanged — the "incremental version"
-  /// the paper sketches as future work. With zero tolerance this is purely a
-  /// latency optimization: the produced biases are identical to a fresh
-  /// optimization.
-  bool cache_bias_settings = true;
-
-  /// Maximum per-FEC support drift under which cached biases may still be
-  /// reused (clamped into the new maximum adjustable bias and re-checked for
-  /// estimator monotonicity). 0 = exact structural match only. Positive
-  /// values trade a little order-preservation optimality for skipping the
-  /// dynamic program on most slides; the ablation_incremental benchmark
-  /// quantifies both sides.
-  Support bias_cache_tolerance = 0;
-
   /// Store the miner's window index as hybrid array/bitmap/run containers
   /// instead of dense per-item bitmaps (see stream/window_bitmap_index.h).
   /// Mined output and release logs are bit-identical either way; hybrid
@@ -141,11 +126,10 @@ struct ButterflyConfig {
   uint64_t seed = 0x42u;
 
   /// Read by no release stage: a release runs entirely on the calling
-  /// thread, and its content is bit-identical for every value. The field
-  /// stays because the end-to-end benchmark assigns it and the checkpoint's
-  /// CONF section bit-compares it on restore; checkpoint format v5 can drop
-  /// it once the benchmark stops assigning it. Validated to
-  /// [0, kMaxThreads].
+  /// thread, and its content is bit-identical for every value. Checkpoints
+  /// do not carry it, so a snapshot restores into an engine with any value.
+  /// The field stays only because the end-to-end benchmark assigns it.
+  /// Validated to [0, kMaxThreads].
   int64_t threads = 1;
 
   /// The precision-privacy ratio ε/δ.

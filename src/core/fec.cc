@@ -30,13 +30,6 @@ std::vector<Fec> PartitionIntoFecs(const MiningOutput& output) {
   return fecs;
 }
 
-void FecPartitioner::Rebuild(const MiningOutput& out) {
-  fecs_ = PartitionIntoFecs(out);
-  view_.clear();
-  view_.reserve(fecs_.size());
-  for (const Fec& fec : fecs_) view_.push_back(&fec);
-}
-
 double MaxAdjustableBias(Support support, double epsilon,
                          double noise_variance) {
   double t = static_cast<double>(support);

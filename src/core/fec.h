@@ -23,29 +23,22 @@ struct Fec {
   size_t size() const { return members.size(); }
 };
 
-/// A borrowed, support-ascending view of a FEC partition. The pointees are
-/// owned by the FecPartitioner that produced it and stay valid until its
-/// next Rebuild.
-using FecView = std::vector<const Fec*>;
-
 /// Partitions a mining output into FECs, strictly ascending by support.
 std::vector<Fec> PartitionIntoFecs(const MiningOutput& output);
 
-/// The FEC partition of one mined output, owned together with its view.
-/// StreamPrivacyEngine rebuilds one per release and hands the view to the
-/// release policy.
+/// The FEC partition of one mined output. StreamPrivacyEngine rebuilds one
+/// per release and hands it to the release policy.
 class FecPartitioner {
  public:
   /// Replaces the partition with PartitionIntoFecs(\p out).
-  void Rebuild(const MiningOutput& out);
+  void Rebuild(const MiningOutput& out) { fecs_ = PartitionIntoFecs(out); }
 
-  /// The current partition, strictly ascending by support. Pointers stay
+  /// The current partition, strictly ascending by support. References stay
   /// valid until the next Rebuild.
-  const FecView& view() const { return view_; }
+  const std::vector<Fec>& view() const { return fecs_; }
 
  private:
   std::vector<Fec> fecs_;
-  FecView view_;
 };
 
 /// The maximum adjustable bias βᵐ = sqrt(ε·t² − σ²) (Definition 7, with the

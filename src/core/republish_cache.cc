@@ -29,7 +29,6 @@ void RepublishCache::Store(const Itemset& itemset, const Entry& entry) {
 
 void RepublishCache::Checkpoint(persist::CheckpointWriter* writer) const {
   writer->Tag(kCacheTag);
-  writer->U64(max_idle_epochs_);
   writer->U64(epoch_);
   std::vector<const std::pair<const Itemset, Slot>*> sorted;
   sorted.reserve(entries_.size());
@@ -52,7 +51,6 @@ Status RepublishCache::Restore(persist::CheckpointReader* reader) {
   if (Status s = reader->ExpectTag(kCacheTag, "republish cache"); !s.ok()) {
     return s;
   }
-  const uint64_t max_idle = reader->U64();
   const uint64_t epoch = reader->U64();
   const uint64_t count = reader->ReadCount(48, "republish entries");
   if (!reader->ok()) return reader->status();
@@ -72,7 +70,6 @@ Status RepublishCache::Restore(persist::CheckpointReader* reader) {
       return reader->Fail("checkpoint corrupt: duplicate republish entry");
     }
   }
-  max_idle_epochs_ = max_idle;
   epoch_ = epoch;
   entries_ = std::move(entries);
   return Status::OK();

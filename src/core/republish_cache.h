@@ -62,10 +62,12 @@ class RepublishCache {
   /// bytes) plus the epoch clock. The cache is ESSENTIAL checkpoint state:
   /// losing a pin re-perturbs an unchanged support after restart, which is
   /// exactly the averaging leak (Prior Knowledge 2) the cache defends
-  /// against.
+  /// against. The idle budget is a construction constant and is not
+  /// written.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
   /// Restores from a checkpoint section, replacing the current contents.
+  /// The cache keeps its own idle budget.
   Status Restore(persist::CheckpointReader* reader);
 
  private:

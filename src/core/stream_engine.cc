@@ -1,6 +1,5 @@
 #include "core/stream_engine.h"
 
-#include <bit>
 #include <cstdint>
 #include <utility>
 
@@ -15,9 +14,10 @@ namespace {
 constexpr uint32_t kEngineTag = persist::SectionTag('S', 'P', 'E', '1');
 constexpr uint32_t kConfigTag = persist::SectionTag('C', 'O', 'N', 'F');
 
-/// Serializes every ButterflyConfig field in a fixed order. The config is
-/// part of the snapshot so LoadEngineCheckpoint is self-contained, and so a
-/// restore into a mismatched engine fails loudly instead of resuming under
+/// Serializes every ButterflyConfig field a release reads, in a fixed order
+/// (`threads` is read by none and is not written). The config is part of
+/// the snapshot so LoadEngineCheckpoint is self-contained, and so a restore
+/// into a mismatched engine fails loudly instead of resuming under
 /// different parameters (which would silently break the determinism and the
 /// privacy guarantees the checkpoint exists to preserve).
 void WriteConfig(persist::CheckpointWriter* writer,
@@ -33,11 +33,8 @@ void WriteConfig(persist::CheckpointWriter* writer,
   writer->U64(config.order_opt.max_states);
   writer->U64(config.order_opt.max_candidates);
   writer->Bool(config.republish_cache);
-  writer->Bool(config.cache_bias_settings);
-  writer->I64(config.bias_cache_tolerance);
   writer->Bool(config.hybrid_index);
   writer->U64(config.seed);
-  writer->I64(config.threads);
   writer->U8(static_cast<uint8_t>(config.policy));
   writer->F64(config.policy_epsilon);
   writer->U64(config.policy_top_k);
@@ -61,11 +58,8 @@ Status ReadConfig(persist::CheckpointReader* reader, ButterflyConfig* config) {
   config->order_opt.max_states = reader->U64();
   config->order_opt.max_candidates = reader->U64();
   config->republish_cache = reader->Bool();
-  config->cache_bias_settings = reader->Bool();
-  config->bias_cache_tolerance = reader->I64();
   config->hybrid_index = reader->Bool();
   config->seed = reader->U64();
-  config->threads = reader->I64();
   const uint8_t policy = reader->U8();
   if (reader->ok() &&
       policy > static_cast<uint8_t>(ReleasePolicyKind::kHeavyHitter)) {
@@ -77,27 +71,13 @@ Status ReadConfig(persist::CheckpointReader* reader, ButterflyConfig* config) {
   return reader->status();
 }
 
-/// Bit-exact double comparison (configs never hold NaN — Validate rejects
-/// them — but bit comparison keeps the check total anyway).
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-bool SameConfig(const ButterflyConfig& a, const ButterflyConfig& b) {
-  return SameBits(a.epsilon, b.epsilon) && SameBits(a.delta, b.delta) &&
-         a.min_support == b.min_support &&
-         a.vulnerable_support == b.vulnerable_support &&
-         a.scheme == b.scheme && SameBits(a.lambda, b.lambda) &&
-         a.order_opt.gamma == b.order_opt.gamma &&
-         a.order_opt.max_states == b.order_opt.max_states &&
-         a.order_opt.max_candidates == b.order_opt.max_candidates &&
-         a.republish_cache == b.republish_cache &&
-         a.cache_bias_settings == b.cache_bias_settings &&
-         a.bias_cache_tolerance == b.bias_cache_tolerance &&
-         a.hybrid_index == b.hybrid_index && a.seed == b.seed &&
-         a.threads == b.threads && a.policy == b.policy &&
-         SameBits(a.policy_epsilon, b.policy_epsilon) &&
-         a.policy_top_k == b.policy_top_k;
+/// True iff \p a and \p b serialize to the same CONF bytes. F64 writes bit
+/// images, so doubles compare bit-exactly.
+bool SameEncoding(const ButterflyConfig& a, const ButterflyConfig& b) {
+  persist::CheckpointWriter wa, wb;
+  WriteConfig(&wa, a);
+  WriteConfig(&wb, b);
+  return wa.data() == wb.data();
 }
 
 }  // namespace
@@ -162,13 +142,7 @@ void StreamPrivacyEngine::Checkpoint(persist::CheckpointWriter* writer) const {
 
 Status StreamPrivacyEngine::RestoreBody(persist::CheckpointReader* reader) {
   if (Status s = miner_.Restore(reader); !s.ok()) return s;
-  if (Status s = policy_->Restore(reader); !s.ok()) return s;
-  // Derived state: the next RawOutput() or Release() re-expands the
-  // restored window and rebuilds the partition; the timers restart.
-  raw_.reset();
-  partition_ = FecPartitioner();
-  pending_ = StageSpans{};
-  return Status::OK();
+  return policy_->Restore(reader);
 }
 
 Status StreamPrivacyEngine::Restore(persist::CheckpointReader* reader) {
@@ -184,13 +158,19 @@ Status StreamPrivacyEngine::Restore(persist::CheckpointReader* reader) {
         " does not match this engine's " +
         std::to_string(miner_.window().capacity()));
   }
-  if (!SameConfig(config, this->config())) {
+  if (!SameEncoding(config, config_)) {
     return Status::InvalidArgument(
         "checkpoint config does not match this engine's; restore into an "
         "engine created with the identical configuration (or use "
         "FromCheckpoint / LoadEngineCheckpoint)");
   }
-  return RestoreBody(reader);
+  // All or nothing: the sections are restored into a fresh engine, which
+  // replaces this one only once every section has parsed. The fresh
+  // engine's derived state (expansion, partition, pending spans) is empty.
+  StreamPrivacyEngine fresh(static_cast<size_t>(capacity), config_);
+  if (Status s = fresh.RestoreBody(reader); !s.ok()) return s;
+  *this = std::move(fresh);
+  return Status::OK();
 }
 
 Result<StreamPrivacyEngine> StreamPrivacyEngine::FromCheckpoint(

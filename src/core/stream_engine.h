@@ -88,9 +88,6 @@ class StreamPrivacyEngine {
   /// copy it to keep it.
   const MiningOutput& RawOutput();
 
-  /// The raw closed frequent itemsets (Moment's native output).
-  MiningOutput RawClosedOutput() const { return miner_.GetClosedFrequent(); }
-
   /// The sanitized release for the current window, with per-stage stats.
   ///
   /// Routes RawOutput() through the configured ReleasePolicy, together with
@@ -124,19 +121,27 @@ class StreamPrivacyEngine {
   const FecPartitioner& fec_partition() const { return partition_; }
 
   /// Serializes the full engine: window capacity + config header (which
-  /// carries the policy identity and knobs), then the miner (window, bitmap
-  /// index, CET arena) and the release policy's own section (for Butterfly:
-  /// epoch, republish cache, previous-window bias settings; for the DP
-  /// backends: epoch and cumulative budget). The expansion and the FEC
-  /// partition are derived from the window and are not written — the first
-  /// post-restore Release rebuilds both with identical content.
+  /// carries the policy identity and knobs, but not `threads`, which no
+  /// release reads), then the miner (window, bitmap index, CET arena) and
+  /// the release policy's own section (for Butterfly: epoch and republish
+  /// cache; for the DP backends: epoch and cumulative budget). The expansion
+  /// and the FEC partition are derived from the window and are not written —
+  /// the first post-restore Release rebuilds both with identical content.
   /// See persist/engine_checkpoint.h for the file-level wrappers.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
   /// Restores this engine from a checkpoint whose window capacity and config
-  /// exactly match this engine's (bit-compared; returns kInvalidArgument
-  /// otherwise). After a successful restore the engine emits byte-identical
-  /// releases to the uninterrupted run it was checkpointed from.
+  /// exactly match this engine's (the CONF encodings are compared byte for
+  /// byte; returns kInvalidArgument otherwise). After a successful restore
+  /// the engine emits byte-identical releases to the uninterrupted run it
+  /// was checkpointed from.
+  ///
+  /// All or nothing: the snapshot is restored into a fresh engine built from
+  /// this engine's capacity and config, which replaces this one only on
+  /// success. On any error this engine is left exactly as it was — same
+  /// window, stream position, release epoch and pins. On success, references
+  /// obtained from RawOutput(), release_policy() or sanitizer() are
+  /// invalidated.
   Status Restore(persist::CheckpointReader* reader);
 
   /// Builds an engine directly from a checkpoint payload — the capacity and
@@ -146,7 +151,9 @@ class StreamPrivacyEngine {
       persist::CheckpointReader* reader);
 
  private:
-  /// Restores the component sections that follow the capacity+config header.
+  /// Restores the component sections that follow the capacity+config header
+  /// into this engine, which must be freshly built: on error its state is
+  /// unspecified.
   Status RestoreBody(persist::CheckpointReader* reader);
 
   MomentMiner miner_;

@@ -6,7 +6,7 @@
 /// QUEST pool to another over a configurable span, so experiments can
 /// measure how Butterfly behaves when window contents — and hence FEC
 /// structures and vulnerable patterns — churn: republish-cache hit rates,
-/// bias-cache hit rates, utility stability.
+/// utility stability.
 
 #ifndef BUTTERFLY_DATAGEN_DRIFT_H_
 #define BUTTERFLY_DATAGEN_DRIFT_H_

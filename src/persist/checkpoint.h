@@ -34,7 +34,10 @@ namespace butterfly::persist {
 /// policy's own tagged section (BFLE for Butterfly, PVBS/CTNL/HVHT for the
 /// DP backends).
 /// v4: CONF section drops the bias-DP memo capacity.
-inline constexpr uint32_t kCheckpointVersion = 4;
+/// v5: CONF section drops the previous-window bias-reuse switch and
+/// tolerance and the thread count; BFLE holds only the epoch and the RPUB
+/// republish cache, and RPUB drops the idle budget.
+inline constexpr uint32_t kCheckpointVersion = 5;
 
 /// File magic; also the grep-able signature of a snapshot file.
 inline constexpr char kCheckpointMagic[8] = {'B', 'F', 'L', 'Y',

@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "common/status.h"
 #include "common/timing.h"
@@ -57,7 +58,7 @@ struct WindowContext {
   /// partitioning it exactly), as StreamPrivacyEngine builds once per
   /// release. Null means the policy partitions or iterates the MiningOutput
   /// itself.
-  const FecView* fecs = nullptr;
+  const std::vector<Fec>* fecs = nullptr;
 };
 
 /// The record of one release: the time it spent in each stage and its

@@ -18,10 +18,6 @@ namespace butterfly {
 ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant) {
   ButterflyConfig engine = config.engine;
   engine.seed = DeriveTenantSeed(config.engine.seed, tenant);
-  // No release stage reads threads, but checkpoints carry it and
-  // SameConfig bit-compares it on restore: forcing one value keeps tenant
-  // checkpoint bytes independent of the fleet's thread count.
-  engine.threads = 1;
   if (!config.tenant_policies.empty()) {
     engine.policy =
         config.tenant_policies[tenant % config.tenant_policies.size()];
@@ -38,9 +34,9 @@ Status FleetConfig::Validate() const {
                                    std::to_string(kMaxThreads) +
                                    "] (0 = hardware concurrency)");
   }
-  // Seed derivation and the serial-engine override do not affect validity,
-  // so validating one tenant per distinct policy assignment covers every
-  // tenant (with no per-tenant policies, that is just tenant 0).
+  // Seed derivation does not affect validity, so validating one tenant per
+  // distinct policy assignment covers every tenant (with no per-tenant
+  // policies, that is just tenant 0).
   const size_t distinct =
       tenant_policies.empty() ? 1 : std::min(tenants, tenant_policies.size());
   for (uint64_t t = 0; t < distinct; ++t) {
@@ -255,11 +251,6 @@ Status EngineFleet::RestoreTenants(const std::string& dir) {
     // this tenant's (including the derived seed), so a snapshot written by
     // a different tenant or fleet configuration is rejected here.
     if (Status s = tenant->engine.Restore(&reader); !s.ok()) return s;
-    if (!reader.AtEnd()) {
-      return Status::IOError("checkpoint corrupt: trailing bytes after the "
-                             "engine state for tenant " +
-                             std::to_string(tenant->id));
-    }
     tenant->draining.clear();
     tenant->drain_pos = 0;
     tenant->releases = tenant->engine.release_epoch();
@@ -268,6 +259,11 @@ Status EngineFleet::RestoreTenants(const std::string& dir) {
     tenant->log.clear();
     tenant->latencies_ns.clear();
     tenant->cumulative = StageSpans{};
+    if (!reader.AtEnd()) {
+      return Status::IOError("checkpoint corrupt: trailing bytes after the "
+                             "engine state for tenant " +
+                             std::to_string(tenant->id));
+    }
   }
   return Status::OK();
 }

@@ -27,10 +27,6 @@
 /// exact per-tenant stream positions (window + k * stride). Cross-tenant
 /// ordering is deliberately unconstrained — tenants share no state, so no
 /// observable output depends on which tenant was pumped first.
-///
-/// Tenant engines are forced to threads = 1. No release stage reads the
-/// field; forcing it keeps tenant checkpoint bytes independent of the
-/// fleet's own thread count, which is what sizes the pump.
 
 #ifndef BUTTERFLY_SERVICE_ENGINE_FLEET_H_
 #define BUTTERFLY_SERVICE_ENGINE_FLEET_H_
@@ -51,7 +47,7 @@ namespace butterfly {
 
 /// Fleet-level configuration. `engine` is the per-tenant template: every
 /// tenant runs the same Butterfly parameters, but its RNG seed is derived
-/// from (engine.seed, tenant id) and its thread count is forced to 1.
+/// from (engine.seed, tenant id).
 struct FleetConfig {
   size_t tenants = 1;
   /// Ignored: Pump() schedules per tenant, not per shard. Kept only so
@@ -76,7 +72,7 @@ struct FleetConfig {
 
 /// The exact engine configuration tenant \p tenant runs under in a fleet
 /// with \p config: the template with the tenant-derived seed
-/// (DeriveTenantSeed) and threads forced to 1. Exposed so solo reference
+/// (DeriveTenantSeed) and its round-robin policy. Exposed so solo reference
 /// runs — the other side of the byte-identity contract — can reproduce a
 /// tenant's engine exactly.
 ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant);
@@ -168,6 +164,14 @@ class EngineFleet {
   /// without a snapshot keep their current state. Queues must be empty —
   /// restore replaces engine state, and queued records belong to the state
   /// being replaced. Serializes against Pump() via the pump lock.
+  ///
+  /// Each tenant's restore is all or nothing (StreamPrivacyEngine::Restore):
+  /// a snapshot that fails to parse leaves that tenant exactly as it was,
+  /// never a mix of the snapshot's window with its own epoch and pins. A
+  /// snapshot with stray bytes after the engine state restores its tenant
+  /// whole, bookkeeping included, and then reports them. The call returns
+  /// the first error; tenants restored before it keep their restored state,
+  /// and later tenants are untouched.
   Status RestoreTenants(const std::string& dir) BFLY_EXCLUDES(pump_mu_);
 
   static std::string TenantCheckpointPath(const std::string& dir,

@@ -5,7 +5,8 @@
 /// randomized kill points — the bit-identical-resume guarantee of
 /// DESIGN.md §10. Corruption cases (truncation, bit flips, wrong magic,
 /// config mismatch) must fail with a clean Status and leave the snapshot
-/// file untouched.
+/// file untouched, and a failed in-place restore must leave the engine
+/// as it was.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -233,23 +235,130 @@ TEST_F(CheckpointCorruptionTest, ConfigMismatchIsRejectedByInPlaceRestore) {
   auto payload = persist::ReadCheckpointFile(path_);
   ASSERT_TRUE(payload.ok());
 
-  // Same capacity, different min_support: in-place Restore refuses rather
-  // than resuming under a silently different privacy contract.
-  StreamCase param = kCases[1];
-  ButterflyConfig other = MakeConfig(param, 1);
-  other.min_support += 1;
-  auto engine = StreamPrivacyEngine::Create(param.window, other);
-  ASSERT_TRUE(engine.ok());
-  persist::CheckpointReader reader(*payload);
-  Status status = engine->Restore(&reader);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  // Same capacity, one field changed: in-place Restore refuses rather than
+  // resuming under a silently different privacy contract.
+  const StreamCase param = kCases[1];
+  const std::vector<std::pair<std::string, void (*)(ButterflyConfig*)>>
+      edits = {
+          {"min_support", [](ButterflyConfig* c) { c->min_support += 1; }},
+          {"seed", [](ButterflyConfig* c) { c->seed += 1; }},
+          {"epsilon", [](ButterflyConfig* c) { c->epsilon *= 2; }},
+          {"hybrid_index",
+           [](ButterflyConfig* c) { c->hybrid_index = !c->hybrid_index; }},
+          {"order_opt.gamma",
+           [](ButterflyConfig* c) { c->order_opt.gamma += 1; }},
+          {"policy_top_k", [](ButterflyConfig* c) { c->policy_top_k += 1; }},
+      };
+  for (const auto& [field, edit] : edits) {
+    ButterflyConfig other = MakeConfig(param, 1);
+    edit(&other);
+    auto engine = StreamPrivacyEngine::Create(param.window, other);
+    ASSERT_TRUE(engine.ok()) << field << ": " << engine.status().ToString();
+    persist::CheckpointReader reader(*payload);
+    Status status = engine->Restore(&reader);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+  }
 
   // FromCheckpoint takes the config from the file instead and succeeds.
   persist::CheckpointReader fresh(*payload);
   auto from_file = StreamPrivacyEngine::FromCheckpoint(&fresh);
   EXPECT_TRUE(from_file.ok()) << from_file.status().ToString();
 }
+
+TEST(InPlaceRestoreTest, ThreadCountIsNotPartOfTheSnapshot) {
+  // No release reads `threads`, and the snapshot does not carry it: a
+  // threads=8 snapshot restores in place into a threads=1 engine, which
+  // resumes byte-identically.
+  const StreamCase param = kCases[0];
+  const std::vector<std::string> expected = RunUninterrupted(param, 1);
+  const std::vector<Transaction> stream = RandomStream(param);
+  const size_t cut = param.window + 10;
+  std::vector<std::string> actual;
+
+  auto source = StreamPrivacyEngine::Create(param.window, MakeConfig(param, 8));
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  for (size_t i = 0; i < cut; ++i) {
+    source->Append(stream[i]);
+    if (IsReleasePoint(param, i + 1)) {
+      actual.push_back(ReleaseBytes(i + 1, source->Release().output));
+    }
+  }
+  persist::CheckpointWriter writer;
+  source->Checkpoint(&writer);
+
+  auto target = StreamPrivacyEngine::Create(param.window, MakeConfig(param, 1));
+  ASSERT_TRUE(target.ok()) << target.status().ToString();
+  persist::CheckpointReader reader(writer.data());
+  Status status = target->Restore(&reader);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(target->config().threads, 1);
+  for (size_t i = cut; i < stream.size(); ++i) {
+    target->Append(stream[i]);
+    if (IsReleasePoint(param, i + 1)) {
+      actual.push_back(ReleaseBytes(i + 1, target->Release().output));
+    }
+  }
+  EXPECT_EQ(actual, expected);
+}
+
+/// A failed in-place restore leaves the engine exactly as it was, under
+/// either row store (the parameter is ButterflyConfig::hybrid_index).
+class FailedRestoreTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(FailedRestoreTest, LeavesTheEngineAsItWas) {
+  const StreamCase param = kCases[3];
+  ButterflyConfig config = MakeConfig(param, 1);
+  config.hybrid_index = GetParam();
+  const std::vector<Transaction> stream = RandomStream(param);
+  const auto feed = [&](StreamPrivacyEngine* engine, size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      engine->Append(stream[i]);
+      if (IsReleasePoint(param, i + 1)) (void)engine->Release();
+    }
+  };
+
+  // A snapshot from further down the stream, cut short inside its last
+  // section (BFLE): the window and index sections before it parse.
+  auto source = StreamPrivacyEngine::Create(param.window, config);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  const size_t late = param.records - 15;
+  feed(&*source, 0, late);
+  persist::CheckpointWriter writer;
+  source->Checkpoint(&writer);
+  std::string payload = writer.data();
+  payload.pop_back();
+
+  auto target = StreamPrivacyEngine::Create(param.window, config);
+  auto twin = StreamPrivacyEngine::Create(param.window, config);
+  ASSERT_TRUE(target.ok() && twin.ok());
+  const size_t early = param.window + 55;
+  feed(&*target, 0, early);
+  feed(&*twin, 0, early);
+  ASSERT_NE(target->release_epoch(), source->release_epoch());
+
+  persist::CheckpointReader reader(payload);
+  EXPECT_FALSE(target->Restore(&reader).ok());
+
+  EXPECT_EQ(target->miner().window().stream_position(),
+            twin->miner().window().stream_position());
+  EXPECT_EQ(target->release_epoch(), twin->release_epoch());
+  Status valid = target->miner().Validate();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  size_t fed = early;
+  while (!IsReleasePoint(param, fed)) {
+    target->Append(stream[fed]);
+    twin->Append(stream[fed]);
+    ++fed;
+  }
+  EXPECT_EQ(ReleaseBytes(fed, target->Release().output),
+            ReleaseBytes(fed, twin->Release().output));
+}
+
+INSTANTIATE_TEST_SUITE_P(RowStores, FailedRestoreTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& row_store) {
+                           return row_store.param ? "Hybrid" : "Dense";
+                         });
 
 TEST(ReleaseLogRecoveryTest, TruncatesTornTrailingBlock) {
   const std::string path = TempPath("bfly_torn_release.log");

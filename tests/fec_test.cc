@@ -58,8 +58,8 @@ TEST(FecTest, PartitionerViewMatchesPartitionAndIsReplacedByRebuild) {
     std::vector<Fec> expected = PartitionIntoFecs(out);
     ASSERT_EQ(partitioner.view().size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(partitioner.view()[i]->support, expected[i].support);
-      EXPECT_EQ(partitioner.view()[i]->members, expected[i].members);
+      EXPECT_EQ(partitioner.view()[i].support, expected[i].support);
+      EXPECT_EQ(partitioner.view()[i].members, expected[i].members);
     }
   }
 }

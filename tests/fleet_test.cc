@@ -16,6 +16,7 @@
 
 #include "core/release_log.h"
 #include "core/stream_engine.h"
+#include "persist/checkpoint.h"
 #include "random_stream.h"
 #include "service/engine_fleet.h"
 
@@ -241,14 +242,12 @@ TEST(FleetTest, ConcurrentStatsAndIngestDuringPump) {
   }
 }
 
-TEST(FleetTest, TenantSeedsDifferAndThreadsForcedSerial) {
+TEST(FleetTest, TenantSeedsDiffer) {
   const FleetConfig config = MakeFleetConfig(3, 8);
   const ButterflyConfig a = TenantEngineConfig(config, 0);
   const ButterflyConfig b = TenantEngineConfig(config, 1);
   EXPECT_NE(a.seed, b.seed);
   EXPECT_NE(a.seed, config.engine.seed);
-  EXPECT_EQ(a.threads, 1);
-  EXPECT_EQ(b.threads, 1);
 }
 
 TEST(FleetTest, IngestRejectsUnknownTenant) {
@@ -331,6 +330,34 @@ TEST(FleetTest, RestoreRefusesWithQueuedRecords) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(FleetTest, RestoreWithTrailingBytesKeepsTheTenantCoherent) {
+  // A snapshot whose engine state parses but is followed by stray bytes is
+  // reported, and the tenant it restored stays coherent: its release count
+  // follows its restored engine.
+  const std::string dir = ::testing::TempDir();
+  const std::string path = EngineFleet::TenantCheckpointPath(dir, 0);
+  const FleetConfig config = MakeFleetConfig(1, 1);
+  {
+    auto fleet = EngineFleet::Create(config);
+    ASSERT_TRUE(fleet.ok());
+    for (const Transaction& t : TenantStream(0)) {
+      ASSERT_TRUE(fleet->Ingest(0, t).ok());
+    }
+    fleet->Pump();
+    ASSERT_TRUE(fleet->CheckpointNextTenant(dir).ok());
+  }
+  auto payload = persist::ReadCheckpointFile(path);
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  ASSERT_TRUE(persist::WriteCheckpointFile(path, *payload + "x").ok());
+
+  auto fleet = EngineFleet::Create(config);
+  ASSERT_TRUE(fleet.ok());
+  EXPECT_EQ(fleet->RestoreTenants(dir).code(), StatusCode::kIOError);
+  EXPECT_EQ(fleet->ReleaseCount(0), 7u);
+  EXPECT_EQ(fleet->ReleaseCount(0), fleet->engine(0).release_epoch());
+  std::remove(path.c_str());
+}
+
 TEST(FleetConfigTest, ValidateCatchesBadShapes) {
   FleetConfig config = MakeFleetConfig(1, 1);
   config.tenants = 0;
@@ -341,8 +368,8 @@ TEST(FleetConfigTest, ValidateCatchesBadShapes) {
   config = MakeFleetConfig(1, 1);
   config.engine.epsilon = -1;  // propagates to the derived engine validation
   EXPECT_FALSE(config.Validate().ok());
-  // The pump's own width: tenant engines are forced to threads=1, so only
-  // the fleet validator sees it, and a huge value would size the pool.
+  // The pump's own width: only the fleet validator sees it, and a huge
+  // value would size the pool.
   for (int64_t threads : {int64_t{-1}, kMaxThreads + 1}) {
     config = MakeFleetConfig(1, 1);
     config.threads = threads;

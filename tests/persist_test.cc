@@ -1,9 +1,9 @@
 /// Format-level tests of the persist substrate: primitive round-trips, the
 /// CRC-32 implementation against its published test vector, the CRC-guarded
 /// file framing (magic / version / size / payload / CRC), the reader's
-/// corruption guards, and the golden v4 snapshot that pins the on-disk
-/// format — any byte-level change to the serialization fails the golden
-/// test and forces an explicit format-version decision.
+/// corruption guards, and the golden snapshot of the current format version
+/// that pins the on-disk format — any byte-level change to the serialization
+/// fails the golden test and forces an explicit format-version decision.
 
 #include <gtest/gtest.h>
 
@@ -190,22 +190,28 @@ TEST_F(CheckpointFileTest, EmptyPayloadRoundTrips) {
 }
 
 TEST_F(CheckpointFileTest, UnsupportedVersionIsNamedInTheError) {
-  // Hand-build a frame that is valid in every way except its version field.
-  const std::string payload = "future bytes";
-  CheckpointWriter head;
-  for (char c : persist::kCheckpointMagic) head.U8(static_cast<uint8_t>(c));
-  head.U32(99);
-  head.U64(payload.size());
-  uint32_t crc = Crc32(head.data().data() + 8, head.data().size() - 8);
-  crc = Crc32(payload.data(), payload.size(), crc);
-  CheckpointWriter trailer;
-  trailer.U32(crc);
-  WriteAll(head.data() + payload + trailer.data());
+  // Hand-build a frame that is valid in every way except its version field:
+  // the previous format version and a future one are both refused by name.
+  for (uint32_t version : {persist::kCheckpointVersion - 1, uint32_t{99}}) {
+    const std::string payload = "other-version bytes";
+    CheckpointWriter head;
+    for (char c : persist::kCheckpointMagic) head.U8(static_cast<uint8_t>(c));
+    head.U32(version);
+    head.U64(payload.size());
+    uint32_t crc = Crc32(head.data().data() + 8, head.data().size() - 8);
+    crc = Crc32(payload.data(), payload.size(), crc);
+    CheckpointWriter trailer;
+    trailer.U32(crc);
+    WriteAll(head.data() + payload + trailer.data());
 
-  auto read = persist::ReadCheckpointFile(Path());
-  EXPECT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(read.status().message().find("version 99"), std::string::npos);
+    auto read = persist::ReadCheckpointFile(Path());
+    EXPECT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(read.status().message().find("version " +
+                                           std::to_string(version)),
+              std::string::npos)
+        << read.status().ToString();
+  }
 }
 
 TEST_F(CheckpointFileTest, CorruptionIsCaught) {
@@ -229,19 +235,22 @@ TEST_F(CheckpointFileTest, CorruptionIsCaught) {
             StatusCode::kInvalidArgument);
 }
 
-// --- Golden v4 snapshot -----------------------------------------------------
+// --- Golden snapshot ---------------------------------------------------------
 //
-// A fixed engine state serialized with format version 4 (v4: the CONF
-// section no longer carries a bias-DP memo capacity), checked into
-// tests/data/. Two guards in one: the current writer must still
-// produce exactly these bytes (byte-stable format ⇒ deterministic
-// checkpoints), and the current reader must still accept them (v4 files
-// written by older builds stay loadable). To regenerate after a DELIBERATE
-// format change — which requires bumping kCheckpointVersion — run this test
-// once with BUTTERFLY_REGEN_GOLDEN=1 in the environment.
+// A fixed engine state serialized with the current format version, checked
+// into tests/data/ as engine_checkpoint_v<kCheckpointVersion>.ckpt. Two
+// guards in one: the current writer must still produce exactly these bytes
+// (byte-stable format ⇒ deterministic checkpoints), and the current reader
+// must still accept them (files of this version written by older builds
+// stay loadable). The file name follows kCheckpointVersion, so a version
+// bump fails both tests until its golden exists. To create it after a
+// DELIBERATE format change — which requires bumping kCheckpointVersion —
+// run this test once with BUTTERFLY_REGEN_GOLDEN=1 in the environment and
+// delete the previous version's file.
 
 std::string GoldenPath() {
-  return std::string(BUTTERFLY_TEST_DATA_DIR) + "/engine_checkpoint_v4.ckpt";
+  return std::string(BUTTERFLY_TEST_DATA_DIR) + "/engine_checkpoint_v" +
+         std::to_string(persist::kCheckpointVersion) + ".ckpt";
 }
 
 /// A small but non-trivial pinned engine state: full window, recycled CET
@@ -255,7 +264,6 @@ StreamPrivacyEngine GoldenEngine() {
   config.scheme = ButterflyScheme::kHybrid;
   config.lambda = 0.4;
   config.seed = 4242;
-  config.threads = 1;
   StreamPrivacyEngine engine(12, config);
   Rng rng(42);
   for (size_t i = 0; i < 60; ++i) {
@@ -270,7 +278,7 @@ StreamPrivacyEngine GoldenEngine() {
   return engine;
 }
 
-TEST(GoldenSnapshotTest, FormatV4IsByteStable) {
+TEST(GoldenSnapshotTest, FormatIsByteStable) {
   StreamPrivacyEngine engine = GoldenEngine();
   CheckpointWriter writer;
   engine.Checkpoint(&writer);
@@ -290,7 +298,7 @@ TEST(GoldenSnapshotTest, FormatV4IsByteStable) {
          "with BUTTERFLY_REGEN_GOLDEN=1";
 }
 
-TEST(GoldenSnapshotTest, FormatV4StaysLoadableAndResumesIdentically) {
+TEST(GoldenSnapshotTest, FormatStaysLoadableAndResumesIdentically) {
   auto restored = persist::LoadEngineCheckpoint(GoldenPath());
   ASSERT_TRUE(restored.ok())
       << restored.status().ToString()

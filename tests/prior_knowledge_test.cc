@@ -1,7 +1,6 @@
 /// Tests of the three prior-knowledge defenses/evaluations (§V-C.2 of the
 /// paper): FREQSAT-justified independence is implicit; PK2 (averaging) and
-/// PK3 (knowledge points) are exercised here, together with the incremental
-/// bias-setting cache.
+/// PK3 (knowledge points) are exercised here.
 
 #include <gtest/gtest.h>
 
@@ -121,55 +120,6 @@ TEST(KnowledgePointTest, KnowingEveryNodeRecoversTruth) {
   PrivacyEvaluation eval =
       EvaluatePrivacyWithKnowledgePoints(LeakyBreach(), release, kp);
   EXPECT_DOUBLE_EQ(eval.avg_prig, 0.0);
-}
-
-TEST(BiasCacheTest, ReusedWhenFecStructureUnchanged) {
-  ButterflyConfig config = BaseConfig();
-  config.scheme = ButterflyScheme::kOrderPreserving;
-  ButterflyEngine engine(config);
-  MiningOutput raw = LeakyOutput();
-  engine.Sanitize(raw, 2000);
-  EXPECT_FALSE(engine.last_biases_were_cached());
-  engine.Sanitize(raw, 2000);
-  EXPECT_TRUE(engine.last_biases_were_cached());
-}
-
-TEST(BiasCacheTest, InvalidatedWhenSupportsChange) {
-  ButterflyConfig config = BaseConfig();
-  config.scheme = ButterflyScheme::kOrderPreserving;
-  ButterflyEngine engine(config);
-  engine.Sanitize(LeakyOutput(), 2000);
-  engine.Sanitize(MakeOutput({{Itemset{1}, 31}, {Itemset{2}, 60}}), 2000);
-  EXPECT_FALSE(engine.last_biases_were_cached());
-}
-
-TEST(BiasCacheTest, DisabledByConfig) {
-  ButterflyConfig config = BaseConfig();
-  config.scheme = ButterflyScheme::kOrderPreserving;
-  config.cache_bias_settings = false;
-  ButterflyEngine engine(config);
-  MiningOutput raw = LeakyOutput();
-  engine.Sanitize(raw, 2000);
-  engine.Sanitize(raw, 2000);
-  EXPECT_FALSE(engine.last_biases_were_cached());
-}
-
-TEST(BiasCacheTest, CachedBiasesProduceIdenticalRelease) {
-  // With the republish cache ON and unchanged inputs, cached-bias and
-  // fresh-bias paths must produce the exact same release.
-  ButterflyConfig with_cache = BaseConfig();
-  with_cache.scheme = ButterflyScheme::kHybrid;
-  with_cache.cache_bias_settings = true;
-  ButterflyConfig without_cache = with_cache;
-  without_cache.cache_bias_settings = false;
-
-  ButterflyEngine a(with_cache), b(without_cache);
-  MiningOutput raw = LeakyOutput();
-  for (int i = 0; i < 3; ++i) {
-    SanitizedOutput ra = a.Sanitize(raw, 2000);
-    SanitizedOutput rb = b.Sanitize(raw, 2000);
-    EXPECT_EQ(ra.items(), rb.items()) << "round " << i;
-  }
 }
 
 }  // namespace

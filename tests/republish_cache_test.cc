@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "persist/serializer.h"
+
 namespace butterfly {
 namespace {
 
@@ -58,6 +60,26 @@ TEST(RepublishCacheTest, LookupRefreshesIdleClock) {
     cache.NextEpoch();
     ASSERT_TRUE(cache.Lookup(Itemset{1}, 5).has_value()) << "epoch " << i;
   }
+}
+
+TEST(RepublishCacheTest, RestoreKeepsItsOwnIdleBudget) {
+  // The idle budget is a construction constant, not snapshot state: a
+  // budget-4 cache restored from a budget-2 cache's snapshot still prunes
+  // at 4.
+  RepublishCache written(/*max_idle_epochs=*/2);
+  written.Store(Itemset{1}, RepublishCache::Entry{5, 7, 0.0, 4.0});
+  persist::CheckpointWriter writer;
+  written.Checkpoint(&writer);
+
+  RepublishCache restored(/*max_idle_epochs=*/4);
+  persist::CheckpointReader reader(writer.data());
+  ASSERT_TRUE(restored.Restore(&reader).ok());
+  ASSERT_EQ(restored.size(), 1u);
+  // Idle for four epochs: past a budget of 2, within a budget of 4.
+  for (int i = 0; i < 4; ++i) restored.NextEpoch();
+  EXPECT_EQ(restored.size(), 1u);
+  restored.NextEpoch();
+  EXPECT_EQ(restored.size(), 0u);
 }
 
 TEST(RepublishCacheTest, IndependentEntries) {
