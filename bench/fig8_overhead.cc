@@ -332,8 +332,9 @@ void RunDataset(DatasetProfile profile, const RunShape& shape) {
 /// dense-row equivalent) is enforced unconditionally — it is deterministic —
 /// while the speed win is a floor (see CheckHybridFloors). On the hybrid
 /// store it also times the expansion (GetAllFrequent) at each report point,
-/// outside the maintenance clock: at this alphabet almost every CET node is
-/// an infrequent-gateway leaf, which the output walk must not pay for.
+/// outside the maintenance clock: at this alphabet almost every item is
+/// infrequent, and neither the maintenance nor the output walk may pay for
+/// them (the CET stores and counts only frequent items).
 void RunWebScaleRow(const RunShape& shape) {
   const DatasetProfile profile = DatasetProfile::kWebScale1M;
   const size_t window = 5000;

@@ -15,6 +15,10 @@ namespace butterfly {
 namespace {
 constexpr uint32_t kMinerTag = persist::SectionTag('C', 'E', 'T', 'M');
 constexpr uint32_t kArenaTag = persist::SectionTag('A', 'R', 'E', 'N');
+// Node flag bits in the arena encoding. Bit 1 is unused; every stored node
+// is frequent.
+constexpr uint8_t kUnpromisingFlag = 2;
+constexpr uint8_t kClosedFlag = 4;
 }  // namespace
 
 /// One arena slot. Links are arena indices, never pointers: the pool may
@@ -33,20 +37,43 @@ struct MomentMiner::CetNode {
 
   Itemset itemset;
   Item branch_item = kInvalidItem;  // invalid for the root
-  Support support = 0;
+  Support support = 0;              // >= C, except at the root
 
-  /// True for frequent nodes carrying extension counts (and for the root,
-  /// which is always maintained); false for infrequent gateway leaves.
-  bool frequent_explored = false;
   bool unpromising = false;  // unpromising gateway leaf
   bool closed = false;
 
-  /// j -> T(I ∪ {j}) for every item j outside I co-occurring with I.
+  /// j -> T(I ∪ {j}) for every frequent item j outside I co-occurring
+  /// with I.
   std::vector<ExtCount> ext_counts;
-  /// Children keyed by branch item (> branch_item); empty for leaves.
+  /// Children keyed by branch item (> branch_item): exactly the extension
+  /// items above the branch item counted at least C times; empty for an
+  /// unpromising node.
   std::vector<ChildEntry> children;
 
   bool is_root() const { return branch_item == kInvalidItem; }
+
+  /// Index of \p item's extension count, or where it would be inserted.
+  size_t ExtPos(Item item) const {
+    auto it = std::lower_bound(
+        ext_counts.begin(), ext_counts.end(), item,
+        [](const ExtCount& e, Item j) { return e.item < j; });
+    return static_cast<size_t>(it - ext_counts.begin());
+  }
+
+  /// True iff \p item has an extension count.
+  bool Counts(Item item) const {
+    const size_t pos = ExtPos(item);
+    return pos < ext_counts.size() && ext_counts[pos].item == item;
+  }
+
+  /// The first of the sorted \p items above the branch item (every item,
+  /// at the root): the candidates for children, all outside the itemset.
+  std::vector<Item>::const_iterator FirstAbove(
+      const std::vector<Item>& items) const {
+    return is_root() ? items.begin()
+                     : std::upper_bound(items.begin(), items.end(),
+                                        branch_item);
+  }
 
   /// Index into children for \p item, or npos.
   size_t FindChild(Item item) const {
@@ -59,11 +86,8 @@ struct MomentMiner::CetNode {
 
   /// Extension count of \p item; the entry must exist.
   Support ExtCountOf(Item item) const {
-    auto it = std::lower_bound(
-        ext_counts.begin(), ext_counts.end(), item,
-        [](const ExtCount& e, Item j) { return e.item < j; });
-    assert(it != ext_counts.end() && it->item == item);
-    return it->count;
+    assert(Counts(item));
+    return ext_counts[ExtPos(item)].count;
   }
 
   static constexpr size_t npos = static_cast<size_t>(-1);
@@ -76,7 +100,6 @@ MomentMiner::MomentMiner(size_t window_capacity, Support min_support,
       index_(window_capacity, row_store) {
   assert(min_support > 0);
   arena_.emplace_back();  // the root, index kRoot
-  arena_[kRoot].frequent_explored = true;
 }
 
 MomentMiner::~MomentMiner() = default;
@@ -105,7 +128,6 @@ uint32_t MomentMiner::AllocNode() {
   CetNode& node = arena_[idx];
   node.branch_item = kInvalidItem;
   node.support = 0;
-  node.frequent_explored = false;
   node.unpromising = false;
   node.closed = false;
   BFLY_DCHECK_MSG(node.ext_counts.empty() && node.children.empty(),
@@ -136,12 +158,72 @@ void MomentMiner::Append(Transaction t) {
   // Slide the window (and its bitmap mirror) first: the exploration paths
   // query the index, so it must already reflect the post-slide contents when
   // the tree update runs. The expiry path never explores (expiries cannot
-  // promote nodes), so processing it against the already-slid state is sound.
+  // create nodes), so processing it against the already-slid state is sound.
+  // The root counts exactly the items of F: before the expiry, F before the
+  // slide; before the arrival, F after it.
   std::optional<Transaction> evicted = window_.Append(std::move(t));
   const Transaction& added = window_.transactions().back();
   index_.Apply(&added, evicted ? &*evicted : nullptr);
-  if (evicted) UpdateDelete(kRoot, *evicted);
-  UpdateAdd(kRoot, added);
+  if (evicted) {
+    frequent_scratch_.clear();
+    for (Item j : evicted->items) {
+      if (N(kRoot).Counts(j)) frequent_scratch_.push_back(j);
+    }
+    UpdateDelete(kRoot, frequent_scratch_);
+    // An item that left F is erased wherever it is counted: at the stored
+    // nodes its remaining records contain. No stored node contains it, and
+    // none of its counts reached C, so no flag or child depends on it.
+    for (Item j : frequent_scratch_) {
+      if (index_.ItemSupport(j) < min_support_) {
+        ShiftItemCounts(j, -1, nullptr);
+      }
+    }
+  }
+  frequent_scratch_.clear();
+  for (Item j : added.items) {
+    if (!N(kRoot).Counts(j)) {
+      if (index_.ItemSupport(j) < min_support_) continue;
+      // j entered F with this arrival: count it at the stored nodes its
+      // other records contain. Each such count is at most C - 1 < T(I), so
+      // no flag changes until the arrival below is applied.
+      ShiftItemCounts(j, +1, &added);
+    }
+    frequent_scratch_.push_back(j);
+  }
+  UpdateAdd(kRoot, frequent_scratch_);
+}
+
+template <typename Fn>
+void MomentMiner::VisitContained(uint32_t idx, const Itemset& record,
+                                 const Fn& fn) {
+  CetNode& node = N(idx);  // stable: fn never allocates arena nodes
+  fn(&node);
+  if (node.children.empty()) return;
+  for (auto it = node.FirstAbove(record.items()); it != record.end(); ++it) {
+    const size_t pos = node.FindChild(*it);
+    if (pos != CetNode::npos) {
+      VisitContained(node.children[pos].node, record, fn);
+    }
+  }
+}
+
+void MomentMiner::ShiftItemCounts(Item j, int delta, const Transaction* skip) {
+  Bitmap tidset;
+  if (index_.Tidset(Itemset{j}, &tidset) == 0) return;
+  tidset.ForEachSetBit([&](size_t slot) {
+    const Transaction* record = index_.transaction(slot);
+    if (record == skip) return;
+    VisitContained(kRoot, record->items, [&](CetNode* node) {
+      std::vector<CetNode::ExtCount>& ext = node->ext_counts;
+      const auto at = ext.begin() + static_cast<ptrdiff_t>(node->ExtPos(j));
+      if (at == ext.end() || at->item != j) {
+        assert(delta > 0);
+        ext.insert(at, {j, 1});
+      } else if ((at->count += delta) == 0) {
+        ext.erase(at);
+      }
+    });
+  });
 }
 
 Bitmap& MomentMiner::ScratchAt(size_t depth) {
@@ -181,6 +263,7 @@ void MomentMiner::BuildExtCounts(uint32_t idx, size_t depth) {
     for (Item j : t->items) {
       while (si < self.size() && self[si] < j) ++si;
       if (si < self.size() && self[si] == j) continue;
+      if (index_.ItemSupport(j) < min_support_) continue;  // j is not in F
       const uint32_t dense = index_.DenseId(j);
       assert(dense != ItemRemap::kNone);
       if (count_scratch_[dense]++ == 0) touched_scratch_.push_back(j);
@@ -199,15 +282,9 @@ void MomentMiner::BuildExtCounts(uint32_t idx, size_t depth) {
 }
 
 void MomentMiner::Explore(uint32_t idx, size_t depth) {
-  {
-    CetNode& node = N(idx);
-    node.frequent_explored = true;
-    node.unpromising = false;
-    node.closed = false;
-    assert(node.support ==
-           static_cast<Support>(tidset_scratch_[depth].Popcount()));
-    if (!node.children.empty()) FreeChildren(idx);
-  }
+  assert(N(idx).support >= min_support_ && N(idx).children.empty());
+  assert(N(idx).support ==
+         static_cast<Support>(tidset_scratch_[depth].Popcount()));
   BuildExtCounts(idx, depth);
   if (HasUnpromisingBlocker(N(idx))) {
     N(idx).unpromising = true;
@@ -224,6 +301,7 @@ void MomentMiner::ExpandFromCounts(uint32_t idx, size_t depth) {
   for (size_t k = 0; k < N(idx).ext_counts.size(); ++k) {
     const CetNode::ExtCount ec = N(idx).ext_counts[k];
     if (!N(idx).is_root() && ec.item < N(idx).branch_item) continue;
+    if (ec.count < min_support_) continue;  // an infrequent gateway
     const uint32_t child_idx = AllocNode();
     {
       CetNode& child = N(child_idx);
@@ -231,26 +309,25 @@ void MomentMiner::ExpandFromCounts(uint32_t idx, size_t depth) {
       child.branch_item = ec.item;
       child.support = ec.count;
     }
-    if (ec.count >= min_support_) {
-      Bitmap& child_tidset = ScratchAt(depth + 1);
-      const Support refined =
-          index_.Refine(tidset_scratch_[depth], ec.item, &child_tidset);
-      assert(refined == ec.count);
-      (void)refined;
-      Explore(child_idx, depth + 1);
-    }
+    Bitmap& child_tidset = ScratchAt(depth + 1);
+    const Support refined =
+        index_.Refine(tidset_scratch_[depth], ec.item, &child_tidset);
+    assert(refined == ec.count);
+    (void)refined;
+    Explore(child_idx, depth + 1);
     N(idx).children.push_back({ec.item, child_idx});
   }
   RecomputeClosed(&N(idx));
 }
 
-void MomentMiner::MergeAddExtCounts(CetNode* node, const Transaction& t) {
+void MomentMiner::MergeAddExtCounts(CetNode* node,
+                                    const std::vector<Item>& items) {
   std::vector<CetNode::ExtCount>& ec = node->ext_counts;
   const Itemset& self = node->itemset;
   missing_scratch_.clear();
   size_t si = 0;  // merge pointer into the own itemset
   size_t e = 0;   // merge pointer into ext_counts (both ascend with j)
-  for (Item j : t.items) {
+  for (Item j : items) {
     while (si < self.size() && self[si] < j) ++si;
     if (si < self.size() && self[si] == j) continue;
     while (e < ec.size() && ec[e].item < j) ++e;
@@ -276,13 +353,14 @@ void MomentMiner::MergeAddExtCounts(CetNode* node, const Transaction& t) {
   }
 }
 
-void MomentMiner::MergeSubExtCounts(CetNode* node, const Transaction& t) {
+void MomentMiner::MergeSubExtCounts(CetNode* node,
+                                    const std::vector<Item>& items) {
   std::vector<CetNode::ExtCount>& ec = node->ext_counts;
   const Itemset& self = node->itemset;
   size_t si = 0;
   size_t e = 0;
   bool zeroed = false;
-  for (Item j : t.items) {
+  for (Item j : items) {
     while (si < self.size() && self[si] < j) ++si;
     if (si < self.size() && self[si] == j) continue;
     while (e < ec.size() && ec[e].item < j) ++e;
@@ -297,24 +375,11 @@ void MomentMiner::MergeSubExtCounts(CetNode* node, const Transaction& t) {
   }
 }
 
-void MomentMiner::UpdateAdd(uint32_t idx, const Transaction& t) {
+void MomentMiner::UpdateAdd(uint32_t idx, const std::vector<Item>& items) {
   {
     CetNode& node = N(idx);
     ++node.support;
-
-    if (!node.frequent_explored) {
-      // Infrequent gateway: promote once it crosses the threshold.
-      if (node.support >= min_support_) {
-        const size_t depth = node.itemset.size();
-        const Support support = index_.Tidset(node.itemset, &ScratchAt(depth));
-        assert(support == node.support);
-        (void)support;
-        Explore(idx, depth);
-      }
-      return;
-    }
-
-    MergeAddExtCounts(&node, t);
+    MergeAddExtCounts(&node, items);
 
     if (node.unpromising) {
       // Arrivals can only break blockers (a blocker item occurs in every
@@ -334,64 +399,47 @@ void MomentMiner::UpdateAdd(uint32_t idx, const Transaction& t) {
 
   // Recursion below may grow the arena, so the node is re-read through N()
   // after every step that can allocate.
-  for (Item j : t.items) {
-    if (N(idx).itemset.Contains(j)) continue;
-    if (!N(idx).is_root() && j < N(idx).branch_item) continue;
+  for (auto it = N(idx).FirstAbove(items); it != items.end(); ++it) {
+    const Item j = *it;
     const size_t pos = N(idx).FindChild(j);
     if (pos != CetNode::npos) {
-      UpdateAdd(N(idx).children[pos].node, t);
-    } else {
-      // First co-occurrence of I with j in the window: new boundary child.
-      const Support child_support = N(idx).ExtCountOf(j);
-      const uint32_t child_idx = AllocNode();
-      {
-        CetNode& child = N(child_idx);
-        child.itemset.AssignWith(N(idx).itemset, j);
-        child.branch_item = j;
-        child.support = child_support;
-      }
-      if (child_support >= min_support_) {
-        const size_t depth = N(child_idx).itemset.size();
-        const Support support =
-            index_.Tidset(N(child_idx).itemset, &ScratchAt(depth));
-        assert(support == child_support);
-        (void)support;
-        Explore(child_idx, depth);
-      }
-      CetNode& node = N(idx);
-      std::vector<CetNode::ChildEntry>& children = node.children;
-      children.insert(
-          std::upper_bound(
-              children.begin(), children.end(), j,
-              [](Item item, const CetNode::ChildEntry& e) {
-                return item < e.item;
-              }),
-          {j, child_idx});
+      UpdateAdd(N(idx).children[pos].node, items);
+      continue;
     }
+    const Support child_support = N(idx).ExtCountOf(j);
+    if (child_support < min_support_) continue;  // an infrequent gateway
+    // I ∪ {j} just reached C: a new frequent child.
+    const uint32_t child_idx = AllocNode();
+    {
+      CetNode& child = N(child_idx);
+      child.itemset.AssignWith(N(idx).itemset, j);
+      child.branch_item = j;
+      child.support = child_support;
+    }
+    const size_t depth = N(child_idx).itemset.size();
+    const Support support =
+        index_.Tidset(N(child_idx).itemset, &ScratchAt(depth));
+    assert(support == child_support);
+    (void)support;
+    Explore(child_idx, depth);
+    std::vector<CetNode::ChildEntry>& children = N(idx).children;
+    children.insert(
+        std::upper_bound(children.begin(), children.end(), j,
+                         [](Item item, const CetNode::ChildEntry& e) {
+                           return item < e.item;
+                         }),
+        {j, child_idx});
   }
   RecomputeClosed(&N(idx));
 }
 
-bool MomentMiner::UpdateDelete(uint32_t idx, const Transaction& t) {
+bool MomentMiner::UpdateDelete(uint32_t idx, const std::vector<Item>& items) {
   // The delete path never allocates arena nodes, so references stay valid.
   CetNode& node = N(idx);
   --node.support;
+  if (!node.is_root() && node.support < min_support_) return true;
 
-  if (!node.frequent_explored) {
-    return node.support == 0 && !node.is_root();
-  }
-
-  MergeSubExtCounts(&node, t);
-
-  if (!node.is_root() && node.support < min_support_) {
-    // Demote to infrequent gateway; the subtree dissolves into the pool.
-    FreeChildren(idx);
-    node.ext_counts.clear();
-    node.frequent_explored = false;
-    node.unpromising = false;
-    node.closed = false;
-    return node.support == 0;
-  }
+  MergeSubExtCounts(&node, items);
 
   if (node.unpromising) {
     // Expiries cannot unblock: a blocker occurs in every record containing I,
@@ -406,18 +454,15 @@ bool MomentMiner::UpdateDelete(uint32_t idx, const Transaction& t) {
     return false;
   }
 
-  for (Item j : t.items) {
-    if (node.itemset.Contains(j)) continue;
-    if (!node.is_root() && j < node.branch_item) continue;
-    const size_t pos = node.FindChild(j);
-    if (pos != CetNode::npos) {
-      const uint32_t child_idx = node.children[pos].node;
-      if (UpdateDelete(child_idx, t)) {
-        // The child is a drained gateway leaf (support 0, no subtree).
-        FreeNode(child_idx);
-        node.children.erase(node.children.begin() +
-                            static_cast<ptrdiff_t>(pos));
-      }
+  for (auto it = node.FirstAbove(items); it != items.end(); ++it) {
+    const size_t pos = node.FindChild(*it);
+    if (pos == CetNode::npos) continue;
+    const uint32_t child_idx = node.children[pos].node;
+    if (UpdateDelete(child_idx, items)) {
+      // The child fell below C; its count stays in this node only.
+      FreeChildren(child_idx);
+      FreeNode(child_idx);
+      node.children.erase(node.children.begin() + static_cast<ptrdiff_t>(pos));
     }
   }
   RecomputeClosed(&node);
@@ -433,30 +478,9 @@ void MomentMiner::VisitTree(uint32_t idx, const Fn& fn) const {
   }
 }
 
-template <typename Fn>
-void MomentMiner::VisitFrequent(uint32_t idx, const Fn& fn) const {
-  const CetNode& node = N(idx);
-  fn(node);
-  if (node.children.empty()) return;
-  // A frequent node's children are its extension items above the branch
-  // item, and each child's support is that item's extension count. Both
-  // arrays ascend by item, so one merge from the first child's item reads
-  // every child's support without touching the child.
-  const std::vector<CetNode::ExtCount>& ext = node.ext_counts;
-  auto ec = std::lower_bound(
-      ext.begin(), ext.end(), node.children.front().item,
-      [](const CetNode::ExtCount& e, Item j) { return e.item < j; });
-  for (const CetNode::ChildEntry& entry : node.children) {
-    while (ec != ext.end() && ec->item < entry.item) ++ec;
-    BFLY_DCHECK_MSG(ec != ext.end() && ec->item == entry.item,
-                    "CET child without an extension count");
-    if (ec->count >= min_support_) VisitFrequent(entry.node, fn);
-  }
-}
-
 MiningOutput MomentMiner::GetClosedFrequent() const {
   MiningOutput output(min_support_);
-  VisitFrequent(kRoot, [&](const CetNode& node) {
+  VisitTree(kRoot, [&](const CetNode& node) {
     if (!node.is_root() && !node.unpromising && node.closed) {
       output.Add(node.itemset, node.support);
     }
@@ -477,7 +501,7 @@ std::optional<Support> MomentMiner::SupportOf(const Itemset& itemset) const {
     return window_size;
   }
   std::optional<Support> best;
-  VisitFrequent(kRoot, [&](const CetNode& node) {
+  VisitTree(kRoot, [&](const CetNode& node) {
     if (node.is_root() || node.unpromising || !node.closed) return;
     if (node.itemset.ContainsAll(itemset) &&
         (!best || node.support > *best)) {
@@ -491,6 +515,12 @@ Status MomentMiner::Validate() const {
   Status index_status = index_.Validate(window_);
   if (!index_status.ok()) return index_status;
 
+  // F, recounted from the window rather than read from the index.
+  std::map<Item, Support> item_support;
+  for (const Transaction& t : window_.transactions()) {
+    for (Item j : t.items) ++item_support[j];
+  }
+
   size_t reachable = 0;
   Status failure = Status::OK();
   VisitTree(kRoot, [&](const CetNode& node) {
@@ -500,33 +530,24 @@ Status MomentMiner::Validate() const {
       failure = Status::Internal(node.itemset.ToString() + ": " + what);
     };
 
-    // Recount the node's support and extension counts from the window.
+    // Recount the node's support and its extension counts over F.
     Support support = 0;
     std::map<Item, Support> ext_counts;
     for (const Transaction& t : window_.transactions()) {
       if (!t.items.ContainsAll(node.itemset)) continue;
       ++support;
       for (Item j : t.items) {
-        if (!node.itemset.Contains(j)) ++ext_counts[j];
+        if (!node.itemset.Contains(j) && item_support[j] >= min_support_) {
+          ++ext_counts[j];
+        }
       }
     }
     if (node.support != support) {
       return fail("stored support " + std::to_string(node.support) +
                   " != recounted " + std::to_string(support));
     }
-
-    if (!node.frequent_explored) {
-      if (!node.is_root() && node.support >= min_support_) {
-        return fail("infrequent gateway at or above the threshold");
-      }
-      if (!node.children.empty() || !node.ext_counts.empty()) {
-        return fail("infrequent gateway carrying children or counts");
-      }
-      return;
-    }
-
     if (!node.is_root() && node.support < min_support_) {
-      return fail("explored node below the threshold");
+      return fail("stored node below the threshold");
     }
     if (node.ext_counts.size() != ext_counts.size()) {
       return fail("stale extension counts");
@@ -551,9 +572,12 @@ Status MomentMiner::Validate() const {
 
     // Children invariant and closedness.
     bool closed = true;
+    size_t frequent_children = 0;
     for (const auto& [j, count] : ext_counts) {
       if (count == node.support) closed = false;
       if (!node.is_root() && j < node.branch_item) continue;
+      if (count < min_support_) continue;
+      ++frequent_children;
       const size_t pos = node.FindChild(j);
       if (pos == CetNode::npos) {
         return fail("missing child for item " + std::to_string(j));
@@ -562,10 +586,8 @@ Status MomentMiner::Validate() const {
         return fail("child support mismatch for item " + std::to_string(j));
       }
     }
-    for (const CetNode::ChildEntry& entry : node.children) {
-      if (!ext_counts.count(entry.item)) {
-        return fail("child for vanished item " + std::to_string(entry.item));
-      }
+    if (node.children.size() != frequent_children) {
+      return fail("child for an item counted fewer than C times");
     }
     if (!node.is_root() && node.closed != closed) {
       return fail(closed ? "closed node not flagged" : "non-closed flagged");
@@ -614,9 +636,8 @@ void MomentMiner::Checkpoint(persist::CheckpointWriter* writer) const {
     const CetNode& node = arena_[idx];
     writer->U32(node.branch_item);
     writer->I64(node.support);
-    writer->U8(static_cast<uint8_t>((node.frequent_explored ? 1 : 0) |
-                                    (node.unpromising ? 2 : 0) |
-                                    (node.closed ? 4 : 0)));
+    writer->U8(static_cast<uint8_t>((node.unpromising ? kUnpromisingFlag : 0) |
+                                    (node.closed ? kClosedFlag : 0)));
     writer->U64(node.ext_counts.size());
     for (const CetNode::ExtCount& ec : node.ext_counts) {
       writer->U32(ec.item);
@@ -675,12 +696,11 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
     node.support = reader->I64();
     const uint8_t flags = reader->U8();
     if (!reader->ok()) return reader->status();
-    if (flags > 7) {
+    if ((flags & ~(kUnpromisingFlag | kClosedFlag)) != 0) {
       return reader->Fail("checkpoint corrupt: bad CET node flags");
     }
-    node.frequent_explored = (flags & 1) != 0;
-    node.unpromising = (flags & 2) != 0;
-    node.closed = (flags & 4) != 0;
+    node.unpromising = (flags & kUnpromisingFlag) != 0;
+    node.closed = (flags & kClosedFlag) != 0;
     const uint64_t ext_count = reader->ReadCount(12, "extension counts");
     if (!reader->ok()) return reader->status();
     node.ext_counts.resize(ext_count);
@@ -710,15 +730,14 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
     }
     if (!reader->ok()) return reader->status();
   }
-  if (arena[kRoot].branch_item != kInvalidItem ||
-      !arena[kRoot].frequent_explored) {
+  if (arena[kRoot].branch_item != kInvalidItem) {
     return reader->Fail("checkpoint corrupt: malformed CET root");
   }
 
   // One DFS reconstructs every node's itemset from its root path and proves
   // the links form a tree (each live node reached exactly once). It also
-  // checks the links VisitFrequent trusts: only a frequent, promising node
-  // has children, and each child's support is its parent's extension count.
+  // checks the links themselves: only a promising node has children, and
+  // each child's support is its parent's extension count.
   std::vector<uint8_t> visited(arena_size, 0);
   std::vector<uint32_t> stack = {kRoot};
   visited[kRoot] = 1;
@@ -727,16 +746,6 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
     const uint32_t idx = stack.back();
     stack.pop_back();
     const CetNode& node = arena[idx];
-    if (!node.frequent_explored &&
-        (!node.children.empty() || !node.ext_counts.empty())) {
-      return reader->Fail(
-          "checkpoint corrupt: infrequent CET node with children or counts");
-    }
-    if (idx != kRoot &&
-        node.frequent_explored != (node.support >= min_support_)) {
-      return reader->Fail(
-          "checkpoint corrupt: CET frequent flag disagrees with its support");
-    }
     if (node.unpromising && !node.children.empty()) {
       return reader->Fail(
           "checkpoint corrupt: unpromising CET node with children");
@@ -768,6 +777,44 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
     return reader->Fail("checkpoint corrupt: unreachable CET nodes");
   }
 
+  // Every stored node against the restored window: one tidset per node, one
+  // index row count per extension item.
+  Bitmap tidset;
+  for (uint32_t idx = 0; idx < arena_size; ++idx) {
+    if (is_free[idx]) continue;
+    const CetNode& node = arena[idx];
+    if (idx != kRoot && node.support < min_support_) {
+      return reader->Fail("checkpoint corrupt: CET node below min_support");
+    }
+    if (index_.Tidset(node.itemset, &tidset) != node.support) {
+      return reader->Fail(
+          "checkpoint corrupt: CET node support disagrees with the window");
+    }
+    auto child = node.children.begin();
+    for (const CetNode::ExtCount& ec : node.ext_counts) {
+      const Support item_support = index_.ItemSupport(ec.item);
+      if (item_support < min_support_ || node.itemset.Contains(ec.item)) {
+        return reader->Fail(
+            "checkpoint corrupt: CET extension item is not a frequent item "
+            "outside its node");
+      }
+      if (ec.count < 1 || ec.count > node.support ||
+          ec.count > item_support) {
+        return reader->Fail(
+            "checkpoint corrupt: CET extension count out of range");
+      }
+      if (node.unpromising || ec.count < min_support_ ||
+          (idx != kRoot && ec.item < node.branch_item)) {
+        continue;
+      }
+      while (child != node.children.end() && child->item < ec.item) ++child;
+      if (child == node.children.end() || child->item != ec.item) {
+        return reader->Fail(
+            "checkpoint corrupt: promising CET node lacks a frequent child");
+      }
+    }
+  }
+
   arena_ = std::move(arena);
   free_ = std::move(free_list);
 
@@ -776,13 +823,27 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
 
 MomentStats MomentMiner::Stats() const {
   MomentStats stats;
+  Bitmap tidset;
+  std::vector<Item> above;
   VisitTree(kRoot, [&](const CetNode& node) {
-    if (node.is_root()) return;
-    if (!node.frequent_explored) {
-      ++stats.infrequent_gateway;
-    } else if (node.unpromising) {
+    if (node.unpromising) {
       ++stats.unpromising_gateway;
-    } else if (node.closed) {
+      return;
+    }
+    // The infrequent gateways below a promising node are the items above
+    // its branch item that co-occur with it, less its (frequent) children.
+    above.clear();
+    index_.Tidset(node.itemset, &tidset);
+    tidset.ForEachSetBit([&](size_t slot) {
+      const std::vector<Item>& record = index_.transaction(slot)->items.items();
+      above.insert(above.end(), node.FirstAbove(record), record.end());
+    });
+    std::sort(above.begin(), above.end());
+    const auto distinct = static_cast<size_t>(
+        std::unique(above.begin(), above.end()) - above.begin());
+    stats.infrequent_gateway += distinct - node.children.size();
+    if (node.is_root()) return;
+    if (node.closed) {
       ++stats.closed;
     } else {
       ++stats.intermediate;

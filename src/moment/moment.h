@@ -7,8 +7,8 @@
 /// for an itemset I (the path of branch items from the root) and carries the
 /// node taxonomy of the Moment paper:
 ///
-///  * infrequent gateway node — I is infrequent; kept as a boundary leaf so
-///    that a single arrival can promote it without re-mining from scratch;
+///  * infrequent gateway node — I is infrequent. Moment keeps it as a
+///    boundary leaf; here it is only a count in its parent (see below);
 ///  * unpromising gateway node — I is frequent but some item j < max(I)
 ///    outside I appears in every window record containing I
 ///    (tidset(I) ⊆ tidset(j)); then neither I nor any descendant can be
@@ -17,19 +17,30 @@
 ///    its support (not closed);
 ///  * closed node — frequent and closed.
 ///
-/// Instead of Moment's tid-sum hash, each frequent node carries its
-/// extension-count table `j -> T(I ∪ {j})`, which a record arrival/expiry
-/// updates in O(|record|) per affected node and which answers all three
-/// questions (children supports, the unpromising check, closedness) exactly.
+/// Instead of Moment's tid-sum hash, each node carries its extension-count
+/// table `j -> T(I ∪ {j})`, which a record arrival/expiry updates in
+/// O(|record|) per affected node and which answers all three questions
+/// (children supports, the unpromising check, closedness) exactly.
 /// Expiries can only create unpromising blockers and arrivals can only break
 /// them, so transitions are localized, exactly as in Moment.
+///
+/// The tree is frequent-only. It stores only frequent nodes, and a node
+/// counts only the window's frequent items F (T({j}) >= C). An item j
+/// outside F cannot matter to a stored node I: T(I ∪ {j}) <= T({j}) < C <=
+/// T(I), so j is never a frequent child, an unpromising blocker or a closure
+/// witness of I. Infrequent gateways are therefore counted, not stored:
+/// Stats() derives them from the index. Per-record maintenance scales with
+/// the frequent part of the record, not with the alphabet. When an item
+/// crosses C, one walk over its own records adds or erases its counts (see
+/// Append and DESIGN.md §9).
 ///
 /// Two layout decisions make the maintenance fast (see DESIGN.md):
 ///
 ///  * a WindowBitmapIndex (vertical per-item tid-bitmaps over the H window
-///    slots) answers every "which records contain I" question — gateway
-///    promotion, unpromising un-blocking, subtree (re)exploration — by
-///    AND + popcount over 64-bit words instead of rescanning the window;
+///    slots) answers every "which records contain I" question — child
+///    creation, unpromising un-blocking, subtree exploration, the crossing
+///    walks — by AND + popcount over 64-bit words instead of rescanning the
+///    window;
 ///  * CET nodes live in an arena (contiguous pool, uint32 index links,
 ///    free-list reuse) with flat sorted child and extension-count arrays, so
 ///    steady-state maintenance performs no per-node heap allocation and no
@@ -63,15 +74,10 @@ class CheckpointWriter;
 class CheckpointReader;
 }  // namespace persist
 
-/// CET node taxonomy (see file comment).
-enum class CetNodeKind {
-  kInfrequentGateway,
-  kUnpromisingGateway,
-  kIntermediate,
-  kClosed,
-};
-
-/// Counts of live CET nodes by kind, for tests and diagnostics.
+/// Counts of CET nodes by kind (see file comment), for tests and
+/// diagnostics. Infrequent gateways are not stored; they are counted from the
+/// window: per promising node, the items above its branch item that
+/// co-occur with it fewer than C times.
 struct MomentStats {
   size_t infrequent_gateway = 0;
   size_t unpromising_gateway = 0;
@@ -110,7 +116,10 @@ class MomentMiner {
   MomentMiner& operator=(MomentMiner&&) noexcept;
 
   /// Appends the next stream record, expiring the oldest if the window is
-  /// full, and updates the bitmap index and the CET incrementally.
+  /// full, and updates the bitmap index and the CET incrementally: the
+  /// expiry and the arrival each touch only the stored nodes contained in
+  /// the frequent part of their record, and an item that crosses C walks
+  /// its own records once to add or erase its counts.
   void Append(Transaction t);
 
   Support min_support() const { return min_support_; }
@@ -129,19 +138,21 @@ class MomentMiner {
   /// All frequent itemsets of the current window (closed set expanded).
   MiningOutput GetAllFrequent() const;
 
-  /// Live node counts by kind.
+  /// Node counts by kind. Reads the window for the infrequent gateways:
+  /// O(frequent nodes × their records); for tests and diagnostics.
   MomentStats Stats() const;
 
   /// Node-arena occupancy (for the allocation-reuse tests).
   MomentArenaStats arena_stats() const;
 
-  /// Deep self-check: recounts every node's support and extension counts
-  /// from the window and re-derives its kind, the children invariant (an
-  /// explored promising node has a child for every co-occurring extension
-  /// item above its branch item) and the closed flag; also cross-checks the
-  /// bitmap index against the window contents and the arena's free-list
-  /// accounting against the reachable tree. O(nodes × window); intended for
-  /// tests and debugging, not the hot path. Returns the first violation.
+  /// Deep self-check: recounts from the window every node's support and its
+  /// extension counts over the window's frequent items, and re-derives its
+  /// kind, the children invariant (a promising node's children are exactly
+  /// its extension items above its branch item counted at least C times)
+  /// and the closed flag; also cross-checks the bitmap index against the
+  /// window contents and the arena's free-list accounting against the
+  /// reachable tree. O(nodes × window); intended for tests and debugging,
+  /// not the hot path. Returns the first violation.
   Status Validate() const;
 
   /// Serializes the window, the bitmap index and the CET arena (free list,
@@ -153,6 +164,10 @@ class MomentMiner {
   /// same window capacity and min_support (both validated). Returns Status
   /// errors, never asserts, on mismatched parameters or corrupted sections;
   /// on error the miner's previous state is unspecified but destructible.
+  /// Besides the links, it checks each stored node against the restored
+  /// window: its support is its tidset's popcount and at least C, it counts
+  /// only frequent items outside itself, within both supports, and a
+  /// promising node has every child its counts call for.
   Status Restore(persist::CheckpointReader* reader);
 
  private:
@@ -171,11 +186,20 @@ class MomentMiner {
   /// Frees a node's entire child subtree and clears its child array.
   void FreeChildren(uint32_t idx);
 
-  void UpdateAdd(uint32_t idx, const Transaction& t);
-  /// Returns true if the node should be removed from its parent.
-  bool UpdateDelete(uint32_t idx, const Transaction& t);
+  /// Applies an arrival whose frequent items are \p items (sorted) to the
+  /// subtree of idx, which the record contains; creates a child when its
+  /// extension count reaches C.
+  void UpdateAdd(uint32_t idx, const std::vector<Item>& items);
+  /// Applies an expiry whose frequent items are \p items. Returns true if
+  /// the node fell below C: its parent then frees it with its subtree.
+  bool UpdateDelete(uint32_t idx, const std::vector<Item>& items);
 
-  /// (Re)derives a node's extension counts from its tidset (expected in
+  /// For each window record that holds item \p j, except \p skip, adds
+  /// \p delta (+1 or -1) to j's extension count at every stored node the
+  /// record contains. Inserts an entry at 1 and erases one at 0.
+  void ShiftItemCounts(Item j, int delta, const Transaction* skip);
+
+  /// Derives a new node's extension counts from its tidset (expected in
   /// tidset_scratch_[depth]) and builds its subtree.
   void Explore(uint32_t idx, size_t depth);
 
@@ -183,15 +207,16 @@ class MomentMiner {
   /// whose tidset is in tidset_scratch_[depth].
   void ExpandFromCounts(uint32_t idx, size_t depth);
 
-  /// Recounts ext_counts from the tidset in tidset_scratch_[depth].
+  /// Recounts ext_counts over the frequent items from the tidset in
+  /// tidset_scratch_[depth].
   void BuildExtCounts(uint32_t idx, size_t depth);
 
-  /// Merges the items of \p t (minus the node's own items) into the node's
-  /// sorted extension-count array: +1 per present item, insert-at-1 for new
+  /// Merges \p items (minus the node's own items) into the node's sorted
+  /// extension-count array: +1 per present item, insert-at-1 for new
   /// co-occurrences.
-  void MergeAddExtCounts(CetNode* node, const Transaction& t);
+  void MergeAddExtCounts(CetNode* node, const std::vector<Item>& items);
   /// Inverse of MergeAddExtCounts; drops counts that reach zero.
-  static void MergeSubExtCounts(CetNode* node, const Transaction& t);
+  static void MergeSubExtCounts(CetNode* node, const std::vector<Item>& items);
 
   /// Recomputes a frequent node's closed flag from its extension counts.
   static void RecomputeClosed(CetNode* node);
@@ -208,11 +233,10 @@ class MomentMiner {
   template <typename Fn>
   void VisitTree(uint32_t idx, const Fn& fn) const;
 
-  /// fn(node) over the frequent nodes of the subtree of the frequent node
-  /// idx, in VisitTree's order. A child's support is read from its parent's
-  /// extension counts, so an infrequent-gateway leaf is never loaded.
+  /// fn(&node) over the stored nodes of the subtree of idx that \p record
+  /// contains (idx itself must be one), in VisitTree's order.
   template <typename Fn>
-  void VisitFrequent(uint32_t idx, const Fn& fn) const;
+  void VisitContained(uint32_t idx, const Itemset& record, const Fn& fn);
 
   SlidingWindow window_;
   Support min_support_;
@@ -227,6 +251,7 @@ class MomentMiner {
   std::vector<Support> count_scratch_;    ///< dense item id -> running count
   std::vector<Item> touched_scratch_;     ///< items seen by BuildExtCounts
   std::vector<Item> missing_scratch_;     ///< new items in MergeAddExtCounts
+  std::vector<Item> frequent_scratch_;    ///< a record's items in F
 };
 
 }  // namespace butterfly

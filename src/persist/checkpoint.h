@@ -37,7 +37,9 @@ namespace butterfly::persist {
 /// v5: CONF section drops the previous-window bias-reuse switch and
 /// tolerance and the thread count; BFLE holds only the epoch and the RPUB
 /// republish cache, and RPUB drops the idle budget.
-inline constexpr uint32_t kCheckpointVersion = 5;
+/// v6: the CET arena holds only frequent nodes, each counting only the
+/// window's frequent items, and a node's flags drop the frequent bit.
+inline constexpr uint32_t kCheckpointVersion = 6;
 
 /// File magic; also the grep-able signature of a snapshot file.
 inline constexpr char kCheckpointMagic[8] = {'B', 'F', 'L', 'Y',

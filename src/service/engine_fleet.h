@@ -9,11 +9,14 @@
 ///    append under a short lock, the pump swaps the buffer out and replays
 ///    it into the engine lock-free.
 ///  * Pump() is one ParallelFor over the tenants: the caller and the pool's
-///    workers claim tenants off a shared cursor, and whoever claims a tenant
-///    drains its queue end to end, releasing inline at each release point
-///    (the window content at release time is what the determinism contract
-///    is about). A tenant's appends and its release run back to back on one
-///    thread, and no barrier separates one tenant's work from another's.
+///    workers claim chunks of tenants off a shared cursor, and whoever
+///    claims a tenant drains its queue end to end, releasing inline at each
+///    release point (the window content at release time is what the
+///    determinism contract is about). With grain 1, ParallelFor's chunk is
+///    n / (4p) + 1 tenants for p participants: 5 tenants per claim for 64
+///    tenants at 4 threads. A tenant's appends and its release run back to
+///    back on one thread, and no barrier separates one tenant's work from
+///    another's.
 ///  * Round-robin checkpointing walks the tenants one SaveEngineCheckpoint
 ///    per call, bounding the per-call latency a snapshot adds to the pump
 ///    loop; RestoreTenants reloads whichever snapshots exist.

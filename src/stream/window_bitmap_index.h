@@ -121,6 +121,13 @@ class WindowBitmapIndex {
   /// Support of \p itemset without keeping the tidset.
   Support SupportOf(const Itemset& itemset) const;
 
+  /// Support of the single item \p item: its row's set-bit count, read
+  /// without touching the row; 0 when the item is out of scope.
+  Support ItemSupport(Item item) const {
+    const uint32_t dense = remap_.Find(item);
+    return dense == ItemRemap::kNone ? 0 : row_counts_[dense];
+  }
+
   /// The in-scope record occupying \p slot; valid only for set bits of a
   /// current tidset.
   const Transaction* transaction(size_t slot) const { return slots_[slot]; }
