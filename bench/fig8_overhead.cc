@@ -330,11 +330,13 @@ void RunDataset(DatasetProfile profile, const RunShape& shape) {
 /// steady-state miner maintenance under both row stores and records the
 /// index memory accounting; the memory ceiling (hybrid <= 10% of the
 /// dense-row equivalent) is enforced unconditionally — it is deterministic —
-/// while the speed win is a floor (see CheckHybridFloors). On the hybrid
-/// store it also times the expansion (GetAllFrequent) at each report point,
-/// outside the maintenance clock: at this alphabet almost every item is
-/// infrequent, and neither the maintenance nor the output walk may pay for
-/// them (the CET stores and counts only frequent items).
+/// while the speed win is a floor (see CheckHybridFloors). Both stores also
+/// time the expansion (GetAllFrequent) at the same report points, outside
+/// the maintenance clock: at this alphabet almost every item is infrequent,
+/// and neither the maintenance nor the output walk may pay for them (the CET
+/// stores and counts only frequent items). An expansion slows the appends
+/// after it, so both arms expand alike, and their reps alternate so that
+/// host drift hits both.
 void RunWebScaleRow(const RunShape& shape) {
   const DatasetProfile profile = DatasetProfile::kWebScale1M;
   const size_t window = 5000;
@@ -344,55 +346,57 @@ void RunWebScaleRow(const RunShape& shape) {
   if (!data.ok()) std::exit(1);
 
   struct StoreSample {
+    IndexRowStore store = IndexRowStore::kDense;
     double per_window = 0;
-    double expand_per_window = 0;  ///< hybrid store only
-    size_t frequent = 0;           ///< itemsets at the last report point
+    double expand_per_window = 0;
+    size_t frequent = 0;  ///< itemsets at the last report point
     IndexMemoryStats stats;
-  };
-  auto measure_store = [&](IndexRowStore store) {
-    StoreSample sample;
-    const bool expand = store == IndexRowStore::kHybrid;
-    auto run_once = [&] {
-      MomentMiner miner(window, min_support, store);
-      size_t fed = 0;
-      size_t reported = 0;
-      double steady_seconds = 0;
-      double expand_seconds = 0;
-      Stopwatch watch;
-      for (const Transaction& t : *data) {
-        const bool timed = ++fed > window;
-        if (timed) watch.Restart();
-        miner.Append(t);
-        if (timed) steady_seconds += watch.Seconds();
-        if (!expand || fed < window || (fed - window) % shape.stride != 0 ||
-            reported >= shape.reports) {
-          continue;
-        }
-        ++reported;
-        watch.Restart();
-        const MiningOutput all = miner.GetAllFrequent();
-        expand_seconds += watch.Seconds();
-        sample.frequent = all.size();
-      }
-      sample.stats = miner.bitmap_index().MemoryStats();
-      return std::pair{steady_seconds, expand_seconds};
-    };
-    for (int i = 0; i < shape.plan.warmup; ++i) run_once();
     std::vector<double> mine_reps;
     std::vector<double> expand_reps;
-    for (int i = 0; i < shape.plan.reps; ++i) {
-      const auto [mine_seconds, expand_seconds] = run_once();
-      mine_reps.push_back(mine_seconds);
-      expand_reps.push_back(expand_seconds);
+  };
+  auto run_once = [&](StoreSample* sample) {
+    MomentMiner miner(window, min_support, sample->store);
+    size_t fed = 0;
+    size_t reported = 0;
+    double steady_seconds = 0;
+    double expand_seconds = 0;
+    Stopwatch watch;
+    for (const Transaction& t : *data) {
+      const bool timed = ++fed > window;
+      if (timed) watch.Restart();
+      miner.Append(t);
+      if (timed) steady_seconds += watch.Seconds();
+      if (fed < window || (fed - window) % shape.stride != 0 ||
+          reported >= shape.reports) {
+        continue;
+      }
+      ++reported;
+      watch.Restart();
+      const MiningOutput all = miner.GetAllFrequent();
+      expand_seconds += watch.Seconds();
+      sample->frequent = all.size();
     }
-    const double reports = static_cast<double>(shape.reports);
-    sample.per_window = Median(std::move(mine_reps)) / reports;
-    sample.expand_per_window = Median(std::move(expand_reps)) / reports;
-    return sample;
+    sample->stats = miner.bitmap_index().MemoryStats();
+    return std::pair{steady_seconds, expand_seconds};
   };
 
-  StoreSample dense = measure_store(IndexRowStore::kDense);
-  StoreSample hybrid = measure_store(IndexRowStore::kHybrid);
+  StoreSample dense;
+  StoreSample hybrid;
+  hybrid.store = IndexRowStore::kHybrid;
+  for (int i = -shape.plan.warmup; i < shape.plan.reps; ++i) {
+    for (StoreSample* sample : {&dense, &hybrid}) {
+      const auto [mine_seconds, expand_seconds] = run_once(sample);
+      if (i < 0) continue;  // warmup
+      sample->mine_reps.push_back(mine_seconds);
+      sample->expand_reps.push_back(expand_seconds);
+    }
+  }
+  const double reports = static_cast<double>(shape.reports);
+  for (StoreSample* sample : {&dense, &hybrid}) {
+    sample->per_window = Median(std::move(sample->mine_reps)) / reports;
+    sample->expand_per_window =
+        Median(std::move(sample->expand_reps)) / reports;
+  }
 
   PrintTableHeader(
       "Million-item alphabet, " + ProfileName(profile) + ", H=" +
@@ -403,7 +407,8 @@ void RunWebScaleRow(const RunShape& shape) {
     return std::to_string(s.array_rows) + "/" + std::to_string(s.bitmap_rows) +
            "/" + std::to_string(s.run_rows);
   };
-  PrintTableRow({"dense", FormatDouble(dense.per_window * 1e9, 0), "-",
+  PrintTableRow({"dense", FormatDouble(dense.per_window * 1e9, 0),
+                 FormatDouble(dense.expand_per_window * 1e9, 0),
                  std::to_string(dense.stats.index_bytes),
                  std::to_string(dense.stats.dense_equivalent_bytes),
                  histogram(dense.stats),

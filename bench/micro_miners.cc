@@ -1,6 +1,6 @@
 /// \file micro_miners.cc
 /// \brief google-benchmark microbenchmarks for the mining substrate: the
-/// three batch miners, the closed-itemset pipeline, and Moment's incremental
+/// Eclat batch miner, the closed-itemset pipeline, and Moment's incremental
 /// maintenance (per-append steady-state cost and output walk), plus a
 /// harness-measured bitmap-vs-map comparison of the two CET implementations
 /// (the arena + WindowBitmapIndex MomentMiner against the std::map
@@ -10,10 +10,8 @@
 
 #include "datagen/profiles.h"
 #include "harness.h"
-#include "mining/apriori.h"
 #include "mining/closed.h"
 #include "mining/eclat.h"
-#include "mining/fpgrowth.h"
 #include "core/stream_engine.h"
 #include "moment/map_cet_miner.h"
 #include "moment/moment.h"
@@ -49,9 +47,7 @@ void BM_BatchMiner(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
-BENCHMARK_TEMPLATE(BM_BatchMiner, AprioriMiner)->Arg(500)->Arg(2000);
 BENCHMARK_TEMPLATE(BM_BatchMiner, EclatMiner)->Arg(500)->Arg(2000);
-BENCHMARK_TEMPLATE(BM_BatchMiner, FpGrowthMiner)->Arg(500)->Arg(2000);
 BENCHMARK_TEMPLATE(BM_BatchMiner, ClosedMiner)->Arg(500)->Arg(2000);
 
 template <typename Miner>

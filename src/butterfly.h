@@ -25,15 +25,10 @@
 #include "datagen/profiles.h"
 #include "datagen/quest_generator.h"
 #include "stream/sliding_window.h"
-#include "stream/transaction_source.h"
-#include "stream/window_driver.h"
 
 // Mining substrates.
-#include "mining/apriori.h"
 #include "mining/closed.h"
 #include "mining/eclat.h"
-#include "mining/fpgrowth.h"
-#include "mining/maximal.h"
 #include "mining/rules.h"
 #include "mining/support.h"
 #include "moment/moment.h"

@@ -5,8 +5,11 @@
 /// wrappers instead of compiler builtins sprinkled at call sites: one place
 /// to audit for signedness pitfalls (the historical `__builtin_popcount` on
 /// an implicitly narrowed value) and one place a future target port touches.
-/// All of them are constexpr and compile to single instructions where the
-/// ISA provides them.
+/// All of them are constexpr. The build passes no -m flag, so it targets
+/// baseline x86-64, which has no POPCNT: g++ compiles PopCount to a call to
+/// libgcc's __popcountdi2 (`nm` lists it undefined in bitmap_kernels.cc.o
+/// and freqsat.cc.o), one call per word even in the SSE2 AND kernel.
+/// CountrZero compiles inline (tzcnt and a zero test).
 
 #ifndef BUTTERFLY_COMMON_BITS_H_
 #define BUTTERFLY_COMMON_BITS_H_

@@ -11,7 +11,10 @@
 #ifndef BUTTERFLY_MINING_CLOSED_H_
 #define BUTTERFLY_MINING_CLOSED_H_
 
-#include "mining/miner.h"
+#include <vector>
+
+#include "common/transaction.h"
+#include "mining/mining_result.h"
 
 namespace butterfly {
 
@@ -27,12 +30,11 @@ MiningOutput FilterClosed(const MiningOutput& all_frequent);
 MiningOutput ExpandClosed(const MiningOutput& closed);
 
 /// A batch miner returning only the closed frequent itemsets.
-class ClosedMiner : public FrequentItemsetMiner {
+class ClosedMiner {
  public:
-  std::string Name() const override { return "closed-eclat"; }
-
+  /// Mines \p window at threshold \p min_support (> 0).
   MiningOutput Mine(const std::vector<Transaction>& window,
-                    Support min_support) const override;
+                    Support min_support) const;
 };
 
 }  // namespace butterfly

@@ -1,22 +1,25 @@
 /// \file eclat.h
 /// \brief Eclat (Zaki, 1997): depth-first frequent-itemset mining over a
-/// vertical layout (per-item tid lists intersected along the DFS). Much
-/// faster than Apriori on dense windows; also the engine underneath the
-/// closed-itemset miner.
+/// vertical layout (per-item tid lists intersected along the DFS). The
+/// per-window batch miner: the engine underneath the closed-itemset miner
+/// and the oracle the stream miners are checked against.
 
 #ifndef BUTTERFLY_MINING_ECLAT_H_
 #define BUTTERFLY_MINING_ECLAT_H_
 
-#include "mining/miner.h"
+#include <vector>
+
+#include "common/transaction.h"
+#include "mining/mining_result.h"
 
 namespace butterfly {
 
-class EclatMiner : public FrequentItemsetMiner {
+/// Mines all frequent itemsets (non-empty, support >= C) of one window.
+class EclatMiner {
  public:
-  std::string Name() const override { return "eclat"; }
-
+  /// Mines \p window at threshold \p min_support (> 0).
   MiningOutput Mine(const std::vector<Transaction>& window,
-                    Support min_support) const override;
+                    Support min_support) const;
 };
 
 }  // namespace butterfly

@@ -1,15 +1,15 @@
 #include "mining/mining_result.h"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
+
+#include "common/check.h"
 
 namespace butterfly {
 
 void MiningOutput::Add(Itemset itemset, Support support) {
-  assert(index_.count(itemset) == 0);
-  index_.emplace(itemset, support);
   itemsets_.push_back(FrequentItemset{std::move(itemset), support});
+  sealed_ = false;
 }
 
 void MiningOutput::Seal() {
@@ -17,21 +17,40 @@ void MiningOutput::Seal() {
             [](const FrequentItemset& a, const FrequentItemset& b) {
               return a.itemset < b.itemset;
             });
+  BFLY_DCHECK(std::adjacent_find(itemsets_.begin(), itemsets_.end(),
+                                 [](const FrequentItemset& a,
+                                    const FrequentItemset& b) {
+                                   return a.itemset == b.itemset;
+                                 }) == itemsets_.end());
+  sealed_ = true;
+}
+
+const FrequentItemset* MiningOutput::Find(const Itemset& itemset) const {
+  if (sealed_) {
+    auto it = std::lower_bound(itemsets_.begin(), itemsets_.end(), itemset,
+                               [](const FrequentItemset& a, const Itemset& b) {
+                                 return a.itemset < b;
+                               });
+    if (it == itemsets_.end() || !(it->itemset == itemset)) return nullptr;
+    return &*it;
+  }
+  for (const FrequentItemset& f : itemsets_) {
+    if (f.itemset == itemset) return &f;
+  }
+  return nullptr;
 }
 
 std::optional<Support> MiningOutput::SupportOf(const Itemset& itemset) const {
-  auto it = index_.find(itemset);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  const FrequentItemset* f = Find(itemset);
+  if (!f) return std::nullopt;
+  return f->support;
 }
 
 bool MiningOutput::SameAs(const MiningOutput& other) const {
-  if (index_.size() != other.index_.size()) return false;
-  // bfly-lint: allow(unordered-iteration) order-independent membership
-  // comparison folding into a single boolean
-  for (const auto& [itemset, support] : index_) {
-    auto it = other.index_.find(itemset);
-    if (it == other.index_.end() || it->second != support) return false;
+  if (itemsets_.size() != other.itemsets_.size()) return false;
+  if (sealed_ && other.sealed_) return itemsets_ == other.itemsets_;
+  for (const FrequentItemset& f : itemsets_) {
+    if (other.SupportOf(f.itemset) != f.support) return false;
   }
   return true;
 }

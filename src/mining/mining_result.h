@@ -8,7 +8,6 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/itemset.h"
@@ -24,8 +23,9 @@ struct FrequentItemset {
   bool operator==(const FrequentItemset& other) const = default;
 };
 
-/// A set of mined itemsets with O(1) support lookup. Itemsets are kept in
-/// lexicographic order for deterministic iteration and comparison.
+/// A set of mined itemsets. Seal() sorts them lexicographically, which fixes
+/// the iteration order and lets lookups binary-search; before Seal() lookups
+/// scan.
 class MiningOutput {
  public:
   MiningOutput() = default;
@@ -33,7 +33,7 @@ class MiningOutput {
   /// \param min_support the threshold C the mining ran with.
   explicit MiningOutput(Support min_support) : min_support_(min_support) {}
 
-  /// Adds an itemset (must not already be present).
+  /// Appends an itemset (must not already be present).
   void Add(Itemset itemset, Support support);
 
   /// Sorts itemsets lexicographically; call once after the last Add.
@@ -49,7 +49,7 @@ class MiningOutput {
   std::optional<Support> SupportOf(const Itemset& itemset) const;
 
   bool Contains(const Itemset& itemset) const {
-    return index_.count(itemset) > 0;
+    return Find(itemset) != nullptr;
   }
 
   /// True iff both outputs contain exactly the same (itemset, support) pairs.
@@ -59,9 +59,11 @@ class MiningOutput {
   std::string ToString() const;
 
  private:
+  const FrequentItemset* Find(const Itemset& itemset) const;
+
   Support min_support_ = 0;
+  bool sealed_ = false;  ///< Seal() sorted itemsets_, enabling binary search
   std::vector<FrequentItemset> itemsets_;
-  std::unordered_map<Itemset, Support, ItemsetHash> index_;
 };
 
 }  // namespace butterfly

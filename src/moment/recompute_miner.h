@@ -1,16 +1,13 @@
 /// \file recompute_miner.h
 /// \brief The naive stream-mining baseline: keep the window, re-mine it from
-/// scratch with a batch miner whenever output is requested. This is the
-/// strawman Moment exists to beat; the ablation_moment benchmark puts
+/// scratch with the closed-itemset miner whenever output is requested. This
+/// is the strawman Moment exists to beat; the ablation_moment benchmark puts
 /// numbers on that claim in this codebase.
 
 #ifndef BUTTERFLY_MOMENT_RECOMPUTE_MINER_H_
 #define BUTTERFLY_MOMENT_RECOMPUTE_MINER_H_
 
-#include <memory>
-
 #include "mining/closed.h"
-#include "mining/miner.h"
 #include "stream/sliding_window.h"
 
 namespace butterfly {
@@ -20,13 +17,8 @@ class RecomputeStreamMiner {
  public:
   /// \param window_capacity the window size H (> 0).
   /// \param min_support the minimum support C (> 0).
-  /// \param miner the batch miner to re-run; defaults to Eclat+closure
-  ///        (matching Moment's closed output).
-  RecomputeStreamMiner(size_t window_capacity, Support min_support,
-                       std::unique_ptr<FrequentItemsetMiner> miner = nullptr)
-      : window_(window_capacity),
-        min_support_(min_support),
-        miner_(miner ? std::move(miner) : std::make_unique<ClosedMiner>()) {}
+  RecomputeStreamMiner(size_t window_capacity, Support min_support)
+      : window_(window_capacity), min_support_(min_support) {}
 
   void Append(Transaction t) { window_.Append(std::move(t)); }
 
@@ -35,7 +27,7 @@ class RecomputeStreamMiner {
 
   /// Closed frequent itemsets of the current window (full re-mining).
   MiningOutput GetClosedFrequent() const {
-    return miner_->Mine(window_.Snapshot(), min_support_);
+    return ClosedMiner().Mine(window_.Snapshot(), min_support_);
   }
 
   /// All frequent itemsets of the current window.
@@ -46,7 +38,6 @@ class RecomputeStreamMiner {
  private:
   SlidingWindow window_;
   Support min_support_;
-  std::unique_ptr<FrequentItemsetMiner> miner_;
 };
 
 }  // namespace butterfly

@@ -3,15 +3,11 @@
 #include "common/rng.h"
 #include "inference/ndi.h"
 #include "mining/eclat.h"
-#include "mining/maximal.h"
 #include "paper_stream.h"
 
 namespace butterfly {
 namespace {
 
-using butterfly::testing::kA;
-using butterfly::testing::kB;
-using butterfly::testing::kC;
 using butterfly::testing::PaperWindow;
 
 std::vector<Transaction> RandomWindow(Rng* rng, size_t n, Item alphabet,
@@ -26,55 +22,6 @@ std::vector<Transaction> RandomWindow(Rng* rng, size_t n, Item alphabet,
     window.emplace_back(i + 1, Itemset(std::move(items)));
   }
   return window;
-}
-
-TEST(MaximalTest, PaperWindowMaximalSets) {
-  // In Ds(12,8) at C = 3 the frequent itemsets are a,b,c,ab,ac,bc,abc; the
-  // single maximal one is abc.
-  EclatMiner eclat;
-  MiningOutput all = eclat.Mine(PaperWindow(12), 3);
-  MiningOutput maximal = FilterMaximal(all);
-  ASSERT_EQ(maximal.size(), 1u);
-  EXPECT_EQ(maximal.SupportOf(Itemset{kA, kB, kC}), 3);
-}
-
-TEST(MaximalTest, NoFrequentStrictSuperset) {
-  Rng rng(3);
-  EclatMiner eclat;
-  for (int round = 0; round < 6; ++round) {
-    std::vector<Transaction> window = RandomWindow(&rng, 50, 8, 0.3);
-    MiningOutput all = eclat.Mine(window, 5);
-    MiningOutput maximal = FilterMaximal(all);
-    for (const FrequentItemset& m : maximal.itemsets()) {
-      for (const FrequentItemset& f : all.itemsets()) {
-        EXPECT_FALSE(m.itemset.IsStrictSubsetOf(f.itemset))
-            << m.itemset.ToString() << " has frequent superset "
-            << f.itemset.ToString();
-      }
-    }
-  }
-}
-
-TEST(MaximalTest, EveryFrequentIsUnderSomeMaximal) {
-  Rng rng(5);
-  EclatMiner eclat;
-  std::vector<Transaction> window = RandomWindow(&rng, 60, 8, 0.35);
-  MiningOutput all = eclat.Mine(window, 6);
-  MiningOutput maximal = FilterMaximal(all);
-  for (const FrequentItemset& f : all.itemsets()) {
-    bool covered = false;
-    for (const FrequentItemset& m : maximal.itemsets()) {
-      if (f.itemset.IsSubsetOf(m.itemset)) covered = true;
-    }
-    EXPECT_TRUE(covered) << f.itemset.ToString();
-  }
-}
-
-TEST(MaximalTest, MinerMatchesFilterPipeline) {
-  MaximalMiner miner;
-  EclatMiner eclat;
-  std::vector<Transaction> window = PaperWindow(12);
-  EXPECT_TRUE(miner.Mine(window, 3).SameAs(FilterMaximal(eclat.Mine(window, 3))));
 }
 
 TEST(NdiTest, SingletonsAreAlwaysNonDerivable) {

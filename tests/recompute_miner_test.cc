@@ -4,7 +4,6 @@
 
 #include "common/classification.h"
 #include "common/rng.h"
-#include "mining/apriori.h"
 #include "moment/moment.h"
 #include "paper_stream.h"
 
@@ -42,15 +41,6 @@ TEST(RecomputeMinerTest, MatchesMomentOnRandomStreams) {
         recompute.GetClosedFrequent().SameAs(moment.GetClosedFrequent()))
         << "record " << i;
   }
-}
-
-TEST(RecomputeMinerTest, CustomBatchMinerInjectable) {
-  // Apriori returns ALL frequent itemsets, not closed ones; injecting it
-  // demonstrates the extension point (the caller owns the semantics).
-  RecomputeStreamMiner recompute(8, 4, std::make_unique<AprioriMiner>());
-  for (const Transaction& t : PaperStream()) recompute.Append(t);
-  MiningOutput out = recompute.GetClosedFrequent();  // really "all frequent"
-  EXPECT_TRUE(out.Contains(Itemset{butterfly::testing::kA}));
 }
 
 TEST(ClassificationTest, Definition1Partition) {

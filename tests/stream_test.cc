@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "stream/sliding_window.h"
-#include "stream/transaction_source.h"
-#include "stream/window_driver.h"
 
 namespace butterfly {
 namespace {
@@ -62,54 +60,6 @@ TEST(SlidingWindowTest, SnapshotCopiesInOrder) {
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].items, (Itemset{2}));
   EXPECT_EQ(snap[1].items, (Itemset{3}));
-}
-
-TEST(VectorSourceTest, ReplaysAllThenExhausts) {
-  VectorSource source({T(1, {1}), T(2, {2})});
-  EXPECT_EQ(source.remaining(), 2u);
-  EXPECT_TRUE(source.Next().has_value());
-  EXPECT_TRUE(source.Next().has_value());
-  EXPECT_FALSE(source.Next().has_value());
-}
-
-TEST(VectorSourceTest, FromItemsetsAssignsTids) {
-  VectorSource source = VectorSource::FromItemsets({Itemset{1}, Itemset{2}});
-  std::optional<Transaction> first = source.Next();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->tid, 1u);
-}
-
-TEST(WindowDriverTest, SlideEventsCarryEvictions) {
-  SlidingWindow window(2);
-  WindowDriver driver(&window, 0);
-  std::vector<bool> had_eviction;
-  driver.set_on_slide([&](const SlideEvent& e) {
-    had_eviction.push_back(e.evicted != nullptr);
-  });
-  VectorSource source({T(1, {1}), T(2, {2}), T(3, {3})});
-  EXPECT_EQ(driver.Run(&source), 3u);
-  EXPECT_EQ(had_eviction, (std::vector<bool>{false, false, true}));
-}
-
-TEST(WindowDriverTest, ReportsOnlyWhenFullAndOnStride) {
-  SlidingWindow window(2);
-  WindowDriver driver(&window, 2);  // report every 2nd record once full
-  std::vector<Tid> report_positions;
-  driver.set_on_report([&](const ReportEvent& e) {
-    report_positions.push_back(e.window.stream_position());
-  });
-  VectorSource source(
-      {T(1, {1}), T(2, {2}), T(3, {3}), T(4, {4}), T(5, {5}), T(6, {6})});
-  driver.Run(&source);
-  EXPECT_EQ(report_positions, (std::vector<Tid>{2, 4, 6}));
-}
-
-TEST(WindowDriverTest, MaxRecordsLimitsPumping) {
-  SlidingWindow window(2);
-  WindowDriver driver(&window, 0);
-  VectorSource source({T(1, {1}), T(2, {2}), T(3, {3})});
-  EXPECT_EQ(driver.Run(&source, 2), 2u);
-  EXPECT_EQ(source.remaining(), 1u);
 }
 
 }  // namespace
