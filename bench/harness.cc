@@ -90,15 +90,24 @@ double Median(std::vector<double> values) {
 
 double MeasureMedianSeconds(const RepeatPlan& plan,
                             const std::function<void()>& body) {
-  for (int i = 0; i < plan.warmup; ++i) body();
-  std::vector<double> seconds;
-  seconds.reserve(static_cast<size_t>(plan.reps));
-  for (int i = 0; i < plan.reps; ++i) {
-    Stopwatch watch;
-    body();
-    seconds.push_back(watch.Seconds());
+  return MeasureMedianSeconds(plan, std::vector<std::function<void()>>{body})
+      .front();
+}
+
+std::vector<double> MeasureMedianSeconds(
+    const RepeatPlan& plan, const std::vector<std::function<void()>>& bodies) {
+  std::vector<std::vector<double>> seconds(bodies.size());
+  for (int i = -plan.warmup; i < plan.reps; ++i) {
+    for (size_t b = 0; b < bodies.size(); ++b) {
+      Stopwatch watch;
+      bodies[b]();
+      if (i >= 0) seconds[b].push_back(watch.Seconds());  // not a warmup
+    }
   }
-  return Median(std::move(seconds));
+  std::vector<double> medians;
+  medians.reserve(bodies.size());
+  for (std::vector<double>& s : seconds) medians.push_back(Median(std::move(s)));
+  return medians;
 }
 
 void PrintTableHeader(const std::string& title,

@@ -80,6 +80,12 @@ double Median(std::vector<double> values);
 double MeasureMedianSeconds(const RepeatPlan& plan,
                             const std::function<void()>& body);
 
+/// The same for several arms compared with each other: each round runs
+/// every body once, in order, so that host drift hits them alike. Returns
+/// one median per body.
+std::vector<double> MeasureMedianSeconds(
+    const RepeatPlan& plan, const std::vector<std::function<void()>>& bodies);
+
 /// Aligned table printing helpers (one table per figure panel).
 void PrintTableHeader(const std::string& title,
                       const std::vector<std::string>& columns);

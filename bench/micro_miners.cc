@@ -1,7 +1,8 @@
 /// \file micro_miners.cc
 /// \brief google-benchmark microbenchmarks for the mining substrate: the
 /// Eclat batch miner, the closed-itemset pipeline, and Moment's incremental
-/// maintenance (per-append steady-state cost and output walk), plus a
+/// maintenance (per-append steady-state cost, the closed walk and the full
+/// output walk against the ExpandClosed oracle), plus a
 /// harness-measured bitmap-vs-map comparison of the two CET implementations
 /// (the arena + WindowBitmapIndex MomentMiner against the std::map
 /// reference MapCetMiner) printed before the registered benchmarks run.
@@ -110,6 +111,21 @@ void BM_MomentExpandClosed(benchmark::State& state) {
 }
 
 BENCHMARK(BM_MomentExpandClosed);
+
+/// The same window's full output as a release gets it: one CET walk, against
+/// the ExpandClosed oracle above.
+void BM_MomentGetAllFrequent(benchmark::State& state) {
+  const size_t window = 2000;
+  auto data = *GenerateProfile(DatasetProfile::kBmsWebView1, window + 100, 7);
+  MomentMiner miner(window, 25);
+  for (const Transaction& t : data) miner.Append(t);
+  for (auto _ : state) {
+    MiningOutput all = miner.GetAllFrequent();
+    benchmark::DoNotOptimize(all);
+  }
+}
+
+BENCHMARK(BM_MomentGetAllFrequent);
 
 /// End-to-end release cadence through the unified API: a reporting stride of
 /// appends followed by one Release(). The per-stage attribution comes from

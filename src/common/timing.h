@@ -43,7 +43,7 @@ class Stopwatch {
 /// The stages of one release, in the order a release runs them.
 enum class Stage {
   kMine,       ///< miner maintenance: the appends since the previous release
-  kExpand,     ///< closed->full expansion of the window, and freeing it
+  kExpand,     ///< the walk to every frequent itemset, and freeing it
   kPartition,  ///< FEC partition / input flattening and profile construction
   kBias,       ///< the configured scheme's per-FEC bias setting
   kNoise,      ///< per-itemset perturbation and release assembly

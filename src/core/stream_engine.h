@@ -10,9 +10,10 @@
 /// persist/engine_checkpoint.h) capture every piece of state a
 /// bit-identical resume needs.
 ///
-/// Release() runs to completion on the calling thread: the closed→full
-/// expansion (unless RawOutput() already made it for this window), the FEC
-/// partition, then the policy's bias, noise and emit stages, in that order.
+/// Release() runs to completion on the calling thread: the walk to every
+/// frequent itemset (unless RawOutput() already made it for this window),
+/// the FEC partition, then the policy's bias, noise and emit stages, in that
+/// order.
 /// Each window's output is expanded once and partitioned once per release;
 /// nothing derived from a window outlives it except what the checkpoint
 /// carries.
@@ -81,11 +82,11 @@ class StreamPrivacyEngine {
   /// The raw (unprotected) full frequent-itemset output — what a mining
   /// system without output-privacy protection would publish.
   ///
-  /// Freshness: the first call after an Append() or a Restore() expands the
-  /// miner's closed itemsets (miner().GetAllFrequent()) and keeps the
-  /// result; later calls, and Release(), return that same object. The
-  /// returned reference is invalidated by the next Append() or Restore() —
-  /// copy it to keep it.
+  /// Freshness: the first call after an Append() or a Restore() walks the
+  /// miner's CET for every frequent itemset (miner().GetAllFrequent()) and
+  /// keeps the result; later calls, and Release(), return that same object.
+  /// The returned reference is invalidated by the next Append() or Restore()
+  /// — copy it to keep it.
   const MiningOutput& RawOutput();
 
   /// The sanitized release for the current window, with per-stage stats.

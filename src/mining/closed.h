@@ -25,8 +25,9 @@ MiningOutput FilterClosed(const MiningOutput& all_frequent);
 
 /// Reconstructs ALL frequent itemsets (with supports) from the closed ones:
 /// T(X) = max { T(Z) : Z closed, X ⊆ Z }, and X is frequent iff some closed
-/// superset is. This is how a consumer of Moment's output (like Butterfly's
-/// release pipeline) recovers the full frequent set when needed.
+/// superset is. MapCetMiner and RecomputeStreamMiner expand with it; Moment
+/// walks its CET instead (MomentMiner::GetAllFrequent), and this is the
+/// oracle that walk is tested against.
 MiningOutput ExpandClosed(const MiningOutput& closed);
 
 /// A batch miner returning only the closed frequent itemsets.

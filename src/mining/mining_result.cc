@@ -13,10 +13,14 @@ void MiningOutput::Add(Itemset itemset, Support support) {
 }
 
 void MiningOutput::Seal() {
-  std::sort(itemsets_.begin(), itemsets_.end(),
-            [](const FrequentItemset& a, const FrequentItemset& b) {
-              return a.itemset < b.itemset;
-            });
+  const auto by_itemset = [](const FrequentItemset& a,
+                             const FrequentItemset& b) {
+    return a.itemset < b.itemset;
+  };
+  // The CET walks add in canonical order already; checking is O(n).
+  if (!std::is_sorted(itemsets_.begin(), itemsets_.end(), by_itemset)) {
+    std::sort(itemsets_.begin(), itemsets_.end(), by_itemset);
+  }
   BFLY_DCHECK(std::adjacent_find(itemsets_.begin(), itemsets_.end(),
                                  [](const FrequentItemset& a,
                                     const FrequentItemset& b) {

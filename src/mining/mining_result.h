@@ -36,7 +36,8 @@ class MiningOutput {
   /// Appends an itemset (must not already be present).
   void Add(Itemset itemset, Support support);
 
-  /// Sorts itemsets lexicographically; call once after the last Add.
+  /// Sorts itemsets lexicographically (only checks the order when they were
+  /// added in it); call once after the last Add.
   void Seal();
 
   size_t size() const { return itemsets_.size(); }

@@ -50,7 +50,8 @@ class MapCetMiner {
   /// The closed frequent itemsets of the current window, with exact supports.
   MiningOutput GetClosedFrequent() const;
 
-  /// All frequent itemsets of the current window (closed set expanded).
+  /// All frequent itemsets of the current window (closed set expanded by
+  /// ExpandClosed).
   MiningOutput GetAllFrequent() const;
 
   /// Deep self-check (see MomentMiner::Validate).

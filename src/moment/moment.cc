@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "mining/closed.h"
 #include "persist/serializer.h"
 
 namespace butterfly {
@@ -231,13 +230,17 @@ Bitmap& MomentMiner::ScratchAt(size_t depth) {
   return tidset_scratch_[depth];
 }
 
-bool MomentMiner::HasUnpromisingBlocker(const CetNode& node) {
-  if (node.is_root()) return false;
+Item MomentMiner::Blocker(const CetNode& node) {
+  if (node.is_root()) return kInvalidItem;
   for (const CetNode::ExtCount& ec : node.ext_counts) {
     if (ec.item >= node.branch_item) break;  // array is sorted
-    if (ec.count == node.support) return true;
+    if (ec.count == node.support) return ec.item;
   }
-  return false;
+  return kInvalidItem;
+}
+
+bool MomentMiner::HasUnpromisingBlocker(const CetNode& node) {
+  return Blocker(node) != kInvalidItem;
 }
 
 void MomentMiner::RecomputeClosed(CetNode* node) {
@@ -490,7 +493,46 @@ MiningOutput MomentMiner::GetClosedFrequent() const {
 }
 
 MiningOutput MomentMiner::GetAllFrequent() const {
-  return ExpandClosed(GetClosedFrequent());
+  // Pre-order is canonical order, so every stored node emits itself in place.
+  // The frequent itemsets the tree does not store are the U ∪ J below an
+  // unpromising node U, with every item of J above max(U). Let b be U's
+  // blocker: T(U ∪ J) = T(U ∪ {b} ∪ J), and U ∪ {b} ∪ J sorts before U, so
+  // those itemsets are already emitted, as the run that extends U ∪ {b}. U's
+  // subtree is that run with b dropped, in the same order (DESIGN.md §9).
+  MiningOutput output(min_support_);
+  const std::vector<FrequentItemset>& emitted = output.itemsets();
+  Itemset blocked;  // U ∪ {b}
+  VisitTree(kRoot, [&](const CetNode& node) {
+    if (node.is_root()) return;
+    output.Add(node.itemset, node.support);
+    if (!node.unpromising) return;
+    const Item b = Blocker(node);
+    blocked.AssignWith(node.itemset, b);
+    const auto at = std::lower_bound(
+        emitted.begin(), emitted.end(), blocked,
+        [](const FrequentItemset& f, const Itemset& key) {
+          return f.itemset < key;
+        });
+    // U ∪ {b} is frequent, so it was emitted. Only a checkpoint with counts
+    // that restore does not recount can make it missing; then nothing is
+    // copied.
+    if (at == emitted.end() || at->itemset != blocked) return;
+    const auto extends_blocked = [&](const Itemset& s) {
+      return s.size() > blocked.size() &&
+             std::equal(blocked.begin(), blocked.end(), s.begin());
+    };
+    const size_t first = static_cast<size_t>(at - emitted.begin()) + 1;
+    size_t last = first;
+    while (last < emitted.size() && extends_blocked(emitted[last].itemset)) {
+      ++last;
+    }
+    // By index: each Add may reallocate the entries being copied.
+    for (size_t k = first; k < last; ++k) {
+      output.Add(emitted[k].itemset.Without(b), emitted[k].support);
+    }
+  });
+  output.Seal();  // emitted in canonical order: Seal() only checks it
+  return output;
 }
 
 std::optional<Support> MomentMiner::SupportOf(const Itemset& itemset) const {

@@ -135,7 +135,11 @@ class MomentMiner {
   /// Returns nullopt when X is not frequent in the current window.
   std::optional<Support> SupportOf(const Itemset& itemset) const;
 
-  /// All frequent itemsets of the current window (closed set expanded).
+  /// All frequent itemsets of the current window, with exact supports, in
+  /// canonical order. One pre-order walk of the CET, O(output): a stored
+  /// node emits itself, and an unpromising node U with blocker b then emits
+  /// its unstored subtree by copying, without b, the already-emitted
+  /// itemsets that extend U ∪ {b} (DESIGN.md §9).
   MiningOutput GetAllFrequent() const;
 
   /// Node counts by kind. Reads the window for the infrequent gateways:
@@ -221,7 +225,11 @@ class MomentMiner {
   /// Recomputes a frequent node's closed flag from its extension counts.
   static void RecomputeClosed(CetNode* node);
 
-  /// True iff some j < max(I) outside I occurs in every record containing I.
+  /// The first item j < max(I) outside I that occurs in every record
+  /// containing I (T(I ∪ {j}) = T(I)), or kInvalidItem if there is none.
+  static Item Blocker(const CetNode& node);
+
+  /// True iff the node has a Blocker.
   static bool HasUnpromisingBlocker(const CetNode& node);
 
   /// tidset_scratch_[depth], grown on demand (deque: growth keeps existing

@@ -2,12 +2,14 @@
 /// \brief StreamPrivacyEngine expands each window once: RawOutput() keeps the
 /// expansion until the next Append or Restore, Release() consumes the same
 /// object, and the release's expand span reports the expansion in exactly
-/// one release. Every result equals the miner's from-scratch GetAllFrequent().
+/// one release. Every result equals the expansion of the miner's closed
+/// itemsets, the oracle for the output walk behind RawOutput().
 
 #include <gtest/gtest.h>
 
 #include "core/stream_engine.h"
 #include "datagen/profiles.h"
+#include "mining/closed.h"
 #include "moment/moment.h"
 #include "persist/serializer.h"
 
@@ -31,7 +33,8 @@ TEST(StreamPrivacyEngineTest, RawOutputMatchesScratchAfterAppend) {
   for (const Transaction& t : data) {
     engine->Append(t);
     if (++fed % 13 != 0) continue;
-    EXPECT_TRUE(engine->RawOutput().SameAs(engine->miner().GetAllFrequent()))
+    EXPECT_TRUE(engine->RawOutput().SameAs(
+        ExpandClosed(engine->miner().GetClosedFrequent())))
         << "after record " << fed;
   }
 }
@@ -65,7 +68,8 @@ TEST(StreamPrivacyEngineTest, RawOutputMatchesScratchAfterRestore) {
 
   persist::CheckpointReader reader(writer.data());
   ASSERT_TRUE(target.Restore(&reader).ok());
-  EXPECT_TRUE(target.RawOutput().SameAs(target.miner().GetAllFrequent()));
+  EXPECT_TRUE(target.RawOutput().SameAs(
+      ExpandClosed(target.miner().GetClosedFrequent())));
   EXPECT_TRUE(target.RawOutput().SameAs(source.RawOutput()));
 }
 

@@ -127,9 +127,31 @@ std::vector<Transaction> RandomStream(const StreamCase& param) {
   return stream;
 }
 
+/// Same itemsets, same supports, same (canonical) order.
+::testing::AssertionResult IdenticalInOrder(const MiningOutput& got,
+                                            const MiningOutput& ref) {
+  if (got.size() != ref.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " itemsets, expected " << ref.size();
+  }
+  for (size_t k = 0; k < got.size(); ++k) {
+    const FrequentItemset& g = got.itemsets()[k];
+    const FrequentItemset& r = ref.itemsets()[k];
+    if (!(g == r)) {
+      return ::testing::AssertionFailure()
+             << "entry " << k << " is " << g.itemset.ToString() << ":"
+             << g.support << ", expected " << r.itemset.ToString() << ":"
+             << r.support;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 /// Drives all three stream miners over \p stream, requiring bit-identical
-/// closed output on every slide and recompute agreement every
-/// \p recompute_every slides. Covers partial fill: checks run from record 1.
+/// closed output on every slide, Moment's output walk identical to the
+/// expansion of the map CET's closed sets on every slide, and recompute
+/// agreement every \p recompute_every slides. Covers partial fill: checks
+/// run from record 1.
 void CheckStreamEquivalence(const std::vector<Transaction>& stream,
                             size_t window, Support min_support,
                             size_t recompute_every) {
@@ -142,14 +164,10 @@ void CheckStreamEquivalence(const std::vector<Transaction>& stream,
     recompute.Append(stream[i]);
     MiningOutput got = moment.GetClosedFrequent();
     MiningOutput ref = map_cet.GetClosedFrequent();
-    ASSERT_TRUE(got.SameAs(ref))
+    ASSERT_TRUE(IdenticalInOrder(got, ref))
         << "bitmap+arena diverged from map CET at record " << i;
-    // Canonical order, not just set equality.
-    ASSERT_EQ(got.itemsets().size(), ref.itemsets().size());
-    for (size_t k = 0; k < got.itemsets().size(); ++k) {
-      ASSERT_EQ(got.itemsets()[k].itemset, ref.itemsets()[k].itemset);
-      ASSERT_EQ(got.itemsets()[k].support, ref.itemsets()[k].support);
-    }
+    ASSERT_TRUE(IdenticalInOrder(moment.GetAllFrequent(), ExpandClosed(ref)))
+        << "output walk diverged from the closed expansion at record " << i;
     if (i % recompute_every == 0 || i + 1 == stream.size()) {
       ASSERT_TRUE(got.SameAs(recompute.GetClosedFrequent()))
           << "incremental miners diverged from re-mining at record " << i;
@@ -212,6 +230,34 @@ TEST(StreamEquivalenceTest, EvictionsAtPartialFillBoundary) {
   StreamCase param{208, 33, 70, 12, 0.30, 3};
   CheckStreamEquivalence(RandomStream(param), param.window, param.min_support,
                          /*recompute_every=*/1);
+}
+
+TEST(StreamEquivalenceTest, BlockedSubtreesCopyCopiedRuns) {
+  // At H = 4 and C = 2 the window {0..4}, {0..4}, {1, 2}, {2} makes every
+  // subset of {0..4} frequent, and 14 stored nodes unpromising. {0, 2} is
+  // blocked by 1, so it copies {0, 2, 3}, {0, 2, 3, 4} and {0, 2, 4} from
+  // the run under {0, 1, 2}. {2, 3} is blocked by 0, and its run under
+  // {0, 2, 3} is one of those copies; {3} copies {3, 4} from {0, 3, 4}, a
+  // copy of a copy. Noise records slide the block in and out.
+  const Itemset all{0, 1, 2, 3, 4};
+  std::vector<Transaction> stream;
+  for (const Itemset& items :
+       {Itemset{5}, Itemset{2, 6}, Itemset{1, 5}, all, all, Itemset{1, 2},
+        Itemset{2}, Itemset{0, 3}, Itemset{5, 6}, Itemset{6}, all,
+        Itemset{2, 3}, all, Itemset{0, 4}, Itemset{7}}) {
+    stream.emplace_back(stream.size() + 1, items);
+  }
+  CheckStreamEquivalence(stream, /*window=*/4, /*min_support=*/2,
+                         /*recompute_every=*/1);
+
+  MomentMiner moment(/*window_capacity=*/4, /*min_support=*/2);
+  for (size_t i = 0; i < 7; ++i) moment.Append(stream[i]);  // the block
+  EXPECT_EQ(moment.Stats().unpromising_gateway, 14u);
+  const MiningOutput output = moment.GetAllFrequent();
+  EXPECT_EQ(output.size(), 31u);
+  EXPECT_EQ(output.SupportOf(Itemset{2, 3, 4}), Support{2});
+  EXPECT_EQ(output.SupportOf(Itemset{3, 4}), Support{2});
+  EXPECT_EQ(output.SupportOf(Itemset{1, 2}), Support{3});
 }
 
 }  // namespace
