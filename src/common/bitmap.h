@@ -128,8 +128,8 @@ class Bitmap {
   }
 
   /// The backing word array (tail bits past size() are zero). Exposed for
-  /// serialization; word layout is little-endian bit order (bit i lives in
-  /// word i>>6 at position i&63).
+  /// the kernel layer; word layout is little-endian bit order (bit i lives
+  /// in word i>>6 at position i&63).
   const std::vector<uint64_t>& words() const { return words_; }
 
   /// Mutable word array for the kernel layer (tid-container intersections
@@ -140,17 +140,6 @@ class Bitmap {
 
   /// Words needed to address \p bits bits.
   static size_t WordsFor(size_t bits) { return (bits + 63) >> 6; }
-
-  /// Replaces the contents with \p word_count words addressing \p bits bits
-  /// (word_count must equal WordsFor(bits)); masks any stray tail bits. The
-  /// restore-side inverse of words().
-  void AssignWords(size_t bits, const uint64_t* words, size_t word_count) {
-    BFLY_CHECK_MSG(word_count == WordsFor(bits),
-                   "word count disagrees with the bit count");
-    Resize(bits);
-    for (size_t w = 0; w < word_count; ++w) words_[w] = words[w];
-    ClearTail();
-  }
 
  private:
   /// Keeps bits past size() zero so Popcount/ForEachSetBit stay exact.

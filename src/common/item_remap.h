@@ -12,10 +12,8 @@
 #ifndef BUTTERFLY_COMMON_ITEM_REMAP_H_
 #define BUTTERFLY_COMMON_ITEM_REMAP_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -74,36 +72,6 @@ class ItemRemap {
   /// was recycled to a different item and the stat is stale.
   uint64_t generation(uint32_t dense) const {
     return dense < generations_.size() ? generations_[dense] : 0;
-  }
-
-  /// The live (item, dense id) pairs sorted by item — the canonical order
-  /// checkpoints serialize mappings in (the map itself iterates in hash
-  /// order, which is not stable across processes).
-  std::vector<std::pair<Item, uint32_t>> SortedMappings() const {
-    std::vector<std::pair<Item, uint32_t>> mappings(to_dense_.begin(),
-                                                    to_dense_.end());
-    std::sort(mappings.begin(), mappings.end());
-    return mappings;
-  }
-
-  /// Recycled ids in stack order (back is handed out next). Serialized
-  /// verbatim so a restored remap assigns the same dense ids the original
-  /// would have.
-  const std::vector<uint32_t>& free_ids() const { return free_; }
-
-  /// Replaces the whole state; the checkpoint-restore inverse of
-  /// SortedMappings/free_ids/dense_limit. The caller is responsible for
-  /// consistency (disjoint live and free ids covering [0, dense_limit)).
-  void RestoreState(const std::vector<std::pair<Item, uint32_t>>& mappings,
-                    std::vector<uint32_t> free_ids, uint32_t dense_limit) {
-    to_dense_.clear();
-    to_dense_.reserve(mappings.size());
-    for (const auto& [item, dense] : mappings) to_dense_.emplace(item, dense);
-    free_ = std::move(free_ids);
-    dense_limit_ = dense_limit;
-    // Generations restart at zero: stats stamped before the restore are gone
-    // with the process, and live rows are re-stamped by their restorer.
-    generations_.assign(dense_limit_, 0);
   }
 
  private:

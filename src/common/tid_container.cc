@@ -225,44 +225,6 @@ size_t TidContainer::MemoryBytes() const {
   return 0;
 }
 
-void TidContainer::RestoreArray(size_t h, std::vector<uint16_t> slots) {
-  Init(h);
-  for (size_t i = 0; i < slots.size(); ++i) {
-    BFLY_CHECK_MSG(static_cast<size_t>(slots[i]) < h,
-                   "restored slot out of range");
-    BFLY_CHECK_MSG(i == 0 || slots[i - 1] < slots[i],
-                   "restored array slots must be strictly ascending");
-  }
-  kind_ = Kind::kArray;
-  cardinality_ = slots.size();
-  slots_ = std::move(slots);
-}
-
-void TidContainer::RestoreBitmap(size_t h, const uint64_t* words,
-                                 size_t word_count) {
-  Init(h);
-  kind_ = Kind::kBitmap;
-  bitmap_.AssignWords(h, words, word_count);
-  cardinality_ = bitmap_.Popcount();
-}
-
-void TidContainer::RestoreRuns(size_t h, std::vector<TidRun> runs) {
-  Init(h);
-  size_t card = 0;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    BFLY_CHECK_MSG(runs[i].length >= 1, "restored run must be non-empty");
-    BFLY_CHECK_MSG(static_cast<size_t>(runs[i].start) + runs[i].length <= h,
-                   "restored run out of range");
-    BFLY_CHECK_MSG(
-        i == 0 || runs[i - 1].start + runs[i - 1].length < runs[i].start,
-        "restored runs must be ascending and non-adjacent");
-    card += runs[i].length;
-  }
-  kind_ = Kind::kRun;
-  cardinality_ = card;
-  runs_ = std::move(runs);
-}
-
 bool TidContainer::SameSetAs(const Bitmap& dense) const {
   if (dense.size() != h_ || dense.Popcount() != cardinality_) return false;
   bool same = true;

@@ -22,9 +22,9 @@
 /// ## Determinism
 /// Representation choices are pure functions of (cardinality, run count, H)
 /// — no RNG, no clocks, no unordered-container iteration — so two replicas
-/// fed the same stream hold byte-identical container-tagged rows and
-/// checkpoints. The decision points (see ChooseKind / the Reconsider
-/// triggers in the .cc) are:
+/// fed the same stream hold byte-identical container-tagged rows. The
+/// decision points (see ChooseKind / the Reconsider triggers in the .cc)
+/// are:
 ///   - array → reconsider when cardinality exceeds ArrayLimit(H) ≈ H/16,
 ///     or at power-of-two cardinalities ≥ 64 (gives bursty rows a chance to
 ///     migrate to run form without per-mutation run scans);
@@ -137,18 +137,6 @@ class TidContainer {
   /// Heap bytes of the live representation (payload only; the accounting
   /// feed for WindowBitmapIndex::MemoryStats()'s index_bytes).
   size_t MemoryBytes() const;
-
-  /// Serialization accessors — valid for the matching kind() only.
-  const std::vector<uint16_t>& array_slots() const { return slots_; }
-  const Bitmap& bitmap() const { return bitmap_; }
-  const std::vector<TidRun>& run_list() const { return runs_; }
-
-  /// Restore-side inverses: install an exact representation (checkpoints
-  /// round-trip the container tag, so a restored row does not re-run the
-  /// thresholds — it is byte-identical to the row that was saved).
-  void RestoreArray(size_t h, std::vector<uint16_t> slots);
-  void RestoreBitmap(size_t h, const uint64_t* words, size_t word_count);
-  void RestoreRuns(size_t h, std::vector<TidRun> runs);
 
   /// Dense-representation equality (used by the fuzz grid).
   bool SameSetAs(const Bitmap& dense) const;

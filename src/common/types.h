@@ -21,7 +21,9 @@ using Tid = uint64_t;
 /// adversary's point of view) are representable.
 using Support = int64_t;
 
-/// Sentinel used by algorithms that need an "invalid item" marker.
+/// Sentinel used by algorithms that need an "invalid item" marker. No stream
+/// record may hold it: the CET marks its root with it, so fleet ingest and
+/// checkpoint restore reject a record that does.
 inline constexpr Item kInvalidItem = static_cast<Item>(-1);
 
 }  // namespace butterfly

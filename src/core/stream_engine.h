@@ -63,9 +63,11 @@ class StreamPrivacyEngine {
         config_(config),
         policy_(MakeReleasePolicy(config)) {}
 
-  /// Feeds the next stream record. The miner's incremental maintenance is
-  /// timed into the next Release()'s mine span, and freeing the previous
-  /// window's expansion, when there is one, into its expand span.
+  /// Feeds the next stream record. Precondition: the record does not hold
+  /// kInvalidItem (EngineFleet::Ingest rejects one that does). The miner's
+  /// incremental maintenance is timed into the next Release()'s mine span,
+  /// and freeing the previous window's expansion, when there is one, into
+  /// its expand span.
   void Append(Transaction t) {
     StageClock clock(&pending_);
     miner_.Append(std::move(t));
@@ -123,11 +125,12 @@ class StreamPrivacyEngine {
 
   /// Serializes the full engine: window capacity + config header (which
   /// carries the policy identity and knobs, but not `threads`, which no
-  /// release reads), then the miner (window, bitmap index, CET arena) and
-  /// the release policy's own section (for Butterfly: epoch and republish
-  /// cache; for the DP backends: epoch and cumulative budget). The expansion
-  /// and the FEC partition are derived from the window and are not written —
-  /// the first post-restore Release rebuilds both with identical content.
+  /// release reads), then the miner (min_support and the window; restore
+  /// rebuilds the bitmap index and the CET from them) and the release
+  /// policy's own section (for Butterfly: epoch and republish cache; for the
+  /// DP backends: epoch and cumulative budget). The expansion and the FEC
+  /// partition are derived from the window and are not written — the first
+  /// post-restore Release rebuilds both with identical content.
   /// See persist/engine_checkpoint.h for the file-level wrappers.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 

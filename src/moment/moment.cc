@@ -13,11 +13,6 @@ namespace butterfly {
 
 namespace {
 constexpr uint32_t kMinerTag = persist::SectionTag('C', 'E', 'T', 'M');
-constexpr uint32_t kArenaTag = persist::SectionTag('A', 'R', 'E', 'N');
-// Node flag bits in the arena encoding. Bit 1 is unused; every stored node
-// is frequent.
-constexpr uint8_t kUnpromisingFlag = 2;
-constexpr uint8_t kClosedFlag = 4;
 }  // namespace
 
 /// One arena slot. Links are arena indices, never pointers: the pool may
@@ -154,6 +149,8 @@ void MomentMiner::FreeChildren(uint32_t idx) {
 }
 
 void MomentMiner::Append(Transaction t) {
+  BFLY_DCHECK_MSG(t.items.empty() || t.items.items().back() != kInvalidItem,
+                  "a stream record holds kInvalidItem, the CET root marker");
   // Slide the window (and its bitmap mirror) first: the exploration paths
   // query the index, so it must already reflect the post-slide contents when
   // the tree update runs. The expiry path never explores (expiries cannot
@@ -513,9 +510,8 @@ MiningOutput MomentMiner::GetAllFrequent() const {
         [](const FrequentItemset& f, const Itemset& key) {
           return f.itemset < key;
         });
-    // U ∪ {b} is frequent, so it was emitted. Only a checkpoint with counts
-    // that restore does not recount can make it missing; then nothing is
-    // copied.
+    // U ∪ {b} has U's support, so it is frequent and was emitted; Validate()
+    // reports a tree that breaks this, and the walk then copies nothing.
     if (at == emitted.end() || at->itemset != blocked) return;
     const auto extends_blocked = [&](const Itemset& s) {
       return s.size() > blocked.size() &&
@@ -665,32 +661,6 @@ void MomentMiner::Checkpoint(persist::CheckpointWriter* writer) const {
   writer->Tag(kMinerTag);
   writer->I64(min_support_);
   window_.Checkpoint(writer);
-  index_.Checkpoint(writer);
-
-  writer->Tag(kArenaTag);
-  writer->U64(arena_.size());
-  writer->U64(free_.size());
-  for (uint32_t idx : free_) writer->U32(idx);
-  std::vector<uint8_t> is_free(arena_.size(), 0);
-  for (uint32_t idx : free_) is_free[idx] = 1;
-  for (uint32_t idx = 0; idx < arena_.size(); ++idx) {
-    if (is_free[idx]) continue;
-    const CetNode& node = arena_[idx];
-    writer->U32(node.branch_item);
-    writer->I64(node.support);
-    writer->U8(static_cast<uint8_t>((node.unpromising ? kUnpromisingFlag : 0) |
-                                    (node.closed ? kClosedFlag : 0)));
-    writer->U64(node.ext_counts.size());
-    for (const CetNode::ExtCount& ec : node.ext_counts) {
-      writer->U32(ec.item);
-      writer->I64(ec.count);
-    }
-    writer->U64(node.children.size());
-    for (const CetNode::ChildEntry& entry : node.children) {
-      writer->U32(entry.item);
-      writer->U32(entry.node);
-    }
-  }
 }
 
 Status MomentMiner::Restore(persist::CheckpointReader* reader) {
@@ -705,161 +675,18 @@ Status MomentMiner::Restore(persist::CheckpointReader* reader) {
         " does not match this engine's " + std::to_string(min_support_));
   }
   if (Status s = window_.Restore(reader); !s.ok()) return s;
-  if (Status s = index_.Restore(reader, window_); !s.ok()) return s;
 
-  if (Status s = reader->ExpectTag(kArenaTag, "CET arena"); !s.ok()) return s;
-  const uint64_t arena_size = reader->U64();
-  const uint64_t free_count = reader->ReadCount(4, "arena free list");
-  if (!reader->ok()) return reader->status();
-  if (arena_size == 0 || free_count >= arena_size) {
-    return reader->Fail("checkpoint corrupt: CET arena has no root");
-  }
-  // Each live node carries at least branch/support/flags + two counts.
-  if (arena_size - free_count > reader->remaining() / 29) {
-    return reader->Fail("checkpoint corrupt: implausible CET arena size");
-  }
-  std::vector<uint32_t> free_list(free_count);
-  std::vector<uint8_t> is_free(arena_size, 0);
-  for (uint64_t i = 0; i < free_count; ++i) {
-    const uint32_t idx = reader->U32();
-    if (!reader->ok()) return reader->status();
-    if (idx >= arena_size || idx == kRoot || is_free[idx]) {
-      return reader->Fail("checkpoint corrupt: bad arena free-list entry");
-    }
-    is_free[idx] = 1;
-    free_list[i] = idx;
-  }
-
-  std::vector<CetNode> arena(arena_size);
-  for (uint32_t idx = 0; idx < arena_size; ++idx) {
-    if (is_free[idx]) continue;
-    CetNode& node = arena[idx];
-    node.branch_item = reader->U32();
-    node.support = reader->I64();
-    const uint8_t flags = reader->U8();
-    if (!reader->ok()) return reader->status();
-    if ((flags & ~(kUnpromisingFlag | kClosedFlag)) != 0) {
-      return reader->Fail("checkpoint corrupt: bad CET node flags");
-    }
-    node.unpromising = (flags & kUnpromisingFlag) != 0;
-    node.closed = (flags & kClosedFlag) != 0;
-    const uint64_t ext_count = reader->ReadCount(12, "extension counts");
-    if (!reader->ok()) return reader->status();
-    node.ext_counts.resize(ext_count);
-    for (uint64_t e = 0; e < ext_count; ++e) {
-      node.ext_counts[e].item = reader->U32();
-      node.ext_counts[e].count = reader->I64();
-      if (e > 0 && reader->ok() &&
-          node.ext_counts[e].item <= node.ext_counts[e - 1].item) {
-        return reader->Fail(
-            "checkpoint corrupt: extension counts out of order");
-      }
-    }
-    const uint64_t child_count = reader->ReadCount(8, "CET children");
-    if (!reader->ok()) return reader->status();
-    node.children.resize(child_count);
-    for (uint64_t c = 0; c < child_count; ++c) {
-      node.children[c].item = reader->U32();
-      node.children[c].node = reader->U32();
-      if (!reader->ok()) return reader->status();
-      const uint32_t child = node.children[c].node;
-      if (child >= arena_size || child == kRoot || is_free[child]) {
-        return reader->Fail("checkpoint corrupt: bad CET child link");
-      }
-      if (c > 0 && node.children[c].item <= node.children[c - 1].item) {
-        return reader->Fail("checkpoint corrupt: CET children out of order");
-      }
-    }
-    if (!reader->ok()) return reader->status();
-  }
-  if (arena[kRoot].branch_item != kInvalidItem) {
-    return reader->Fail("checkpoint corrupt: malformed CET root");
-  }
-
-  // One DFS reconstructs every node's itemset from its root path and proves
-  // the links form a tree (each live node reached exactly once). It also
-  // checks the links themselves: only a promising node has children, and
-  // each child's support is its parent's extension count.
-  std::vector<uint8_t> visited(arena_size, 0);
-  std::vector<uint32_t> stack = {kRoot};
-  visited[kRoot] = 1;
-  uint64_t reached = 1;
-  while (!stack.empty()) {
-    const uint32_t idx = stack.back();
-    stack.pop_back();
-    const CetNode& node = arena[idx];
-    if (node.unpromising && !node.children.empty()) {
-      return reader->Fail(
-          "checkpoint corrupt: unpromising CET node with children");
-    }
-    auto ec = node.ext_counts.begin();
-    for (const CetNode::ChildEntry& entry : node.children) {
-      CetNode& child = arena[entry.node];
-      if (visited[entry.node]) {
-        return reader->Fail("checkpoint corrupt: CET links are not a tree");
-      }
-      if (child.branch_item != entry.item ||
-          (idx != kRoot && entry.item <= node.branch_item)) {
-        return reader->Fail("checkpoint corrupt: CET branch items disagree");
-      }
-      while (ec != node.ext_counts.end() && ec->item < entry.item) ++ec;
-      if (ec == node.ext_counts.end() || ec->item != entry.item ||
-          ec->count != child.support) {
-        return reader->Fail(
-            "checkpoint corrupt: CET child support disagrees with its "
-            "parent's extension count");
-      }
-      child.itemset.AssignWith(node.itemset, entry.item);
-      visited[entry.node] = 1;
-      ++reached;
-      stack.push_back(entry.node);
-    }
-  }
-  if (reached != arena_size - free_count) {
-    return reader->Fail("checkpoint corrupt: unreachable CET nodes");
-  }
-
-  // Every stored node against the restored window: one tidset per node, one
-  // index row count per extension item.
-  Bitmap tidset;
-  for (uint32_t idx = 0; idx < arena_size; ++idx) {
-    if (is_free[idx]) continue;
-    const CetNode& node = arena[idx];
-    if (idx != kRoot && node.support < min_support_) {
-      return reader->Fail("checkpoint corrupt: CET node below min_support");
-    }
-    if (index_.Tidset(node.itemset, &tidset) != node.support) {
-      return reader->Fail(
-          "checkpoint corrupt: CET node support disagrees with the window");
-    }
-    auto child = node.children.begin();
-    for (const CetNode::ExtCount& ec : node.ext_counts) {
-      const Support item_support = index_.ItemSupport(ec.item);
-      if (item_support < min_support_ || node.itemset.Contains(ec.item)) {
-        return reader->Fail(
-            "checkpoint corrupt: CET extension item is not a frequent item "
-            "outside its node");
-      }
-      if (ec.count < 1 || ec.count > node.support ||
-          ec.count > item_support) {
-        return reader->Fail(
-            "checkpoint corrupt: CET extension count out of range");
-      }
-      if (node.unpromising || ec.count < min_support_ ||
-          (idx != kRoot && ec.item < node.branch_item)) {
-        continue;
-      }
-      while (child != node.children.end() && child->item < ec.item) ++child;
-      if (child == node.children.end() || child->item != ec.item) {
-        return reader->Fail(
-            "checkpoint corrupt: promising CET node lacks a frequent child");
-      }
-    }
-  }
-
-  arena_ = std::move(arena);
-  free_ = std::move(free_list);
-
+  // The index and the tree are functions of the window and C: rebuild the
+  // index at the live slots, then grow the tree from a bare root over the
+  // whole window, as Explore grows any new node.
+  index_.Rebuild(window_);
+  arena_.clear();
+  free_.clear();
+  arena_.emplace_back();
+  N(kRoot).support = static_cast<Support>(window_.size());
+  index_.Tidset(Itemset{}, &ScratchAt(0));
+  BuildExtCounts(kRoot, 0);
+  ExpandFromCounts(kRoot, 0);
   return Status::OK();
 }
 

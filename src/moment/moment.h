@@ -119,7 +119,8 @@ class MomentMiner {
   /// full, and updates the bitmap index and the CET incrementally: the
   /// expiry and the arrival each touch only the stored nodes contained in
   /// the frequent part of their record, and an item that crosses C walks
-  /// its own records once to add or erase its counts.
+  /// its own records once to add or erase its counts. The record must not
+  /// hold kInvalidItem, which marks the CET root.
   void Append(Transaction t);
 
   Support min_support() const { return min_support_; }
@@ -159,19 +160,17 @@ class MomentMiner {
   /// not the hot path. Returns the first violation.
   Status Validate() const;
 
-  /// Serializes the window, the bitmap index and the CET arena (free list,
-  /// per-node links/counts/flags). Node itemsets are NOT written — each one
-  /// is its root path's item sequence, and Restore rebuilds them in one DFS.
+  /// Serializes min_support and the window. The bitmap index and the CET are
+  /// functions of the window and C, so they are not written.
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
   /// Restores from a checkpoint section into a miner constructed with the
   /// same window capacity and min_support (both validated). Returns Status
   /// errors, never asserts, on mismatched parameters or corrupted sections;
-  /// on error the miner's previous state is unspecified but destructible.
-  /// Besides the links, it checks each stored node against the restored
-  /// window: its support is its tidset's popcount and at least C, it counts
-  /// only frequent items outside itself, within both supports, and a
-  /// promising node has every child its counts call for.
+  /// on error the miner is unchanged. On success it rebuilds the index from
+  /// the window (WindowBitmapIndex::Rebuild) and grows the CET from a bare
+  /// root over the whole window, so the restored miner passes Validate() by
+  /// construction.
   Status Restore(persist::CheckpointReader* reader);
 
  private:

@@ -96,15 +96,24 @@ Status WriteCheckpointFile(const std::string& path, const std::string& payload,
 }
 
 Result<std::string> ReadCheckpointFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return Status::NotFound("checkpoint file not found: " + path);
   }
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  // One read, sized by the end offset. A directory opens too and reports a
+  // bogus end offset, so nothing is sized before a first read succeeds.
+  const std::streamoff size = in.tellg();
+  in.seekg(0);
+  in.peek();
+  if (size < 0 || in.bad()) {
+    return Status::IOError("failed reading checkpoint file " + path);
+  }
+  std::string file(static_cast<size_t>(size), '\0');
+  in.read(file.data(), size);
   if (in.bad()) {
     return Status::IOError("failed reading checkpoint file " + path);
   }
+  file.resize(static_cast<size_t>(in.gcount()));
   if (file.size() < kHeaderBytes + kTrailerBytes) {
     return Status::IOError("checkpoint truncated: " + path + " holds " +
                            std::to_string(file.size()) + " bytes");

@@ -27,8 +27,8 @@ namespace butterfly::persist {
 
 /// Current checkpoint format version. Bump on any layout change and teach
 /// ReadCheckpointFile (or the section readers) to migrate or reject.
-/// v2: BIDX section carries the row-store mode byte and container-tagged
-/// rows (kind + pin flag + array/bitmap/run payload).
+/// v2: the index section carries the row-store mode byte and
+/// container-tagged rows (kind + pin flag + array/bitmap/run payload).
 /// v3: CONF section carries the release-policy identity byte and its knobs
 /// (policy_epsilon, policy_top_k); the sanitizer section is the configured
 /// policy's own tagged section (BFLE for Butterfly, PVBS/CTNL/HVHT for the
@@ -39,7 +39,10 @@ namespace butterfly::persist {
 /// republish cache, and RPUB drops the idle budget.
 /// v6: the CET arena holds only frequent nodes, each counting only the
 /// window's frequent items, and a node's flags drop the frequent bit.
-inline constexpr uint32_t kCheckpointVersion = 6;
+/// v7: the miner section CETM holds only min_support and the WIND window.
+/// The index and arena sections are gone: restore rebuilds the bitmap index
+/// and the CET from the window.
+inline constexpr uint32_t kCheckpointVersion = 7;
 
 /// File magic; also the grep-able signature of a snapshot file.
 inline constexpr char kCheckpointMagic[8] = {'B', 'F', 'L', 'Y',

@@ -1,10 +1,11 @@
 /// \file engine_checkpoint.h
 /// \brief File-level checkpoint/restore of a StreamPrivacyEngine.
 ///
-/// SaveEngineCheckpoint serializes the whole pipeline (window, bitmap index,
-/// CET arena, republish cache, epoch, config) into one CRC-guarded file,
-/// atomically replacing any previous snapshot at the same path — a crash
-/// mid-write leaves the prior snapshot intact. LoadEngineCheckpoint is
+/// SaveEngineCheckpoint serializes the whole pipeline (config, window,
+/// republish cache, epoch; the bitmap index and the CET are rebuilt from the
+/// window on load) into one CRC-guarded file, atomically replacing any
+/// previous snapshot at the same path — a crash mid-write leaves the prior
+/// snapshot intact. LoadEngineCheckpoint is
 /// self-contained: the engine's capacity and config are read from the file,
 /// validated, and the restored engine emits byte-identical releases to the
 /// uninterrupted run it was checkpointed from (see DESIGN.md §10).

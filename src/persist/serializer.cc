@@ -53,11 +53,6 @@ void CheckpointWriter::WriteItemset(const Itemset& s) {
   for (Item item : s) U32(item);
 }
 
-void CheckpointWriter::WriteBitmap(const Bitmap& b) {
-  U64(b.size());
-  for (uint64_t word : b.words()) U64(word);
-}
-
 const char* CheckpointReader::Take(size_t n, const char* what) {
   if (!status_.ok()) return nullptr;
   // Cursor invariant: pos_ never passes the end, so the subtraction below
@@ -80,13 +75,6 @@ Status CheckpointReader::Fail(std::string message) {
 uint8_t CheckpointReader::U8() {
   const char* p = Take(1, "u8");
   return p == nullptr ? 0 : static_cast<uint8_t>(*p);
-}
-
-uint16_t CheckpointReader::U16() {
-  const char* p = Take(2, "u16");
-  if (p == nullptr) return 0;
-  return static_cast<uint16_t>(static_cast<unsigned char>(p[0]) |
-                               (static_cast<unsigned char>(p[1]) << 8));
 }
 
 uint32_t CheckpointReader::U32() {
@@ -141,31 +129,13 @@ Status CheckpointReader::ReadItemset(Itemset* out) {
     if (!items.empty() && item <= items.back()) {
       return Fail("checkpoint corrupt: itemset items not strictly ascending");
     }
+    if (item == kInvalidItem) {
+      return Fail("checkpoint corrupt: itemset holds the reserved item id");
+    }
     items.push_back(item);
   }
   if (!status_.ok()) return status_;
   *out = Itemset::FromSorted(std::move(items));
-  return Status::OK();
-}
-
-Status CheckpointReader::ReadBitmap(Bitmap* out, size_t expected_bits) {
-  const uint64_t bits = U64();
-  if (!status_.ok()) return status_;
-  if (bits != expected_bits) {
-    return Fail("checkpoint corrupt: bitmap size mismatch");
-  }
-  const size_t words = (expected_bits + 63) >> 6;
-  if (words * 8 > remaining()) {
-    return Fail("checkpoint truncated reading bitmap words");
-  }
-  std::vector<uint64_t> buffer(words);
-  for (size_t w = 0; w < words; ++w) buffer[w] = U64();
-  if (!status_.ok()) return status_;
-  if ((expected_bits & 63) != 0 && words > 0 &&
-      (buffer.back() >> (expected_bits & 63)) != 0) {
-    return Fail("checkpoint corrupt: bitmap tail bits set");
-  }
-  out->AssignWords(expected_bits, buffer.data(), words);
   return Status::OK();
 }
 

@@ -5,8 +5,8 @@
 /// in-memory buffer; CheckpointReader walks such a buffer with bounds checks
 /// and a sticky Status — a corrupted or truncated payload surfaces as a
 /// clean error, never as an assert or out-of-bounds read. Both sides agree
-/// on the encodings of the repo's composite value types (Itemset, Bitmap),
-/// so every stateful layer's Checkpoint/Restore pair is written against one
+/// on the encoding of the repo's composite value type (Itemset), so every
+/// stateful layer's Checkpoint/Restore pair is written against one
 /// small vocabulary.
 ///
 /// Determinism contract: a given logical state serializes to one exact byte
@@ -21,7 +21,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/bitmap.h"
 #include "common/itemset.h"
 #include "common/status.h"
 
@@ -45,7 +44,6 @@ constexpr uint32_t SectionTag(char a, char b, char c, char d) {
 class CheckpointWriter {
  public:
   void U8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
-  void U16(uint16_t v) { AppendLe(v, 2); }
   void U32(uint32_t v) { AppendLe(v, 4); }
   void U64(uint64_t v) { AppendLe(v, 8); }
   void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v), 8); }
@@ -59,8 +57,6 @@ class CheckpointWriter {
 
   /// u64 count + ascending items. The reader re-validates the ordering.
   void WriteItemset(const Itemset& s);
-  /// u64 bit count + the 64-bit word array (tail bits are already zero).
-  void WriteBitmap(const Bitmap& b);
 
   const std::string& data() const { return buffer_; }
   size_t bytes() const { return buffer_.size(); }
@@ -81,7 +77,6 @@ class CheckpointReader {
   explicit CheckpointReader(std::string_view data) : data_(data) {}
 
   uint8_t U8();
-  uint16_t U16();
   uint32_t U32();
   uint64_t U64();
   int64_t I64() { return static_cast<int64_t>(U64()); }
@@ -95,11 +90,9 @@ class CheckpointReader {
   /// unbounded loop. \p min_bytes_per_element must be > 0.
   uint64_t ReadCount(uint64_t min_bytes_per_element, const char* what);
 
-  /// Reads an itemset, failing unless the items are strictly ascending.
+  /// Reads an itemset, failing unless the items are strictly ascending and
+  /// none is kInvalidItem, which no stream record may hold.
   Status ReadItemset(Itemset* out);
-  /// Reads a bitmap, failing unless its bit count equals \p expected_bits and
-  /// the tail bits of the last word are zero.
-  Status ReadBitmap(Bitmap* out, size_t expected_bits);
 
   /// Consumes a section tag, failing if it does not match.
   Status ExpectTag(uint32_t tag, const char* section);

@@ -76,6 +76,13 @@ Status EngineFleet::Ingest(uint64_t tenant, Transaction t) {
   if (tenant >= tenants_.size()) {
     return Status::InvalidArgument("no such tenant: " + std::to_string(tenant));
   }
+  // Items are sorted, so only the last can be the reserved id.
+  if (!t.items.empty() && t.items.items().back() == kInvalidItem) {
+    return Status::InvalidArgument("record for tenant " +
+                                   std::to_string(tenant) +
+                                   " holds the reserved item id " +
+                                   std::to_string(kInvalidItem));
+  }
   Tenant& state = *tenants_[tenant];
   MutexLock lock(&state.queue_mu);
   state.queued.push_back(std::move(t));

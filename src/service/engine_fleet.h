@@ -119,10 +119,12 @@ class EngineFleet {
   size_t tenant_count() const { return tenants_.size(); }
   const FleetConfig& config() const { return config_; }
 
-  /// Enqueues one record for \p tenant. Thread-safe against Pump() and
-  /// against concurrent Ingest calls for other tenants; concurrent
-  /// producers for the *same* tenant must serialize themselves (per-tenant
-  /// order is the determinism contract's input).
+  /// Enqueues one record for \p tenant. Fails with kInvalidArgument, and
+  /// enqueues nothing, for an unknown tenant or a record that holds
+  /// kInvalidItem. Thread-safe against Pump() and against concurrent Ingest
+  /// calls for other tenants; concurrent producers for the *same* tenant must
+  /// serialize themselves (per-tenant order is the determinism contract's
+  /// input).
   Status Ingest(uint64_t tenant, Transaction t);
 
   /// Drains every tenant's queue into its engine and emits every release

@@ -55,11 +55,6 @@
 
 namespace butterfly {
 
-namespace persist {
-class CheckpointWriter;
-class CheckpointReader;
-}  // namespace persist
-
 /// Row representation of the window index (see file comment).
 enum class IndexRowStore : uint8_t {
   kDense = 0,   ///< one dense H-bit Bitmap per live item
@@ -146,20 +141,14 @@ class WindowBitmapIndex {
   /// O(items × H); for tests.
   Status Validate(const SlidingWindow& window) const;
 
-  /// Serializes the slot cursor, the row-store mode, the item remap
-  /// (including the exact recycled-id order, so a restored index assigns the
-  /// same dense ids the original would) and every live item row. Hybrid rows
-  /// are container-tagged (kind + pin flag + exact representation payload),
-  /// so a restored row is byte-identical to the saved one rather than
-  /// re-derived from thresholds. Dead rows and the per-slot record pointers
-  /// are reconstructible and not written.
-  void Checkpoint(persist::CheckpointWriter* writer) const;
-
-  /// Restores from a checkpoint section, rebinding the per-slot record
-  /// pointers into \p window (which must already be restored to the same
-  /// stream position). Structural inconsistencies return Status errors.
-  Status Restore(persist::CheckpointReader* reader,
-                 const SlidingWindow& window);
+  /// Replaces the whole index with one built from \p window (same capacity),
+  /// at the slots the live run used: the record at deque position p goes to
+  /// slot (stream_position - size + p) mod H, through Apply. This is how a
+  /// restore derives the index; the checkpoint holds only the window. Rows
+  /// are equal to the live run's as slot sets, but a hybrid row picks its
+  /// container and pin from the arrivals replayed here, not from the live
+  /// run's history, so MemoryStats() can differ from the live index's.
+  void Rebuild(const SlidingWindow& window);
 
  private:
   /// Row of \p item, or nullptr when the item is not in scope (dense store).
@@ -169,12 +158,6 @@ class WindowBitmapIndex {
 
   void SetBit(Item item, size_t slot);
   void ClearBit(Item item, size_t slot);
-
-  void CheckpointRow(persist::CheckpointWriter* writer, uint32_t dense) const;
-  Status RestoreRow(persist::CheckpointReader* reader, uint32_t dense,
-                    std::vector<Bitmap>* rows,
-                    std::vector<TidContainer>* hybrid_rows,
-                    uint32_t* row_count);
 
   size_t capacity_;
   IndexRowStore store_;

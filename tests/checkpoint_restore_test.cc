@@ -4,9 +4,9 @@
 /// stream grid, every scheme, threads=1 and threads=8 engines, and
 /// randomized kill points — the bit-identical-resume guarantee of
 /// DESIGN.md §10. Corruption cases (truncation, bit flips, wrong magic,
-/// config mismatch) must fail with a clean Status and leave the snapshot
-/// file untouched, and a failed in-place restore must leave the engine
-/// as it was.
+/// config mismatch, a record holding the reserved item id) must fail with a
+/// clean Status and leave the snapshot file untouched, and a failed
+/// in-place restore must leave the engine as it was.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -359,6 +359,99 @@ INSTANTIATE_TEST_SUITE_P(RowStores, FailedRestoreTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& row_store) {
                            return row_store.param ? "Hybrid" : "Dense";
                          });
+
+/// kInvalidItem marks the CET root. Restore builds the tree from the
+/// window, so a snapshot whose records hold it must fail to restore: four
+/// records {1, 2, kInvalidItem} at H = 4, C = 2 give the tree a frequent
+/// node that passes for the root, and the next Append reads out of bounds.
+/// The republish cache's itemsets go through the same reader.
+class ReservedItemRestoreTest : public ::testing::Test {
+ protected:
+  /// Written in place of kInvalidItem, then patched to it.
+  static constexpr Item kStandIn = 0x00C0FFEE;
+
+  static ButterflyConfig Config() {
+    ButterflyConfig config;
+    config.min_support = 2;
+    config.vulnerable_support = 1;
+    config.epsilon = 0.1;
+    config.delta = 0.4;
+    return config;
+  }
+
+  void SetUp() override {
+    auto engine = StreamPrivacyEngine::Create(4, Config());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    for (int i = 0; i < 4; ++i) {
+      engine->Append(Transaction(0, Itemset{1, 2, kStandIn}));
+    }
+    (void)engine->Release();  // the cache now pins itemsets with kStandIn
+    persist::CheckpointWriter writer;
+    engine->Checkpoint(&writer);
+    saved_ = writer.data();
+
+    persist::CheckpointWriter stand_in;
+    stand_in.U32(kStandIn);
+    const size_t policy_at = saved_.find("BFLE");  // the tag's bytes
+    ASSERT_NE(policy_at, std::string::npos);
+    for (size_t at = saved_.find(stand_in.data()); at != std::string::npos;
+         at = saved_.find(stand_in.data(), at + 1)) {
+      (at < policy_at ? window_at_ : cache_at_).push_back(at);
+    }
+    ASSERT_EQ(window_at_.size(), 4u);
+    ASSERT_FALSE(cache_at_.empty());
+  }
+
+  /// The saved bytes with kInvalidItem written over kStandIn at \p offsets.
+  std::string Patched(const std::vector<size_t>& offsets) const {
+    std::string bytes = saved_;
+    for (size_t at : offsets) bytes.replace(at, 4, std::string(4, '\xFF'));
+    return bytes;
+  }
+
+  /// Restore, in place and from a file, must fail as a corrupt checkpoint.
+  static void ExpectCorrupt(const std::string& payload) {
+    auto engine = StreamPrivacyEngine::Create(4, Config());
+    ASSERT_TRUE(engine.ok());
+    persist::CheckpointReader reader(payload);
+    Status status = engine->Restore(&reader);
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("checkpoint corrupt"), std::string::npos)
+        << status.ToString();
+
+    const std::string path = TempPath("bfly_ckpt_reserved_item.ckpt");
+    ASSERT_TRUE(persist::WriteCheckpointFile(path, payload).ok());
+    auto loaded = persist::LoadEngineCheckpoint(path);
+    EXPECT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("checkpoint corrupt"),
+              std::string::npos)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
+
+  std::string saved_;
+  std::vector<size_t> window_at_;
+  std::vector<size_t> cache_at_;
+};
+
+TEST_F(ReservedItemRestoreTest, UnpatchedSnapshotRestores) {
+  persist::CheckpointReader reader(saved_);
+  auto restored = StreamPrivacyEngine::FromCheckpoint(&reader);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  Status valid = restored->miner().Validate();
+  EXPECT_TRUE(valid.ok()) << valid.ToString();
+  restored->Append(Transaction(0, Itemset{1, 2}));
+  EXPECT_TRUE(restored->miner().Validate().ok());
+}
+
+TEST_F(ReservedItemRestoreTest, WindowRecordsWithTheReservedItemAreCorrupt) {
+  ExpectCorrupt(Patched(window_at_));
+  ExpectCorrupt(Patched({window_at_.back()}));
+}
+
+TEST_F(ReservedItemRestoreTest, CachedItemsetWithTheReservedItemIsCorrupt) {
+  ExpectCorrupt(Patched({cache_at_.back()}));
+}
 
 TEST(ReleaseLogRecoveryTest, TruncatesTornTrailingBlock) {
   const std::string path = TempPath("bfly_torn_release.log");

@@ -3,7 +3,10 @@
 /// expansion until the next Append or Restore, Release() consumes the same
 /// object, and the release's expand span reports the expansion in exactly
 /// one release. Every result equals the expansion of the miner's closed
-/// itemsets, the oracle for the output walk behind RawOutput().
+/// itemsets, the oracle for the output walk behind RawOutput(). The append
+/// and restore checks run on windows with unpromising nodes, so the oracle
+/// also covers the itemsets the walk copies from a blocker's run, on a
+/// maintained CET and on one derived at restore.
 
 #include <gtest/gtest.h>
 
@@ -25,18 +28,41 @@ ButterflyConfig SmallConfig() {
   return config;
 }
 
+/// BmsPos windows at C = 3 hold unpromising nodes whose blocked supersets
+/// have frequent extensions: the output walk copies those (DESIGN.md §9).
+ButterflyConfig CopyingConfig() {
+  ButterflyConfig config = SmallConfig();
+  config.min_support = 3;
+  config.epsilon = 0.2;  // keeps the noise within epsilon * C^2 at C = 3
+  return config;
+}
+
+/// The number of itemsets RawOutput() emitted by copying: the output less
+/// the CET's stored nodes.
+size_t CopiedItemsets(StreamPrivacyEngine* engine) {
+  const MomentStats stats = engine->miner().Stats();
+  return engine->RawOutput().size() -
+         (stats.unpromising_gateway + stats.intermediate + stats.closed);
+}
+
 TEST(StreamPrivacyEngineTest, RawOutputMatchesScratchAfterAppend) {
-  auto engine = StreamPrivacyEngine::Create(100, SmallConfig());
-  ASSERT_TRUE(engine.ok());
-  auto data = *GenerateProfile(DatasetProfile::kBmsWebView1, 220, 5);
+  auto engine = StreamPrivacyEngine::Create(100, CopyingConfig());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto data = *GenerateProfile(DatasetProfile::kBmsPos, 220, 7);
   size_t fed = 0;
+  size_t unpromising_slides = 0;
+  size_t copying_slides = 0;
   for (const Transaction& t : data) {
     engine->Append(t);
     if (++fed % 13 != 0) continue;
     EXPECT_TRUE(engine->RawOutput().SameAs(
         ExpandClosed(engine->miner().GetClosedFrequent())))
         << "after record " << fed;
+    if (engine->miner().Stats().unpromising_gateway > 0) ++unpromising_slides;
+    if (CopiedItemsets(&*engine) > 0) ++copying_slides;
   }
+  EXPECT_GT(unpromising_slides, 0u);
+  EXPECT_GT(copying_slides, 0u);
 }
 
 TEST(StreamPrivacyEngineTest, RawOutputWithoutAppendReturnsTheSameObject) {
@@ -54,20 +80,22 @@ TEST(StreamPrivacyEngineTest, RawOutputWithoutAppendReturnsTheSameObject) {
 }
 
 TEST(StreamPrivacyEngineTest, RawOutputMatchesScratchAfterRestore) {
-  auto data = *GenerateProfile(DatasetProfile::kBmsWebView1, 300, 3);
-  StreamPrivacyEngine source(100, SmallConfig());
+  auto data = *GenerateProfile(DatasetProfile::kBmsPos, 300, 7);
+  StreamPrivacyEngine source(100, CopyingConfig());
   for (size_t i = 0; i < 250; ++i) source.Append(data[i]);
   persist::CheckpointWriter writer;
   source.Checkpoint(&writer);
 
   // The target holds the expansion of a different window when it restores.
-  StreamPrivacyEngine target(100, SmallConfig());
+  StreamPrivacyEngine target(100, CopyingConfig());
   for (size_t i = 0; i < 120; ++i) target.Append(data[i]);
   const MiningOutput stale = target.RawOutput();
   ASSERT_FALSE(stale.SameAs(source.miner().GetAllFrequent()));
 
   persist::CheckpointReader reader(writer.data());
   ASSERT_TRUE(target.Restore(&reader).ok());
+  EXPECT_GT(target.miner().Stats().unpromising_gateway, 0u);
+  EXPECT_GT(CopiedItemsets(&target), 0u);
   EXPECT_TRUE(target.RawOutput().SameAs(
       ExpandClosed(target.miner().GetClosedFrequent())));
   EXPECT_TRUE(target.RawOutput().SameAs(source.RawOutput()));

@@ -257,6 +257,31 @@ TEST(FleetTest, IngestRejectsUnknownTenant) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(FleetTest, IngestRejectsTheReservedItem) {
+  // kInvalidItem marks the CET root. Appended, four records
+  // {1, 2, kInvalidItem} at H = 4, C = 2 make it a frequent item whose node
+  // passes for the root.
+  FleetConfig config = MakeFleetConfig(1, 1);
+  config.window = 4;
+  config.stride = 4;
+  config.engine.min_support = 2;
+  config.engine.vulnerable_support = 1;
+  auto fleet = EngineFleet::Create(config);
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  for (int i = 0; i < 4; ++i) {
+    Status s = fleet->Ingest(0, Transaction(0, Itemset{1, 2, kInvalidItem}));
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+  // Nothing was queued, and well-formed records still flow.
+  fleet->Pump();
+  EXPECT_EQ(fleet->engine(0).miner().window().stream_position(), 0u);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(fleet->Ingest(0, Transaction(0, Itemset{1, 2})).ok());
+  }
+  fleet->Pump();
+  EXPECT_EQ(fleet->engine(0).miner().window().stream_position(), 4u);
+}
+
 TEST(FleetTest, KillAndRestoreMidRoundRobinCheckpoint) {
   constexpr size_t kTenants = 4;
   const std::string dir = ::testing::TempDir();  // must already exist

@@ -320,21 +320,26 @@ void ExpectMemoryAccounting(const WindowBitmapIndex& index) {
   }
 }
 
-// Checkpoints a window and its index, restores both, and checks the
-// restored gauge: the same invariants and the same reading.
+// Checkpoints a window, restores it, and rebuilds the index from it, as a
+// restore does. The rebuilt index matches its window and keeps the gauge's
+// invariants. A rebuilt hybrid row picks its container and pin from the
+// replayed arrivals rather than the live run's history, so only the dense
+// store must read the live index's gauge.
 void ExpectAccountingSurvivesRestore(const SlidingWindow& window,
                                      const WindowBitmapIndex& index) {
   persist::CheckpointWriter writer;
   window.Checkpoint(&writer);
-  index.Checkpoint(&writer);
   SlidingWindow restored_window(window.capacity());
-  WindowBitmapIndex restored(index.capacity(), index.row_store());
   persist::CheckpointReader reader(writer.data());
   ASSERT_TRUE(restored_window.Restore(&reader).ok());
-  Status status = restored.Restore(&reader, restored_window);
-  ASSERT_TRUE(status.ok()) << status.ToString();
+  WindowBitmapIndex restored(index.capacity(), index.row_store());
+  restored.Rebuild(restored_window);
+  Status valid = restored.Validate(restored_window);
+  ASSERT_TRUE(valid.ok()) << valid.ToString();
   ExpectMemoryAccounting(restored);
-  EXPECT_TRUE(restored.MemoryStats() == index.MemoryStats());
+  if (index.row_store() == IndexRowStore::kDense) {
+    EXPECT_TRUE(restored.MemoryStats() == index.MemoryStats());
+  }
 }
 
 class HybridIndexFuzzTest : public ::testing::TestWithParam<IndexFuzzCase> {};

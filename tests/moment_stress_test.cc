@@ -7,14 +7,11 @@
 /// stores. Also pins the arena's steady-state behavior: once a periodic
 /// workload's node population stabilizes, churn is served from the free
 /// list and the pool stops growing. The CET stores only frequent nodes: a
-/// Zipf stream where infrequent gateways dominate pins it to the map CET,
-/// and patched arenas pin the restore checks that keep a corrupt link or a
-/// node the window disagrees with from reaching the output walk.
+/// Zipf stream where infrequent gateways dominate pins it to the map CET.
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -447,303 +444,6 @@ TEST_P(CrossingTest, MinSupportOneAndMinSupportH) {
 INSTANTIATE_TEST_SUITE_P(Stores, CrossingTest,
                          ::testing::Values(IndexRowStore::kDense,
                                            IndexRowStore::kHybrid));
-
-// --- Restore rejects links the pruned walk cannot trust --------------------
-
-// Where one live CET node's fields sit in a serialized miner.
-struct NodeBytes {
-  bool root = false;
-  Itemset itemset;  // rebuilt from the root path
-  Support support = 0;
-  size_t support_at = 0;
-  size_t flags_at = 0;
-  uint8_t flags = 0;
-  struct Ext {
-    Item item;
-    size_t item_at;
-    Support count;
-    size_t count_at;
-  };
-  std::vector<Ext> ext;
-  std::vector<Item> children;
-  std::vector<uint64_t> child_nodes;  // arena indices, as children
-
-  bool unpromising() const { return (flags & 2) != 0; }
-
-  const Ext& ExtOf(Item item) const {
-    for (const Ext& e : ext) {
-      if (e.item == item) return e;
-    }
-    ADD_FAILURE() << "no extension count for item " << item;
-    return ext.front();
-  }
-};
-
-// Walks the CET arena section of MomentMiner::Checkpoint's output, which
-// follows the miner tag, min_support, the window and the index.
-std::vector<NodeBytes> ParseArena(const MomentMiner& miner,
-                                  const std::string& bytes) {
-  persist::CheckpointWriter prefix;
-  miner.window().Checkpoint(&prefix);
-  miner.bitmap_index().Checkpoint(&prefix);
-  const size_t arena_at = 4 + 8 + prefix.bytes();
-  persist::CheckpointReader reader(std::string_view(bytes).substr(arena_at));
-  auto at = [&] { return bytes.size() - reader.remaining(); };
-
-  EXPECT_TRUE(
-      reader.ExpectTag(persist::SectionTag('A', 'R', 'E', 'N'), "arena").ok());
-  const uint64_t arena_size = reader.U64();
-  const uint64_t free_count = reader.U64();
-  std::vector<uint8_t> is_free(arena_size, 0);
-  for (uint64_t i = 0; i < free_count; ++i) is_free[reader.U32()] = 1;
-  std::vector<NodeBytes> nodes;
-  std::vector<size_t> position(arena_size, 0);  // arena index -> nodes index
-  for (uint64_t idx = 0; idx < arena_size; ++idx) {
-    if (is_free[idx]) continue;
-    position[idx] = nodes.size();
-    NodeBytes node;
-    node.root = idx == 0;
-    reader.U32();  // branch item
-    node.support_at = at();
-    node.support = reader.I64();
-    node.flags_at = at();
-    node.flags = reader.U8();
-    const uint64_t ext_count = reader.U64();
-    for (uint64_t e = 0; e < ext_count; ++e) {
-      NodeBytes::Ext ext;
-      ext.item_at = at();
-      ext.item = reader.U32();
-      ext.count_at = at();
-      ext.count = reader.I64();
-      node.ext.push_back(ext);
-    }
-    const uint64_t child_count = reader.U64();
-    for (uint64_t c = 0; c < child_count; ++c) {
-      node.children.push_back(reader.U32());
-      node.child_nodes.push_back(reader.U32());
-    }
-    nodes.push_back(std::move(node));
-  }
-  EXPECT_TRUE(reader.ok() && reader.AtEnd());
-  // The arena order need not put a parent before its children, so the
-  // itemsets are rebuilt from the root down.
-  std::vector<size_t> stack = {0};
-  while (!stack.empty()) {
-    const NodeBytes& node = nodes[stack.back()];
-    stack.pop_back();
-    for (size_t c = 0; c < node.children.size(); ++c) {
-      NodeBytes& child = nodes[position[node.child_nodes[c]]];
-      child.itemset = node.itemset.With(node.children[c]);
-      stack.push_back(position[node.child_nodes[c]]);
-    }
-  }
-  return nodes;
-}
-
-// Items spaced by ten, so an item minus one is never in the window.
-Itemset LinkRecord(int i) {
-  switch (i % 6) {
-    case 0: return Itemset{10, 20, 30};
-    case 1: return Itemset{10, 20};
-    case 2: return Itemset{20, 30, 40};
-    case 3: return Itemset{10, 30, 50};
-    case 4: return Itemset{10, 20, 30, 40};
-    default: return Itemset{40, 60};
-  }
-}
-
-class CorruptArenaTest : public ::testing::Test {
- protected:
-  static constexpr size_t kWindow = 12;
-  static constexpr Support kMinSupport = 3;
-
-  void SetUp() override {
-    for (int i = 0; i < 40; ++i) miner_.Append(Transaction(0, LinkRecord(i)));
-    persist::CheckpointWriter writer;
-    miner_.Checkpoint(&writer);
-    saved_ = writer.data();
-    nodes_ = ParseArena(miner_, saved_);
-  }
-
-  // The first non-root node that satisfies \p pred; the test fails if
-  // none does.
-  template <typename Pred>
-  const NodeBytes& Find(const Pred& pred) {
-    for (const NodeBytes& node : nodes_) {
-      if (!node.root && pred(node)) return node;
-    }
-    ADD_FAILURE() << "no CET node of the wanted shape";
-    return nodes_.front();
-  }
-
-  // A promising node with children.
-  const NodeBytes& Parent() {
-    return Find([](const NodeBytes& n) {
-      return !n.unpromising() && !n.children.empty();
-    });
-  }
-
-  // The node for \p itemset (the root for the empty one).
-  const NodeBytes& At(const Itemset& itemset) {
-    for (const NodeBytes& node : nodes_) {
-      if (node.itemset == itemset) return node;
-    }
-    ADD_FAILURE() << "no CET node " << itemset.ToString();
-    return nodes_.front();
-  }
-
-  // The saved bytes with the encoding of \p write put over those at \p at.
-  template <typename Write>
-  std::string Patched(size_t at, const Write& write) const {
-    return Patched(saved_, at, write);
-  }
-  // \p bytes with the encoding of \p write put over those at \p at.
-  template <typename Write>
-  static std::string Patched(std::string bytes, size_t at,
-                             const Write& write) {
-    persist::CheckpointWriter field;
-    write(&field);
-    bytes.replace(at, field.bytes(), field.data());
-    return bytes;
-  }
-  // The saved bytes with \p node's support and its parent's count for it
-  // both set to \p support, so the link between them stays consistent.
-  std::string WithSupport(const NodeBytes& node, Support support) {
-    const Item branch = node.itemset.items().back();
-    const NodeBytes::Ext& count =
-        At(node.itemset.Without(branch)).ExtOf(branch);
-    auto write = [&](persist::CheckpointWriter* w) { w->I64(support); };
-    return Patched(Patched(node.support_at, write), count.count_at, write);
-  }
-
-  // Restore must fail with \p why, never read out of bounds.
-  void ExpectRejected(const std::string& bytes, const std::string& why) {
-    MomentMiner restored(kWindow, kMinSupport);
-    persist::CheckpointReader reader(bytes);
-    Status status = restored.Restore(&reader);
-    ASSERT_FALSE(status.ok()) << why;
-    EXPECT_NE(status.message().find("checkpoint corrupt: " + why),
-              std::string::npos)
-        << status.ToString();
-  }
-
-  MomentMiner miner_{kWindow, kMinSupport};
-  std::string saved_;
-  std::vector<NodeBytes> nodes_;
-};
-
-TEST_F(CorruptArenaTest, UnpatchedBytesRestoreTheSameOutput) {
-  MomentMiner restored(kWindow, kMinSupport);
-  persist::CheckpointReader reader(saved_);
-  Status status = restored.Restore(&reader);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_TRUE(restored.GetClosedFrequent().SameAs(miner_.GetClosedFrequent()));
-  Status valid = restored.Validate();
-  EXPECT_TRUE(valid.ok()) << valid.ToString();
-}
-
-// The fixture's window holds each LinkRecord twice. F is {10, 20, 30, 40}
-// (supports 8, 8, 8, 6); 50 and 60 occur twice, below C = 3. The nodes the
-// cases below patch:
-//   {10}: support 8, counts 20:6 30:6 40:2, children {10,20} and {10,30};
-//   {10,20}: support 6, child {10,20,30} at 4;
-//   {10,30}: support 6, counts 20:4 40:2;
-//   {40}: support 6, counts 10:2 20:4 30:4, no children.
-
-TEST_F(CorruptArenaTest, RejectsASupportTheWindowDoesNotHave) {
-  const std::string why = "CET node support disagrees with the window";
-  // The root's support is the window size.
-  const NodeBytes& root = At(Itemset{});
-  ASSERT_EQ(root.support, static_cast<Support>(kWindow));
-  ExpectRejected(Patched(root.support_at,
-                         [&](persist::CheckpointWriter* w) {
-                           w->I64(root.support + 1);
-                         }),
-                 why);
-  // A leaf whose parent counts it with the same wrong support.
-  const NodeBytes& leaf = At(Itemset{10, 20, 30});
-  ASSERT_EQ(leaf.support, 4);
-  ExpectRejected(WithSupport(leaf, leaf.support + 1), why);
-}
-
-TEST_F(CorruptArenaTest, RejectsANodeBelowMinSupport) {
-  ExpectRejected(WithSupport(At(Itemset{10, 20, 30}), kMinSupport - 1),
-                 "CET node below min_support");
-}
-
-TEST_F(CorruptArenaTest, RejectsACountForAnItemOutsideF) {
-  const std::string why =
-      "CET extension item is not a frequent item outside its node";
-  // {10}'s count for 40 (not a child: 2 < C) moved to 50, below C.
-  ExpectRejected(Patched(At(Itemset{10}).ExtOf(40).item_at,
-                         [](persist::CheckpointWriter* w) { w->U32(50); }),
-                 why);
-  // {10,30}'s count for 20 moved to 10, an item of the node itself.
-  ExpectRejected(Patched(At(Itemset{10, 30}).ExtOf(20).item_at,
-                         [](persist::CheckpointWriter* w) { w->U32(10); }),
-                 why);
-}
-
-TEST_F(CorruptArenaTest, RejectsACountOutOfRange) {
-  const std::string why = "CET extension count out of range";
-  // Above the node's support: {40} counts 10 (below its branch item, so no
-  // child is implied) 7 times, but holds only 6 records.
-  ExpectRejected(Patched(At(Itemset{40}).ExtOf(10).count_at,
-                         [](persist::CheckpointWriter* w) { w->I64(7); }),
-                 why);
-  // Above the item's support: {10} (support 8) counts 40 (support 6) 7
-  // times.
-  ExpectRejected(Patched(At(Itemset{10}).ExtOf(40).count_at,
-                         [](persist::CheckpointWriter* w) { w->I64(7); }),
-                 why);
-  // A count of zero is no co-occurrence and has no entry.
-  ExpectRejected(Patched(At(Itemset{10}).ExtOf(40).count_at,
-                         [](persist::CheckpointWriter* w) { w->I64(0); }),
-                 why);
-}
-
-TEST_F(CorruptArenaTest, RejectsAPromisingNodeWithoutAFrequentChild) {
-  // {10} counts 40 (above its branch item) C times but has no child for it.
-  ExpectRejected(Patched(At(Itemset{10}).ExtOf(40).count_at,
-                         [](persist::CheckpointWriter* w) {
-                           w->I64(kMinSupport);
-                         }),
-                 "promising CET node lacks a frequent child");
-}
-
-TEST_F(CorruptArenaTest, RejectsAnUnpromisingNodeWithChildren) {
-  const NodeBytes& node = Parent();
-  ExpectRejected(Patched(node.flags_at,
-                         [&](persist::CheckpointWriter* w) {
-                           w->U8(node.flags | 2);
-                         }),
-                 "unpromising CET node with children");
-}
-
-TEST_F(CorruptArenaTest, RejectsAChildTheParentDoesNotCount) {
-  const NodeBytes& node = Parent();
-  const Item child = node.children.front();
-  const NodeBytes::Ext* ext = nullptr;
-  for (const NodeBytes::Ext& e : node.ext) {
-    if (e.item == child) ext = &e;
-  }
-  ASSERT_NE(ext, nullptr);
-  const std::string why =
-      "CET child support disagrees with its parent's extension count";
-  // The parent's count for the child's item differs from its support.
-  ExpectRejected(Patched(ext->count_at,
-                         [&](persist::CheckpointWriter* w) {
-                           w->I64(ext->count + 1);
-                         }),
-                 why);
-  // The child's item is missing from the parent's counts (the item below it
-  // keeps the counts ascending).
-  ExpectRejected(Patched(ext->item_at,
-                         [&](persist::CheckpointWriter* w) {
-                           w->U32(ext->item - 1);
-                         }),
-                 why);
-}
 
 }  // namespace
 }  // namespace butterfly

@@ -88,32 +88,19 @@ TEST(SerializerTest, ItemsetRoundTripAndOrderingGuard) {
   EXPECT_FALSE(bad_reader.ReadItemset(&out).ok());
 }
 
-TEST(SerializerTest, BitmapRoundTripAndGuards) {
-  Bitmap bitmap;
-  bitmap.Resize(130);
-  bitmap.Set(0);
-  bitmap.Set(64);
-  bitmap.Set(129);
+TEST(SerializerTest, ItemsetWithTheReservedItemIsRejected) {
+  // kInvalidItem marks the CET root, so no restored record may hold it.
   CheckpointWriter writer;
-  writer.WriteBitmap(bitmap);
+  writer.U64(3);
+  writer.U32(1);
+  writer.U32(2);
+  writer.U32(kInvalidItem);
   CheckpointReader reader(writer.data());
-  Bitmap restored;
-  ASSERT_TRUE(reader.ReadBitmap(&restored, 130).ok());
-  EXPECT_TRUE(restored == bitmap);
-  EXPECT_TRUE(reader.AtEnd());
-
-  // Wrong expected size is rejected.
-  CheckpointReader wrong(writer.data());
-  Bitmap other;
-  EXPECT_FALSE(wrong.ReadBitmap(&other, 131).ok());
-
-  // Nonzero tail bits (corrupt words) are rejected.
-  CheckpointWriter tail;
-  tail.U64(65);
-  tail.U64(0);
-  tail.U64(~0ull);  // bits 64..127 set, but only bit 64 is in range
-  CheckpointReader tail_reader(tail.data());
-  EXPECT_FALSE(tail_reader.ReadBitmap(&other, 65).ok());
+  Itemset out;
+  Status status = reader.ReadItemset(&out);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("checkpoint corrupt"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(SerializerTest, TruncatedPayloadFailsSticky) {
@@ -253,8 +240,8 @@ std::string GoldenPath() {
          std::to_string(persist::kCheckpointVersion) + ".ckpt";
 }
 
-/// A small but non-trivial pinned engine state: full window, recycled CET
-/// nodes, a sealed republish cache, nonzero epoch.
+/// A small but non-trivial pinned engine state: full window, a sealed
+/// republish cache, nonzero epoch.
 StreamPrivacyEngine GoldenEngine() {
   ButterflyConfig config;
   config.min_support = 3;

@@ -47,10 +47,10 @@ the repo invariants that back those guarantees:
                         (ChooseKind / Reconsider / ConvertTo) must be a pure
                         function of (cardinality, run count, H): RNG draws or
                         unordered-container iteration near a promotion
-                        decision would make two replicas of the same stream
-                        hold different container tags — and checkpoint bytes
-                        are container-tagged, so that breaks bit-identical
-                        resume. Flags promotion call sites with RNG usage or
+                        decision would make two replicas of the same stream,
+                        or two restores of one snapshot, hold different
+                        container tags and report different memory gauges.
+                        Flags promotion call sites with RNG usage or
                         hash-order iteration in the surrounding lines.
 
   ordering-taint        Interprocedural (per translation unit) dataflow from
@@ -568,7 +568,7 @@ def check_container_promotion(path: Path, rel: str, lines: list[str],
             f"container promotion decision with '{taint[1]}' nearby (line "
             f"{taint[0]}): representation choice must be a pure function of "
             "(cardinality, runs, H) — RNG or hash order here forks container "
-            "tags across replicas and breaks container-tagged checkpoints"))
+            "tags across replicas and restores"))
 
 
 @dataclass

@@ -2,7 +2,7 @@
 // representation decisions (ChooseKind / Reconsider / ConvertTo) must be
 // pure functions of (cardinality, runs, H); RNG draws or unordered
 // containers near the decision fork container tags across replicas and
-// break container-tagged checkpoints. Clean call sites must stay silent.
+// restores. Clean call sites must stay silent.
 // This file is never compiled.
 #include <cstdint>
 #include <unordered_map>
