@@ -214,8 +214,6 @@ void CopyIndexStats(const IndexMemoryStats& stats, BenchRecord* rec) {
   rec->index_dense_bytes = stats.dense_equivalent_bytes;
   rec->index_array_rows = stats.array_rows;
   rec->index_bitmap_rows = stats.bitmap_rows;
-  rec->index_run_rows = stats.run_rows;
-  rec->index_pinned_rows = stats.pinned_rows;
 }
 
 void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
@@ -237,7 +235,7 @@ void RecordMinerRows(DatasetProfile profile, const RunShape& shape,
   }
   {
     // The same engine accounting over the same stream with the hybrid
-    // (array/bitmap/run container) row store: mined output is bit-identical,
+    // (array/bitmap container) row store: mined output is bit-identical,
     // so the row isolates the container overhead at a BMS-scale alphabet —
     // the guard requires it within noise of the dense store here, while the
     // WebScale1M row below requires the hybrid to outright win.
@@ -410,23 +408,20 @@ void RunWebScaleRow(const RunShape& shape) {
       "Million-item alphabet, " + ProfileName(profile) + ", H=" +
           std::to_string(window) + ", C=" + std::to_string(min_support),
       {"store", "mine ns/window", "expand ns/window", "index bytes",
-       "dense-equiv", "rows a/b/r", "pinned"});
+       "dense-equiv", "rows a/b"});
   auto histogram = [](const IndexMemoryStats& s) {
-    return std::to_string(s.array_rows) + "/" + std::to_string(s.bitmap_rows) +
-           "/" + std::to_string(s.run_rows);
+    return std::to_string(s.array_rows) + "/" + std::to_string(s.bitmap_rows);
   };
   PrintTableRow({"dense", FormatDouble(dense.per_window * 1e9, 0),
                  FormatDouble(dense.expand_per_window * 1e9, 0),
                  std::to_string(dense.stats.index_bytes),
                  std::to_string(dense.stats.dense_equivalent_bytes),
-                 histogram(dense.stats),
-                 std::to_string(dense.stats.pinned_rows)});
+                 histogram(dense.stats)});
   PrintTableRow({"hybrid", FormatDouble(hybrid.per_window * 1e9, 0),
                  FormatDouble(hybrid.expand_per_window * 1e9, 0),
                  std::to_string(hybrid.stats.index_bytes),
                  std::to_string(hybrid.stats.dense_equivalent_bytes),
-                 histogram(hybrid.stats),
-                 std::to_string(hybrid.stats.pinned_rows)});
+                 histogram(hybrid.stats)});
 
   for (const auto& [bench, sample] :
        {std::pair<std::string, const StoreSample*>{"mine/dense-1m", &dense},

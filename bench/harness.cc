@@ -167,10 +167,9 @@ bool WriteBenchJson(const std::string& path,
     if (r.index_bytes > 0) {
       std::fprintf(f,
                    ", \"index_bytes\": %zu, \"index_dense_bytes\": %zu, "
-                   "\"index_array_rows\": %zu, \"index_bitmap_rows\": %zu, "
-                   "\"index_run_rows\": %zu, \"index_pinned_rows\": %zu",
+                   "\"index_array_rows\": %zu, \"index_bitmap_rows\": %zu",
                    r.index_bytes, r.index_dense_bytes, r.index_array_rows,
-                   r.index_bitmap_rows, r.index_run_rows, r.index_pinned_rows);
+                   r.index_bitmap_rows);
     }
     if (!r.note.empty()) {
       std::fprintf(f, ", \"note\": \"%s\"", r.note.c_str());
@@ -256,12 +255,6 @@ bool ReadBenchJson(const std::string& path,
     }
     if (ExtractField(line, "index_bitmap_rows", &value)) {
       r.index_bitmap_rows = std::stoul(value);
-    }
-    if (ExtractField(line, "index_run_rows", &value)) {
-      r.index_run_rows = std::stoul(value);
-    }
-    if (ExtractField(line, "index_pinned_rows", &value)) {
-      r.index_pinned_rows = std::stoul(value);
     }
     if (ExtractField(line, "note", &value)) r.note = value;
     records->push_back(std::move(r));

@@ -127,8 +127,6 @@ struct BenchRecord {
   size_t index_dense_bytes = 0;
   size_t index_array_rows = 0;
   size_t index_bitmap_rows = 0;
-  size_t index_run_rows = 0;
-  size_t index_pinned_rows = 0;
   /// Nonzero when the measurement looks wrong (e.g. inverse thread scaling);
   /// makes BENCH artifacts flag the bug class instead of hiding it.
   std::string note;

@@ -72,7 +72,7 @@ void BM_StreamMinerAppend(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 
-/// MomentMiner over the hybrid (array/bitmap/run container) row store; the
+/// MomentMiner over the hybrid (array/bitmap container) row store; the
 /// two-argument ctor shape lets it ride the same benchmark template.
 struct HybridMomentMiner : MomentMiner {
   HybridMomentMiner(size_t window, Support min_support)

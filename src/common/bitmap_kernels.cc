@@ -1,21 +1,11 @@
 #include "common/bitmap_kernels.h"
 
-#if defined(__SSE2__)
-#include <immintrin.h>
-#endif
-
 #include "common/bits.h"
 
 namespace butterfly {
 
-namespace internal {
-bool g_bitmap_kernel_force_scalar = false;
-}  // namespace internal
-
-namespace {
-
-size_t AndWordsPopcountScalar(uint64_t* dst, const uint64_t* a,
-                              const uint64_t* b, size_t n) {
+size_t AndWordsPopcount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
+                        size_t n) {
   size_t count = 0;
   for (size_t w = 0; w < n; ++w) {
     dst[w] = a[w] & b[w];
@@ -24,90 +14,12 @@ size_t AndWordsPopcountScalar(uint64_t* dst, const uint64_t* a,
   return count;
 }
 
-size_t PopcountWordsScalar(const uint64_t* words, size_t n) {
+size_t PopcountWords(const uint64_t* words, size_t n) {
   size_t count = 0;
   for (size_t w = 0; w < n; ++w) {
     count += static_cast<size_t>(PopCount(words[w]));
   }
   return count;
-}
-
-#if defined(__SSE2__)
-
-// Vector AND with the count folded in per block: the AND result is stored,
-// then each stored word is popcounted with the scalar primitive — the same
-// per-word popcount the scalar loop performs, so the sum is bit-identical.
-// (There is no packed popcount below AVX-512; keeping the reduction on the
-// stored words also keeps the store in the dependency chain honest.)
-size_t AndWordsPopcountSimd(uint64_t* dst, const uint64_t* a,
-                            const uint64_t* b, size_t n) {
-  size_t count = 0;
-  size_t w = 0;
-#if defined(__AVX2__)
-  for (; w + 4 <= n; w += 4) {
-    const __m256i r = _mm256_and_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), r);
-    count += static_cast<size_t>(PopCount(dst[w])) +
-             static_cast<size_t>(PopCount(dst[w + 1])) +
-             static_cast<size_t>(PopCount(dst[w + 2])) +
-             static_cast<size_t>(PopCount(dst[w + 3]));
-  }
-#endif
-  for (; w + 2 <= n; w += 2) {
-    const __m128i r = _mm_and_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + w)),
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + w)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + w), r);
-    count += static_cast<size_t>(PopCount(dst[w])) +
-             static_cast<size_t>(PopCount(dst[w + 1]));
-  }
-  for (; w < n; ++w) {
-    dst[w] = a[w] & b[w];
-    count += static_cast<size_t>(PopCount(dst[w]));
-  }
-  return count;
-}
-
-size_t PopcountWordsSimd(const uint64_t* words, size_t n) {
-  // Unrolled four-wide: breaks the single popcount dependency chain the
-  // plain loop serializes on. Word order of the additions matches the
-  // scalar loop (integer addition is associative, so the sum is exact).
-  size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-  size_t w = 0;
-  for (; w + 4 <= n; w += 4) {
-    c0 += static_cast<size_t>(PopCount(words[w]));
-    c1 += static_cast<size_t>(PopCount(words[w + 1]));
-    c2 += static_cast<size_t>(PopCount(words[w + 2]));
-    c3 += static_cast<size_t>(PopCount(words[w + 3]));
-  }
-  size_t count = c0 + c1 + c2 + c3;
-  for (; w < n; ++w) count += static_cast<size_t>(PopCount(words[w]));
-  return count;
-}
-
-#endif  // __SSE2__
-
-}  // namespace
-
-size_t AndWordsPopcount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                        size_t n) {
-#if defined(__SSE2__)
-  if (!internal::g_bitmap_kernel_force_scalar) {
-    return AndWordsPopcountSimd(dst, a, b, n);
-  }
-#endif
-  return AndWordsPopcountScalar(dst, a, b, n);
-}
-
-size_t PopcountWords(const uint64_t* words, size_t n) {
-#if defined(__SSE2__)
-  if (!internal::g_bitmap_kernel_force_scalar) {
-    return PopcountWordsSimd(words, n);
-  }
-#endif
-  return PopcountWordsScalar(words, n);
 }
 
 void CopyWords(uint64_t* dst, const uint64_t* src, size_t n) {
@@ -138,41 +50,6 @@ size_t AndBitmapArrayPopcount(uint64_t* out, size_t out_words,
   return count;
 }
 
-size_t AndBitmapRunsPopcount(uint64_t* out, size_t out_words,
-                             const uint64_t* base, const TidRun* runs,
-                             size_t n) {
-  for (size_t w = 0; w < out_words; ++w) out[w] = 0;
-  size_t count = 0;
-  for (size_t r = 0; r < n; ++r) {
-    const size_t start = runs[r].start;
-    const size_t end = start + runs[r].length;  // exclusive; <= 65536
-    size_t w = start >> 6;
-    const size_t w_end = (end - 1) >> 6;
-    // Mask of the run's bits within the first and last touched words; whole
-    // interior words take the base word verbatim.
-    const uint64_t head = ~uint64_t{0} << (start & 63);
-    const uint64_t tail = (end & 63) ? ((uint64_t{1} << (end & 63)) - 1)
-                                     : ~uint64_t{0};
-    if (w == w_end) {
-      const uint64_t hit = base[w] & head & tail;
-      out[w] |= hit;
-      count += static_cast<size_t>(PopCount(hit));
-      continue;
-    }
-    uint64_t hit = base[w] & head;
-    out[w] |= hit;
-    count += static_cast<size_t>(PopCount(hit));
-    for (++w; w < w_end; ++w) {
-      out[w] = base[w];
-      count += static_cast<size_t>(PopCount(base[w]));
-    }
-    hit = base[w_end] & tail;
-    out[w_end] |= hit;
-    count += static_cast<size_t>(PopCount(hit));
-  }
-  return count;
-}
-
 size_t AndBitmapArrayInplace(uint64_t* base, size_t words,
                              const uint16_t* slots, size_t n) {
   size_t count = 0;
@@ -182,41 +59,6 @@ size_t AndBitmapArrayInplace(uint64_t* base, size_t words,
     while (i < n && (static_cast<size_t>(slots[i]) >> 6) == w) {
       mask |= uint64_t{1} << (slots[i] & 63);
       ++i;
-    }
-    base[w] &= mask;
-    count += static_cast<size_t>(PopCount(base[w]));
-  }
-  return count;
-}
-
-size_t AndBitmapRunsInplace(uint64_t* base, size_t words, const TidRun* runs,
-                            size_t n) {
-  size_t count = 0;
-  size_t r = 0;
-  for (size_t w = 0; w < words; ++w) {
-    // Member mask of bits [w*64, w*64+64) covered by any run. Runs are
-    // ascending, so the cursor only moves forward; a run ending inside this
-    // word is consumed, one spanning past it is kept for the next word.
-    const size_t word_lo = w << 6;
-    const size_t word_hi = word_lo + 64;
-    uint64_t mask = 0;
-    while (r < n) {
-      const size_t start = runs[r].start;
-      const size_t end = start + runs[r].length;  // exclusive
-      if (start >= word_hi) break;
-      if (end > word_lo) {
-        const size_t lo = start > word_lo ? start - word_lo : 0;
-        const size_t hi = end < word_hi ? end - word_lo : 64;
-        const uint64_t head = ~uint64_t{0} << lo;
-        const uint64_t tail =
-            hi == 64 ? ~uint64_t{0} : (uint64_t{1} << hi) - 1;
-        mask |= head & tail;
-      }
-      if (end <= word_hi) {
-        ++r;
-      } else {
-        break;
-      }
     }
     base[w] &= mask;
     count += static_cast<size_t>(PopCount(base[w]));

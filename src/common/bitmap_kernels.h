@@ -1,19 +1,17 @@
 /// \file bitmap_kernels.h
 /// \brief Word-at-a-time kernels behind Bitmap and the hybrid tid-containers.
 ///
-/// The three intersection shapes the window index performs — dense ∧ dense
-/// (the CET refine hot loop), dense ∧ sorted-slot array, and dense ∧ run
-/// list — live here as free functions over raw 64-bit word arrays, each
-/// fused with the popcount of its result so the hot path pays one pass.
+/// The two intersection shapes the window index performs — dense ∧ dense
+/// (the CET refine hot loop) and dense ∧ sorted-slot array — live here as
+/// free functions over raw 64-bit word arrays, each fused with the popcount
+/// of its result so the hot path pays one pass.
 ///
-/// The dense ∧ dense kernels carry SSE2/AVX2 variants guarded by the same
-/// force-scalar test hook pattern as the bias-DP row kernels
-/// (src/core/bias_setting.cc): all variants perform the same word
-/// operations, so scalar and SIMD results are bit-identical and the
-/// equivalence is pinned by tests rather than assumed. The array and run
-/// kernels are bounded by container cardinality (not by H) and stay scalar
-/// word arithmetic; they still honor the hook so tests can sweep every
-/// dispatch path.
+/// Every kernel is one plain scalar loop: one AND (or mask build) and one
+/// PopCount per word, in ascending word order, with no hand-written SIMD
+/// twin and no dispatch. Integer AND and popcount have one answer, so a
+/// build that vectorizes these loops or inlines POPCNT returns the same
+/// words and counts. The array kernels are bounded by container
+/// cardinality, not by H.
 
 #ifndef BUTTERFLY_COMMON_BITMAP_KERNELS_H_
 #define BUTTERFLY_COMMON_BITMAP_KERNELS_H_
@@ -22,24 +20,6 @@
 #include <cstdint>
 
 namespace butterfly {
-
-namespace internal {
-/// Test hook: forces every kernel below onto its scalar fallback so
-/// equivalence tests can pin SIMD == scalar bit-identity.
-extern bool g_bitmap_kernel_force_scalar;
-}  // namespace internal
-
-/// One run of consecutive set slots: [start, start + length), length >= 1.
-/// Fields are uint32 (not uint16) so a run spanning the entire 65536-slot
-/// space is representable and run arithmetic never narrows.
-struct TidRun {
-  uint32_t start;
-  uint32_t length;
-
-  bool operator==(const TidRun& other) const {
-    return start == other.start && length == other.length;
-  }
-};
 
 /// dst = a & b over \p n words (dst may alias a or b); returns the popcount
 /// of the result.
@@ -59,21 +39,10 @@ size_t AndBitmapArrayPopcount(uint64_t* out, size_t out_words,
                               const uint64_t* base, const uint16_t* slots,
                               size_t n);
 
-/// out = base ∩ (∪ runs) where runs are ascending and non-adjacent; \p out
-/// (spanning \p out_words words) is fully overwritten. Whole words interior
-/// to a run are copied with one masked AND each. Returns the popcount.
-size_t AndBitmapRunsPopcount(uint64_t* out, size_t out_words,
-                             const uint64_t* base, const TidRun* runs,
-                             size_t n);
-
 /// In-place base &= {slots[0..n)}: the aliasing-safe variant for AND chains
 /// (Tidset over multi-item itemsets), O(words + n). Returns the popcount.
 size_t AndBitmapArrayInplace(uint64_t* base, size_t words,
                              const uint16_t* slots, size_t n);
-
-/// In-place base &= (∪ runs), O(words + n). Returns the popcount.
-size_t AndBitmapRunsInplace(uint64_t* base, size_t words, const TidRun* runs,
-                            size_t n);
 
 }  // namespace butterfly
 

@@ -8,7 +8,7 @@
 /// All of them are constexpr. The build passes no -m flag, so it targets
 /// baseline x86-64, which has no POPCNT: g++ compiles PopCount to a call to
 /// libgcc's __popcountdi2 (`nm` lists it undefined in bitmap_kernels.cc.o
-/// and freqsat.cc.o), one call per word even in the SSE2 AND kernel.
+/// and freqsat.cc.o), one call per word in the scalar AND-count loops.
 /// CountrZero compiles inline (tzcnt and a zero test).
 
 #ifndef BUTTERFLY_COMMON_BITS_H_

@@ -37,10 +37,6 @@ class ItemRemap {
       } else {
         it->second = dense_limit_++;
       }
-      if (generations_.size() <= it->second) {
-        generations_.resize(it->second + 1, 0);
-      }
-      ++generations_[it->second];
     }
     return it->second;
   }
@@ -66,18 +62,9 @@ class ItemRemap {
   /// id need this many slots.
   size_t dense_limit() const { return dense_limit_; }
 
-  /// Generation counter of dense id \p dense: bumped every time the id is
-  /// (re)assigned by Acquire. Stats keyed by dense id (hot-row pins, support
-  /// maxima) stamp the generation they were taken at; a mismatch means the id
-  /// was recycled to a different item and the stat is stale.
-  uint64_t generation(uint32_t dense) const {
-    return dense < generations_.size() ? generations_[dense] : 0;
-  }
-
  private:
   std::unordered_map<Item, uint32_t> to_dense_;
   std::vector<uint32_t> free_;
-  std::vector<uint64_t> generations_;
   uint32_t dense_limit_ = 0;
 };
 

@@ -7,30 +7,15 @@
 #include <limits>
 #include <map>
 
-#if defined(__SSE2__)
-#include <immintrin.h>
-#endif
-
 #include "common/check.h"
 
 namespace butterfly {
 
 std::vector<double> ZeroBiases(size_t n) { return std::vector<double>(n, 0.0); }
 
-namespace internal {
-bool g_bias_kernel_force_scalar = false;
-}  // namespace internal
-
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Hard ceilings on the dense flat tables: per-step states and total
-/// backtrack bytes. Configurations beyond them (extreme γ × grid products far
-/// past the default max_states budget) route to the sparse generation-buffer
-/// frontier, which materializes only reachable states.
-constexpr size_t kMaxFlatStatesPerStep = size_t{1} << 20;
-constexpr size_t kMaxFlatBacktrackBytes = size_t{1} << 24;
 
 // Integer bias candidates for one FEC: a symmetric grid over [−βᵐ, βᵐ] with
 // at most `max_candidates` points, always containing 0 (so the zero-bias
@@ -97,17 +82,16 @@ struct DpEntry {
 };
 
 // ---------------------------------------------------------------------------
-// Row kernels. All three variants perform the same per-element IEEE
-// operations in the same order, so scalar and SIMD results are bit-identical;
-// the force-scalar hook lets tests pin that equivalence.
+// Row kernels: plain loops, one IEEE add (and for the merge one compare) per
+// element in ascending order, the order the reference's updates arrive in.
 // ---------------------------------------------------------------------------
 
-void AccumulateRowScalar(double* acc, const double* row, size_t n) {
+void AccumulateRow(double* acc, const double* row, size_t n) {
   for (size_t c = 0; c < n; ++c) acc[c] += row[c];
 }
 
-void MinMergeRowScalar(double* best, uint8_t* drop, const double* add,
-                       double base, uint8_t dropped, size_t c0, size_t n) {
+void MinMergeRow(double* best, uint8_t* drop, const double* add, double base,
+                 uint8_t dropped, size_t c0, size_t n) {
   for (size_t c = c0; c < n; ++c) {
     const double total = base + add[c];
     if (total < best[c]) {
@@ -115,84 +99,6 @@ void MinMergeRowScalar(double* best, uint8_t* drop, const double* add,
       drop[c] = dropped;
     }
   }
-}
-
-#if defined(__SSE2__)
-
-void AccumulateRowSimd(double* acc, const double* row, size_t n) {
-  size_t c = 0;
-#if defined(__AVX2__)
-  for (; c + 4 <= n; c += 4) {
-    _mm256_storeu_pd(acc + c, _mm256_add_pd(_mm256_loadu_pd(acc + c),
-                                            _mm256_loadu_pd(row + c)));
-  }
-#endif
-  for (; c + 2 <= n; c += 2) {
-    _mm_storeu_pd(acc + c,
-                  _mm_add_pd(_mm_loadu_pd(acc + c), _mm_loadu_pd(row + c)));
-  }
-  for (; c < n; ++c) acc[c] += row[c];
-}
-
-void MinMergeRowSimd(double* best, uint8_t* drop, const double* add,
-                     double base, uint8_t dropped, size_t c0, size_t n) {
-  size_t c = c0;
-#if defined(__AVX2__)
-  const __m256d base4 = _mm256_set1_pd(base);
-  for (; c + 4 <= n; c += 4) {
-    const __m256d total = _mm256_add_pd(base4, _mm256_loadu_pd(add + c));
-    const __m256d cur = _mm256_loadu_pd(best + c);
-    const __m256d lt = _mm256_cmp_pd(total, cur, _CMP_LT_OQ);
-    const int mask = _mm256_movemask_pd(lt);
-    if (mask == 0) continue;
-    _mm256_storeu_pd(best + c, _mm256_blendv_pd(cur, total, lt));
-    for (int b = 0; b < 4; ++b) {
-      if (mask & (1 << b)) drop[c + b] = dropped;
-    }
-  }
-#endif
-  const __m128d base2 = _mm_set1_pd(base);
-  for (; c + 2 <= n; c += 2) {
-    const __m128d total = _mm_add_pd(base2, _mm_loadu_pd(add + c));
-    const __m128d cur = _mm_loadu_pd(best + c);
-    const __m128d lt = _mm_cmplt_pd(total, cur);
-    const int mask = _mm_movemask_pd(lt);
-    if (mask == 0) continue;
-    _mm_storeu_pd(best + c,
-                  _mm_or_pd(_mm_and_pd(lt, total), _mm_andnot_pd(lt, cur)));
-    if (mask & 1) drop[c] = dropped;
-    if (mask & 2) drop[c + 1] = dropped;
-  }
-  for (; c < n; ++c) {
-    const double total = base + add[c];
-    if (total < best[c]) {
-      best[c] = total;
-      drop[c] = dropped;
-    }
-  }
-}
-
-#endif  // __SSE2__
-
-inline void AccumulateRow(double* acc, const double* row, size_t n) {
-#if defined(__SSE2__)
-  if (!internal::g_bias_kernel_force_scalar) {
-    AccumulateRowSimd(acc, row, n);
-    return;
-  }
-#endif
-  AccumulateRowScalar(acc, row, n);
-}
-
-inline void MinMergeRow(double* best, uint8_t* drop, const double* add,
-                        double base, uint8_t dropped, size_t c0, size_t n) {
-#if defined(__SSE2__)
-  if (!internal::g_bias_kernel_force_scalar) {
-    MinMergeRowSimd(best, drop, add, base, dropped, c0, n);
-    return;
-  }
-#endif
-  MinMergeRowScalar(best, drop, add, base, dropped, c0, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -220,7 +126,7 @@ struct StepJob {
 };
 
 void RunBiasStep(const StepJob& j) {
-  alignas(32) double acc[256];
+  double acc[256];
   // The surviving window digits of q (mixed radix, last digit least
   // significant), advanced as an odometer.
   uint8_t dig[8] = {0};
@@ -470,26 +376,18 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
 
   // State space per step: the mixed-radix product of the window's grid sizes
   // (most significant digit = earliest FEC in the window, so ascending flat
-  // index is lexicographic window order). Route to the sparse frontier when
-  // the dense tables would not fit.
+  // index is lexicographic window order). With max_states at most
+  // kMaxOrderStates, DeriveGridCap keeps every step at or below that many.
   s.state_count.assign(n, 0);
   s.step_offset.assign(n, 0);
   size_t backtrack_bytes = 0;
   for (size_t i = 0; i < n; ++i) {
     const size_t w = std::min(i + 1, gamma);
     size_t states = 1;
-    for (size_t j = i + 1 - w; j <= i; ++j) {
-      states *= s.grids[j].size();
-      if (states > kMaxFlatStatesPerStep) {
-        return OrderPreservingBiasesSparse(fecs, alpha, opt);
-      }
-    }
+    for (size_t j = i + 1 - w; j <= i; ++j) states *= s.grids[j].size();
     s.state_count[i] = states;
     s.step_offset[i] = backtrack_bytes;
     backtrack_bytes += states;
-    if (backtrack_bytes > kMaxFlatBacktrackBytes) {
-      return OrderPreservingBiasesSparse(fecs, alpha, opt);
-    }
   }
   s.dropped.assign(backtrack_bytes, 0xff);
 
@@ -597,162 +495,6 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
         i == 0 || static_cast<double>(fecs[i - 1].support) + biases[i - 1] <
                       static_cast<double>(fecs[i].support) + biases[i],
         "order-preserving DP produced a non-monotone estimator");
-  }
-  return biases;
-}
-
-namespace {
-
-/// One materialized state of the sparse frontier.
-struct FrontierEntry {
-  uint64_t key = 0;      ///< packed candidate window (PackKey layout)
-  double cost = kInf;
-  uint8_t dropped = 0xff;
-};
-
-/// The deterministic reduction of a generation buffer: stable-sort by key,
-/// then keep the first minimal-cost entry of every key run. The buffer is
-/// filled in ascending (prev-state rank, candidate) order — the exact order
-/// the map-based reference applies its strict-< updates — so "first minimal
-/// wins" reproduces the reference's tie-breaks bit for bit, and the result
-/// is a frontier sorted by key (= lexicographic window order).
-void SortAndMinMergeFrontier(std::vector<FrontierEntry>* frontier) {
-  std::stable_sort(frontier->begin(), frontier->end(),
-                   [](const FrontierEntry& a, const FrontierEntry& b) {
-                     return a.key < b.key;
-                   });
-  size_t out = 0;
-  size_t idx = 0;
-  const size_t size = frontier->size();
-  while (idx < size) {
-    FrontierEntry best = (*frontier)[idx];
-    size_t run = idx + 1;
-    while (run < size && (*frontier)[run].key == best.key) {
-      if ((*frontier)[run].cost < best.cost) best = (*frontier)[run];
-      ++run;
-    }
-    (*frontier)[out++] = best;
-    idx = run;
-  }
-  frontier->resize(out);
-}
-
-}  // namespace
-
-std::vector<double> OrderPreservingBiasesSparse(
-    const std::vector<FecProfile>& fecs, int64_t alpha,
-    const OrderOptConfig& opt) {
-  const size_t n = fecs.size();
-  if (n == 0) return {};
-  const size_t gamma = std::min<size_t>(opt.gamma, 8);
-  if (gamma == 0 || n == 1) return ZeroBiases(n);
-
-  const size_t grid_cap = DeriveGridCap(opt, gamma);
-  std::vector<std::vector<int64_t>> grids(n);
-  std::vector<std::vector<int64_t>> est(n);
-  for (size_t i = 0; i < n; ++i) {
-    BiasGridInto(fecs[i].max_bias, grid_cap, &grids[i]);
-    est[i].reserve(grids[i].size());
-    for (int64_t b : grids[i]) est[i].push_back(fecs[i].support + b);
-  }
-
-  // steps[i]: the reachable states after placing FEC i, sorted by packed key.
-  std::vector<std::vector<FrontierEntry>> steps(n);
-  steps[0].reserve(grids[0].size());
-  for (uint8_t c = 0; c < grids[0].size(); ++c) {
-    steps[0].push_back(FrontierEntry{PackKey({c}), 0.0, 0xff});
-  }
-
-  std::vector<double> pair_cost;
-  std::vector<uint32_t> c_min;
-  for (size_t i = 1; i < n; ++i) {
-    const size_t w_prev = std::min(i, gamma);
-    const bool drops = w_prev == gamma;
-    const size_t first_fec = i - w_prev;
-    const size_t r_cur = grids[i].size();
-
-    size_t pair_doubles = 0;
-    size_t pair_off[8] = {};
-    for (size_t k = 0; k < w_prev; ++k) {
-      pair_off[k] = pair_doubles;
-      pair_doubles += grids[first_fec + k].size() * r_cur;
-    }
-    pair_cost.resize(pair_doubles);
-    c_min.resize(grids[i - 1].size());
-    BuildStepTables(fecs, grids, est, alpha, i, gamma, pair_cost.data(),
-                    c_min.data());
-
-    const std::vector<FrontierEntry>& prev = steps[i - 1];
-    // Candidate production in (prev-state rank, candidate) order.
-    std::vector<FrontierEntry> generation;
-    generation.reserve(prev.size() * r_cur);
-    uint8_t dig[8] = {0};
-    for (const FrontierEntry& entry : prev) {
-      uint64_t key = entry.key;
-      for (size_t k = w_prev; k-- > 0;) {
-        dig[k] = static_cast<uint8_t>((key & 0xff) - 1);
-        key >>= 8;
-      }
-      const uint8_t dropped = drops ? dig[0] : 0xff;
-      // Surviving digits of the packed key, shifted up one byte to make room
-      // for the entering candidate.
-      const uint64_t kept_mask =
-          drops ? ((uint64_t{1} << (8 * (w_prev - 1))) - 1) : ~uint64_t{0};
-      const uint64_t stem = (entry.key & kept_mask) << 8;
-      for (size_t c = c_min[dig[w_prev - 1]]; c < r_cur; ++c) {
-        double added = 0.0;
-        for (size_t k = 0; k < w_prev; ++k) {
-          added +=
-              pair_cost[pair_off[k] + static_cast<size_t>(dig[k]) * r_cur + c];
-        }
-        generation.push_back(
-            FrontierEntry{stem | (uint64_t(c) + 1), entry.cost + added, dropped});
-      }
-    }
-    SortAndMinMergeFrontier(&generation);
-    BFLY_CHECK_MSG(!generation.empty(),
-                   "sparse bias DP lost every state (zero bias is always "
-                   "feasible, so this is a bug)");
-    steps[i] = std::move(generation);
-  }
-
-  // Cheapest final state; the frontier is key-sorted, so the first strict
-  // minimum is also the lexicographically smallest — the reference's
-  // tie-break.
-  const FrontierEntry* best = &steps[n - 1][0];
-  for (const FrontierEntry& entry : steps[n - 1]) {
-    if (entry.cost < best->cost) best = &entry;
-  }
-
-  std::vector<uint8_t> choice(n, 0);
-  uint64_t key = best->key;
-  {
-    const size_t w = std::min(n, gamma);
-    uint64_t k = key;
-    for (size_t idx = n; idx-- > n - w;) {
-      choice[idx] = static_cast<uint8_t>((k & 0xff) - 1);
-      k >>= 8;
-    }
-    for (size_t i = n - 1; i >= gamma; --i) {
-      const std::vector<FrontierEntry>& frontier = steps[i];
-      const auto it = std::lower_bound(
-          frontier.begin(), frontier.end(), key,
-          [](const FrontierEntry& e, uint64_t k2) { return e.key < k2; });
-      BFLY_CHECK_MSG(it != frontier.end() && it->key == key,
-                     "sparse bias DP backtrack lost its parent state");
-      choice[i - gamma] = it->dropped;
-      // Parent key: prepend the dropped digit, remove the entering one.
-      key = (uint64_t(it->dropped) + 1) << (8 * (gamma - 1)) | (key >> 8);
-    }
-  }
-
-  std::vector<double> biases(n);
-  for (size_t i = 0; i < n; ++i) {
-    biases[i] = static_cast<double>(grids[i][choice[i]]);
-    BFLY_DCHECK_MSG(
-        i == 0 || static_cast<double>(fecs[i - 1].support) + biases[i - 1] <
-                      static_cast<double>(fecs[i].support) + biases[i],
-        "order-preserving sparse DP produced a non-monotone estimator");
   }
   return biases;
 }

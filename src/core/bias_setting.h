@@ -55,41 +55,24 @@ struct BiasDpScratch {
 /// windows; \p scratch (optional) lets callers reuse the tables across
 /// releases. Equal-cost ties are broken toward the lexicographically
 /// smallest candidate window, so the result is deterministic and identical
-/// to OrderPreservingBiasesReference. Each step is an output-major sweep
-/// whose inner rows run on SIMD kernels that are bit-identical to their
-/// scalar twins.
+/// to OrderPreservingBiasesReference. Each step is an output-major sweep of
+/// plain scalar row loops. Precondition: opt.max_states <= kMaxOrderStates
+/// (ButterflyConfig::Validate enforces it), which bounds every step's table
+/// at kMaxOrderStates states and the backtrack table at one byte per state
+/// per FEC.
 std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
                                           int64_t alpha,
                                           const OrderOptConfig& opt,
                                           BiasDpScratch* scratch = nullptr);
 
-/// Sparse generation-buffer variant of Algorithm 1, used when an extreme
-/// (γ, grid) configuration would overflow the dense flat tables. Each step's
-/// frontier is a sorted vector of (packed key, cost, dropped digit) entries:
-/// candidate states are appended in (prev-state rank, candidate) order, then
-/// reduced by SortAndMinMergeFrontier. Bit-identical to
-/// OrderPreservingBiasesReference (pinned by the frontier equivalence test);
-/// exposed for that test and for the micro-benchmarks.
-std::vector<double> OrderPreservingBiasesSparse(
-    const std::vector<FecProfile>& fecs, int64_t alpha,
-    const OrderOptConfig& opt);
-
 /// The retained map-based reference implementation of Algorithm 1: one
 /// ordered map of packed-window states per step. Bit-identical to
-/// OrderPreservingBiases (the equivalence is pinned by a property test);
-/// kept purely as the oracle for that test and as the micro-benchmark
-/// baseline — production overflow now routes to
-/// OrderPreservingBiasesSparse instead.
+/// OrderPreservingBiases (the equivalence is pinned by the frontier and
+/// property tests); kept purely as the oracle for those tests and as the
+/// micro-benchmark baseline.
 std::vector<double> OrderPreservingBiasesReference(
     const std::vector<FecProfile>& fecs, int64_t alpha,
     const OrderOptConfig& opt);
-
-namespace internal {
-/// Test hook: when true, the DP row kernels take the scalar path even on
-/// SIMD-capable builds, letting tests pin scalar ≡ SIMD bit-for-bit. Flip
-/// only while no DP call is in flight.
-extern bool g_bias_kernel_force_scalar;
-}  // namespace internal
 
 /// Ratio-preserving bias setting (Algorithm 2): β_1 = βᵐ_1 and
 /// β_i = β_{i-1}·t_i/t_{i-1} (so β_i ∝ t_i), clamped into [−βᵐ_i, βᵐ_i]

@@ -61,6 +61,10 @@ Status ButterflyConfig::Validate() const {
   if (order_opt.gamma > 8) {
     return Status::InvalidArgument("gamma above 8 is not supported");
   }
+  if (order_opt.max_states > kMaxOrderStates) {
+    return Status::InvalidArgument("max_states must be at most " +
+                                   std::to_string(kMaxOrderStates));
+  }
   if (threads < 0 || threads > kMaxThreads) {
     return Status::InvalidArgument("threads must lie in [0, " +
                                    std::to_string(kMaxThreads) +

@@ -65,11 +65,18 @@ std::optional<ReleasePolicyKind> ParseReleasePolicyKind(std::string_view name);
 /// FleetConfig::threads; 0 means hardware concurrency).
 constexpr int64_t kMaxThreads = 1024;
 
+/// Largest OrderOptConfig::max_states that ButterflyConfig::Validate accepts.
+/// Up to it, the per-FEC grids derived from the budget keep every step of
+/// the order-preserving DP at or below this many states (32^4 or 16^5 at
+/// most), so its flat tables stay bounded.
+constexpr size_t kMaxOrderStates = size_t{1} << 20;
+
 /// Knobs of the order-preserving dynamic program.
 struct OrderOptConfig {
   /// DP window depth γ: each FEC's bias interacts with its γ predecessors.
   size_t gamma = 2;
   /// Budget on DP states; per-FEC candidate-grid size is derived from it.
+  /// Validated to at most kMaxOrderStates.
   size_t max_states = 20000;
   /// Hard cap on bias candidates per FEC.
   size_t max_candidates = 21;
@@ -99,11 +106,12 @@ struct ButterflyConfig {
   /// Knowledge 2). On by default.
   bool republish_cache = true;
 
-  /// Store the miner's window index as hybrid array/bitmap/run containers
+  /// Store the miner's window index as hybrid array/bitmap containers
   /// instead of dense per-item bitmaps (see stream/window_bitmap_index.h).
   /// Mined output and release logs are bit-identical either way; hybrid
   /// collapses index memory on large sparse alphabets and requires the
-  /// window capacity H <= 65536.
+  /// window capacity H <= kMaxHybridWindow (65536), which
+  /// StreamPrivacyEngine::Create and FleetConfig::Validate check.
   bool hybrid_index = false;
 
   /// Which release-policy backend the engine publishes through. Butterfly

@@ -1,6 +1,7 @@
 #include "core/stream_engine.h"
 
 #include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -82,13 +83,23 @@ bool SameEncoding(const ButterflyConfig& a, const ButterflyConfig& b) {
 
 }  // namespace
 
-Result<StreamPrivacyEngine> StreamPrivacyEngine::Create(
-    size_t window_capacity, const ButterflyConfig& config) {
+Status StreamPrivacyEngine::ValidateArgs(size_t window_capacity,
+                                         const ButterflyConfig& config) {
   if (window_capacity == 0) {
     return Status::InvalidArgument("window_capacity must be positive");
   }
-  Status status = config.Validate();
-  if (!status.ok()) return status;
+  if (config.hybrid_index && window_capacity > kMaxHybridWindow) {
+    return Status::InvalidArgument(
+        "the hybrid index supports windows of at most " +
+        std::to_string(kMaxHybridWindow) + " records, not " +
+        std::to_string(window_capacity));
+  }
+  return config.Validate();
+}
+
+Result<StreamPrivacyEngine> StreamPrivacyEngine::Create(
+    size_t window_capacity, const ButterflyConfig& config) {
+  if (Status s = ValidateArgs(window_capacity, config); !s.ok()) return s;
   return StreamPrivacyEngine(window_capacity, config);
 }
 

@@ -56,6 +56,12 @@ class StreamPrivacyEngine {
   static Result<StreamPrivacyEngine> Create(size_t window_capacity,
                                             const ButterflyConfig& config);
 
+  /// The checks Create runs, without building an engine: a positive H, at
+  /// most kMaxHybridWindow under config.hybrid_index, and
+  /// ButterflyConfig::Validate. InvalidArgument on a failure.
+  static Status ValidateArgs(size_t window_capacity,
+                             const ButterflyConfig& config);
+
   StreamPrivacyEngine(size_t window_capacity, const ButterflyConfig& config)
       : miner_(window_capacity, config.min_support,
                config.hybrid_index ? IndexRowStore::kHybrid

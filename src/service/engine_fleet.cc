@@ -27,7 +27,6 @@ ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant) {
 
 Status FleetConfig::Validate() const {
   if (tenants == 0) return Status::InvalidArgument("fleet needs >= 1 tenant");
-  if (window == 0) return Status::InvalidArgument("window must be positive");
   if (stride == 0) return Status::InvalidArgument("stride must be positive");
   if (threads < 0 || threads > kMaxThreads) {
     return Status::InvalidArgument("fleet threads must lie in [0, " +
@@ -36,11 +35,15 @@ Status FleetConfig::Validate() const {
   }
   // Seed derivation does not affect validity, so validating one tenant per
   // distinct policy assignment covers every tenant (with no per-tenant
-  // policies, that is just tenant 0).
+  // policies, that is just tenant 0). This also checks the window.
   const size_t distinct =
       tenant_policies.empty() ? 1 : std::min(tenants, tenant_policies.size());
   for (uint64_t t = 0; t < distinct; ++t) {
-    if (Status s = TenantEngineConfig(*this, t).Validate(); !s.ok()) return s;
+    if (Status s = StreamPrivacyEngine::ValidateArgs(
+            window, TenantEngineConfig(*this, t));
+        !s.ok()) {
+      return s;
+    }
   }
   return Status::OK();
 }

@@ -1,6 +1,5 @@
 #include "stream/window_bitmap_index.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -9,12 +8,10 @@
 namespace butterfly {
 
 WindowBitmapIndex::WindowBitmapIndex(size_t capacity, IndexRowStore store)
-    : capacity_(capacity),
-      store_(store),
-      pin_threshold_(std::max<size_t>(64, capacity / 8)) {
+    : capacity_(capacity), store_(store) {
   BFLY_CHECK_MSG(capacity > 0, "window index needs at least one slot");
   if (store_ == IndexRowStore::kHybrid) {
-    BFLY_CHECK_MSG(capacity <= 65536,
+    BFLY_CHECK_MSG(capacity <= kMaxHybridWindow,
                    "hybrid row store addresses slots with uint16");
   }
   slots_.resize(capacity, nullptr);
@@ -28,7 +25,6 @@ void WindowBitmapIndex::SetBit(Item item, size_t slot) {
       rows_.resize(dense + 1);
     } else {
       hybrid_rows_.resize(dense + 1);
-      pin_generations_.resize(dense + 1, 0);
     }
   }
   if (store_ == IndexRowStore::kDense) {
@@ -43,22 +39,9 @@ void WindowBitmapIndex::SetBit(Item item, size_t slot) {
   }
   TidContainer& row = hybrid_rows_[dense];
   if (row.slot_space() != capacity_) row.Init(capacity_);
-  // A pin stamped under an earlier generation belongs to the item that held
-  // this dense id before recycling; drop it before the row grows again.
-  // (Row death resets the container, so this is a defensive consistency
-  // guard — the generation stamp makes staleness detectable at all.)
-  if (row.pinned() && pin_generations_[dense] != remap_.generation(dense)) {
-    row.Unpin();
-  }
   BFLY_DCHECK_MSG(!row.Test(slot), "arrival bit already set for this slot");
   row.Set(slot);
   ++row_counts_[dense];
-  if (!row.pinned() && row_counts_[dense] >= pin_threshold_) {
-    // Hot row: pin it on the dense representation for the rest of this
-    // item's residency, stamped with the current remap generation.
-    row.Pin();
-    pin_generations_[dense] = remap_.generation(dense);
-  }
 }
 
 void WindowBitmapIndex::ClearBit(Item item, size_t slot) {
@@ -82,8 +65,8 @@ void WindowBitmapIndex::ClearBit(Item item, size_t slot) {
   BFLY_DCHECK_MSG(row.Test(slot), "eviction bit already cleared");
   row.Clear(slot);
   if (--row_counts_[dense] == 0) {
-    // Row death: reset to the empty array container (drops any pin) and
-    // recycle the dense slot.
+    // Row death: reset to the empty array container and recycle the dense
+    // slot.
     row.Init(capacity_);
     remap_.Release(item);
   }
@@ -229,11 +212,7 @@ IndexMemoryStats WindowBitmapIndex::MemoryStats() const {
       case TidContainer::Kind::kBitmap:
         ++stats.bitmap_rows;
         break;
-      case TidContainer::Kind::kRun:
-        ++stats.run_rows;
-        break;
     }
-    if (row.pinned()) ++stats.pinned_rows;
   }
   return stats;
 }
@@ -289,11 +268,11 @@ Status WindowBitmapIndex::Validate(const SlidingWindow& window) const {
                                 std::to_string(item) +
                                 " disagrees with a recount");
       }
-      if (row.pinned() &&
-          (row.kind() != TidContainer::Kind::kBitmap ||
-           pin_generations_[dense] != remap_.generation(dense))) {
-        return Status::Internal("stale or non-dense pin for item " +
-                                std::to_string(item));
+      if (row.kind() !=
+          TidContainer::ChooseKind(row.cardinality(), capacity_)) {
+        return Status::Internal("hybrid row for item " +
+                                std::to_string(item) +
+                                " is not in the form its cardinality picks");
       }
     }
     if (row_counts_[dense] != bits.Popcount()) {

@@ -24,20 +24,19 @@
 ///  * `IndexRowStore::kDense` — one H-bit `Bitmap` per live item (the
 ///    original layout). Per-row cost is WordsFor(H)*8 bytes regardless of
 ///    how rare the item is.
-///  * `IndexRowStore::kHybrid` — one `TidContainer` per live item
-///    (array / bitmap / run, roaring-style; see tid_container.h). At
-///    power-law million-item alphabets almost every row is near-empty, so
-///    this collapses the row table from gigabytes of zero words to a few
-///    bytes per rare item. Hot rows — support reaching capacity/8 — are
-///    *pinned* on the dense bitmap representation (stamped with the
-///    `ItemRemap` generation so a recycled dense id cannot inherit a stale
-///    pin), keeping the Moment refine loop on the existing word-AND shape
-///    for the items that dominate mining time.
+///  * `IndexRowStore::kHybrid` — one `TidContainer` per live item: a sorted
+///    slot array up to TidContainer::ArrayLimit(H) members, a bitmap above
+///    it (roaring-style; see tid_container.h). At power-law million-item
+///    alphabets almost every row is near-empty, so this collapses the row
+///    table from gigabytes of zero words to a few bytes per rare item, while
+///    hot rows keep the Moment refine loop on the word-AND shape.
 ///
 /// Both stores answer every query with identical bits (containers are exact
 /// — pinned by the dense-vs-hybrid fuzz grid), so mined output, release
-/// logs, and supports are bit-identical across stores. Hybrid needs
-/// H <= 65536 (containers address slots with uint16).
+/// logs, and supports are bit-identical across stores. A hybrid row's form
+/// is a function of its cardinality and H alone, so an index rebuilt from a
+/// window equals the live one, MemoryStats() included. Hybrid needs
+/// H <= kMaxHybridWindow (containers address slots with uint16).
 
 #ifndef BUTTERFLY_STREAM_WINDOW_BITMAP_INDEX_H_
 #define BUTTERFLY_STREAM_WINDOW_BITMAP_INDEX_H_
@@ -58,8 +57,14 @@ namespace butterfly {
 /// Row representation of the window index (see file comment).
 enum class IndexRowStore : uint8_t {
   kDense = 0,   ///< one dense H-bit Bitmap per live item
-  kHybrid = 1,  ///< hybrid array/bitmap/run TidContainer per live item
+  kHybrid = 1,  ///< hybrid array/bitmap TidContainer per live item
 };
+
+/// Largest window capacity H a hybrid index supports: its containers address
+/// slots with uint16. StreamPrivacyEngine::Create and FleetConfig::Validate
+/// reject a larger hybrid window with InvalidArgument; the index constructor
+/// CHECKs it.
+constexpr size_t kMaxHybridWindow = size_t{1} << 16;
 
 /// Memory accounting of the live row table: the gauge behind
 /// `FleetStats::index_bytes` and the bench memory columns.
@@ -72,9 +77,6 @@ struct IndexMemoryStats {
   /// Live-row histogram by representation (dense rows count as bitmap).
   size_t array_rows = 0;
   size_t bitmap_rows = 0;
-  size_t run_rows = 0;
-  /// Rows pinned on the dense path (subset of bitmap_rows).
-  size_t pinned_rows = 0;
 
   friend bool operator==(const IndexMemoryStats&,
                          const IndexMemoryStats&) = default;
@@ -84,7 +86,8 @@ struct IndexMemoryStats {
 class WindowBitmapIndex {
  public:
   /// \param capacity the window size H (> 0).
-  /// \param store the row representation; kHybrid requires H <= 65536.
+  /// \param store the row representation; kHybrid requires
+  ///        H <= kMaxHybridWindow.
   explicit WindowBitmapIndex(size_t capacity,
                              IndexRowStore store = IndexRowStore::kDense);
 
@@ -137,17 +140,17 @@ class WindowBitmapIndex {
   size_t dense_limit() const { return remap_.dense_limit(); }
 
   /// Deep self-check against the ground-truth window contents: every row
-  /// matches a recount, live slots match, and no dead row has a set bit.
-  /// O(items × H); for tests.
+  /// matches a recount, live slots match, no dead row has a set bit, and
+  /// every hybrid row holds the form TidContainer::ChooseKind gives its
+  /// cardinality. O(items × H); for tests.
   Status Validate(const SlidingWindow& window) const;
 
   /// Replaces the whole index with one built from \p window (same capacity),
   /// at the slots the live run used: the record at deque position p goes to
   /// slot (stream_position - size + p) mod H, through Apply. This is how a
-  /// restore derives the index; the checkpoint holds only the window. Rows
-  /// are equal to the live run's as slot sets, but a hybrid row picks its
-  /// container and pin from the arrivals replayed here, not from the live
-  /// run's history, so MemoryStats() can differ from the live index's.
+  /// restore derives the index; the checkpoint holds only the window. Every
+  /// row equals the live run's, in slots and in form, so MemoryStats()
+  /// equals the live index's for either store.
   void Rebuild(const SlidingWindow& window);
 
  private:
@@ -163,12 +166,9 @@ class WindowBitmapIndex {
   IndexRowStore store_;
   size_t size_ = 0;
   size_t next_slot_ = 0;  ///< slot the next arrival will occupy
-  /// Support at which a hybrid row is pinned dense: max(64, H/8).
-  size_t pin_threshold_;
   ItemRemap remap_;
   std::vector<Bitmap> rows_;               ///< dense store: id -> slot bitmap
   std::vector<TidContainer> hybrid_rows_;  ///< hybrid store: id -> container
-  std::vector<uint64_t> pin_generations_;  ///< id -> generation at pin time
   std::vector<uint32_t> row_counts_;       ///< dense item id -> set-bit count
   std::vector<const Transaction*> slots_;
 };

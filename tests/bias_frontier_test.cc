@@ -1,8 +1,7 @@
 /// \file bias_frontier_test.cc
-/// \brief Frontier equivalence for Algorithm 1: the flat output-major DP, the
-/// sparse generation-buffer frontier, and the map-based oracle must agree bit
-/// for bit across γ ∈ {1..8}, and with the SIMD row kernels forced down to
-/// their scalar twins.
+/// \brief Frontier equivalence for Algorithm 1: the flat output-major DP and
+/// the map-based oracle must agree bit for bit across γ ∈ {1..8}, and under a
+/// starved state budget.
 
 #include <cstdint>
 #include <vector>
@@ -42,7 +41,7 @@ void ExpectBitIdentical(const std::vector<double>& got,
   }
 }
 
-TEST(BiasFrontierTest, FlatAndSparseMatchOracleAcrossGammaSweep) {
+TEST(BiasFrontierTest, FlatMatchesOracleAcrossGammaSweep) {
   BiasDpScratch scratch;
   for (size_t gamma = 1; gamma <= 8; ++gamma) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
@@ -58,14 +57,12 @@ TEST(BiasFrontierTest, FlatAndSparseMatchOracleAcrossGammaSweep) {
           OrderPreservingBiasesReference(fecs, alpha, opt);
       ExpectBitIdentical(OrderPreservingBiases(fecs, alpha, opt, &scratch),
                          oracle, "flat " + label);
-      ExpectBitIdentical(OrderPreservingBiasesSparse(fecs, alpha, opt), oracle,
-                         "sparse " + label);
     }
   }
 }
 
-TEST(BiasFrontierTest, StarvedStateBudgetKeepsAllThreeAligned) {
-  // A tiny state budget shrinks the per-FEC grids; all three implementations
+TEST(BiasFrontierTest, StarvedStateBudgetKeepsFlatAndOracleAligned) {
+  // A tiny state budget shrinks the per-FEC grids; both implementations
   // must derive (and search) the same shrunken grids.
   Rng rng(17);
   std::vector<FecProfile> fecs = RandomProfiles(&rng, 28);
@@ -76,29 +73,6 @@ TEST(BiasFrontierTest, StarvedStateBudgetKeepsAllThreeAligned) {
     std::vector<double> oracle = OrderPreservingBiasesReference(fecs, 7, opt);
     ExpectBitIdentical(OrderPreservingBiases(fecs, 7, opt), oracle,
                        "flat starved γ=" + std::to_string(gamma));
-    ExpectBitIdentical(OrderPreservingBiasesSparse(fecs, 7, opt), oracle,
-                       "sparse starved γ=" + std::to_string(gamma));
-  }
-}
-
-TEST(BiasFrontierTest, ScalarKernelMatchesSimdKernel) {
-  // On SIMD builds this pins the vector row kernels to their scalar twins;
-  // on scalar builds it degenerates to determinism across repeated runs.
-  BiasDpScratch scratch;
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed);
-    std::vector<FecProfile> fecs =
-        RandomProfiles(&rng, static_cast<size_t>(rng.UniformInt(2, 40)));
-    const int64_t alpha = rng.UniformInt(1, 12);
-    OrderOptConfig opt;
-    opt.gamma = static_cast<size_t>(rng.UniformInt(1, 4));
-    std::vector<double> simd =
-        OrderPreservingBiases(fecs, alpha, opt, &scratch);
-    internal::g_bias_kernel_force_scalar = true;
-    std::vector<double> scalar =
-        OrderPreservingBiases(fecs, alpha, opt, &scratch);
-    internal::g_bias_kernel_force_scalar = false;
-    ExpectBitIdentical(scalar, simd, "seed " + std::to_string(seed));
   }
 }
 

@@ -56,6 +56,14 @@ TEST(ButterflyConfigTest, ValidatesRequirements) {
   bad = BaseConfig();
   bad.lambda = 1.5;
   EXPECT_FALSE(bad.Validate().ok());
+
+  // The DP state budget: up to kMaxOrderStates every step's flat table stays
+  // bounded; one more is refused.
+  ButterflyConfig budget = BaseConfig();
+  budget.order_opt.max_states = kMaxOrderStates;
+  EXPECT_TRUE(budget.Validate().ok());
+  budget.order_opt.max_states = kMaxOrderStates + 1;
+  EXPECT_EQ(budget.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ButterflyConfigTest, MinPprEnforced) {

@@ -4,9 +4,10 @@
 /// stream grid, every scheme, threads=1 and threads=8 engines, and
 /// randomized kill points — the bit-identical-resume guarantee of
 /// DESIGN.md §10. Corruption cases (truncation, bit flips, wrong magic,
-/// config mismatch, a record holding the reserved item id) must fail with a
-/// clean Status and leave the snapshot file untouched, and a failed
-/// in-place restore must leave the engine as it was.
+/// config mismatch, a record holding the reserved item id, a config or
+/// window that Create refuses) must fail with a clean Status and leave the
+/// snapshot file untouched, and a failed in-place restore must leave the
+/// engine as it was.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -319,7 +320,7 @@ TEST_P(FailedRestoreTest, LeavesTheEngineAsItWas) {
   };
 
   // A snapshot from further down the stream, cut short inside its last
-  // section (BFLE): the window and index sections before it parse.
+  // section (BFLE): the config and window sections before it parse.
   auto source = StreamPrivacyEngine::Create(param.window, config);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
   const size_t late = param.records - 15;
@@ -451,6 +452,64 @@ TEST_F(ReservedItemRestoreTest, WindowRecordsWithTheReservedItemAreCorrupt) {
 
 TEST_F(ReservedItemRestoreTest, CachedItemsetWithTheReservedItemIsCorrupt) {
   ExpectCorrupt(Patched({cache_at_.back()}));
+}
+
+/// FromCheckpoint and LoadEngineCheckpoint build their engine through
+/// Create, so a snapshot whose CONF or capacity holds a value Create refuses
+/// fails with InvalidArgument: a DP state budget past kMaxOrderStates, which
+/// would size the bias DP's tables without bound, and a hybrid window past
+/// kMaxHybridWindow, which the index constructor would abort on.
+TEST(OutOfRangeSnapshotTest, CreateRefusalsFailTheRestore) {
+  /// Written as max_states, then patched.
+  constexpr uint64_t kStandIn = 0x5EED5;
+  ButterflyConfig config;
+  config.min_support = 2;
+  config.vulnerable_support = 1;
+  config.epsilon = 0.1;
+  config.delta = 0.4;
+  config.scheme = ButterflyScheme::kOrderPreserving;
+  config.hybrid_index = true;
+  config.order_opt.max_states = kStandIn;
+  auto engine = StreamPrivacyEngine::Create(4, config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (int i = 0; i < 4; ++i) engine->Append(Transaction(0, Itemset{1, 2}));
+  (void)engine->Release();
+  persist::CheckpointWriter writer;
+  engine->Checkpoint(&writer);
+  const std::string saved = writer.data();
+
+  const auto u64 = [](uint64_t v) {
+    persist::CheckpointWriter w;
+    w.U64(v);
+    return w.data();
+  };
+  const size_t states_at = saved.find(u64(kStandIn), saved.find("CONF"));
+  ASSERT_NE(states_at, std::string::npos);
+  const size_t capacity_at = saved.find("SPE1") + 4;
+  ASSERT_EQ(saved.substr(capacity_at, 8), u64(4));
+
+  {
+    persist::CheckpointReader reader(saved);
+    auto restored = StreamPrivacyEngine::FromCheckpoint(&reader);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  }
+  const std::string path = TempPath("bfly_ckpt_out_of_range.ckpt");
+  for (const auto& [at, value] :
+       {std::pair<size_t, uint64_t>{states_at, uint64_t{1} << 40},
+        {capacity_at, kMaxHybridWindow + 1}}) {
+    std::string patched = saved;
+    patched.replace(at, 8, u64(value));
+    persist::CheckpointReader reader(patched);
+    auto restored = StreamPrivacyEngine::FromCheckpoint(&reader);
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << value << ": " << restored.status().ToString();
+
+    ASSERT_TRUE(persist::WriteCheckpointFile(path, patched).ok());
+    auto loaded = persist::LoadEngineCheckpoint(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << value << ": " << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ReleaseLogRecoveryTest, TruncatesTornTrailingBlock) {

@@ -403,6 +403,15 @@ TEST(FleetConfigTest, ValidateCatchesBadShapes) {
   config = MakeFleetConfig(1, 1);
   config.threads = kMaxThreads;
   EXPECT_TRUE(config.Validate().ok());
+  // A hybrid window past the uint16 slot space fails validation instead of
+  // aborting while the fleet builds its engines.
+  config = MakeFleetConfig(1, 1);
+  config.engine.hybrid_index = true;
+  config.window = kMaxHybridWindow;
+  EXPECT_TRUE(config.Validate().ok());
+  config.window = kMaxHybridWindow + 1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(EngineFleet::Create(config).ok());
 }
 
 }  // namespace

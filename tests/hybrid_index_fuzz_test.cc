@@ -1,17 +1,18 @@
 /// Randomized equivalence grid for the hybrid window-index row store: the
-/// TidContainer representations (array / bitmap / run) against a dense
-/// ground truth through every promotion/demotion edge, the SIMD intersection
-/// kernels against their forced-scalar fallbacks bit for bit, hybrid vs
-/// dense WindowBitmapIndex supports/tidsets under drift + partial fill +
-/// eviction churn, engine release logs byte-compared across stores at
-/// threads {1, 8}, and checkpoint kill-and-restore over container promotion
-/// boundaries. An ASAN/UBSAN-instrumented variant of this binary runs in CI
-/// (see tests/CMakeLists.txt) because container conversions recycle vector
+/// TidContainer representations (array / bitmap) against a dense ground
+/// truth through every promotion/demotion edge, the word kernels against a
+/// per-word std::popcount reference, hybrid vs dense WindowBitmapIndex
+/// supports/tidsets under drift + partial fill + eviction churn, engine
+/// release logs byte-compared across stores at threads {1, 8}, and
+/// checkpoint kill-and-restore over container promotion boundaries. An
+/// ASAN/UBSAN-instrumented variant of this binary runs in CI (see
+/// tests/CMakeLists.txt) because container conversions recycle vector
 /// storage and the kernels index raw word arrays — exactly the bug classes
 /// the sanitizers catch.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <optional>
 #include <set>
@@ -32,33 +33,23 @@
 namespace butterfly {
 namespace {
 
-// Restores the force-scalar hook on scope exit so one test's sweep cannot
-// leak into the next.
-class ScopedForceScalar {
- public:
-  explicit ScopedForceScalar(bool on) : saved_(internal::g_bitmap_kernel_force_scalar) {
-    internal::g_bitmap_kernel_force_scalar = on;
-  }
-  ~ScopedForceScalar() { internal::g_bitmap_kernel_force_scalar = saved_; }
-
- private:
-  bool saved_;
-};
-
 // --- TidContainer vs a reference std::set -----------------------------------
 
 TEST(TidContainerTest, RepresentationChoiceIsPureByteCost) {
   // Small slot space: bitmap costs 8 bytes (1 word), so it wins early.
-  EXPECT_EQ(TidContainer::ChooseKind(0, 0, 64), TidContainer::Kind::kRun);
-  EXPECT_EQ(TidContainer::ChooseKind(5, 5, 64), TidContainer::Kind::kBitmap);
-  // Large slot space: array wins while sparse, runs win when bursty.
-  EXPECT_EQ(TidContainer::ChooseKind(100, 80, 65536),
-            TidContainer::Kind::kArray);
-  EXPECT_EQ(TidContainer::ChooseKind(100, 2, 65536), TidContainer::Kind::kRun);
-  EXPECT_EQ(TidContainer::ChooseKind(60000, 50000, 65536),
+  EXPECT_EQ(TidContainer::ChooseKind(0, 64), TidContainer::Kind::kArray);
+  EXPECT_EQ(TidContainer::ChooseKind(5, 64), TidContainer::Kind::kBitmap);
+  // Large slot space: array wins while sparse, the bitmap once populous.
+  EXPECT_EQ(TidContainer::ChooseKind(100, 65536), TidContainer::Kind::kArray);
+  EXPECT_EQ(TidContainer::ChooseKind(60000, 65536),
             TidContainer::Kind::kBitmap);
-  // Tie-break: run <= array <= bitmap at equal byte cost.
-  EXPECT_EQ(TidContainer::ChooseKind(4, 1, 65536), TidContainer::Kind::kRun);
+  // Tie-break: array at equal byte cost (4 members = 8 bytes = 1 word), and
+  // the edge is ArrayLimit(H).
+  EXPECT_EQ(TidContainer::ChooseKind(4, 64), TidContainer::Kind::kArray);
+  EXPECT_EQ(TidContainer::ArrayLimit(65536), 4096u);
+  EXPECT_EQ(TidContainer::ChooseKind(4096, 65536), TidContainer::Kind::kArray);
+  EXPECT_EQ(TidContainer::ChooseKind(4097, 65536),
+            TidContainer::Kind::kBitmap);
 }
 
 struct ContainerFuzzCase {
@@ -90,7 +81,7 @@ TEST_P(ContainerFuzzTest, MatchesReferenceSetThroughConversions) {
       size_t slot;
       if (rng.Bernoulli(param.run_bias) && last_burst + 1 < param.h &&
           reference.count(last_burst + 1) == 0) {
-        slot = last_burst + 1;  // extend a burst: exercises run containers
+        slot = last_burst + 1;  // extend a burst of consecutive slots
       } else {
         do {
           slot = static_cast<size_t>(
@@ -110,6 +101,9 @@ TEST_P(ContainerFuzzTest, MatchesReferenceSetThroughConversions) {
       reference.erase(it);
     }
     kinds_seen.insert(container.kind());
+    // The form is a function of the cardinality alone, at every step.
+    ASSERT_EQ(container.kind(),
+              TidContainer::ChooseKind(container.cardinality(), param.h));
 
     // Cheap invariants every step; full equality periodically (O(H) each).
     ASSERT_EQ(container.cardinality(), reference.size());
@@ -130,7 +124,7 @@ TEST_P(ContainerFuzzTest, MatchesReferenceSetThroughConversions) {
   EXPECT_GE(kinds_seen.size(), 2u) << "grid case never converted";
 }
 
-TEST_P(ContainerFuzzTest, AndKernelsAgreeWithDenseAcrossScalarAndSimd) {
+TEST_P(ContainerFuzzTest, AndKernelsAgreeWithDense) {
   const ContainerFuzzCase& param = GetParam();
   Rng rng(param.seed ^ 0x5eedu);
   TidContainer container;
@@ -160,21 +154,17 @@ TEST_P(ContainerFuzzTest, AndKernelsAgreeWithDenseAcrossScalarAndSimd) {
   Bitmap expected;
   size_t expected_count = expected.AssignAnd(base, dense);
 
-  for (bool force_scalar : {false, true}) {
-    ScopedForceScalar scoped(force_scalar);
-    Bitmap out;
-    ASSERT_EQ(container.AndInto(base, &out), expected_count)
-        << "force_scalar=" << force_scalar;
-    ASSERT_TRUE(out == expected);
+  Bitmap out;
+  ASSERT_EQ(container.AndInto(base, &out), expected_count);
+  ASSERT_TRUE(out == expected);
 
-    Bitmap inplace = base;
-    ASSERT_EQ(container.AndWith(&inplace), expected_count);
-    ASSERT_TRUE(inplace == expected);
+  Bitmap inplace = base;
+  ASSERT_EQ(container.AndWith(&inplace), expected_count);
+  ASSERT_TRUE(inplace == expected);
 
-    Bitmap materialized;
-    container.ToBitmap(&materialized);
-    ASSERT_TRUE(materialized == dense);
-  }
+  Bitmap materialized;
+  container.ToBitmap(&materialized);
+  ASSERT_TRUE(materialized == dense);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -186,47 +176,43 @@ INSTANTIATE_TEST_SUITE_P(
         ContainerFuzzCase{204, 2000, 0.6, 0.95, 3000},  // bursty runs
         ContainerFuzzCase{205, 2000, 0.55, 0.5, 4000},  // churny mix
         // Full uint16 space: enough net growth to cross ArrayLimit (4096)
-        // and promote array → bitmap (churned runs never win at this H, so
-        // the bitmap edge is the conversion this case is for).
+        // and promote array → bitmap.
         ContainerFuzzCase{206, 65536, 0.85, 0.5, 12000},
         ContainerFuzzCase{207, 100, 0.5, 0.3, 2000}));  // heavy delete churn
-
-TEST(TidContainerTest, PinForcesBitmapUntilUnpin) {
-  TidContainer container;
-  container.Init(2000);
-  container.Set(7);
-  EXPECT_EQ(container.kind(), TidContainer::Kind::kArray);
-  container.Pin();
-  EXPECT_EQ(container.kind(), TidContainer::Kind::kBitmap);
-  container.Clear(7);
-  EXPECT_EQ(container.kind(), TidContainer::Kind::kBitmap);  // stays pinned
-  container.Set(3);
-  container.Unpin();
-  EXPECT_EQ(container.kind(), TidContainer::Kind::kArray);
-  EXPECT_TRUE(container.Test(3));
-}
 
 TEST(TidContainerTest, RunEdgeCases) {
   TidContainer container;
   container.Init(65536);
-  // One run spanning the whole slot space must be representable.
+  // Every slot of the whole uint16 space set in order: the row passes the
+  // array edge and ends as a full bitmap.
   for (size_t s = 0; s < 65536; ++s) container.Set(s);
   EXPECT_EQ(container.cardinality(), 65536u);
+  EXPECT_EQ(container.kind(), TidContainer::Kind::kBitmap);
   Bitmap full;
   full.Resize(65536);
   for (size_t s = 0; s < 65536; ++s) full.Set(s);
   EXPECT_TRUE(container.SameSetAs(full));
 
-  // Splitting an interior slot and re-filling it round-trips.
+  // Clearing an interior slot and re-filling it round-trips.
   container.Clear(30000);
   EXPECT_FALSE(container.Test(30000));
   EXPECT_TRUE(container.Test(29999));
   EXPECT_TRUE(container.Test(30001));
   container.Set(30000);
   EXPECT_TRUE(container.SameSetAs(full));
+
+  // Clearing back down to the edge demotes the row to an array, with no
+  // memory of having been a bitmap.
+  for (size_t s = TidContainer::ArrayLimit(65536); s < 65536; ++s) {
+    container.Clear(s);
+  }
+  EXPECT_EQ(container.kind(), TidContainer::Kind::kArray);
+  EXPECT_EQ(container.cardinality(), TidContainer::ArrayLimit(65536));
+  EXPECT_TRUE(container.Test(0));
+  EXPECT_FALSE(container.Test(TidContainer::ArrayLimit(65536)));
 }
 
-// --- Raw kernel equivalence: SIMD vs forced scalar --------------------------
+// --- Raw word kernels against a per-word std::popcount reference ------------
 
 uint64_t RandomWord(Rng* rng) {
   const uint64_t hi = static_cast<uint64_t>(rng->UniformInt(0, 0xFFFFFFFF));
@@ -234,7 +220,7 @@ uint64_t RandomWord(Rng* rng) {
   return (hi << 32) | lo;
 }
 
-TEST(BitmapKernelTest, SimdMatchesScalarBitForBit) {
+TEST(BitmapKernelTest, MatchesPerWordPopcountReference) {
   Rng rng(77);
   for (size_t words : {1u, 2u, 3u, 4u, 7u, 8u, 31u, 32u, 33u, 129u}) {
     std::vector<uint64_t> a(words), b(words);
@@ -242,36 +228,28 @@ TEST(BitmapKernelTest, SimdMatchesScalarBitForBit) {
       a[w] = RandomWord(&rng);
       b[w] = RandomWord(&rng);
     }
-    std::vector<uint64_t> scalar_dst(words), simd_dst(words);
-    size_t scalar_count, simd_count;
-    {
-      ScopedForceScalar scoped(true);
-      scalar_count = AndWordsPopcount(scalar_dst.data(), a.data(), b.data(), words);
+    std::vector<uint64_t> want_and(words);
+    size_t want_and_count = 0;
+    size_t want_pop = 0;
+    for (size_t w = 0; w < words; ++w) {
+      want_and[w] = a[w] & b[w];
+      want_and_count += static_cast<size_t>(std::popcount(want_and[w]));
+      want_pop += static_cast<size_t>(std::popcount(a[w]));
     }
-    {
-      ScopedForceScalar scoped(false);
-      simd_count = AndWordsPopcount(simd_dst.data(), a.data(), b.data(), words);
-    }
-    EXPECT_EQ(scalar_count, simd_count) << words << " words";
-    EXPECT_EQ(scalar_dst, simd_dst) << words << " words";
 
-    size_t scalar_pop, simd_pop;
-    {
-      ScopedForceScalar scoped(true);
-      scalar_pop = PopcountWords(a.data(), words);
-    }
-    {
-      ScopedForceScalar scoped(false);
-      simd_pop = PopcountWords(a.data(), words);
-    }
-    EXPECT_EQ(scalar_pop, simd_pop) << words << " words";
+    std::vector<uint64_t> dst(words);
+    EXPECT_EQ(AndWordsPopcount(dst.data(), a.data(), b.data(), words),
+              want_and_count)
+        << words << " words";
+    EXPECT_EQ(dst, want_and) << words << " words";
+    EXPECT_EQ(PopcountWords(a.data(), words), want_pop) << words << " words";
 
     // Aliased dst (the Bitmap::AndWith shape) must behave identically.
     std::vector<uint64_t> aliased = a;
-    size_t aliased_count =
-        AndWordsPopcount(aliased.data(), aliased.data(), b.data(), words);
-    EXPECT_EQ(aliased_count, simd_count);
-    EXPECT_EQ(aliased, simd_dst);
+    EXPECT_EQ(AndWordsPopcount(aliased.data(), aliased.data(), b.data(), words),
+              want_and_count)
+        << words << " words";
+    EXPECT_EQ(aliased, want_and) << words << " words";
   }
 }
 
@@ -310,21 +288,19 @@ std::vector<Transaction> RandomStream(const IndexFuzzCase& param) {
 // dense-store row costs).
 void ExpectMemoryAccounting(const WindowBitmapIndex& index) {
   const IndexMemoryStats stats = index.MemoryStats();
-  EXPECT_EQ(stats.array_rows + stats.bitmap_rows + stats.run_rows,
-            index.live_items());
+  EXPECT_EQ(stats.array_rows + stats.bitmap_rows, index.live_items());
   EXPECT_EQ(stats.dense_equivalent_bytes,
             index.live_items() * Bitmap::WordsFor(index.capacity()) * 8);
-  EXPECT_LE(stats.pinned_rows, stats.bitmap_rows);
   if (index.row_store() == IndexRowStore::kDense) {
     EXPECT_EQ(stats.index_bytes, stats.dense_equivalent_bytes);
   }
 }
 
 // Checkpoints a window, restores it, and rebuilds the index from it, as a
-// restore does. The rebuilt index matches its window and keeps the gauge's
-// invariants. A rebuilt hybrid row picks its container and pin from the
-// replayed arrivals rather than the live run's history, so only the dense
-// store must read the live index's gauge.
+// restore does. The rebuilt index matches its window, keeps the gauge's
+// invariants and reads the live index's gauge: a row's form is a function
+// of its cardinality and H, so replaying the window's arrivals reproduces
+// every row's form under either store.
 void ExpectAccountingSurvivesRestore(const SlidingWindow& window,
                                      const WindowBitmapIndex& index) {
   persist::CheckpointWriter writer;
@@ -337,9 +313,7 @@ void ExpectAccountingSurvivesRestore(const SlidingWindow& window,
   Status valid = restored.Validate(restored_window);
   ASSERT_TRUE(valid.ok()) << valid.ToString();
   ExpectMemoryAccounting(restored);
-  if (index.row_store() == IndexRowStore::kDense) {
-    EXPECT_TRUE(restored.MemoryStats() == index.MemoryStats());
-  }
+  EXPECT_TRUE(restored.MemoryStats() == index.MemoryStats());
 }
 
 class HybridIndexFuzzTest : public ::testing::TestWithParam<IndexFuzzCase> {};
@@ -432,9 +406,9 @@ INSTANTIATE_TEST_SUITE_P(
         IndexFuzzCase{303, 128, 600, 14, 0.20, 1},
         // window past one bitmap word, sparse rows
         IndexFuzzCase{304, 300, 900, 24, 0.08, 0},
-        // dense-ish rows: exercises pinning (support crosses H/8)
+        // dense-ish rows: most rows sit above the array edge as bitmaps
         IndexFuzzCase{305, 512, 1500, 6, 0.60, 0},
-        // drift + bigger alphabet: array/run churn
+        // drift + bigger alphabet: array churn, rows dying and recycling
         IndexFuzzCase{306, 200, 800, 40, 0.06, 2}));
 
 // --- Engine release logs across stores and thread counts --------------------
@@ -506,10 +480,11 @@ TEST(HybridEngineTest, ReleaseLogsAreByteIdenticalAcrossStoresAndThreads) {
 
 // --- Checkpoint round-trips over promotion boundaries -----------------------
 
-TEST(HybridCheckpointTest, RowsRoundTripContainerTaggedExactly) {
-  // Drive the hybrid engine into a state holding all three container kinds
-  // plus a pinned row, then require Checkpoint → Restore → Checkpoint to
-  // reproduce the section bytes exactly (tags and payloads, not re-derived).
+TEST(HybridCheckpointTest, RestoreThenCheckpointReproducesTheSnapshot) {
+  // Drive the hybrid engine past a release, then require Checkpoint →
+  // Restore → Checkpoint to reproduce the snapshot bytes exactly: the
+  // window and the policy state it holds, from which restore derives the
+  // index and the tree.
   const std::vector<Transaction> stream = EngineStream(300);
   StreamPrivacyEngine engine(64, EngineConfig(/*hybrid=*/true, 1));
   for (size_t i = 0; i < 200; ++i) engine.Append(stream[i]);

@@ -20,6 +20,14 @@ TEST(StreamEngineTest, CreateValidates) {
   ButterflyConfig config;
   EXPECT_TRUE(StreamPrivacyEngine::Create(100, config).ok());
   EXPECT_FALSE(StreamPrivacyEngine::Create(0, config).ok());
+  // The hybrid index addresses slots with uint16: a larger hybrid window is
+  // refused with a Status instead of aborting in the index constructor.
+  config.hybrid_index = true;
+  EXPECT_TRUE(StreamPrivacyEngine::Create(kMaxHybridWindow, config).ok());
+  EXPECT_EQ(StreamPrivacyEngine::Create(kMaxHybridWindow + 1, config)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   config.epsilon = -1;
   EXPECT_FALSE(StreamPrivacyEngine::Create(100, config).ok());
 }

@@ -45,7 +45,7 @@ the repo invariants that back those guarantees:
 
   container-promotion   The hybrid tid-container representation choice
                         (ChooseKind / Reconsider / ConvertTo) must be a pure
-                        function of (cardinality, run count, H): RNG draws or
+                        function of (cardinality, H): RNG draws or
                         unordered-container iteration near a promotion
                         decision would make two replicas of the same stream,
                         or two restores of one snapshot, hold different
@@ -61,9 +61,8 @@ the repo invariants that back those guarantees:
                         assigned through locals, returned from a helper, and
                         finally handed to WriteRelease or a CheckpointWriter
                         two functions later is still hash-ordered. Sorting
-                        (std::sort / std::stable_sort on the value) and
-                        SortAndMinMergeFrontier are the sanitizers; findings
-                        anchor at the sink call.
+                        (std::sort / std::stable_sort on the value) is the
+                        sanitizer; findings anchor at the sink call.
 
   policy-budget         DP budget accounting (src/policy/*): every noise
                         draw (SampleLaplace / SampleGumbel / UniformOpenZero
@@ -195,20 +194,15 @@ BEGIN_WALK_RE = re.compile(r"=\s*([A-Za-z_]\w*)\s*[.]\s*(?:c?begin)\s*\(")
 MATERIALIZE_RE = re.compile(
     r"\(\s*([A-Za-z_]\w*)\s*\.\s*c?begin\s*\(\s*\)\s*,\s*\1\s*\.\s*c?end")
 # A materialized copy followed by a sort is the canonical ordering fix.
-# SortAndMinMergeFrontier is the bias DP's generation-buffer reducer (stable
-# sort by packed key + first-minimal-per-key merge, see core/bias_setting.cc)
-# — a deterministic release-ordering producer in its own right, recognized
-# here so frontier code doesn't need allowlist annotations.
-SORT_NEARBY_RE = re.compile(
-    r"\b(?:std::)?(?:sort|stable_sort)\s*\(|\bSortAndMinMergeFrontier\s*\(")
+SORT_NEARBY_RE = re.compile(r"\b(?:std::)?(?:sort|stable_sort)\s*\(")
 
 WRITER_BYPASS_RE = re.compile(r"\bmemcpy\s*\(|\breinterpret_cast\s*<")
 CHECKPOINT_CONTEXT_RE = re.compile(
     r"Checkpoint|checkpoint|ckpt|CKPT|frame|persist")
 
 # Hybrid tid-container representation decisions. The decision functions are
-# pure byte-cost minimizers over (cardinality, runs, H); anything stochastic
-# or hash-ordered feeding them would fork container tags across replicas.
+# pure byte-cost minimizers over (cardinality, H); anything stochastic or
+# hash-ordered feeding them would fork container forms across replicas.
 PROMOTION_CALL_RE = re.compile(r"\b(?:ChooseKind|Reconsider|ConvertTo)\s*\(")
 PROMOTION_TAINT_RE = re.compile(
     r"(?<![\w.:])rand\s*\(|\bs?rand48\b|random_device|"
@@ -235,11 +229,9 @@ NON_FUNC_NAMES = frozenset({
 # Source: building a value from an unordered container's iteration range —
 # `vector<T> v(u.begin(), u.end())` or `x = {u.begin(), u.end()}` etc.
 TAINT_SOURCE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*c?begin\s*\(")
-# Sanitizers: an in-place sort of the tainted value fixes its order, and
-# SortAndMinMergeFrontier (core/bias_setting.cc) both sorts and merges.
+# Sanitizer: an in-place sort of the tainted value fixes its order.
 TAINT_SANITIZE_RE = re.compile(
-    r"\b(?:std::)?(?:stable_)?sort\s*\(\s*([A-Za-z_]\w*)\s*\.|"
-    r"\bSortAndMinMergeFrontier\s*\(\s*&?\s*([A-Za-z_]\w*)")
+    r"\b(?:std::)?(?:stable_)?sort\s*\(\s*([A-Za-z_]\w*)\s*\.")
 # Sinks: the release serializer, and any method call on a CheckpointWriter.
 SINK_CALL_RE = re.compile(r"\bWriteRelease\s*\(")
 WRITER_TYPE_RE = re.compile(r"\bCheckpointWriter\s*[*&]?\s*(\w+)\s*[,);=]")
@@ -567,8 +559,8 @@ def check_container_promotion(path: Path, rel: str, lines: list[str],
             path, idx, "container-promotion",
             f"container promotion decision with '{taint[1]}' nearby (line "
             f"{taint[0]}): representation choice must be a pure function of "
-            "(cardinality, runs, H) — RNG or hash order here forks container "
-            "tags across replicas and restores"))
+            "(cardinality, H) — RNG or hash order here forks container "
+            "forms across replicas and restores"))
 
 
 @dataclass
@@ -778,8 +770,8 @@ def check_ordering_taint(path: Path, rel: str, lines: list[str],
                         "sink: the data flowing into this call was "
                         "materialized from an unordered container (possibly "
                         "through locals or helper returns) and never "
-                        "sorted; sort it (std::sort / "
-                        "SortAndMinMergeFrontier) before the sink"))
+                        "sorted; sort it (std::sort / std::stable_sort) "
+                        "before the sink"))
                 for lab in labels:
                     if lab != "U" and lab[1] not in summary["psink"]:
                         summary["psink"].add(lab[1])
@@ -787,7 +779,7 @@ def check_ordering_taint(path: Path, rel: str, lines: list[str],
 
             for lineno, code in f.body:
                 for m in TAINT_SANITIZE_RE.finditer(code):
-                    name = m.group(1) or m.group(2)
+                    name = m.group(1)
                     tainted.pop(name, None)
                 rf = RANGE_FOR_RE.search(code)
                 if rf and (rf.group(1) in unordered or

@@ -53,11 +53,6 @@ class RuleFiresTest(unittest.TestCase):
         self.check_fixture("unordered_release_violation.cc",
                            "unordered-iteration")
 
-    def test_frontier_merge_is_approved_ordering_producer(self):
-        # SortAndMinMergeFrontier counts as the canonical sort-after-
-        # materialize fix; only the unreduced control line may fire.
-        self.check_fixture("frontier_merge_ok.cc", "unordered-iteration")
-
     def test_writer_bypass(self):
         self.check_fixture("writer_bypass_violation.cc", "writer-bypass")
 
