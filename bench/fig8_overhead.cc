@@ -501,7 +501,7 @@ ReplayTimes TimeReplay(const WindowTrace& trace, ButterflyConfig config) {
     watch.Restart();
     const SanitizedOutput release =
         engine.Sanitize(raw, static_cast<Support>(trace.config.window),
-                        /*fecs=*/nullptr, &times.spans);
+                        &times.spans);
     times.seconds += watch.Seconds();  // the release is freed untimed
   }
   return times;

@@ -25,7 +25,7 @@
 /// window, hold the same set in the same form.
 ///
 /// Containers address slots with uint16, so hybrid mode requires H <= 65536
-/// (kMaxHybridWindow, checked where an engine or fleet is created). The
+/// (kMaxWindow, checked where an engine or fleet is created). The
 /// window slot space is fixed-size and recycled, which is exactly the
 /// roaring chunk shape.
 

@@ -44,7 +44,7 @@ class Stopwatch {
 enum class Stage {
   kMine,       ///< miner maintenance: the appends since the previous release
   kExpand,     ///< the walk to every frequent itemset, and freeing it
-  kPartition,  ///< FEC partition / input flattening and profile construction
+  kPartition,  ///< FEC counts and profile construction
   kBias,       ///< the configured scheme's per-FEC bias setting
   kNoise,      ///< per-itemset perturbation and release assembly
   kEmit,       ///< republish-cache epoch advance and release seal

@@ -1,5 +1,6 @@
 #include "core/butterfly.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -50,19 +51,6 @@ namespace {
 constexpr uint64_t kFecStreamDomain = 0x9e3779b97f4a7c15ull;
 }  // namespace
 
-SanitizedOutput ButterflyEngine::Sanitize(const MiningOutput& frequent,
-                                          Support window_size,
-                                          const std::vector<Fec>* fecs,
-                                          StageSpans* spans) {
-  StageClock clock(spans);
-  if (fecs != nullptr) {
-    return SanitizeView(*fecs, frequent.size(), window_size, &clock);
-  }
-  const std::vector<Fec> partition = PartitionIntoFecs(frequent);
-  clock.Lap(Stage::kPartition);
-  return SanitizeView(partition, frequent.size(), window_size, &clock);
-}
-
 void ButterflyEngine::Checkpoint(persist::CheckpointWriter* writer) const {
   writer->Tag(kSanitizerTag);
   writer->U64(epoch_);
@@ -81,76 +69,78 @@ Status ButterflyEngine::Restore(persist::CheckpointReader* reader) {
   return Status::OK();
 }
 
-SanitizedOutput ButterflyEngine::SanitizeView(const std::vector<Fec>& fecs,
-                                              size_t total_itemsets,
-                                              Support window_size,
-                                              StageClock* clock) {
+SanitizedOutput ButterflyEngine::Sanitize(const MiningOutput& frequent,
+                                          Support window_size,
+                                          StageSpans* spans) {
+  StageClock clock(spans);
   const uint64_t epoch = epoch_++;
   SanitizedOutput release(config_.min_support, window_size);
-  if (total_itemsets == 0) {
+  if (frequent.empty()) {
     if (config_.republish_cache) cache_.NextEpoch();
     release.Seal();
-    clock->Lap(Stage::kEmit);
+    clock.Lap(Stage::kEmit);
     return release;
   }
 
   std::vector<FecProfile>& profiles = profiles_scratch_;
   profiles.clear();
-  profiles.reserve(fecs.size());
-  for (const Fec& fec : fecs) {
+  for (const Fec& fec : PartitionIntoFecs(frequent)) {
     profiles.push_back(FecProfile{
-        fec.support, fec.size(),
+        fec.support, fec.member_count,
         MaxAdjustableBias(fec.support, config_.epsilon, noise_.variance())});
   }
-  clock->Lap(Stage::kPartition);
+  clock.Lap(Stage::kPartition);
 
   const std::vector<double> biases = ComputeBiases(profiles);
-  clock->Lap(Stage::kBias);
+  clock.Lap(Stage::kBias);
 
   const bool per_itemset_noise = config_.scheme == ButterflyScheme::kBasic;
   const double variance = noise_.variance();
 
-  // Noise stage: one pass in FEC order. A pinned value is republished as is;
-  // a miss draws from its own counter-based stream — keyed on the itemset
-  // for the basic scheme, on the FEC support for the optimized ones, so the
-  // members of one FEC share a draw — and is pinned at once. Store writes
-  // only its own key and released itemsets are unique, so pinning as we go
-  // sees the same cache as pinning after every lookup.
-  for (size_t i = 0; i < fecs.size(); ++i) {
-    const Fec& fec = fecs[i];
-    for (const Itemset& member : fec.members) {
-      SanitizedItemset item;
-      item.itemset = member;
-      item.bias = biases[i];
-      item.variance = variance;
-      std::optional<RepublishCache::Entry> pinned;
-      if (config_.republish_cache) pinned = cache_.Lookup(member, fec.support);
-      if (pinned) {
-        item.sanitized_support = pinned->sanitized_support;
-        item.bias = pinned->bias;
-        item.variance = pinned->variance;
-      } else {
-        CounterRng stream =
-            per_itemset_noise
-                ? CounterRng(config_.seed, epoch, member.Hash())
-                : CounterRng(config_.seed ^ kFecStreamDomain, epoch,
-                             static_cast<uint64_t>(fec.support));
-        item.sanitized_support = fec.support + noise_.Sample(item.bias, &stream);
-        if (config_.republish_cache) {
-          cache_.Store(member,
-                       RepublishCache::Entry{fec.support, item.sanitized_support,
-                                             item.bias, item.variance});
-        }
+  // Noise stage: one pass in the input's order. A pinned value is
+  // republished as is; a miss draws from its own counter-based stream —
+  // keyed on the itemset for the basic scheme, on the FEC support for the
+  // optimized ones, so the members of one FEC share a draw — and is pinned
+  // at once. Store writes only its own key and released itemsets are unique,
+  // so pinning as we go sees the same cache as pinning after every lookup.
+  for (const FrequentItemset& f : frequent.itemsets()) {
+    const size_t fec = static_cast<size_t>(
+        std::lower_bound(profiles.begin(), profiles.end(), f.support,
+                         [](const FecProfile& p, Support support) {
+                           return p.support < support;
+                         }) -
+        profiles.begin());
+    assert(fec < profiles.size() && profiles[fec].support == f.support);
+    SanitizedItemset item;
+    item.itemset = f.itemset;
+    item.bias = biases[fec];
+    item.variance = variance;
+    std::optional<RepublishCache::Entry> pinned;
+    if (config_.republish_cache) pinned = cache_.Lookup(f.itemset, f.support);
+    if (pinned) {
+      item.sanitized_support = pinned->sanitized_support;
+      item.bias = pinned->bias;
+      item.variance = pinned->variance;
+    } else {
+      CounterRng stream =
+          per_itemset_noise
+              ? CounterRng(config_.seed, epoch, f.itemset.Hash())
+              : CounterRng(config_.seed ^ kFecStreamDomain, epoch,
+                           static_cast<uint64_t>(f.support));
+      item.sanitized_support = f.support + noise_.Sample(item.bias, &stream);
+      if (config_.republish_cache) {
+        cache_.Store(f.itemset,
+                     RepublishCache::Entry{f.support, item.sanitized_support,
+                                           item.bias, item.variance});
       }
-      release.Add(std::move(item));
     }
+    release.Add(std::move(item));
   }
-  assert(release.size() == total_itemsets);
-  clock->Lap(Stage::kNoise);
+  clock.Lap(Stage::kNoise);
 
   if (config_.republish_cache) cache_.NextEpoch();
   release.Seal();
-  clock->Lap(Stage::kEmit);
+  clock.Lap(Stage::kEmit);
   return release;
 }
 

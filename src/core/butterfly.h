@@ -3,7 +3,7 @@
 ///
 /// Feed it the raw frequent-itemset output of each window; it returns the
 /// sanitized release. The engine
-///   1. partitions the itemsets into frequency equivalence classes,
+///   1. counts the itemsets' frequency equivalence classes,
 ///   2. sets per-FEC biases by the configured scheme (basic / order- /
 ///      ratio-preserving / hybrid) within each FEC's maximum adjustable
 ///      bias, honoring the (ε, δ) requirement,
@@ -52,22 +52,19 @@ class ButterflyEngine {
   /// (public) window size H, carried into the release for the adversary
   /// model and the metrics.
   ///
-  /// \p fecs optionally supplies a prebuilt FEC partition of \p frequent
-  /// (strictly ascending by support, partitioning it exactly), such as the
-  /// one StreamPrivacyEngine builds per release. With fecs == nullptr the
-  /// engine partitions \p frequent itself. Both paths emit the bit-identical
-  /// release.
-  ///
-  /// Noise is drawn from counter-based streams keyed on (engine seed,
-  /// release epoch, itemset / FEC identity), so the release is a pure
-  /// function of the engine's seed, its call history length, and the input —
-  /// independent of FEC iteration order and of `config.threads`. The whole
+  /// Counts the FECs of \p frequent, sets their biases, then perturbs the
+  /// itemsets in one pass in their stored order, finding each one's FEC by
+  /// binary search on its support. Noise is drawn from counter-based streams
+  /// keyed on (engine seed, release epoch, itemset / FEC support), and each
+  /// itemset touches only its own republish-cache entry, so the release is a
+  /// pure function of the engine's seed, its call history length, and the
+  /// input — independent of the input's order and of `config.threads`. The
+  /// release is sealed; it sorts only when \p frequent was not. The whole
   /// call runs on the calling thread.
   ///
   /// With \p spans non-null the call adds its partition, bias, noise and
   /// emit time to it.
   SanitizedOutput Sanitize(const MiningOutput& frequent, Support window_size,
-                           const std::vector<Fec>* fecs = nullptr,
                            StageSpans* spans = nullptr);
 
   const ButterflyConfig& config() const { return config_; }
@@ -97,13 +94,6 @@ class ButterflyEngine {
   Status Restore(persist::CheckpointReader* reader);
 
  private:
-  /// Sanitize's body over a FEC partition: the release is a pure function
-  /// of the partition. \p total_itemsets must equal the total member count
-  /// of \p fecs. Laps each stage on \p clock.
-  SanitizedOutput SanitizeView(const std::vector<Fec>& fecs,
-                               size_t total_itemsets, Support window_size,
-                               StageClock* clock);
-
   /// The per-FEC biases the configured scheme assigns to \p profiles.
   std::vector<double> ComputeBiases(const std::vector<FecProfile>& profiles);
 

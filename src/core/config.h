@@ -109,8 +109,8 @@ struct ButterflyConfig {
   /// Store the miner's window index as hybrid array/bitmap containers
   /// instead of dense per-item bitmaps (see stream/window_bitmap_index.h).
   /// Mined output and release logs are bit-identical either way; hybrid
-  /// collapses index memory on large sparse alphabets and requires the
-  /// window capacity H <= kMaxHybridWindow (65536), which
+  /// collapses index memory on large sparse alphabets. Either store needs
+  /// the window capacity H <= kMaxWindow (65536), which
   /// StreamPrivacyEngine::Create and FleetConfig::Validate check.
   bool hybrid_index = false;
 

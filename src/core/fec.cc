@@ -2,30 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace butterfly {
 
 std::vector<Fec> PartitionIntoFecs(const MiningOutput& output) {
-  std::map<Support, Fec> by_support;
+  std::vector<Support> supports;
+  supports.reserve(output.size());
   for (const FrequentItemset& f : output.itemsets()) {
-    Fec& fec = by_support[f.support];
-    fec.support = f.support;
-    // Sealed outputs walk in lexicographic order, so this is a pure
-    // push_back; the binary-searched insert keeps unsealed inputs correct.
-    std::vector<Itemset>& members = fec.members;
-    if (members.empty() || members.back() < f.itemset) {
-      members.push_back(f.itemset);
-    } else {
-      members.insert(
-          std::lower_bound(members.begin(), members.end(), f.itemset),
-          f.itemset);
-    }
+    supports.push_back(f.support);
   }
+  std::sort(supports.begin(), supports.end());
   std::vector<Fec> fecs;
-  fecs.reserve(by_support.size());
-  for (auto& [support, fec] : by_support) {
-    fecs.push_back(std::move(fec));
+  for (Support support : supports) {
+    if (fecs.empty() || fecs.back().support != support) {
+      fecs.push_back(Fec{support, 0});
+    }
+    ++fecs.back().member_count;
   }
   return fecs;
 }

@@ -4,11 +4,14 @@
 /// A FEC groups the frequent itemsets sharing one support value. The
 /// optimized schemes perturb per FEC — every member receives the same
 /// sanitized support — so that within-class equality (and hence the order
-/// and ratio structure it carries) survives sanitization exactly.
+/// and ratio structure it carries) survives sanitization exactly. The bias
+/// schemes read two numbers from each class, its support t_i and its size
+/// s_i, so that is all a Fec holds: a member is any itemset with support t_i.
 
 #ifndef BUTTERFLY_CORE_FEC_H_
 #define BUTTERFLY_CORE_FEC_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "mining/mining_result.h"
@@ -17,17 +20,17 @@ namespace butterfly {
 
 /// One frequency equivalence class.
 struct Fec {
-  Support support = 0;            ///< t_i, the members' common true support
-  std::vector<Itemset> members;   ///< itemsets with this support, ascending
-
-  size_t size() const { return members.size(); }
+  Support support = 0;      ///< t_i, the members' common true support
+  size_t member_count = 0;  ///< s_i, the itemsets with this support
 };
 
-/// Partitions a mining output into FECs, strictly ascending by support.
+/// Counts the FECs of a mining output, strictly ascending by support: sorts
+/// its support values and run-length encodes them. Sealed and unsealed
+/// outputs give the same result.
 std::vector<Fec> PartitionIntoFecs(const MiningOutput& output);
 
 /// The FEC partition of one mined output. StreamPrivacyEngine rebuilds one
-/// per release and hands it to the release policy.
+/// per release for its statistics.
 class FecPartitioner {
  public:
   /// Replaces the partition with PartitionIntoFecs(\p out).

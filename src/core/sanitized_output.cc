@@ -11,10 +11,14 @@ void SanitizedOutput::Add(SanitizedItemset item) {
 }
 
 void SanitizedOutput::Seal() {
-  std::sort(items_.begin(), items_.end(),
-            [](const SanitizedItemset& a, const SanitizedItemset& b) {
-              return a.itemset < b.itemset;
-            });
+  const auto by_itemset = [](const SanitizedItemset& a,
+                             const SanitizedItemset& b) {
+    return a.itemset < b.itemset;
+  };
+  // A release built from a sealed mining output is in order already.
+  if (!std::is_sorted(items_.begin(), items_.end(), by_itemset)) {
+    std::sort(items_.begin(), items_.end(), by_itemset);
+  }
   sealed_ = true;
 }
 

@@ -36,6 +36,8 @@ class SanitizedOutput {
       : min_support_(min_support), window_size_(window_size) {}
 
   void Add(SanitizedItemset item);
+  /// Sorts the items by itemset (only checks the order when they were added
+  /// in it); call once after the last Add.
   void Seal();
 
   size_t size() const { return items_.size(); }

@@ -88,11 +88,10 @@ Status StreamPrivacyEngine::ValidateArgs(size_t window_capacity,
   if (window_capacity == 0) {
     return Status::InvalidArgument("window_capacity must be positive");
   }
-  if (config.hybrid_index && window_capacity > kMaxHybridWindow) {
+  if (window_capacity > kMaxWindow) {
     return Status::InvalidArgument(
-        "the hybrid index supports windows of at most " +
-        std::to_string(kMaxHybridWindow) + " records, not " +
-        std::to_string(window_capacity));
+        "window_capacity must be at most " + std::to_string(kMaxWindow) +
+        " records, not " + std::to_string(window_capacity));
   }
   return config.Validate();
 }
@@ -136,7 +135,6 @@ ReleaseResult StreamPrivacyEngine::Release() {
   WindowContext ctx;
   ctx.window_size = static_cast<Support>(miner_.window().size());
   ctx.stream_position = miner_.window().stream_position();
-  ctx.fecs = &partition_.view();
   result.output = policy_->Release(raw, ctx, &result.stats);
   result.stats.frequent_itemsets = raw.size();
   result.stats.fec_count = partition_.view().size();

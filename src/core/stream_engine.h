@@ -12,11 +12,10 @@
 ///
 /// Release() runs to completion on the calling thread: the walk to every
 /// frequent itemset (unless RawOutput() already made it for this window),
-/// the FEC partition, then the policy's bias, noise and emit stages, in that
-/// order.
-/// Each window's output is expanded once and partitioned once per release;
-/// nothing derived from a window outlives it except what the checkpoint
-/// carries.
+/// the FEC count behind fec_partition(), then the policy's stages, in that
+/// order. Each window's output is expanded once; the policy reads it in
+/// place, and nothing derived from a window outlives it except what the
+/// checkpoint carries.
 
 #ifndef BUTTERFLY_CORE_STREAM_ENGINE_H_
 #define BUTTERFLY_CORE_STREAM_ENGINE_H_
@@ -56,9 +55,9 @@ class StreamPrivacyEngine {
   static Result<StreamPrivacyEngine> Create(size_t window_capacity,
                                             const ButterflyConfig& config);
 
-  /// The checks Create runs, without building an engine: a positive H, at
-  /// most kMaxHybridWindow under config.hybrid_index, and
-  /// ButterflyConfig::Validate. InvalidArgument on a failure.
+  /// The checks Create runs, without building an engine: a positive H of
+  /// at most kMaxWindow, and ButterflyConfig::Validate. InvalidArgument on a
+  /// failure.
   static Status ValidateArgs(size_t window_capacity,
                              const ButterflyConfig& config);
 
@@ -99,12 +98,12 @@ class StreamPrivacyEngine {
 
   /// The sanitized release for the current window, with per-stage stats.
   ///
-  /// Routes RawOutput() through the configured ReleasePolicy, together with
-  /// its FEC partition, built from scratch for this release. The window is
+  /// Routes RawOutput() through the configured ReleasePolicy, after
+  /// counting its FECs for fec_partition() and the stats. The window is
   /// expanded once whether or not the caller called RawOutput() first, and
   /// the release is the same either way. Its spans hold every stage timed
   /// since the previous Release() (or restore): the appends' mine and
-  /// expand laps, the expansion, this release's partition and the policy's
+  /// expand laps, the expansion, this release's FEC count and the policy's
   /// stages.
   ReleaseResult Release();
 
@@ -126,7 +125,7 @@ class StreamPrivacyEngine {
   const ButterflyEngine& sanitizer() const;
 
   const ButterflyConfig& config() const { return config_; }
-  /// The FEC partition of the most recent release.
+  /// The FEC counts of the most recent release's input.
   const FecPartitioner& fec_partition() const { return partition_; }
 
   /// Serializes the full engine: window capacity + config header (which
@@ -172,7 +171,7 @@ class StreamPrivacyEngine {
   /// The current window's full output (see RawOutput); empty after an
   /// Append or a Restore until the next expansion.
   std::optional<MiningOutput> raw_;
-  /// Release-path FEC partition, rebuilt from raw_ on every release.
+  /// FEC counts of raw_, rebuilt on every release for the stats.
   FecPartitioner partition_;
   /// Stage time not yet reported by a Release().
   StageSpans pending_;

@@ -34,7 +34,6 @@ struct MomentMiner::CetNode {
   Support support = 0;              // >= C, except at the root
 
   bool unpromising = false;  // unpromising gateway leaf
-  bool closed = false;
 
   /// j -> T(I ∪ {j}) for every frequent item j outside I co-occurring
   /// with I.
@@ -123,7 +122,6 @@ uint32_t MomentMiner::AllocNode() {
   node.branch_item = kInvalidItem;
   node.support = 0;
   node.unpromising = false;
-  node.closed = false;
   BFLY_DCHECK_MSG(node.ext_counts.empty() && node.children.empty(),
                   "recycled CET node still owns links");
   return idx;
@@ -240,14 +238,11 @@ bool MomentMiner::HasUnpromisingBlocker(const CetNode& node) {
   return Blocker(node) != kInvalidItem;
 }
 
-void MomentMiner::RecomputeClosed(CetNode* node) {
-  for (const CetNode::ExtCount& ec : node->ext_counts) {
-    if (ec.count == node->support) {
-      node->closed = false;
-      return;
-    }
+bool MomentMiner::IsClosed(const CetNode& node) {
+  for (const CetNode::ExtCount& ec : node.ext_counts) {
+    if (ec.count == node.support) return false;
   }
-  node->closed = true;
+  return true;
 }
 
 void MomentMiner::BuildExtCounts(uint32_t idx, size_t depth) {
@@ -317,7 +312,6 @@ void MomentMiner::ExpandFromCounts(uint32_t idx, size_t depth) {
     Explore(child_idx, depth + 1);
     N(idx).children.push_back({ec.item, child_idx});
   }
-  RecomputeClosed(&N(idx));
 }
 
 void MomentMiner::MergeAddExtCounts(CetNode* node,
@@ -430,7 +424,6 @@ void MomentMiner::UpdateAdd(uint32_t idx, const std::vector<Item>& items) {
                          }),
         {j, child_idx});
   }
-  RecomputeClosed(&N(idx));
 }
 
 bool MomentMiner::UpdateDelete(uint32_t idx, const std::vector<Item>& items) {
@@ -450,7 +443,6 @@ bool MomentMiner::UpdateDelete(uint32_t idx, const std::vector<Item>& items) {
   if (HasUnpromisingBlocker(node)) {
     node.unpromising = true;
     FreeChildren(idx);
-    node.closed = false;
     return false;
   }
 
@@ -465,7 +457,6 @@ bool MomentMiner::UpdateDelete(uint32_t idx, const std::vector<Item>& items) {
       node.children.erase(node.children.begin() + static_cast<ptrdiff_t>(pos));
     }
   }
-  RecomputeClosed(&node);
   return false;
 }
 
@@ -481,7 +472,7 @@ void MomentMiner::VisitTree(uint32_t idx, const Fn& fn) const {
 MiningOutput MomentMiner::GetClosedFrequent() const {
   MiningOutput output(min_support_);
   VisitTree(kRoot, [&](const CetNode& node) {
-    if (!node.is_root() && !node.unpromising && node.closed) {
+    if (!node.is_root() && !node.unpromising && IsClosed(node)) {
       output.Add(node.itemset, node.support);
     }
   });
@@ -540,8 +531,8 @@ std::optional<Support> MomentMiner::SupportOf(const Itemset& itemset) const {
   }
   std::optional<Support> best;
   VisitTree(kRoot, [&](const CetNode& node) {
-    if (node.is_root() || node.unpromising || !node.closed) return;
-    if (node.itemset.ContainsAll(itemset) &&
+    if (node.is_root() || node.unpromising) return;
+    if (node.itemset.ContainsAll(itemset) && IsClosed(node) &&
         (!best || node.support > *best)) {
       best = node.support;
     }
@@ -608,11 +599,9 @@ Status MomentMiner::Validate() const {
       return;
     }
 
-    // Children invariant and closedness.
-    bool closed = true;
+    // Children invariant.
     size_t frequent_children = 0;
     for (const auto& [j, count] : ext_counts) {
-      if (count == node.support) closed = false;
       if (!node.is_root() && j < node.branch_item) continue;
       if (count < min_support_) continue;
       ++frequent_children;
@@ -626,9 +615,6 @@ Status MomentMiner::Validate() const {
     }
     if (node.children.size() != frequent_children) {
       return fail("child for an item counted fewer than C times");
-    }
-    if (!node.is_root() && node.closed != closed) {
-      return fail(closed ? "closed node not flagged" : "non-closed flagged");
     }
   });
   if (!failure.ok()) return failure;
@@ -712,7 +698,7 @@ MomentStats MomentMiner::Stats() const {
         std::unique(above.begin(), above.end()) - above.begin());
     stats.infrequent_gateway += distinct - node.children.size();
     if (node.is_root()) return;
-    if (node.closed) {
+    if (IsClosed(node)) {
       ++stats.closed;
     } else {
       ++stats.intermediate;

@@ -152,9 +152,9 @@ class MomentMiner {
 
   /// Deep self-check: recounts from the window every node's support and its
   /// extension counts over the window's frequent items, and re-derives its
-  /// kind, the children invariant (a promising node's children are exactly
-  /// its extension items above its branch item counted at least C times)
-  /// and the closed flag; also cross-checks the bitmap index against the
+  /// kind and the children invariant (a promising node's children are
+  /// exactly its extension items above its branch item counted at least C
+  /// times); also cross-checks the bitmap index against the
   /// window contents and the arena's free-list accounting against the
   /// reachable tree. O(nodes × window); intended for tests and debugging,
   /// not the hot path. Returns the first violation.
@@ -206,8 +206,8 @@ class MomentMiner {
   /// tidset_scratch_[depth]) and builds its subtree.
   void Explore(uint32_t idx, size_t depth);
 
-  /// Builds children/closed flag for a node whose ext_counts are current and
-  /// whose tidset is in tidset_scratch_[depth].
+  /// Builds the children of a node whose ext_counts are current and whose
+  /// tidset is in tidset_scratch_[depth].
   void ExpandFromCounts(uint32_t idx, size_t depth);
 
   /// Recounts ext_counts over the frequent items from the tidset in
@@ -221,8 +221,9 @@ class MomentMiner {
   /// Inverse of MergeAddExtCounts; drops counts that reach zero.
   static void MergeSubExtCounts(CetNode* node, const std::vector<Item>& items);
 
-  /// Recomputes a frequent node's closed flag from its extension counts.
-  static void RecomputeClosed(CetNode* node);
+  /// True iff a frequent node is closed: none of its extension counts
+  /// equals its support. Read on demand, never stored.
+  static bool IsClosed(const CetNode& node);
 
   /// The first item j < max(I) outside I that occurs in every record
   /// containing I (T(I ∪ {j}) = T(I)), or kInvalidItem if there is none.

@@ -10,7 +10,7 @@ SanitizedOutput ButterflyReleasePolicy::Release(const MiningOutput& frequent,
     stats->epoch = engine_.epoch();
     spans = &stats->spans;
   }
-  return engine_.Sanitize(frequent, ctx.window_size, ctx.fecs, spans);
+  return engine_.Sanitize(frequent, ctx.window_size, spans);
 }
 
 }  // namespace butterfly

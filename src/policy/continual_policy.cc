@@ -43,9 +43,9 @@ std::vector<uint64_t> DyadicCover(uint64_t begin, uint64_t end) {
 ContinualReleasePolicy::ContinualReleasePolicy(const ButterflyConfig& config)
     : DpPolicyBase(config, kSectionTag) {}
 
-void ContinualReleasePolicy::ReleaseItems(const std::vector<DpItem>& items,
-                                          const WindowContext& ctx,
-                                          SanitizedOutput* out) {
+void ContinualReleasePolicy::ReleaseItems(
+    const std::vector<FrequentItemset>& items, const WindowContext& ctx,
+    SanitizedOutput* out) {
   if (items.empty() || ctx.window_size <= 0) return;
   const uint64_t window = static_cast<uint64_t>(ctx.window_size);
   const uint64_t end = ctx.stream_position;
@@ -58,8 +58,8 @@ void ContinualReleasePolicy::ReleaseItems(const std::vector<DpItem>& items,
       2.0 * scale * scale * static_cast<double>(cover.size());
   const uint64_t node_seed = seed() ^ SplitMix64Mix(kContinualNodeDomain);
 
-  for (const DpItem& entry : items) {
-    const uint64_t hash = entry.itemset->Hash();
+  for (const FrequentItemset& entry : items) {
+    const uint64_t hash = entry.itemset.Hash();
     double noise = 0;
     for (uint64_t node : cover) {
       // Keyed on (node, itemset) only — the same node contributes the same
@@ -70,7 +70,7 @@ void ContinualReleasePolicy::ReleaseItems(const std::vector<DpItem>& items,
     double noisy = static_cast<double>(entry.support) + noise;
     Support sanitized = static_cast<Support>(std::llround(noisy));
     sanitized = std::clamp<Support>(sanitized, 0, ctx.window_size);
-    out->Add({*entry.itemset, sanitized, /*bias=*/0.0, variance});
+    out->Add({entry.itemset, sanitized, /*bias=*/0.0, variance});
   }
 }
 

@@ -36,8 +36,8 @@ class ContinualReleasePolicy final : public DpPolicyBase {
   }
 
  protected:
-  void ReleaseItems(const std::vector<DpItem>& items, const WindowContext& ctx,
-                    SanitizedOutput* out) override;
+  void ReleaseItems(const std::vector<FrequentItemset>& items,
+                    const WindowContext& ctx, SanitizedOutput* out) override;
 
   /// The continual estimator's cumulative per-element cost is a constant ε:
   /// every stream record is covered by L noised nodes regardless of how many

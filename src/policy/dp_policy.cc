@@ -17,15 +17,9 @@ SanitizedOutput DpPolicyBase::Release(const MiningOutput& frequent,
                                       const WindowContext& ctx,
                                       ReleaseStats* stats) {
   StageClock clock(stats != nullptr ? &stats->spans : nullptr);
-  std::vector<DpItem> items;
-  items.reserve(frequent.size());
-  for (const FrequentItemset& f : frequent.itemsets()) {
-    items.push_back({&f.itemset, f.support});
-  }
-  clock.Lap(Stage::kPartition);
   const uint64_t release_epoch = epoch_;
   SanitizedOutput out(min_support_, ctx.window_size);
-  ReleaseItems(items, ctx, &out);
+  ReleaseItems(frequent.itemsets(), ctx, &out);
   out.Seal();
   clock.Lap(Stage::kNoise);
 

@@ -3,10 +3,10 @@
 /// backends.
 ///
 /// The three DP policies (PrivBasis-style, continual-release, heavy-hitter)
-/// differ only in their mechanism; everything around it is common and lives
-/// here: flattening the MiningOutput into one (itemset, support) list, epoch
-/// and cumulative-budget accounting, keyed noise-stream construction, and
-/// the tagged checkpoint section.
+/// differ only in their mechanism, which reads the mined itemsets in place;
+/// everything around it is common and lives here: epoch and
+/// cumulative-budget accounting, keyed noise-stream construction, the seal,
+/// and the tagged checkpoint section.
 ///
 /// These backends are testbed mechanisms for the utility-vs-breach frontier
 /// bench, not audited DP implementations: the accounting models are the
@@ -24,12 +24,6 @@
 #include "policy/release_policy.h"
 
 namespace butterfly {
-
-/// One flattened input element: a borrowed itemset and its true support.
-struct DpItem {
-  const Itemset* itemset = nullptr;
-  Support support = 0;
-};
 
 /// Base class owning everything but the mechanism. Subclasses implement
 /// ReleaseItems (and optionally override the budget-accounting hooks).
@@ -54,10 +48,11 @@ class DpPolicyBase : public ReleasePolicy {
  protected:
   DpPolicyBase(const ButterflyConfig& config, uint32_t section_tag);
 
-  /// The mechanism: reads \p items (order-insignificant — all randomness
-  /// must be keyed per identity, never positional), Add()s the release into
-  /// \p out. The base seals, accounts, and advances the epoch.
-  virtual void ReleaseItems(const std::vector<DpItem>& items,
+  /// The mechanism: reads \p items, the mined itemsets with their true
+  /// supports (order-insignificant — all randomness must be keyed per
+  /// identity, never positional), Add()s the release into \p out. The base
+  /// seals, accounts, and advances the epoch.
+  virtual void ReleaseItems(const std::vector<FrequentItemset>& items,
                             const WindowContext& ctx,
                             SanitizedOutput* out) = 0;
 

@@ -19,9 +19,9 @@ constexpr uint32_t kSectionTag = persist::SectionTag('P', 'V', 'B', 'S');
 PrivBasisReleasePolicy::PrivBasisReleasePolicy(const ButterflyConfig& config)
     : DpPolicyBase(config, kSectionTag) {}
 
-void PrivBasisReleasePolicy::ReleaseItems(const std::vector<DpItem>& items,
-                                          const WindowContext& ctx,
-                                          SanitizedOutput* out) {
+void PrivBasisReleasePolicy::ReleaseItems(
+    const std::vector<FrequentItemset>& items, const WindowContext& ctx,
+    SanitizedOutput* out) {
   if (items.empty()) return;
   const double epsilon_half = policy_epsilon() / 2;
   const double select_scale = 2.0 / epsilon_half;
@@ -31,8 +31,8 @@ void PrivBasisReleasePolicy::ReleaseItems(const std::vector<DpItem>& items,
   // item. A max over the input is insensitive to input order, as
   // ReleaseItems' contract requires.
   std::unordered_map<Item, Support> score;
-  for (const DpItem& entry : items) {
-    for (Item item : entry.itemset->items()) {
+  for (const FrequentItemset& entry : items) {
+    for (Item item : entry.itemset) {
       auto [it, inserted] = score.emplace(item, entry.support);
       if (!inserted && entry.support > it->second) it->second = entry.support;
     }
@@ -64,21 +64,21 @@ void PrivBasisReleasePolicy::ReleaseItems(const std::vector<DpItem>& items,
 
   // Publish every itemset the basis covers, with perturbed support.
   const double variance = 2.0 * support_scale * support_scale;
-  for (const DpItem& entry : items) {
+  for (const FrequentItemset& entry : items) {
     bool covered = true;
-    for (Item item : entry.itemset->items()) {
+    for (Item item : entry.itemset) {
       if (basis.count(item) == 0) {
         covered = false;
         break;
       }
     }
     if (!covered) continue;
-    CounterRng rng = EpochRng(kPrivBasisSupportDomain, entry.itemset->Hash());
+    CounterRng rng = EpochRng(kPrivBasisSupportDomain, entry.itemset.Hash());
     double noisy = static_cast<double>(entry.support) +
                    SampleLaplace(&rng, support_scale);
     Support sanitized = static_cast<Support>(std::llround(noisy));
     sanitized = std::clamp<Support>(sanitized, 0, ctx.window_size);
-    out->Add({*entry.itemset, sanitized, /*bias=*/0.0, variance});
+    out->Add({entry.itemset, sanitized, /*bias=*/0.0, variance});
   }
 }
 

@@ -32,8 +32,8 @@ class PrivBasisReleasePolicy final : public DpPolicyBase {
   }
 
  protected:
-  void ReleaseItems(const std::vector<DpItem>& items, const WindowContext& ctx,
-                    SanitizedOutput* out) override;
+  void ReleaseItems(const std::vector<FrequentItemset>& items,
+                    const WindowContext& ctx, SanitizedOutput* out) override;
 };
 
 }  // namespace butterfly

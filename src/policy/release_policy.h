@@ -29,12 +29,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/status.h"
 #include "common/timing.h"
 #include "core/config.h"
-#include "core/fec.h"
 #include "core/sanitized_output.h"
 #include "mining/mining_result.h"
 
@@ -46,7 +44,7 @@ class CheckpointReader;
 }  // namespace persist
 
 /// Everything a policy may know about the window being released, beyond the
-/// mining output itself.
+/// mining output itself, which every policy reads in place.
 struct WindowContext {
   /// The (public) window size H.
   Support window_size = 0;
@@ -54,20 +52,15 @@ struct WindowContext {
   /// records [stream_position - window_size, stream_position). The continual
   /// backend keys its dyadic noise nodes on this interval.
   uint64_t stream_position = 0;
-  /// Optional prebuilt FEC partition of the output (support-ascending,
-  /// partitioning it exactly), as StreamPrivacyEngine builds once per
-  /// release. Null means the policy partitions or iterates the MiningOutput
-  /// itself.
-  const std::vector<Fec>* fecs = nullptr;
 };
 
 /// The record of one release: the time it spent in each stage and its
 /// accounting. StreamPrivacyEngine fills every field; a policy adds its own
 /// stages to `spans` and sets the epoch and the epsilon fields.
 struct ReleaseStats {
-  /// Butterfly: partition (profiles), bias, noise and emit; a DP backend:
-  /// partition (flattening the input) and noise (the mechanism and the
-  /// seal). The engine adds mine, expand and its FEC partition.
+  /// Butterfly: partition (its FEC count and profiles), bias, noise and
+  /// emit; a DP backend: noise (the mechanism and the seal). The engine adds
+  /// mine, expand and its own FEC count to the partition span.
   StageSpans spans;
 
   /// The epoch this release was drawn under (pre-increment).
@@ -83,7 +76,7 @@ struct ReleaseStats {
   double epsilon_cumulative = 0;
 
   size_t frequent_itemsets = 0;  ///< size of the raw mined output
-  size_t fec_count = 0;          ///< frequency equivalence classes released
+  size_t fec_count = 0;          ///< frequency equivalence classes mined
 };
 
 /// Abstract release backend. Implementations live in src/policy/ and are
@@ -100,9 +93,8 @@ class ReleasePolicy {
   virtual ReleasePolicyKind kind() const = 0;
 
   /// Sanitizes one window's raw output for publication. Consumes one epoch.
-  /// \p ctx.fecs may carry a prebuilt partition of \p frequent. \p stats
-  /// may be null; otherwise the call adds its stage spans to it and sets its
-  /// epoch and epsilon fields.
+  /// \p stats may be null; otherwise the call adds its stage spans to it and
+  /// sets its epoch and epsilon fields.
   virtual SanitizedOutput Release(const MiningOutput& frequent,
                                   const WindowContext& ctx,
                                   ReleaseStats* stats) = 0;

@@ -11,7 +11,7 @@ WindowBitmapIndex::WindowBitmapIndex(size_t capacity, IndexRowStore store)
     : capacity_(capacity), store_(store) {
   BFLY_CHECK_MSG(capacity > 0, "window index needs at least one slot");
   if (store_ == IndexRowStore::kHybrid) {
-    BFLY_CHECK_MSG(capacity <= kMaxHybridWindow,
+    BFLY_CHECK_MSG(capacity <= kMaxWindow,
                    "hybrid row store addresses slots with uint16");
   }
   slots_.resize(capacity, nullptr);

@@ -36,7 +36,7 @@
 /// logs, and supports are bit-identical across stores. A hybrid row's form
 /// is a function of its cardinality and H alone, so an index rebuilt from a
 /// window equals the live one, MemoryStats() included. Hybrid needs
-/// H <= kMaxHybridWindow (containers address slots with uint16).
+/// H <= kMaxWindow (containers address slots with uint16).
 
 #ifndef BUTTERFLY_STREAM_WINDOW_BITMAP_INDEX_H_
 #define BUTTERFLY_STREAM_WINDOW_BITMAP_INDEX_H_
@@ -60,11 +60,13 @@ enum class IndexRowStore : uint8_t {
   kHybrid = 1,  ///< hybrid array/bitmap TidContainer per live item
 };
 
-/// Largest window capacity H a hybrid index supports: its containers address
-/// slots with uint16. StreamPrivacyEngine::Create and FleetConfig::Validate
-/// reject a larger hybrid window with InvalidArgument; the index constructor
-/// CHECKs it.
-constexpr size_t kMaxHybridWindow = size_t{1} << 16;
+/// Largest window capacity H of any engine, whatever its row store, for two
+/// reasons: a hybrid index's containers address slots with uint16, and
+/// every index sizes its slot table from H, which a restore reads from an
+/// untrusted snapshot, so H must be bounded before anything is allocated.
+/// StreamPrivacyEngine::Create and FleetConfig::Validate reject a larger
+/// window with InvalidArgument; the index constructor CHECKs it for hybrid.
+constexpr size_t kMaxWindow = size_t{1} << 16;
 
 /// Memory accounting of the live row table: the gauge behind
 /// `FleetStats::index_bytes` and the bench memory columns.
@@ -87,7 +89,7 @@ class WindowBitmapIndex {
  public:
   /// \param capacity the window size H (> 0).
   /// \param store the row representation; kHybrid requires
-  ///        H <= kMaxHybridWindow.
+  ///        H <= kMaxWindow.
   explicit WindowBitmapIndex(size_t capacity,
                              IndexRowStore store = IndexRowStore::kDense);
 

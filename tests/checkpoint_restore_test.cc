@@ -457,9 +457,10 @@ TEST_F(ReservedItemRestoreTest, CachedItemsetWithTheReservedItemIsCorrupt) {
 /// FromCheckpoint and LoadEngineCheckpoint build their engine through
 /// Create, so a snapshot whose CONF or capacity holds a value Create refuses
 /// fails with InvalidArgument: a DP state budget past kMaxOrderStates, which
-/// would size the bias DP's tables without bound, and a hybrid window past
-/// kMaxHybridWindow, which the index constructor would abort on.
-TEST(OutOfRangeSnapshotTest, CreateRefusalsFailTheRestore) {
+/// would size the bias DP's tables without bound, and a window past
+/// kMaxWindow, which a hybrid index constructor would abort on and a dense
+/// one would size its slot table from.
+void ExpectCreateRefusalsFailTheRestore(bool hybrid) {
   /// Written as max_states, then patched.
   constexpr uint64_t kStandIn = 0x5EED5;
   ButterflyConfig config;
@@ -468,7 +469,7 @@ TEST(OutOfRangeSnapshotTest, CreateRefusalsFailTheRestore) {
   config.epsilon = 0.1;
   config.delta = 0.4;
   config.scheme = ButterflyScheme::kOrderPreserving;
-  config.hybrid_index = true;
+  config.hybrid_index = hybrid;
   config.order_opt.max_states = kStandIn;
   auto engine = StreamPrivacyEngine::Create(4, config);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -485,8 +486,12 @@ TEST(OutOfRangeSnapshotTest, CreateRefusalsFailTheRestore) {
   };
   const size_t states_at = saved.find(u64(kStandIn), saved.find("CONF"));
   ASSERT_NE(states_at, std::string::npos);
+  // The capacity is written twice, in the engine header and in the window
+  // section; patching both keeps the snapshot consistent but for its size.
   const size_t capacity_at = saved.find("SPE1") + 4;
   ASSERT_EQ(saved.substr(capacity_at, 8), u64(4));
+  const size_t window_capacity_at = saved.find("WIND", capacity_at) + 4;
+  ASSERT_EQ(saved.substr(window_capacity_at, 8), u64(4));
 
   {
     persist::CheckpointReader reader(saved);
@@ -494,11 +499,13 @@ TEST(OutOfRangeSnapshotTest, CreateRefusalsFailTheRestore) {
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   }
   const std::string path = TempPath("bfly_ckpt_out_of_range.ckpt");
-  for (const auto& [at, value] :
-       {std::pair<size_t, uint64_t>{states_at, uint64_t{1} << 40},
-        {capacity_at, kMaxHybridWindow + 1}}) {
+  using Patch = std::pair<size_t, uint64_t>;
+  for (const std::vector<Patch>& patches :
+       {std::vector<Patch>{{states_at, uint64_t{1} << 40}},
+        {{capacity_at, kMaxWindow + 1}, {window_capacity_at, kMaxWindow + 1}}}) {
     std::string patched = saved;
-    patched.replace(at, 8, u64(value));
+    for (const auto& [at, value] : patches) patched.replace(at, 8, u64(value));
+    const uint64_t value = patches.front().second;
     persist::CheckpointReader reader(patched);
     auto restored = StreamPrivacyEngine::FromCheckpoint(&reader);
     EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
@@ -510,6 +517,13 @@ TEST(OutOfRangeSnapshotTest, CreateRefusalsFailTheRestore) {
         << value << ": " << loaded.status().ToString();
   }
   std::remove(path.c_str());
+}
+
+TEST(OutOfRangeSnapshotTest, CreateRefusalsFailTheRestore) {
+  for (bool hybrid : {true, false}) {
+    SCOPED_TRACE(hybrid ? "hybrid store" : "dense store");
+    ExpectCreateRefusalsFailTheRestore(hybrid);
+  }
 }
 
 TEST(ReleaseLogRecoveryTest, TruncatesTornTrailingBlock) {

@@ -1,6 +1,8 @@
 #include "core/fec.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,9 +24,9 @@ TEST(FecTest, GroupsBySupport) {
   std::vector<Fec> fecs = PartitionIntoFecs(out);
   ASSERT_EQ(fecs.size(), 2u);
   EXPECT_EQ(fecs[0].support, 5);
-  EXPECT_EQ(fecs[0].size(), 3u);
+  EXPECT_EQ(fecs[0].member_count, 3u);
   EXPECT_EQ(fecs[1].support, 7);
-  EXPECT_EQ(fecs[1].size(), 1u);
+  EXPECT_EQ(fecs[1].member_count, 1u);
 }
 
 TEST(FecTest, StrictlyAscendingSupports) {
@@ -39,13 +41,42 @@ TEST(FecTest, StrictlyAscendingSupports) {
   }
 }
 
-TEST(FecTest, MembersSortedLexicographically) {
+TEST(FecTest, OneFecCountsEveryMember) {
   MiningOutput out =
       MakeOutput({{Itemset{9}, 4}, {Itemset{1}, 4}, {Itemset{5}, 4}});
   std::vector<Fec> fecs = PartitionIntoFecs(out);
   ASSERT_EQ(fecs.size(), 1u);
-  EXPECT_EQ(fecs[0].members[0], (Itemset{1}));
-  EXPECT_EQ(fecs[0].members[2], (Itemset{9}));
+  EXPECT_EQ(fecs[0].support, 4);
+  EXPECT_EQ(fecs[0].member_count, 3u);
+}
+
+TEST(FecTest, UnsealedOutputCountsTheSameFecs) {
+  // Supports out of order, and itemsets out of lexicographic order.
+  MiningOutput unsealed(2);
+  for (const auto& [itemset, support] :
+       std::vector<std::pair<Itemset, Support>>{{Itemset{4}, 3},
+                                                {Itemset{1, 2}, 9},
+                                                {Itemset{2}, 3},
+                                                {Itemset{1}, 9},
+                                                {Itemset{3}, 6},
+                                                {Itemset{2, 3}, 3}}) {
+    unsealed.Add(itemset, support);
+  }
+  MiningOutput sealed = unsealed;
+  sealed.Seal();
+  const std::vector<Fec> from_unsealed = PartitionIntoFecs(unsealed);
+  const std::vector<Fec> from_sealed = PartitionIntoFecs(sealed);
+  ASSERT_EQ(from_unsealed.size(), 3u);
+  ASSERT_EQ(from_sealed.size(), from_unsealed.size());
+  for (size_t i = 0; i < from_sealed.size(); ++i) {
+    EXPECT_EQ(from_unsealed[i].support, from_sealed[i].support) << i;
+    EXPECT_EQ(from_unsealed[i].member_count, from_sealed[i].member_count)
+        << i;
+  }
+  EXPECT_EQ(from_unsealed[0].support, 3);
+  EXPECT_EQ(from_unsealed[0].member_count, 3u);
+  EXPECT_EQ(from_unsealed[2].support, 9);
+  EXPECT_EQ(from_unsealed[2].member_count, 2u);
 }
 
 TEST(FecTest, PartitionerViewMatchesPartitionAndIsReplacedByRebuild) {
@@ -59,7 +90,7 @@ TEST(FecTest, PartitionerViewMatchesPartitionAndIsReplacedByRebuild) {
     ASSERT_EQ(partitioner.view().size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(partitioner.view()[i].support, expected[i].support);
-      EXPECT_EQ(partitioner.view()[i].members, expected[i].members);
+      EXPECT_EQ(partitioner.view()[i].member_count, expected[i].member_count);
     }
   }
 }
@@ -77,7 +108,7 @@ TEST(FecTest, PartitionCoversEveryItemset) {
                                  {Itemset{4}, 8}});
   std::vector<Fec> fecs = PartitionIntoFecs(out);
   size_t total = 0;
-  for (const Fec& fec : fecs) total += fec.size();
+  for (const Fec& fec : fecs) total += fec.member_count;
   EXPECT_EQ(total, out.size());
 }
 

@@ -403,15 +403,19 @@ TEST(FleetConfigTest, ValidateCatchesBadShapes) {
   config = MakeFleetConfig(1, 1);
   config.threads = kMaxThreads;
   EXPECT_TRUE(config.Validate().ok());
-  // A hybrid window past the uint16 slot space fails validation instead of
-  // aborting while the fleet builds its engines.
-  config = MakeFleetConfig(1, 1);
-  config.engine.hybrid_index = true;
-  config.window = kMaxHybridWindow;
-  EXPECT_TRUE(config.Validate().ok());
-  config.window = kMaxHybridWindow + 1;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(EngineFleet::Create(config).ok());
+  // A window past kMaxWindow fails validation, on either store, instead of
+  // aborting (hybrid) or allocating its slot table (dense) while the fleet
+  // builds its engines.
+  for (bool hybrid : {true, false}) {
+    config = MakeFleetConfig(1, 1);
+    config.engine.hybrid_index = hybrid;
+    config.window = kMaxWindow;
+    EXPECT_TRUE(config.Validate().ok()) << hybrid;
+    config.window = kMaxWindow + 1;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument)
+        << hybrid;
+    EXPECT_FALSE(EngineFleet::Create(config).ok()) << hybrid;
+  }
 }
 
 }  // namespace

@@ -20,14 +20,18 @@ TEST(StreamEngineTest, CreateValidates) {
   ButterflyConfig config;
   EXPECT_TRUE(StreamPrivacyEngine::Create(100, config).ok());
   EXPECT_FALSE(StreamPrivacyEngine::Create(0, config).ok());
-  // The hybrid index addresses slots with uint16: a larger hybrid window is
-  // refused with a Status instead of aborting in the index constructor.
-  config.hybrid_index = true;
-  EXPECT_TRUE(StreamPrivacyEngine::Create(kMaxHybridWindow, config).ok());
-  EXPECT_EQ(StreamPrivacyEngine::Create(kMaxHybridWindow + 1, config)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+  // Every window is bounded by kMaxWindow: a larger one is refused with a
+  // Status, on the dense store as on the hybrid one, whose index addresses
+  // slots with uint16 and would abort in its constructor.
+  for (bool hybrid : {false, true}) {
+    config.hybrid_index = hybrid;
+    EXPECT_TRUE(StreamPrivacyEngine::Create(kMaxWindow, config).ok()) << hybrid;
+    EXPECT_EQ(StreamPrivacyEngine::Create(kMaxWindow + 1, config)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << hybrid;
+  }
   config.epsilon = -1;
   EXPECT_FALSE(StreamPrivacyEngine::Create(100, config).ok());
 }

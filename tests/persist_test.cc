@@ -1,5 +1,6 @@
 /// Format-level tests of the persist substrate: primitive round-trips, the
-/// CRC-32 implementation against its published test vector, the CRC-guarded
+/// CRC-32 implementation against its published test vector and a bitwise
+/// reference, the CRC-guarded
 /// file framing (magic / version / size / payload / CRC), the reader's
 /// corruption guards, and the golden snapshot of the current format version
 /// that pins the on-disk format — any byte-level change to the serialization
@@ -13,6 +14,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/stream_engine.h"
@@ -140,6 +142,41 @@ TEST(CrcTest, MatchesThePublishedVector) {
   uint32_t split = Crc32("1234", 4);
   split = Crc32("56789", 5, split);
   EXPECT_EQ(split, 0xCBF43926u);
+}
+
+/// CRC-32 by its definition, one bit at a time over the reflected
+/// polynomial: the reference the table-driven Crc32 must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t size) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CrcTest, MatchesABitwiseReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kLarge = 64 * 1024;
+  std::vector<unsigned char> buffer(kLarge + 8);
+  Rng rng(0xC4C32);
+  for (unsigned char& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  // Every tail length around the eight-byte step.
+  for (size_t size = 0; size <= 64; ++size) {
+    EXPECT_EQ(Crc32(buffer.data(), size), BitwiseCrc32(buffer.data(), size))
+        << size;
+  }
+  // A large buffer at every start offset modulo the step, in one pass and
+  // chained over a split that is not a multiple of eight.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buffer.data() + offset;
+    const uint32_t expected = BitwiseCrc32(p, kLarge);
+    EXPECT_EQ(Crc32(p, kLarge), expected) << offset;
+    EXPECT_EQ(Crc32(p + 13, kLarge - 13, Crc32(p, 13)), expected) << offset;
+  }
 }
 
 class CheckpointFileTest : public ::testing::Test {

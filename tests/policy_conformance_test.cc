@@ -255,7 +255,6 @@ TEST(ButterflyAdapterTest, InterfaceIsByteIdenticalToDirectEngine) {
     WindowContext ctx;
     ctx.window_size = window;
     ctx.stream_position = param.window + 10u * static_cast<uint64_t>(release);
-    ctx.fecs = nullptr;
 
     ReleaseStats stats;
     const SanitizedOutput via_policy = policy->Release(frequent, ctx, &stats);

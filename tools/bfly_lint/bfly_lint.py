@@ -68,12 +68,11 @@ the repo invariants that back those guarantees:
                         draw (SampleLaplace / SampleGumbel / UniformOpenZero
                         / an EpochRng or CounterRng stream) must sit either
                         in a recognized composition helper (ReleaseItems,
-                        whose caller ReleaseCommon pairs it with
+                        whose caller DpPolicyBase::Release pairs it with
                         EpsilonSpent()/Accumulate(), or the noise primitives
                         themselves) or in a function that does its own
-                        epsilon accounting. Likewise any direct ReleaseItems
-                        call outside the accounting helpers must account in
-                        the same function. Chen & Machanavajjhala's SVT
+                        epsilon accounting. Likewise every ReleaseItems call
+                        must account in the same function. Chen & Machanavajjhala's SVT
                         survey showed published DP algorithms shipping with
                         exactly this class of budget-misaccounting bug.
 
@@ -255,12 +254,13 @@ POLICY_ACCOUNT_RE = re.compile(
     r"\bEpsilonSpent\s*\(|\bAccumulate\s*\(|\bepsilon_spent\b|"
     r"\bcumulative_epsilon_?\b")
 # The sanctioned composition helpers: ReleaseItems implementations draw the
-# noise, and their one caller — DpPolicyBase::ReleaseCommon — pairs the call
-# with EpsilonSpent()/Accumulate(); the dp_noise.h primitives and the
-# EpochRng stream factory are the draws themselves.
+# noise, and their one caller — DpPolicyBase::Release, which needs no
+# exemption — pairs the call with EpsilonSpent()/Accumulate() itself; the
+# dp_noise.h primitives and the EpochRng stream factory are the draws
+# themselves.
 POLICY_BUDGET_HELPERS = frozenset({
-    "ReleaseItems", "ReleaseCommon", "SampleLaplace", "SampleGumbel",
-    "UniformOpenZero", "EpochRng",
+    "ReleaseItems", "SampleLaplace", "SampleGumbel", "UniformOpenZero",
+    "EpochRng",
 })
 RELEASE_ITEMS_CALL_RE = re.compile(r"\bReleaseItems\s*\(")
 
@@ -872,8 +872,8 @@ def check_policy_budget(path: Path, rel: str, lines: list[str],
                     f"noise draw in '{f.name}' with no epsilon accounting: "
                     "pair every draw with EpsilonSpent()/Accumulate() (or "
                     "epsilon_spent bookkeeping) in the same function, or "
-                    "draw inside the ReleaseItems/ReleaseCommon composition "
-                    "helpers where DpPolicyBase accounts for it"))
+                    "draw inside a ReleaseItems override, whose caller "
+                    "DpPolicyBase::Release accounts for it"))
         if has_release_items_call is not None:
             if not suppressed(scan, allowances, has_release_items_call,
                               "policy-budget"):
@@ -882,7 +882,7 @@ def check_policy_budget(path: Path, rel: str, lines: list[str],
                     f"'{f.name}' calls ReleaseItems() without epsilon "
                     "accounting: the composition contract pairs every "
                     "ReleaseItems call with EpsilonSpent()/Accumulate() in "
-                    "the same function (see DpPolicyBase::ReleaseCommon)"))
+                    "the same function (see DpPolicyBase::Release)"))
 
 
 def check_lock_discipline(path: Path, rel: str, lines: list[str],

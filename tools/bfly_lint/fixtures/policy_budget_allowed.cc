@@ -1,9 +1,9 @@
 // bfly_lint fixture: the sanctioned budget-accounting composition, plus a
-// justified allowance. Noise draws live in the ReleaseItems override; the
-// ReleaseCommon wrapper pairs that call with the epsilon ledger update —
-// both are allowlisted composition helpers, so neither needs in-function
-// accounting. The harness-only draw carries an explicit allowance. This
-// file must lint completely clean. It is never compiled.
+// justified allowance. Noise draws live in the ReleaseItems override, an
+// allowlisted composition helper; Release pairs that call with the epsilon
+// ledger update in its own body, so it passes without any exemption. The
+// harness-only draw carries an explicit allowance. This file must lint
+// completely clean. It is never compiled.
 #include <cstdint>
 #include <vector>
 
@@ -17,7 +17,7 @@ struct Row {
 
 class LaplacePolicy {
  public:
-  // Allowlisted helper: draws noise, accounting handled by ReleaseCommon.
+  // Allowlisted helper: draws noise, accounting handled by Release.
   std::vector<Row> ReleaseItems(uint64_t epoch) {
     CounterRng rng(seed_, epoch, 7);
     std::vector<Row> rows(1);
@@ -25,9 +25,9 @@ class LaplacePolicy {
     return rows;
   }
 
-  // Allowlisted composition point: every ReleaseItems call is paired with
-  // an EpsilonSpent/Accumulate ledger update here.
-  std::vector<Row> ReleaseCommon(uint64_t epoch) {
+  // Composition point: the ReleaseItems call is paired with an
+  // EpsilonSpent/Accumulate ledger update in the same function.
+  std::vector<Row> Release(uint64_t epoch) {
     std::vector<Row> rows = ReleaseItems(epoch);
     cumulative_epsilon_ = Accumulate(cumulative_epsilon_, EpsilonSpent());
     return rows;

@@ -1,8 +1,8 @@
 // bfly_lint fixture: a release-policy source (basename policy_*) that draws
 // calibrated noise without touching the epsilon ledger. Both marked lines
 // must produce policy-budget findings: a bare Laplace perturbation with no
-// accounting in scope, and a raw ReleaseItems call outside the sanctioned
-// ReleaseCommon composition helper. AccountedDraw shows the passing shape.
+// accounting in scope, and a ReleaseItems call with no ledger update in the
+// same function. AccountedDraw shows the passing shape.
 // This file is never compiled.
 #include <cstdint>
 
@@ -19,8 +19,8 @@ double PerturbSupport(uint64_t seed, uint64_t epoch, double support) {
   return support + SampleLaplace(&rng, 1.0);
 }
 
-// Calls the noise-drawing release routine directly, bypassing the
-// ReleaseCommon wrapper where accounting lives.
+// Calls the noise-drawing release routine with no ledger update beside it
+// (DpPolicyBase::Release pairs its call with one).
 void PublishEpoch(Partition* view) {
   ReleaseItems(view);  // VIOLATION policy-budget
 }

@@ -85,8 +85,9 @@ class RuleFiresTest(unittest.TestCase):
         self.check_fixture("policy_budget_violation.cc", "policy-budget")
 
     def test_policy_budget_composition_is_clean(self):
-        # Draws inside ReleaseItems + accounting inside ReleaseCommon is the
-        # sanctioned shape; a justified allowance covers the harness draw.
+        # Draws inside ReleaseItems + accounting beside the ReleaseItems call
+        # is the sanctioned shape; a justified allowance covers the harness
+        # draw.
         findings = lint(FIXTURES / "policy_budget_allowed.cc")
         self.assertEqual(findings, [],
                          "composition-helper accounting must lint clean: " +
