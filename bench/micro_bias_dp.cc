@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -71,6 +72,37 @@ void DpArgs(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_BiasDpFlat)->Apply(DpArgs);
 BENCHMARK(BM_BiasDpReference)->Apply(DpArgs);
+
+/// Profiles shaped like the end-to-end workloads' dense windows (ε = 0.1,
+/// δ = 0.4, K = 5, so α = 7 and σ² = 5.25): supports from 8 into the
+/// thousands with 1–200 members each, so all but the lowest FECs' grids hold
+/// 21 points. MakeProfiles' ε = 0.016 at supports from 25 never reaches
+/// grids that wide.
+std::vector<FecProfile> MakeWideGridProfiles(size_t n) {
+  std::vector<FecProfile> fecs;
+  fecs.reserve(n);
+  Rng rng(11);
+  Support t = 8;
+  for (size_t i = 0; i < n; ++i) {
+    fecs.push_back(FecProfile{t, static_cast<size_t>(rng.UniformInt(1, 200)),
+                              MaxAdjustableBias(t, 0.1, 5.25)});
+    t += static_cast<Support>(rng.UniformInt(1, std::max<Support>(1, t / 8)));
+  }
+  return fecs;
+}
+
+void BM_BiasDpWideGrid(benchmark::State& state) {
+  std::vector<FecProfile> fecs = MakeWideGridProfiles(120);
+  OrderOptConfig opt;
+  opt.gamma = static_cast<size_t>(state.range(0));
+  BiasDpScratch scratch;
+  for (auto _ : state) {
+    std::vector<double> biases = OrderPreservingBiases(fecs, 7, opt, &scratch);
+    benchmark::DoNotOptimize(biases);
+  }
+}
+
+BENCHMARK(BM_BiasDpWideGrid)->Arg(1)->Arg(2)->Arg(3)->ArgName("gamma");
 
 /// The flat DP without scratch reuse — isolates what the preallocated
 /// scratch saves (allocation/zeroing per release).

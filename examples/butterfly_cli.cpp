@@ -37,7 +37,7 @@
 /// Per-release analysis flags (--attack, --audit) are single-engine only.
 ///
 /// --hybrid-index keeps the window index's per-item rows in compressed
-/// array/bitmap/run containers (DESIGN.md §13) instead of dense bitmaps —
+/// array/bitmap containers (DESIGN.md §13) instead of dense bitmaps —
 /// same releases bit-for-bit, a fraction of the memory on large alphabets.
 /// The choice is recorded in checkpoints; a --restore keeps the snapshot's
 /// store mode.
@@ -51,7 +51,7 @@
 /// snapshot, skips the stream records it had already consumed, recovers a
 /// torn --out log, and continues emitting the exact releases the
 /// uninterrupted run would have: window/config flags are taken from the
-/// snapshot, not the command line.
+/// snapshot, not the command line. Without --restore, --out starts empty.
 
 #include <algorithm>
 #include <cstdio>
@@ -336,6 +336,11 @@ int main(int argc, char** argv) {
       std::printf("restored %s: %zu records consumed, %zu releases emitted\n",
                   restore_path.c_str(), fed, reported);
     }
+  } else if (!out_path.empty()) {
+    // A fresh run starts a fresh log; releases are appended below, so an
+    // old log at this path would otherwise keep the previous run's blocks.
+    std::ofstream out(out_path, std::ios::trunc);
+    if (!out) return Fail("failed truncating " + out_path);
   }
 
   AttackConfig attack;

@@ -19,6 +19,8 @@
 ///  - checked_cast<To>(v)   — narrowing integer cast that BFLY_CHECKs the
 ///                            value is representable in To (the fix for the
 ///                            -Wconversion class of silent truncation bugs).
+///  - checked_int64(d)      — the same for a rounded double: BFLY_CHECKs
+///                            that it is a number inside int64's range.
 
 #ifndef BUTTERFLY_COMMON_CHECK_H_
 #define BUTTERFLY_COMMON_CHECK_H_
@@ -99,6 +101,16 @@ constexpr To checked_cast(From value) {
   BFLY_CHECK_MSG(std::in_range<To>(value),
                  "integer narrowing lost information");
   return static_cast<To>(value);
+}
+
+/// Converts a double that floor, ceil or round produced to int64_t, aborting
+/// on NaN and on values outside int64's range, where the plain cast is
+/// undefined behaviour. ButterflyConfig::Validate bounds ε and δ so that no
+/// configured release reaches the abort.
+inline int64_t checked_int64(double value) {
+  BFLY_CHECK_MSG(value >= -0x1p63 && value < 0x1p63,
+                 "double outside the int64 range");
+  return static_cast<int64_t>(value);
 }
 
 }  // namespace butterfly

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <map>
 
@@ -24,7 +23,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 void BiasGridInto(double max_bias, size_t max_candidates,
                   std::vector<int64_t>* out) {
   out->clear();
-  int64_t bound = static_cast<int64_t>(std::floor(max_bias));
+  int64_t bound = checked_int64(std::floor(max_bias));
   if (bound <= 0 || max_candidates <= 1) {
     out->push_back(0);
     return;
@@ -35,8 +34,7 @@ void BiasGridInto(double max_bias, size_t max_candidates,
   for (size_t i = 0; i < points; ++i) {
     double frac = static_cast<double>(i) / static_cast<double>(points - 1);
     const double spread = static_cast<double>(bound);
-    out->push_back(
-        static_cast<int64_t>(std::llround(-spread + frac * 2.0 * spread)));
+    out->push_back(checked_int64(std::round(-spread + frac * 2.0 * spread)));
   }
   std::sort(out->begin(), out->end());
   out->erase(std::unique(out->begin(), out->end()), out->end());
@@ -82,22 +80,29 @@ struct DpEntry {
 };
 
 // ---------------------------------------------------------------------------
-// Row kernels: plain loops, one IEEE add (and for the merge one compare) per
-// element in ascending order, the order the reference's updates arrive in.
+// Row kernel. For each candidate c from c0 it sums the window's pair rows in
+// window order, base + ((row0 + row1) + …), the association of the
+// reference's added-loop, and keeps the total where it is strictly below
+// best[c], so a tie keeps the earlier column as the reference's strict-<
+// does. The window length W is a template parameter so the sum unrolls; the
+// select is branch-free.
 // ---------------------------------------------------------------------------
 
-void AccumulateRow(double* acc, const double* row, size_t n) {
-  for (size_t c = 0; c < n; ++c) acc[c] += row[c];
-}
-
-void MinMergeRow(double* best, uint8_t* drop, const double* add, double base,
-                 uint8_t dropped, size_t c0, size_t n) {
+template <size_t W>
+void MergeRows(double* best, uint8_t* drop, const double* const* rows,
+               double base, uint8_t dropped, size_t c0, size_t n) {
+  // Local copies: a store through the byte pointer `drop` may alias
+  // anything, so the pointers behind `rows` would be reloaded every element.
+  const double* r[W];
+  for (size_t k = 0; k < W; ++k) r[k] = rows[k];
   for (size_t c = c0; c < n; ++c) {
-    const double total = base + add[c];
-    if (total < best[c]) {
-      best[c] = total;
-      drop[c] = dropped;
-    }
+    double sum = r[0][c];
+    for (size_t k = 1; k < W; ++k) sum += r[k][c];
+    const double total = base + sum;
+    const double cur = best[c];
+    const uint8_t win = static_cast<uint8_t>(-int{total < cur});
+    best[c] = total < cur ? total : cur;
+    drop[c] = static_cast<uint8_t>((dropped & win) | (drop[c] & ~win));
   }
 }
 
@@ -107,7 +112,9 @@ void MinMergeRow(double* best, uint8_t* drop, const double* add, double base,
 // d0 = p / keep is the dropped digit. For a fixed slot, the reference sweep's
 // updates arrive in ascending d0 with strict-< wins; the kernel replays
 // exactly that order per slot, so every cost, tie-break and backtrack byte
-// matches the map-based oracle.
+// matches the map-based oracle. A column whose base is not strictly below
+// every base already merged for q cannot win a slot, so it is skipped (why
+// that is exact: OrderPreservingBiases in bias_setting.h).
 // ---------------------------------------------------------------------------
 
 /// Everything one step needs, by value or raw pointer into the scratch.
@@ -119,76 +126,58 @@ struct StepJob {
   const uint32_t* c_min = nullptr;  ///< per last-digit feasibility bound
   size_t pair_off[8] = {};          ///< per window position into `pair`
   size_t radix[8] = {};             ///< grid sizes of the window's FECs
-  size_t w = 0;                     ///< previous window length
   size_t r_cur = 0;                 ///< grid size of the entering FEC
   size_t keep = 0;                  ///< surviving-state count (the q axis)
   bool drops = false;               ///< window full: oldest FEC leaves
 };
 
+template <size_t W>
 void RunBiasStep(const StepJob& j) {
-  double acc[256];
   // The surviving window digits of q (mixed radix, last digit least
-  // significant), advanced as an odometer.
+  // significant) and their pair rows, advanced together as an odometer.
   uint8_t dig[8] = {0};
-  const size_t w = j.w;
+  const double* rows[W] = {};
   const size_t r_cur = j.r_cur;
   const size_t first_pos = j.drops ? 1 : 0;
+  for (size_t k = first_pos; k < W; ++k) rows[k] = j.pair + j.pair_off[k];
   for (size_t q = 0; q < j.keep; ++q) {
     double* out = j.cur_cost + q * r_cur;
     uint8_t* dr = j.drop_row + q * r_cur;
-    for (size_t c = 0; c < r_cur; ++c) out[c] = kInf;
     if (j.drops) {
-      const size_t r_first = j.radix[0];
-      if (w == 1) {
-        // γ = 1: the dropped digit is also the window's last digit, so the
-        // feasibility bound varies with d0.
-        for (size_t d0 = 0; d0 < r_first; ++d0) {
-          const double base = j.prev_cost[d0];
-          if (!(base < kInf)) continue;
-          const double* row0 = j.pair + j.pair_off[0] + d0 * r_cur;
-          MinMergeRow(out, dr, row0, base, static_cast<uint8_t>(d0),
-                      j.c_min[d0], r_cur);
-        }
-      } else {
-        const size_t c_min = j.c_min[dig[w - 1]];
-        for (size_t d0 = 0; d0 < r_first; ++d0) {
-          const double base = j.prev_cost[d0 * j.keep + q];
-          if (!(base < kInf)) continue;
-          // acc = row0 + Σ row_k, accumulated elementwise in window order —
-          // the same association as the reference's added-loop, so every
-          // double matches bit for bit.
-          std::memcpy(acc, j.pair + j.pair_off[0] + d0 * r_cur,
-                      r_cur * sizeof(double));
-          for (size_t k = 1; k < w; ++k) {
-            AccumulateRow(acc, j.pair + j.pair_off[k] + size_t(dig[k]) * r_cur,
-                          r_cur);
-          }
-          MinMergeRow(out, dr, acc, base, static_cast<uint8_t>(d0), c_min,
-                      r_cur);
-        }
+      double min_base = kInf;  // smallest base swept for this q
+      for (size_t d0 = 0; d0 < j.radix[0]; ++d0) {
+        const double base = j.prev_cost[d0 * j.keep + q];
+        if (!(base < min_base)) continue;
+        min_base = base;
+        rows[0] = j.pair + j.pair_off[0] + d0 * r_cur;
+        // For γ = 1 the dropped digit is also the window's last digit.
+        const size_t c_min = j.c_min[W == 1 ? d0 : dig[W - 1]];
+        MergeRows<W>(out, dr, rows, base, static_cast<uint8_t>(d0), c_min,
+                     r_cur);
       }
     } else {
       const double base = j.prev_cost[q];
       if (base < kInf) {
-        const size_t c_min = j.c_min[dig[w - 1]];
-        const double* add = j.pair + j.pair_off[0] + size_t(dig[0]) * r_cur;
-        if (w > 1) {
-          std::memcpy(acc, add, r_cur * sizeof(double));
-          for (size_t k = 1; k < w; ++k) {
-            AccumulateRow(acc, j.pair + j.pair_off[k] + size_t(dig[k]) * r_cur,
-                          r_cur);
-          }
-          add = acc;
-        }
-        MinMergeRow(out, dr, add, base, uint8_t{0xff}, c_min, r_cur);
+        MergeRows<W>(out, dr, rows, base, uint8_t{0xff}, j.c_min[dig[W - 1]],
+                     r_cur);
       }
     }
-    for (size_t k = w; k-- > first_pos;) {
-      if (++dig[k] < j.radix[k]) break;
+    for (size_t k = W; k-- > first_pos;) {
+      if (++dig[k] < j.radix[k]) {
+        rows[k] += r_cur;
+        break;
+      }
       dig[k] = 0;
+      rows[k] = j.pair + j.pair_off[k];
     }
   }
 }
+
+/// The step kernel per window length w (γ <= 8, so w lies in [1, 8]).
+constexpr void (*kRunBiasStep[9])(const StepJob&) = {
+    nullptr,         &RunBiasStep<1>, &RunBiasStep<2>,
+    &RunBiasStep<3>, &RunBiasStep<4>, &RunBiasStep<5>,
+    &RunBiasStep<6>, &RunBiasStep<7>, &RunBiasStep<8>};
 
 /// Fills the pairwise-cost tables (k-major, each T_k laid out [d][c]) and the
 /// per-last-digit feasibility bounds for step \p i. Pure function of the
@@ -214,15 +203,23 @@ void BuildStepTables(const std::vector<FecProfile>& fecs,
       c_min_dst[d] = static_cast<uint32_t>(c);
     }
   }
+  // PairCost is nonzero only below distance α + 1, and the distance
+  // est_cur[c] − est_j[d] rises with c, so each row is a nonzero prefix and
+  // a zero tail. The prefix grows with d, since est_j rises with d.
   double* table = pair_dst;
   for (size_t k = 0; k < w; ++k) {
     const size_t j = first_fec + k;
     const int64_t* est_j = est[j].data();
+    size_t nonzero = 0;
     for (size_t d = 0; d < grids[j].size(); ++d) {
-      for (size_t c = 0; c < r_cur; ++c) {
-        table[d * r_cur + c] =
-            PairCost(fecs[j], fecs[i], est_cur[c] - est_j[d], alpha);
+      while (nonzero < r_cur && est_cur[nonzero] - est_j[d] < alpha + 1) {
+        ++nonzero;
       }
+      double* row = table + d * r_cur;
+      for (size_t c = 0; c < nonzero; ++c) {
+        row[c] = PairCost(fecs[j], fecs[i], est_cur[c] - est_j[d], alpha);
+      }
+      std::fill(row + nonzero, row + r_cur, 0.0);
     }
     table += grids[j].size() * r_cur;
   }
@@ -422,8 +419,9 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
     const size_t keep =
         drops ? prev_states / s.grids[first_fec].size() : prev_states;
 
-    // No kInf fill: the kernel overwrites every output slot of every row.
+    // Every output slot starts unreached; the kernel lowers those it reaches.
     if (s.cur_cost.size() < cur_states) s.cur_cost.resize(cur_states);
+    std::fill(s.cur_cost.begin(), s.cur_cost.begin() + cur_states, kInf);
 
     BuildStepTables(fecs, s.grids, s.est, alpha, i, gamma, s.pair_cost.data(),
                     s.c_min.data());
@@ -442,11 +440,10 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
         off += job.radix[k] * r_cur;
       }
     }
-    job.w = w_prev;
     job.r_cur = r_cur;
     job.keep = keep;
     job.drops = drops;
-    RunBiasStep(job);
+    kRunBiasStep[w_prev](job);
     std::swap(s.prev_cost, s.cur_cost);
     assert(std::any_of(s.prev_cost.begin(), s.prev_cost.begin() + cur_states,
                        [](double c) { return c < kInf; }));

@@ -55,11 +55,26 @@ struct BiasDpScratch {
 /// windows; \p scratch (optional) lets callers reuse the tables across
 /// releases. Equal-cost ties are broken toward the lexicographically
 /// smallest candidate window, so the result is deterministic and identical
-/// to OrderPreservingBiasesReference. Each step is an output-major sweep of
-/// plain scalar row loops. Precondition: opt.max_states <= kMaxOrderStates
-/// (ButterflyConfig::Validate enforces it), which bounds every step's table
-/// at kMaxOrderStates states and the backtrack table at one byte per state
-/// per FEC.
+/// to OrderPreservingBiasesReference. Each step is an output-major sweep:
+/// for each surviving window q it merges one row per dropped digit d0, in
+/// ascending d0, into the output slots. Three shortcuts leave every cost,
+/// tie-break and backtrack byte equal to the reference's:
+///  - A column d0 is merged only if its base cost is strictly below every
+///    base already merged for q. The dropped FEC's estimators rise with d0
+///    and the pair cost does not grow with distance, so an earlier column's
+///    pair row is <= a later one's at every candidate; IEEE addition is
+///    monotone, so its totals are too; the strict-< merge keeps the earlier
+///    column on a tie; and for γ = 1 the feasibility bound c_min[d0] never
+///    decreases, so the earlier column reaches every slot the later one does.
+///  - The window's rows are summed inside the merge, as
+///    base + ((T_0 + T_1) + …), the reference's association, and the winner
+///    is picked with a branch-free select.
+///  - Each pair-table row is evaluated only on its nonzero prefix (distance
+///    below α + 1) and zero-filled after it; the pair cost is exactly 0.0
+///    there.
+/// Precondition: opt.max_states <= kMaxOrderStates (ButterflyConfig::Validate
+/// enforces it), which bounds every step's table at kMaxOrderStates states
+/// and the backtrack table at one byte per state per FEC.
 std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
                                           int64_t alpha,
                                           const OrderOptConfig& opt,

@@ -1,6 +1,5 @@
 #include "core/butterfly.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -97,20 +96,27 @@ SanitizedOutput ButterflyEngine::Sanitize(const MiningOutput& frequent,
   const bool per_itemset_noise = config_.scheme == ButterflyScheme::kBasic;
   const double variance = noise_.variance();
 
+  // Support -> FEC lookup spanning the FECs' support range: at most H
+  // entries, since a window's supports lie in [C, H].
+  const Support lowest = profiles.front().support;
+  std::vector<uint32_t> fec_of(
+      static_cast<size_t>(profiles.back().support - lowest) + 1);
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    fec_of[static_cast<size_t>(profiles[i].support - lowest)] =
+        static_cast<uint32_t>(i);
+  }
+  std::vector<std::optional<Support>> fec_draw(profiles.size());
+
   // Noise stage: one pass in the input's order. A pinned value is
   // republished as is; a miss draws from its own counter-based stream —
-  // keyed on the itemset for the basic scheme, on the FEC support for the
-  // optimized ones, so the members of one FEC share a draw — and is pinned
-  // at once. Store writes only its own key and released itemsets are unique,
-  // so pinning as we go sees the same cache as pinning after every lookup.
+  // keyed on the itemset for the basic scheme, and for the optimized ones
+  // on the FEC support with the FEC's bias, so the FEC draws once, on its
+  // first miss, and its members share the value — and is pinned at once.
+  // Store writes only its own key and released itemsets are unique, so
+  // pinning as we go sees the same cache as pinning after every lookup.
   for (const FrequentItemset& f : frequent.itemsets()) {
-    const size_t fec = static_cast<size_t>(
-        std::lower_bound(profiles.begin(), profiles.end(), f.support,
-                         [](const FecProfile& p, Support support) {
-                           return p.support < support;
-                         }) -
-        profiles.begin());
-    assert(fec < profiles.size() && profiles[fec].support == f.support);
+    const size_t fec = fec_of[static_cast<size_t>(f.support - lowest)];
+    assert(profiles[fec].support == f.support);
     SanitizedItemset item;
     item.itemset = f.itemset;
     item.bias = biases[fec];
@@ -122,12 +128,17 @@ SanitizedOutput ButterflyEngine::Sanitize(const MiningOutput& frequent,
       item.bias = pinned->bias;
       item.variance = pinned->variance;
     } else {
-      CounterRng stream =
-          per_itemset_noise
-              ? CounterRng(config_.seed, epoch, f.itemset.Hash())
-              : CounterRng(config_.seed ^ kFecStreamDomain, epoch,
-                           static_cast<uint64_t>(f.support));
-      item.sanitized_support = f.support + noise_.Sample(item.bias, &stream);
+      if (per_itemset_noise) {
+        CounterRng stream(config_.seed, epoch, f.itemset.Hash());
+        item.sanitized_support = f.support + noise_.Sample(item.bias, &stream);
+      } else {
+        if (!fec_draw[fec]) {
+          CounterRng stream(config_.seed ^ kFecStreamDomain, epoch,
+                            static_cast<uint64_t>(f.support));
+          fec_draw[fec] = f.support + noise_.Sample(item.bias, &stream);
+        }
+        item.sanitized_support = *fec_draw[fec];
+      }
       if (config_.republish_cache) {
         cache_.Store(f.itemset,
                      RepublishCache::Entry{f.support, item.sanitized_support,

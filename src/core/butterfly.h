@@ -53,8 +53,9 @@ class ButterflyEngine {
   /// model and the metrics.
   ///
   /// Counts the FECs of \p frequent, sets their biases, then perturbs the
-  /// itemsets in one pass in their stored order, finding each one's FEC by
-  /// binary search on its support. Noise is drawn from counter-based streams
+  /// itemsets in one pass in their stored order, finding each one's FEC in a
+  /// support-indexed table that spans the FECs' support range (at most H
+  /// entries for a window's output). Noise is drawn from counter-based streams
   /// keyed on (engine seed, release epoch, itemset / FEC support), and each
   /// itemset touches only its own republish-cache entry, so the release is a
   /// pure function of the engine's seed, its call history length, and the

@@ -1,5 +1,6 @@
 #include "core/config.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "core/noise.h"
@@ -43,8 +44,13 @@ std::optional<ReleasePolicyKind> ParseReleasePolicyKind(std::string_view name) {
 }
 
 Status ButterflyConfig::Validate() const {
-  if (epsilon <= 0) return Status::InvalidArgument("epsilon must be positive");
-  if (delta <= 0) return Status::InvalidArgument("delta must be positive");
+  // NaN fails every comparison, so each range check is written to fail on it.
+  if (!(epsilon > 0 && epsilon <= kMaxEpsilon)) {
+    return Status::InvalidArgument("epsilon must lie in (0, 1e6]");
+  }
+  if (!(delta > 0 && std::isfinite(delta))) {
+    return Status::InvalidArgument("delta must be positive and finite");
+  }
   if (min_support <= 0) {
     return Status::InvalidArgument("min_support must be positive");
   }
@@ -55,7 +61,7 @@ Status ButterflyConfig::Validate() const {
     return Status::InvalidArgument(
         "vulnerable_support K must be below min_support C");
   }
-  if (lambda < 0 || lambda > 1) {
+  if (!(lambda >= 0 && lambda <= 1)) {
     return Status::InvalidArgument("lambda must lie in [0, 1]");
   }
   if (order_opt.gamma > 8) {
@@ -85,6 +91,14 @@ Status ButterflyConfig::Validate() const {
     msg << "epsilon/delta = " << ppr() << " below the minimum ppr K^2/(2C^2) = "
         << MinPpr() << "; no sigma^2 satisfies both requirements";
     return Status::InvalidArgument(msg.str());
+  }
+  // NoiseModel stores α = ceil(sqrt(1 + 6δK²) − 1) as an int64; below 2^52,
+  // α and every noise bound and estimator t + β built on it are exact.
+  const double k = static_cast<double>(vulnerable_support);
+  if (!(6.0 * delta * k * k < 0x1p104)) {
+    return Status::InvalidArgument(
+        "delta*K^2 too large: the noise region length sqrt(1 + 6 delta K^2) "
+        "must stay below 2^52");
   }
   // The noise region length is an integer, so the realized variance can
   // overshoot δK²/2 slightly; the precision budget must absorb the realized

@@ -65,6 +65,11 @@ std::optional<ReleasePolicyKind> ParseReleasePolicyKind(std::string_view name);
 /// FleetConfig::threads; 0 means hardware concurrency).
 constexpr int64_t kMaxThreads = 1024;
 
+/// Largest ε that ButterflyConfig::Validate accepts. It keeps every maximum
+/// adjustable bias βᵐ = sqrt(ε·t² − σ²) below 1000·t, so the bias grids and
+/// the estimators t + β of any window's supports fit in int64.
+constexpr double kMaxEpsilon = 1e6;
+
 /// Largest OrderOptConfig::max_states that ButterflyConfig::Validate accepts.
 /// Up to it, the per-FEC grids derived from the budget keep every step of
 /// the order-preserving DP at or below this many states (32^4 or 16^5 at
@@ -85,10 +90,12 @@ struct OrderOptConfig {
 /// Full engine configuration.
 struct ButterflyConfig {
   /// Precision requirement ε: upper bound on every frequent itemset's
-  /// relative mean squared error (σ² + β²)/T² ≤ ε (since T ≥ C).
+  /// relative mean squared error (σ² + β²)/T² ≤ ε (since T ≥ C). Validated
+  /// to (0, kMaxEpsilon].
   double epsilon = 0.016;
   /// Privacy requirement δ: lower bound on every vulnerable pattern's
-  /// relative estimation error 2σ²/K² ≥ δ.
+  /// relative estimation error 2σ²/K² ≥ δ. Validated finite and positive,
+  /// with 6δK² < 2^104 so the noise region length fits in int64.
   double delta = 0.4;
 
   Support min_support = 25;        ///< C

@@ -1,9 +1,12 @@
 /// \file bias_frontier_test.cc
-/// \brief Frontier equivalence for Algorithm 1: the flat output-major DP and
-/// the map-based oracle must agree bit for bit across γ ∈ {1..8}, and under a
-/// starved state budget.
+/// \brief Algorithm 1's flat output-major DP against the map-based oracle:
+/// they must agree bit for bit across γ ∈ {1..8}, under a starved state
+/// budget, and on profiles shaped like the end-to-end workloads' windows,
+/// whose wide grids and tied base costs drive the DP's column skip.
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,6 +76,60 @@ TEST(BiasFrontierTest, StarvedStateBudgetKeepsFlatAndOracleAligned) {
     std::vector<double> oracle = OrderPreservingBiasesReference(fecs, 7, opt);
     ExpectBitIdentical(OrderPreservingBiases(fecs, 7, opt), oracle,
                        "flat starved γ=" + std::to_string(gamma));
+  }
+}
+
+/// Profiles shaped like a dense-lattice window at ε = 0.1, δ = 0.4, K = 5
+/// (α = 7, σ² = 5.25): supports from 8 into the thousands, 1–200 members
+/// each, so all but the lowest FECs' grids hold 21 points.
+std::vector<FecProfile> WorkloadProfiles(Rng* rng, size_t n) {
+  std::vector<FecProfile> fecs;
+  fecs.reserve(n);
+  Support t = 8;
+  for (size_t i = 0; i < n; ++i) {
+    fecs.push_back(FecProfile{t, static_cast<size_t>(rng->UniformInt(1, 200)),
+                              MaxAdjustableBias(t, 0.1, 5.25)});
+    t += static_cast<Support>(rng->UniformInt(1, std::max<Support>(1, t / 8)));
+  }
+  return fecs;
+}
+
+TEST(BiasFrontierTest, WorkloadShapedProfilesMatchOracle) {
+  BiasDpScratch scratch;
+  for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      Rng rng(seed * 977 + gamma);
+      std::vector<FecProfile> fecs = WorkloadProfiles(&rng, 120);
+      ASSERT_GT(fecs.back().support, 1000);
+      OrderOptConfig opt;
+      opt.gamma = gamma;
+      const std::string label =
+          "γ=" + std::to_string(gamma) + " seed=" + std::to_string(seed);
+      ExpectBitIdentical(OrderPreservingBiases(fecs, 7, opt, &scratch),
+                         OrderPreservingBiasesReference(fecs, 7, opt),
+                         "workload " + label);
+    }
+  }
+}
+
+TEST(BiasFrontierTest, TiedBaseCostsMatchOracle) {
+  // Equal member counts and evenly spaced supports make many candidate
+  // windows cost the same, so several dropped-digit columns of one output
+  // state tie on base cost and the strict-< tie-break decides.
+  std::vector<FecProfile> fecs;
+  for (Support t = 100; t < 100 + 60 * 12; t += 12) {
+    fecs.push_back(FecProfile{t, 5, MaxAdjustableBias(t, 0.016, 5.25)});
+  }
+  BiasDpScratch scratch;
+  for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (int64_t alpha : {int64_t{3}, int64_t{7}, int64_t{11}}) {
+      OrderOptConfig opt;
+      opt.gamma = gamma;
+      ExpectBitIdentical(OrderPreservingBiases(fecs, alpha, opt, &scratch),
+                         OrderPreservingBiasesReference(fecs, alpha, opt),
+                         "tied γ=" + std::to_string(gamma) +
+                             " α=" + std::to_string(alpha));
+    }
   }
 }
 

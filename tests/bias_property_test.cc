@@ -1,7 +1,7 @@
 /// Property tests pinning the flat-table order-preserving DP to the retained
-/// map-based reference (they must be bit-identical — the reference doubles as
-/// the overflow fallback, so any divergence would make releases depend on
-/// table sizes).
+/// map-based reference. They must be bit-identical: the reference is the
+/// oracle that proves the flat DP's shortcuts (the dominated-column skip,
+/// the fused row sum, the zero tails of the pair tables) exact.
 
 #include <cstdint>
 #include <vector>

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -457,9 +459,10 @@ TEST_F(ReservedItemRestoreTest, CachedItemsetWithTheReservedItemIsCorrupt) {
 /// FromCheckpoint and LoadEngineCheckpoint build their engine through
 /// Create, so a snapshot whose CONF or capacity holds a value Create refuses
 /// fails with InvalidArgument: a DP state budget past kMaxOrderStates, which
-/// would size the bias DP's tables without bound, and a window past
+/// would size the bias DP's tables without bound, a window past
 /// kMaxWindow, which a hybrid index constructor would abort on and a dense
-/// one would size its slot table from.
+/// one would size its slot table from, and an infinite ε, whose biases no
+/// int64 holds.
 void ExpectCreateRefusalsFailTheRestore(bool hybrid) {
   /// Written as max_states, then patched.
   constexpr uint64_t kStandIn = 0x5EED5;
@@ -492,6 +495,9 @@ void ExpectCreateRefusalsFailTheRestore(bool hybrid) {
   ASSERT_EQ(saved.substr(capacity_at, 8), u64(4));
   const size_t window_capacity_at = saved.find("WIND", capacity_at) + 4;
   ASSERT_EQ(saved.substr(window_capacity_at, 8), u64(4));
+  // ε is CONF's first field.
+  const size_t epsilon_at = saved.find("CONF") + 4;
+  ASSERT_EQ(saved.substr(epsilon_at, 8), u64(std::bit_cast<uint64_t>(0.1)));
 
   {
     persist::CheckpointReader reader(saved);
@@ -502,7 +508,9 @@ void ExpectCreateRefusalsFailTheRestore(bool hybrid) {
   using Patch = std::pair<size_t, uint64_t>;
   for (const std::vector<Patch>& patches :
        {std::vector<Patch>{{states_at, uint64_t{1} << 40}},
-        {{capacity_at, kMaxWindow + 1}, {window_capacity_at, kMaxWindow + 1}}}) {
+        {{capacity_at, kMaxWindow + 1}, {window_capacity_at, kMaxWindow + 1}},
+        {{epsilon_at, std::bit_cast<uint64_t>(
+                          std::numeric_limits<double>::infinity())}}}) {
     std::string patched = saved;
     for (const auto& [at, value] : patches) patched.replace(at, 8, u64(value));
     const uint64_t value = patches.front().second;
