@@ -387,6 +387,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (!json_path.empty()) {
+    StampHost(&g_records);
     if (!WriteBenchJson(json_path, g_records)) {
       std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
       return 1;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "common/timing.h"
@@ -131,6 +132,27 @@ std::string FormatDouble(double v, int precision) {
   return buf;
 }
 
+// The same host fields and detection as HostJson in bench/e2e/bfly_bench.cc,
+// duplicated on purpose: bench/e2e builds on its own, without this harness,
+// and its files change only together with the end-to-end benchmark. Moving
+// both onto one helper belongs to such a change.
+void StampHost(std::vector<BenchRecord>* records) {
+  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("g++ ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  for (BenchRecord& r : *records) {
+    r.hardware_threads = hw;
+    r.compiler = compiler;
+    r.build_type = BFLY_BENCH_BUILD_TYPE;
+    r.oversubscribed = r.threads > hw;
+  }
+}
+
 bool WriteBenchJson(const std::string& path,
                     const std::vector<BenchRecord>& records) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -173,6 +195,13 @@ bool WriteBenchJson(const std::string& path,
     }
     if (!r.note.empty()) {
       std::fprintf(f, ", \"note\": \"%s\"", r.note.c_str());
+    }
+    if (r.hardware_threads > 0) {
+      std::fprintf(f,
+                   ", \"hardware_threads\": %zu, \"compiler\": \"%s\", "
+                   "\"build_type\": \"%s\", \"oversubscribed\": %s",
+                   r.hardware_threads, r.compiler.c_str(),
+                   r.build_type.c_str(), r.oversubscribed ? "true" : "false");
     }
     std::fprintf(f, "}%s\n", i + 1 < records.size() ? "," : "");
   }
@@ -257,6 +286,14 @@ bool ReadBenchJson(const std::string& path,
       r.index_bitmap_rows = std::stoul(value);
     }
     if (ExtractField(line, "note", &value)) r.note = value;
+    if (ExtractField(line, "hardware_threads", &value)) {
+      r.hardware_threads = std::stoul(value);
+    }
+    if (ExtractField(line, "compiler", &value)) r.compiler = value;
+    if (ExtractField(line, "build_type", &value)) r.build_type = value;
+    if (ExtractField(line, "oversubscribed", &value)) {
+      r.oversubscribed = value == "true";
+    }
     records->push_back(std::move(r));
   }
   std::fclose(f);

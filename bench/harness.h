@@ -130,7 +130,18 @@ struct BenchRecord {
   /// Nonzero when the measurement looks wrong (e.g. inverse thread scaling);
   /// makes BENCH artifacts flag the bug class instead of hiding it.
   std::string note;
+  /// The host the row ran on, the set bench/e2e's result files record (see
+  /// StampHost; 0 hardware threads = not recorded): hardware threads,
+  /// compiler and version, build type, and whether the row ran more threads
+  /// than the host has.
+  size_t hardware_threads = 0;
+  std::string compiler;
+  std::string build_type;
+  bool oversubscribed = false;
 };
+
+/// Fills every record's host fields from the running process and build.
+void StampHost(std::vector<BenchRecord>* records);
 
 /// Writes the records as a JSON array (machine-readable perf trajectory so
 /// future PRs can diff against it). Returns false on I/O failure.

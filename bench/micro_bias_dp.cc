@@ -14,6 +14,9 @@
 #include "common/rng.h"
 #include "core/bias_setting.h"
 #include "core/fec.h"
+#include "core/noise.h"
+#include "datagen/profiles.h"
+#include "moment/moment.h"
 
 namespace butterfly {
 namespace {
@@ -103,6 +106,42 @@ void BM_BiasDpWideGrid(benchmark::State& state) {
 }
 
 BENCHMARK(BM_BiasDpWideGrid)->Arg(1)->Arg(2)->Arg(3)->ArgName("gamma");
+
+/// Algorithm 1 on the FECs of one mined window shaped like an end-to-end
+/// workload's: Moment mines the first H records of a BMS-WebView-1 stream
+/// (data seed 7) at support C, and the FECs are profiled as
+/// ButterflyEngine::Sanitize profiles them, at δ = 0.4 and K = 5 (α = 7).
+/// The mining runs in setup, untimed.
+void BM_BiasDpMinedWindow(benchmark::State& state, size_t window,
+                          Support min_support, double epsilon) {
+  Result<std::vector<Transaction>> data =
+      GenerateProfile(DatasetProfile::kBmsWebView1, window, 7);
+  if (!data.ok()) {
+    state.SkipWithError(data.status().ToString().c_str());
+    return;
+  }
+  MomentMiner miner(window, min_support);
+  for (const Transaction& t : *data) miner.Append(t);
+  const NoiseModel noise(0.4, 5);
+  std::vector<FecProfile> fecs;
+  for (const Fec& fec : PartitionIntoFecs(miner.GetAllFrequent())) {
+    fecs.push_back(FecProfile{
+        fec.support, fec.member_count,
+        MaxAdjustableBias(fec.support, epsilon, noise.variance())});
+  }
+  OrderOptConfig opt;
+  BiasDpScratch scratch;
+  for (auto _ : state) {
+    std::vector<double> biases =
+        OrderPreservingBiases(fecs, noise.alpha(), opt, &scratch);
+    benchmark::DoNotOptimize(biases);
+  }
+  state.counters["fecs"] = static_cast<double>(fecs.size());
+}
+
+// solo-dense: H = 5000, C = 8, ε = 0.1; fleet-64: H = 500, C = 15, ε = 0.03.
+BENCHMARK_CAPTURE(BM_BiasDpMinedWindow, solo_dense, 5000, 8, 0.1);
+BENCHMARK_CAPTURE(BM_BiasDpMinedWindow, fleet_64, 500, 15, 0.03);
 
 /// The flat DP without scratch reuse — isolates what the preallocated
 /// scratch saves (allocation/zeroing per release).

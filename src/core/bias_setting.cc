@@ -1,8 +1,10 @@
 #include "core/bias_setting.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 
@@ -36,17 +38,26 @@ void BiasGridInto(double max_bias, size_t max_candidates,
     const double spread = static_cast<double>(bound);
     out->push_back(checked_int64(std::round(-spread + frac * 2.0 * spread)));
   }
-  std::sort(out->begin(), out->end());
-  out->erase(std::unique(out->begin(), out->end()), out->end());
+  // The points round an increasing sequence spaced 2·bound/(points − 1) >= 1
+  // apart, so they come out strictly ascending without a sort.
+  BFLY_DCHECK_MSG(std::adjacent_find(out->begin(), out->end(),
+                                     std::greater_equal<>()) == out->end(),
+                  "bias grid not strictly ascending");
 }
 
 // Pairwise inversion-risk cost (the objective of Algorithm 1): zero once the
-// uncertainty regions are separated by at least α + 1.
+// uncertainty regions are separated by at least α + 1. BandCost is the
+// nonzero branch, for a pair of weight s_a + s_b at a distance below α + 1.
+double BandCost(double weight, int64_t distance, int64_t alpha) {
+  const double gap = static_cast<double>(alpha + 1 - distance);
+  return weight * gap * gap;
+}
+
 double PairCost(const FecProfile& a, const FecProfile& b, int64_t distance,
                 int64_t alpha) {
   if (distance >= alpha + 1) return 0.0;
-  double gap = static_cast<double>(alpha + 1 - distance);
-  return static_cast<double>(a.member_count + b.member_count) * gap * gap;
+  return BandCost(static_cast<double>(a.member_count + b.member_count),
+                  distance, alpha);
 }
 
 /// The per-FEC grid size for one state budget: the DP window holds γ FECs,
@@ -59,8 +70,9 @@ size_t DeriveGridCap(const OrderOptConfig& opt, size_t gamma) {
     grid_cap = std::min<size_t>(
         grid_cap, std::max<size_t>(3, static_cast<size_t>(budget)));
   }
-  // Candidate indices are bytes (0xff is the "nothing dropped" sentinel), so
-  // a grid never exceeds 255 points.
+  // Candidate indices and grid sizes are bytes (the reference packs index + 1
+  // into a key byte; the flat DP marks a dead row with its grid size), so a
+  // grid never exceeds 255 points.
   return std::min<size_t>(grid_cap, 255);
 }
 
@@ -80,96 +92,201 @@ struct DpEntry {
 };
 
 // ---------------------------------------------------------------------------
-// Row kernel. For each candidate c from c0 it sums the window's pair rows in
-// window order, base + ((row0 + row1) + …), the association of the
-// reference's added-loop, and keeps the total where it is strictly below
-// best[c], so a tie keeps the earlier column as the reference's strict-<
-// does. The window length W is a template parameter so the sum unrolls; the
-// select is branch-free.
+// Row kernel. For each candidate c in [lo, hi) it sums the window's pair rows
+// in window order, base + ((row0 + row1) + …), the association of the
+// reference's added-loop, and keeps the total and its dropped digit where the
+// total is strictly below best[c], so a tie keeps the earlier column as the
+// reference's strict-< does. The first column of an output row stores its
+// totals instead. The window length W is a template parameter so the sum
+// unrolls; the select is branch-free.
 // ---------------------------------------------------------------------------
 
-template <size_t W>
+template <size_t W, bool kFirst>
 void MergeRows(double* best, uint8_t* drop, const double* const* rows,
-               double base, uint8_t dropped, size_t c0, size_t n) {
+               double base, uint8_t digit, size_t lo, size_t hi) {
   // Local copies: a store through the byte pointer `drop` may alias
   // anything, so the pointers behind `rows` would be reloaded every element.
   const double* r[W];
   for (size_t k = 0; k < W; ++k) r[k] = rows[k];
-  for (size_t c = c0; c < n; ++c) {
+  for (size_t c = lo; c < hi; ++c) {
     double sum = r[0][c];
     for (size_t k = 1; k < W; ++k) sum += r[k][c];
     const double total = base + sum;
-    const double cur = best[c];
-    const uint8_t win = static_cast<uint8_t>(-int{total < cur});
-    best[c] = total < cur ? total : cur;
-    drop[c] = static_cast<uint8_t>((dropped & win) | (drop[c] & ~win));
+    if (kFirst) {
+      best[c] = total;
+      drop[c] = digit;
+    } else {
+      const double cur = best[c];
+      const uint8_t win = static_cast<uint8_t>(-int{total < cur});
+      best[c] = total < cur ? total : cur;
+      drop[c] = static_cast<uint8_t>((digit & win) | (drop[c] & ~win));
+    }
   }
+}
+
+// Picks, in ascending d0 from begin to end, the columns whose base
+// base[d0 * stride] is finite and strictly below every earlier one's, into
+// digits/bases; returns how many. No other column can win an output slot
+// (bias_setting.h says why). Which columns qualify varies from row to row, so
+// the pass is branch-free.
+template <typename Finite>
+size_t PickColumns(size_t begin, size_t end, const double* base,
+                   size_t stride, Finite finite, uint8_t* digits,
+                   double* bases) {
+  // Costs are never negative or NaN, so their bit patterns order like their
+  // values; the floor kept as bits is selected without a branch.
+  size_t m = 0;
+  uint64_t floor = std::bit_cast<uint64_t>(kInf);
+  for (size_t d0 = begin; d0 < end; ++d0) {
+    const double b = base[d0 * stride];
+    const uint64_t bits = std::bit_cast<uint64_t>(b);
+    digits[m] = static_cast<uint8_t>(d0);
+    bases[m] = b;
+    const bool take = finite(d0) & (bits < floor);
+    m += take;
+    floor = take ? bits : floor;
+  }
+  return m;
+}
+
+/// Everything one step needs, by value or raw pointer into the scratch.
+struct StepJob {
+  const double* prev_cost = nullptr;
+  const uint8_t* prev_live = nullptr;  ///< per previous row: first finite c
+  double* cur_cost = nullptr;
+  uint8_t* cur_live = nullptr;         ///< per output row: first finite c
+  uint8_t* drop = nullptr;             ///< this step's backtrack bytes
+  const double* pair = nullptr;        ///< this step's pairwise-cost tables
+  const uint8_t* band_lo = nullptr;    ///< per last digit: first feasible c
+  const uint8_t* band_hi = nullptr;    ///< per last digit: end of the band
+  size_t pair_off[8] = {};             ///< per window position into `pair`
+  size_t radix[8] = {};                ///< grid sizes of the window's FECs
+  size_t r_cur = 0;                    ///< grid size of the entering FEC
+  size_t keep = 0;                     ///< output rows (the q axis)
+  bool drops = false;                  ///< window full: oldest FEC leaves
+  const uint32_t* prev_rows = nullptr;  ///< the previous step's live rows
+  size_t prev_row_count = 0;
+  std::vector<uint32_t>* cur_rows = nullptr;  ///< receives the live rows
+  uint64_t* rq_bits = nullptr;  ///< bitmap over rq, zero on entry and exit
+};
+
+// Completes output row q after its band [lo, hi) is merged: every column's
+// total past the band is its base, so [hi, r_cur) takes the smallest picked
+// base and its digit. Lists q as live for the next step.
+void FinishRow(const StepJob& j, size_t q, size_t lo, size_t hi,
+               double tail, uint8_t tail_digit) {
+  double* out = j.cur_cost + q * j.r_cur;
+  std::fill(out + hi, out + j.r_cur, tail);
+  uint8_t* dr = j.drop + q * j.r_cur;
+  std::fill(dr + hi, dr + j.r_cur, tail_digit);
+  j.cur_live[q] = static_cast<uint8_t>(lo);
+  j.cur_rows->push_back(static_cast<uint32_t>(q));
 }
 
 // ---------------------------------------------------------------------------
 // Output-major step kernel. One DP step maps previous states p to output
 // slots (q, c) where q = p % keep is the part of the window that survives and
-// d0 = p / keep is the dropped digit. For a fixed slot, the reference sweep's
-// updates arrive in ascending d0 with strict-< wins; the kernel replays
-// exactly that order per slot, so every cost, tie-break and backtrack byte
-// matches the map-based oracle. A column whose base is not strictly below
-// every base already merged for q cannot win a slot, so it is skipped (why
-// that is exact: OrderPreservingBiases in bias_setting.h).
+// d0 = p / keep is the dropped digit. Only live q are visited, those some d0
+// gives a finite base: the previous step's live rows name them, and its
+// per-row first finite candidate tells which d0 do. For a live q the kernel
+// picks the columns that can win a slot, merges them over the band [lo, hi)
+// of q's last digit, and fills [hi, r_cur) with the smallest picked base;
+// [0, lo) stays unwritten, as no finite state lies there. Why each shortcut
+// is exact: OrderPreservingBiases in bias_setting.h.
 // ---------------------------------------------------------------------------
 
-/// Everything one step needs, by value or raw pointer into the scratch.
-struct StepJob {
-  const double* prev_cost = nullptr;
-  double* cur_cost = nullptr;
-  uint8_t* drop_row = nullptr;
-  const double* pair = nullptr;     ///< this step's pairwise-cost tables
-  const uint32_t* c_min = nullptr;  ///< per last-digit feasibility bound
-  size_t pair_off[8] = {};          ///< per window position into `pair`
-  size_t radix[8] = {};             ///< grid sizes of the window's FECs
-  size_t r_cur = 0;                 ///< grid size of the entering FEC
-  size_t keep = 0;                  ///< surviving-state count (the q axis)
-  bool drops = false;               ///< window full: oldest FEC leaves
-};
-
 template <size_t W>
-void RunBiasStep(const StepJob& j) {
-  // The surviving window digits of q (mixed radix, last digit least
-  // significant) and their pair rows, advanced together as an odometer.
-  uint8_t dig[8] = {0};
-  const double* rows[W] = {};
+void RunBiasStep(const StepJob& job) {
+  // A local copy: the byte stores below could otherwise alias its fields.
+  const StepJob j = job;
   const size_t r_cur = j.r_cur;
+  const size_t r0 = j.drops ? j.radix[0] : 1;
+  std::fill(j.cur_live, j.cur_live + j.keep, static_cast<uint8_t>(r_cur));
+  uint8_t digits[256];
+  double bases[256];
+  const double* rows[W] = {};
+  if (W == 1 && j.drops) {
+    // γ = 1: one output row; column d0 is feasible from band_lo[d0], which
+    // never decreases in d0, and its band ends at band_hi[d0].
+    const size_t m = PickColumns(
+        j.prev_live[0], r0, j.prev_cost, 1, [](size_t) { return true; },
+        digits, bases);
+    const size_t hi = j.band_hi[digits[m - 1]];
+    rows[0] = j.pair + digits[0] * r_cur;
+    MergeRows<W, true>(j.cur_cost, j.drop, rows, bases[0], digits[0],
+                       j.band_lo[digits[0]], hi);
+    for (size_t t = 1; t < m; ++t) {
+      rows[0] = j.pair + digits[t] * r_cur;
+      MergeRows<W, false>(j.cur_cost, j.drop, rows, bases[t], digits[t],
+                          j.band_lo[digits[t]], hi);
+    }
+    FinishRow(j, 0, j.band_lo[digits[0]], hi, bases[m - 1], digits[m - 1]);
+    return;
+  }
+  // q = rq * g_last + dl: dl is the digit of the window's last FEC, and rq
+  // its other surviving digits. Previous state (d0, q) lies in previous row
+  // d0 * rq_count + rq, so rq is live when one of those rows is.
+  const size_t g_last = j.radix[W - 1];
+  const size_t rq_count = j.keep / g_last;
   const size_t first_pos = j.drops ? 1 : 0;
-  for (size_t k = first_pos; k < W; ++k) rows[k] = j.pair + j.pair_off[k];
-  for (size_t q = 0; q < j.keep; ++q) {
-    double* out = j.cur_cost + q * r_cur;
-    uint8_t* dr = j.drop_row + q * r_cur;
-    if (j.drops) {
-      double min_base = kInf;  // smallest base swept for this q
-      for (size_t d0 = 0; d0 < j.radix[0]; ++d0) {
-        const double base = j.prev_cost[d0 * j.keep + q];
-        if (!(base < min_base)) continue;
-        min_base = base;
-        rows[0] = j.pair + j.pair_off[0] + d0 * r_cur;
-        // For γ = 1 the dropped digit is also the window's last digit.
-        const size_t c_min = j.c_min[W == 1 ? d0 : dig[W - 1]];
-        MergeRows<W>(out, dr, rows, base, static_cast<uint8_t>(d0), c_min,
-                     r_cur);
+  for (size_t r = 0; r < j.prev_row_count; ++r) {
+    const size_t rq = j.prev_rows[r] % rq_count;
+    j.rq_bits[rq / 64] |= uint64_t{1} << (rq % 64);
+  }
+  digits[0] = 0;  // what a step that drops nothing stores; never read
+  for (size_t word = 0; word * 64 < rq_count; ++word) {
+    for (uint64_t bits = j.rq_bits[word]; bits != 0; bits &= bits - 1) {
+      const size_t rq = word * 64 + static_cast<size_t>(std::countr_zero(bits));
+      // The pair rows of rq's digits.
+      for (size_t k = W - 1, rest = rq; k-- > first_pos;) {
+        rows[k] = j.pair + j.pair_off[k] + (rest % j.radix[k]) * r_cur;
+        rest /= j.radix[k];
       }
-    } else {
-      const double base = j.prev_cost[q];
-      if (base < kInf) {
-        MergeRows<W>(out, dr, rows, base, uint8_t{0xff}, j.c_min[dig[W - 1]],
-                     r_cur);
+      // Column d0 has a finite base for q iff live[d0 * rq_count] <= dl. Per
+      // dl, the columns that do lie in [d_begin, d_end[dl]).
+      const uint8_t* live = j.prev_live + rq;
+      size_t first_dl = g_last;
+      size_t d_begin = r0;
+      uint8_t d_end[256];
+      std::fill(d_end, d_end + g_last, uint8_t{0});
+      for (size_t d0 = 0; d0 < r0; ++d0) {
+        const size_t from = live[d0 * rq_count];
+        if (from < g_last) {
+          first_dl = std::min(first_dl, from);
+          d_begin = std::min(d_begin, d0);
+          d_end[from] = static_cast<uint8_t>(d0 + 1);
+        }
+      }
+      for (size_t dl = first_dl + 1; dl < g_last; ++dl) {
+        d_end[dl] = std::max(d_end[dl], d_end[dl - 1]);
+      }
+      for (size_t dl = first_dl; dl < g_last; ++dl) {
+        const size_t q = rq * g_last + dl;
+        const double* base_col = j.prev_cost + q;
+        size_t m = 1;
+        if (j.drops) {
+          m = PickColumns(
+              d_begin, d_end[dl], base_col, j.keep,
+              [&](size_t d0) { return live[d0 * rq_count] <= dl; }, digits,
+              bases);
+        } else {
+          bases[0] = base_col[0];
+        }
+        rows[W - 1] = j.pair + j.pair_off[W - 1] + dl * r_cur;
+        const size_t lo = j.band_lo[dl];
+        const size_t hi = j.band_hi[dl];
+        double* out = j.cur_cost + q * r_cur;
+        uint8_t* dr = j.drop + q * r_cur;
+        if (j.drops) rows[0] = j.pair + digits[0] * r_cur;
+        MergeRows<W, true>(out, dr, rows, bases[0], digits[0], lo, hi);
+        for (size_t t = 1; t < m; ++t) {
+          rows[0] = j.pair + digits[t] * r_cur;
+          MergeRows<W, false>(out, dr, rows, bases[t], digits[t], lo, hi);
+        }
+        FinishRow(j, q, lo, hi, bases[m - 1], digits[m - 1]);
       }
     }
-    for (size_t k = W; k-- > first_pos;) {
-      if (++dig[k] < j.radix[k]) {
-        rows[k] += r_cur;
-        break;
-      }
-      dig[k] = 0;
-      rows[k] = j.pair + j.pair_off[k];
-    }
+    j.rq_bits[word] = 0;
   }
 }
 
@@ -179,49 +296,46 @@ constexpr void (*kRunBiasStep[9])(const StepJob&) = {
     &RunBiasStep<3>, &RunBiasStep<4>, &RunBiasStep<5>,
     &RunBiasStep<6>, &RunBiasStep<7>, &RunBiasStep<8>};
 
-/// Fills the pairwise-cost tables (k-major, each T_k laid out [d][c]) and the
-/// per-last-digit feasibility bounds for step \p i. Pure function of the
-/// grids/estimators.
+/// Fills the pairwise-cost tables (k-major, each T_k laid out [d][c]) of step
+/// \p i on their bands, and the last window FEC's per-digit band [lo, hi).
+/// Row d of T_k is evaluated only on the candidates at distance 1 .. α from
+/// est_j[d]; below lies no finite state, above the cost is 0.0, and rows the
+/// kernel reads past their band get that tail as zeros.
 void BuildStepTables(const std::vector<FecProfile>& fecs,
-                     const std::vector<std::vector<int64_t>>& grids,
                      const std::vector<std::vector<int64_t>>& est,
                      int64_t alpha, size_t i, size_t gamma, double* pair_dst,
-                     uint32_t* c_min_dst) {
+                     uint8_t* band_lo, uint8_t* band_hi) {
   const size_t w = std::min(i, gamma);
   const size_t first_fec = i - w;
-  const size_t r_cur = grids[i].size();
+  const size_t r_cur = est[i].size();
   const int64_t* est_cur = est[i].data();
-  // First feasible candidate per last-digit value: estimators are ascending
-  // in the candidate index, so the e_{i-1} < e_i constraint is a lower bound
-  // on c. Two-pointer over the two ascending arrays.
-  {
-    const int64_t* est_prev = est[i - 1].data();
-    const size_t r_last = grids[i - 1].size();
-    size_t c = 0;
-    for (size_t d = 0; d < r_last; ++d) {
-      while (c < r_cur && est_cur[c] <= est_prev[d]) ++c;
-      c_min_dst[d] = static_cast<uint32_t>(c);
-    }
-  }
-  // PairCost is nonzero only below distance α + 1, and the distance
-  // est_cur[c] − est_j[d] rises with c, so each row is a nonzero prefix and
-  // a zero tail. The prefix grows with d, since est_j rises with d.
   double* table = pair_dst;
   for (size_t k = 0; k < w; ++k) {
     const size_t j = first_fec + k;
     const int64_t* est_j = est[j].data();
-    size_t nonzero = 0;
-    for (size_t d = 0; d < grids[j].size(); ++d) {
-      while (nonzero < r_cur && est_cur[nonzero] - est_j[d] < alpha + 1) {
-        ++nonzero;
-      }
+    const double weight =
+        static_cast<double>(fecs[j].member_count + fecs[i].member_count);
+    const bool last = k + 1 == w;
+    // Only γ = 1 merges the last FEC's rows past their own band.
+    const bool zero_tail = !last || gamma == 1;
+    // Both band ends rise with d, since est_j rises with d.
+    size_t lo = 0;
+    size_t hi = 0;
+    for (size_t d = 0; d < est[j].size(); ++d) {
+      while (lo < r_cur && est_cur[lo] <= est_j[d]) ++lo;
+      hi = std::max(hi, lo);
+      while (hi < r_cur && est_cur[hi] - est_j[d] < alpha + 1) ++hi;
       double* row = table + d * r_cur;
-      for (size_t c = 0; c < nonzero; ++c) {
-        row[c] = PairCost(fecs[j], fecs[i], est_cur[c] - est_j[d], alpha);
+      for (size_t c = lo; c < hi; ++c) {
+        row[c] = BandCost(weight, est_cur[c] - est_j[d], alpha);
       }
-      std::fill(row + nonzero, row + r_cur, 0.0);
+      if (zero_tail) std::fill(row + hi, row + r_cur, 0.0);
+      if (last) {
+        band_lo[d] = static_cast<uint8_t>(lo);
+        band_hi[d] = static_cast<uint8_t>(hi);
+      }
     }
-    table += grids[j].size() * r_cur;
+    table += est[j].size() * r_cur;
   }
 }
 
@@ -362,13 +476,10 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
   BiasDpScratch& s = scratch ? *scratch : local;
 
   const size_t grid_cap = DeriveGridCap(opt, gamma);
-  if (s.grids.size() < n) s.grids.resize(n);
   if (s.est.size() < n) s.est.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    BiasGridInto(fecs[i].max_bias, grid_cap, &s.grids[i]);
-    s.est[i].clear();
-    s.est[i].reserve(s.grids[i].size());
-    for (int64_t b : s.grids[i]) s.est[i].push_back(fecs[i].support + b);
+    BiasGridInto(fecs[i].max_bias, grid_cap, &s.est[i]);
+    for (int64_t& e : s.est[i]) e += fecs[i].support;
   }
 
   // State space per step: the mixed-radix product of the window's grid sizes
@@ -381,82 +492,100 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
   for (size_t i = 0; i < n; ++i) {
     const size_t w = std::min(i + 1, gamma);
     size_t states = 1;
-    for (size_t j = i + 1 - w; j <= i; ++j) states *= s.grids[j].size();
+    for (size_t j = i + 1 - w; j <= i; ++j) states *= s.est[j].size();
     s.state_count[i] = states;
     s.step_offset[i] = backtrack_bytes;
     backtrack_bytes += states;
   }
-  s.dropped.assign(backtrack_bytes, 0xff);
+  if (s.dropped.size() < backtrack_bytes) s.dropped.resize(backtrack_bytes);
 
-  // Each step's pairwise cost tables and feasibility bounds are built just
-  // before the step, into buffers sized for the largest step.
+  // Each step's pairwise cost tables and bands are built just before the
+  // step, into buffers sized for the largest step.
   size_t max_step_doubles = 0;
-  size_t max_grid = 0;
+  size_t max_states = s.state_count[0];
+  size_t max_rows = 1;
   for (size_t i = 1; i < n; ++i) {
     const size_t w = std::min(i, gamma);
-    const size_t first_fec = i - w;
     size_t step_doubles = 0;
-    for (size_t k = 0; k < w; ++k) {
-      step_doubles += s.grids[first_fec + k].size() * s.grids[i].size();
+    for (size_t j = i - w; j < i; ++j) {
+      step_doubles += s.est[j].size() * s.est[i].size();
     }
     max_step_doubles = std::max(max_step_doubles, step_doubles);
-    max_grid = std::max(max_grid, s.grids[i - 1].size());
+    max_states = std::max(max_states, s.state_count[i]);
+    max_rows = std::max(max_rows, s.state_count[i] / s.est[i].size());
   }
-  s.pair_cost.resize(max_step_doubles);
-  s.c_min.resize(max_grid);
+  if (s.pair_cost.size() < max_step_doubles) {
+    s.pair_cost.resize(max_step_doubles);
+  }
+  for (std::vector<double>* v : {&s.prev_cost, &s.cur_cost}) {
+    if (v->size() < max_states) v->resize(max_states);
+  }
+  for (std::vector<uint8_t>* v : {&s.prev_live, &s.cur_live}) {
+    if (v->size() < max_rows) v->resize(max_rows);
+  }
+  if (s.rq_bits.size() < max_rows / 64 + 1) s.rq_bits.resize(max_rows / 64 + 1);
+  s.band_lo.resize(255);
+  s.band_hi.resize(255);
 
-  // Step 0: FEC 0 alone in the window, zero cost for every candidate.
-  s.prev_cost.assign(s.state_count[0], 0.0);
+  // Step 0: FEC 0 alone in the window, one live row of zero costs.
+  std::fill(s.prev_cost.begin(), s.prev_cost.begin() + s.state_count[0], 0.0);
+  s.prev_live[0] = 0;
+  s.prev_rows.assign(1, 0);
 
   for (size_t i = 1; i < n; ++i) {
     const size_t w_prev = std::min(i, gamma);
     const bool drops = w_prev == gamma;
     const size_t first_fec = i - w_prev;
     const size_t prev_states = s.state_count[i - 1];
-    const size_t cur_states = s.state_count[i];
-    const size_t r_cur = s.grids[i].size();
-    // Digits kept from the previous window when the oldest drops out.
-    const size_t keep =
-        drops ? prev_states / s.grids[first_fec].size() : prev_states;
+    const size_t r_cur = s.est[i].size();
 
-    // Every output slot starts unreached; the kernel lowers those it reaches.
-    if (s.cur_cost.size() < cur_states) s.cur_cost.resize(cur_states);
-    std::fill(s.cur_cost.begin(), s.cur_cost.begin() + cur_states, kInf);
-
-    BuildStepTables(fecs, s.grids, s.est, alpha, i, gamma, s.pair_cost.data(),
-                    s.c_min.data());
+    BuildStepTables(fecs, s.est, alpha, i, gamma, s.pair_cost.data(),
+                    s.band_lo.data(), s.band_hi.data());
 
     StepJob job;
     job.prev_cost = s.prev_cost.data();
+    job.prev_live = s.prev_live.data();
     job.cur_cost = s.cur_cost.data();
-    job.drop_row = s.dropped.data() + s.step_offset[i];
+    job.cur_live = s.cur_live.data();
+    job.drop = s.dropped.data() + s.step_offset[i];
     job.pair = s.pair_cost.data();
-    job.c_min = s.c_min.data();
+    job.band_lo = s.band_lo.data();
+    job.band_hi = s.band_hi.data();
     {
       size_t off = 0;
       for (size_t k = 0; k < w_prev; ++k) {
         job.pair_off[k] = off;
-        job.radix[k] = s.grids[first_fec + k].size();
+        job.radix[k] = s.est[first_fec + k].size();
         off += job.radix[k] * r_cur;
       }
     }
     job.r_cur = r_cur;
-    job.keep = keep;
+    // Digits kept from the previous window when the oldest drops out.
+    job.keep = drops ? prev_states / job.radix[0] : prev_states;
     job.drops = drops;
+    job.prev_rows = s.prev_rows.data();
+    job.prev_row_count = s.prev_rows.size();
+    s.cur_rows.clear();
+    job.cur_rows = &s.cur_rows;
+    job.rq_bits = s.rq_bits.data();
     kRunBiasStep[w_prev](job);
     std::swap(s.prev_cost, s.cur_cost);
-    assert(std::any_of(s.prev_cost.begin(), s.prev_cost.begin() + cur_states,
-                       [](double c) { return c < kInf; }));
+    std::swap(s.prev_live, s.cur_live);
+    std::swap(s.prev_rows, s.cur_rows);
+    assert(!s.prev_rows.empty());
   }
 
   // Pick the cheapest final state (ties to the lexicographically smallest,
   // matching the reference's ordered-map sweep) and backtrack.
+  const size_t r_last = s.est[n - 1].size();
   size_t best_state = 0;
   double best_cost = kInf;
-  for (size_t p = 0; p < s.state_count[n - 1]; ++p) {
-    if (s.prev_cost[p] < best_cost) {
-      best_cost = s.prev_cost[p];
-      best_state = p;
+  for (const uint32_t q : s.prev_rows) {
+    for (size_t c = s.prev_live[q]; c < r_last; ++c) {
+      if (s.prev_cost[q * r_last + c] < best_cost) {
+        best_cost = s.prev_cost[q * r_last + c];
+        best_state = q * r_last + c;
+      }
     }
   }
 
@@ -466,8 +595,8 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
     const size_t w = std::min(n, gamma);
     size_t idx = best_state;
     for (size_t pos = n; pos-- > n - w;) {
-      s.choice[pos] = static_cast<uint8_t>(idx % s.grids[pos].size());
-      idx /= s.grids[pos].size();
+      s.choice[pos] = static_cast<uint8_t>(idx % s.est[pos].size());
+      idx /= s.est[pos].size();
     }
     // Walk back: at step i the stored `dropped` is the choice of FEC i - γ.
     size_t state = best_state;
@@ -475,15 +604,14 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
       const uint8_t drop = s.dropped[s.step_offset[i] + state];
       s.choice[i - gamma] = drop;
       // Parent state at step i-1: dropped digit prepended, last removed.
-      const size_t keep_prev =
-          s.state_count[i - 1] / s.grids[i - gamma].size();
-      state = static_cast<size_t>(drop) * keep_prev + state / s.grids[i].size();
+      const size_t keep_prev = s.state_count[i - 1] / s.est[i - gamma].size();
+      state = static_cast<size_t>(drop) * keep_prev + state / s.est[i].size();
     }
   }
 
   std::vector<double> biases(n);
   for (size_t i = 0; i < n; ++i) {
-    biases[i] = static_cast<double>(s.grids[i][s.choice[i]]);
+    biases[i] = static_cast<double>(s.est[i][s.choice[i]] - fecs[i].support);
     // Algorithm 1 postcondition: the biased estimators e_i = t_i + β_i stay
     // strictly increasing — the DP admits only candidates that preserve the
     // released support order, and a violation here would let an adversary

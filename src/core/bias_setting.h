@@ -32,16 +32,24 @@ std::vector<double> ZeroBiases(size_t n);
 /// use and keep their capacity afterwards. Not thread-safe: use one scratch
 /// per concurrent caller.
 struct BiasDpScratch {
-  std::vector<std::vector<int64_t>> grids;  ///< per-FEC bias candidates
-  std::vector<std::vector<int64_t>> est;    ///< est[i][c] = t_i + grid[i][c]
-  std::vector<size_t> state_count;          ///< DP states per step
-  std::vector<size_t> step_offset;          ///< per-step base into `dropped`
-  std::vector<double> prev_cost;            ///< flat cost table, step i−1
-  std::vector<double> cur_cost;             ///< flat cost table, step i
-  std::vector<uint8_t> dropped;   ///< per (step, state) backtrack digit
-  std::vector<double> pair_cost;  ///< the current step's pairwise-cost tables
-  std::vector<uint32_t> c_min;    ///< per last-digit first feasible candidate
-  std::vector<uint8_t> choice;    ///< backtracked candidate per FEC
+  std::vector<std::vector<int64_t>> est;  ///< est[i][c] = t_i + grid_i[c]
+  std::vector<size_t> state_count;        ///< DP states per step
+  std::vector<size_t> step_offset;        ///< per-step base into `dropped`
+  /// Flat cost tables of steps i−1 and i, one row of r_i candidates per
+  /// surviving window. Only a live row's finite part [live, r_i) is written.
+  std::vector<double> prev_cost;
+  std::vector<double> cur_cost;
+  std::vector<uint8_t> prev_live;  ///< per row: first finite c, r_i if none
+  std::vector<uint8_t> cur_live;
+  std::vector<uint32_t> prev_rows;  ///< step i−1's live rows, ascending
+  std::vector<uint32_t> cur_rows;   ///< step i's live rows, ascending
+  /// Per (step, state) backtrack digit; only finite states are written.
+  std::vector<uint8_t> dropped;
+  std::vector<double> pair_cost;   ///< the current step's pair tables
+  std::vector<uint8_t> band_lo;    ///< per last digit: first feasible c
+  std::vector<uint8_t> band_hi;    ///< per last digit: end of the cost band
+  std::vector<uint64_t> rq_bits;   ///< a step's live surviving windows
+  std::vector<uint8_t> choice;     ///< backtracked candidate per FEC
 };
 
 /// Order-preserving bias setting (Algorithm 1). FECs must be strictly
@@ -56,25 +64,34 @@ struct BiasDpScratch {
 /// releases. Equal-cost ties are broken toward the lexicographically
 /// smallest candidate window, so the result is deterministic and identical
 /// to OrderPreservingBiasesReference. Each step is an output-major sweep:
-/// for each surviving window q it merges one row per dropped digit d0, in
-/// ascending d0, into the output slots. Three shortcuts leave every cost,
-/// tie-break and backtrack byte equal to the reference's:
-///  - A column d0 is merged only if its base cost is strictly below every
-///    base already merged for q. The dropped FEC's estimators rise with d0
-///    and the pair cost does not grow with distance, so an earlier column's
-///    pair row is <= a later one's at every candidate; IEEE addition is
-///    monotone, so its totals are too; the strict-< merge keeps the earlier
-///    column on a tie; and for γ = 1 the feasibility bound c_min[d0] never
-///    decreases, so the earlier column reaches every slot the later one does.
-///  - The window's rows are summed inside the merge, as
-///    base + ((T_0 + T_1) + …), the reference's association, and the winner
-///    is picked with a branch-free select.
-///  - Each pair-table row is evaluated only on its nonzero prefix (distance
-///    below α + 1) and zero-filled after it; the pair cost is exactly 0.0
-///    there.
+/// for each surviving window q (the digits kept when the oldest FEC leaves)
+/// with a finite base, it merges one row per dropped digit d0, in ascending
+/// d0, into q's output row, summed as base + ((T_0 + T_1) + …), the
+/// reference's association, and keeps a total and its d0 (the backtrack
+/// byte) only where it is strictly below the slot's, as the reference's
+/// strict-< sweep does. The shortcuts below leave every cost and every
+/// backtrack byte equal to the reference's:
+///  - Only columns that can win are merged: those whose base is finite and
+///    strictly below every earlier column's base for q, picked in one
+///    branch-free pass. The dropped FEC's estimators rise with d0 and the
+///    pair cost does not grow with distance, so an earlier column's pair row
+///    is <= a later one's at every candidate; IEEE addition is monotone, so
+///    its totals are too; and for γ = 1 the feasibility bound band_lo[d0]
+///    never decreases, so the earlier column reaches every slot the later
+///    one does. A skipped column thus never has a total strictly below an
+///    earlier column's, and cannot be the reference's strict-< winner.
+///  - The merge runs only on the band [band_lo, band_hi) of q's last digit:
+///    the candidates at distance 1 .. α above that FEC's estimator, so the
+///    pair tables are evaluated only there. Below the band no finite state
+///    lies (the estimators must rise); above it every pair cost is 0.0, as
+///    every earlier window FEC's estimator is lower still, so each column's
+///    total is its base. The picked bases fall strictly, so the last picked
+///    column is the first d0 with the smallest base: [band_hi, r) takes its
+///    base and its digit.
+///  - A surviving window no column reaches is never visited: each step lists
+///    its live rows, and the next step visits only the windows they feed.
 /// Precondition: opt.max_states <= kMaxOrderStates (ButterflyConfig::Validate
-/// enforces it), which bounds every step's table at kMaxOrderStates states
-/// and the backtrack table at one byte per state per FEC.
+/// enforces it), which bounds every step's table at kMaxOrderStates states.
 std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
                                           int64_t alpha,
                                           const OrderOptConfig& opt,

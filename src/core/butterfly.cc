@@ -26,17 +26,20 @@ ButterflyEngine::ButterflyEngine(const ButterflyConfig& config)
 
 std::vector<double> ButterflyEngine::ComputeBiases(
     const std::vector<FecProfile>& profiles) {
+  // One DP scratch per thread, not per engine: a fleet's engines release on
+  // its pool's threads, so that many scratches serve every tenant.
+  thread_local BiasDpScratch dp_scratch;
   switch (config_.scheme) {
     case ButterflyScheme::kBasic:
       return ZeroBiases(profiles.size());
     case ButterflyScheme::kOrderPreserving:
       return OrderPreservingBiases(profiles, noise_.alpha(),
-                                   config_.order_opt, &dp_scratch_);
+                                   config_.order_opt, &dp_scratch);
     case ButterflyScheme::kRatioPreserving:
       return RatioPreservingBiases(profiles);
     case ButterflyScheme::kHybrid: {
       std::vector<double> order = OrderPreservingBiases(
-          profiles, noise_.alpha(), config_.order_opt, &dp_scratch_);
+          profiles, noise_.alpha(), config_.order_opt, &dp_scratch);
       std::vector<double> ratio = RatioPreservingBiases(profiles);
       return HybridBiases(profiles, order, ratio, config_.lambda);
     }

@@ -106,7 +106,6 @@ class ButterflyEngine {
   uint64_t epoch_ = 0;
 
   // Preallocated hot-path scratch, reused across releases.
-  BiasDpScratch dp_scratch_;
   std::vector<FecProfile> profiles_scratch_;
 };
 

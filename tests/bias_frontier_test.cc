@@ -1,8 +1,9 @@
 /// \file bias_frontier_test.cc
 /// \brief Algorithm 1's flat output-major DP against the map-based oracle:
 /// they must agree bit for bit across γ ∈ {1..8}, under a starved state
-/// budget, and on profiles shaped like the end-to-end workloads' windows,
-/// whose wide grids and tied base costs drive the DP's column skip.
+/// budget, on profiles shaped like the end-to-end workloads' windows, whose
+/// wide grids and tied base costs drive the DP's column skip and bands, and
+/// on a γ = 1 profile built so that the merge's feasibility bound decides.
 
 #include <algorithm>
 #include <cstdint>
@@ -79,16 +80,20 @@ TEST(BiasFrontierTest, StarvedStateBudgetKeepsFlatAndOracleAligned) {
   }
 }
 
-/// Profiles shaped like a dense-lattice window at ε = 0.1, δ = 0.4, K = 5
-/// (α = 7, σ² = 5.25): supports from 8 into the thousands, 1–200 members
-/// each, so all but the lowest FECs' grids hold 21 points.
-std::vector<FecProfile> WorkloadProfiles(Rng* rng, size_t n) {
+/// Profiles shaped like the end-to-end workloads' windows at δ = 0.4, K = 5
+/// (α = 7, σ² = 5.25). At ε = 0.1 from support 8 with 1–200 members, a
+/// dense-lattice window: supports into the thousands, and all but the lowest
+/// FECs' grids hold 21 points. At ε = 0.03 from support 15 with 1–30
+/// members, a fleet tenant's small window.
+std::vector<FecProfile> WorkloadProfiles(Rng* rng, size_t n, double epsilon,
+                                         Support first, int64_t members) {
   std::vector<FecProfile> fecs;
   fecs.reserve(n);
-  Support t = 8;
+  Support t = first;
   for (size_t i = 0; i < n; ++i) {
-    fecs.push_back(FecProfile{t, static_cast<size_t>(rng->UniformInt(1, 200)),
-                              MaxAdjustableBias(t, 0.1, 5.25)});
+    fecs.push_back(
+        FecProfile{t, static_cast<size_t>(rng->UniformInt(1, members)),
+                   MaxAdjustableBias(t, epsilon, 5.25)});
     t += static_cast<Support>(rng->UniformInt(1, std::max<Support>(1, t / 8)));
   }
   return fecs;
@@ -96,18 +101,35 @@ std::vector<FecProfile> WorkloadProfiles(Rng* rng, size_t n) {
 
 TEST(BiasFrontierTest, WorkloadShapedProfilesMatchOracle) {
   BiasDpScratch scratch;
-  for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}}) {
-    for (uint64_t seed = 1; seed <= 2; ++seed) {
-      Rng rng(seed * 977 + gamma);
-      std::vector<FecProfile> fecs = WorkloadProfiles(&rng, 120);
-      ASSERT_GT(fecs.back().support, 1000);
-      OrderOptConfig opt;
-      opt.gamma = gamma;
-      const std::string label =
-          "γ=" + std::to_string(gamma) + " seed=" + std::to_string(seed);
-      ExpectBitIdentical(OrderPreservingBiases(fecs, 7, opt, &scratch),
-                         OrderPreservingBiasesReference(fecs, 7, opt),
-                         "workload " + label);
+  struct Shape {
+    const char* name;
+    double epsilon;
+    Support first;
+    int64_t members;
+  };
+  for (const Shape& shape :
+       {Shape{"dense", 0.1, 8, 200}, Shape{"fleet", 0.03, 15, 30}}) {
+    for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                         size_t{8}}) {
+      // The oracle's maps grow with the state count, which peaks at γ = 4.
+      const size_t n = gamma <= 3 ? 120 : 40;
+      for (uint64_t seed = 1; seed <= 2; ++seed) {
+        Rng rng(seed * 977 + gamma);
+        std::vector<FecProfile> fecs = WorkloadProfiles(
+            &rng, n, shape.epsilon, shape.first, shape.members);
+        // 120 FECs reach supports in the thousands; 40 stop in the hundreds.
+        if (n == 120) {
+          ASSERT_GT(fecs.back().support, 1000);
+        }
+        OrderOptConfig opt;
+        opt.gamma = gamma;
+        const std::string label = std::string(shape.name) +
+                                  " γ=" + std::to_string(gamma) +
+                                  " seed=" + std::to_string(seed);
+        ExpectBitIdentical(OrderPreservingBiases(fecs, 7, opt, &scratch),
+                           OrderPreservingBiasesReference(fecs, 7, opt),
+                           "workload " + label);
+      }
     }
   }
 }
@@ -115,22 +137,46 @@ TEST(BiasFrontierTest, WorkloadShapedProfilesMatchOracle) {
 TEST(BiasFrontierTest, TiedBaseCostsMatchOracle) {
   // Equal member counts and evenly spaced supports make many candidate
   // windows cost the same, so several dropped-digit columns of one output
-  // state tie on base cost and the strict-< tie-break decides.
-  std::vector<FecProfile> fecs;
-  for (Support t = 100; t < 100 + 60 * 12; t += 12) {
-    fecs.push_back(FecProfile{t, 5, MaxAdjustableBias(t, 0.016, 5.25)});
-  }
+  // state tie on base cost and the strict-< tie-break decides. At spacing 4
+  // the dropped FEC's band ends inside the merge range of the FEC after it,
+  // so the kernel reads the pair tables' zero tails. At α = 2^24 the costs
+  // pass 2^53 and round, so the order in which a total is summed matters.
   BiasDpScratch scratch;
-  for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}}) {
-    for (int64_t alpha : {int64_t{3}, int64_t{7}, int64_t{11}}) {
-      OrderOptConfig opt;
-      opt.gamma = gamma;
-      ExpectBitIdentical(OrderPreservingBiases(fecs, alpha, opt, &scratch),
-                         OrderPreservingBiasesReference(fecs, alpha, opt),
-                         "tied γ=" + std::to_string(gamma) +
-                             " α=" + std::to_string(alpha));
+  for (Support spacing : {Support{12}, Support{4}}) {
+    std::vector<FecProfile> fecs;
+    for (Support t = 100; t < 100 + 60 * spacing; t += spacing) {
+      fecs.push_back(FecProfile{t, 5, MaxAdjustableBias(t, 0.016, 5.25)});
+    }
+    for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}}) {
+      for (int64_t alpha :
+           {int64_t{3}, int64_t{7}, int64_t{11}, int64_t{1} << 24}) {
+        OrderOptConfig opt;
+        opt.gamma = gamma;
+        ExpectBitIdentical(OrderPreservingBiases(fecs, alpha, opt, &scratch),
+                           OrderPreservingBiasesReference(fecs, alpha, opt),
+                           "tied spacing=" + std::to_string(spacing) +
+                               " γ=" + std::to_string(gamma) +
+                               " α=" + std::to_string(alpha));
+      }
     }
   }
+}
+
+TEST(BiasFrontierTest, GammaOneBoundSkipsInfeasibleCheapestColumn) {
+  // γ = 1. FEC 0 is heavy and fixed at 100, so FEC 1's cost falls as its
+  // estimator rises; FEC 3 is heavy and fixed at 104, which keeps FEC 2 at
+  // 102 or 103. There FEC 1's cheapest bases lie at or above FEC 2's
+  // estimator, where a light pair's inversion costs less than the base they
+  // save, so only the e_1 < e_2 bound keeps FEC 2's slots from taking them.
+  // The optimum leaves every estimator at its support.
+  const std::vector<FecProfile> fecs = {
+      {100, 1000, 0.0}, {101, 1, 10.0}, {102, 1, 10.0}, {104, 1000, 0.0}};
+  OrderOptConfig opt;
+  opt.gamma = 1;
+  const std::vector<double> oracle =
+      OrderPreservingBiasesReference(fecs, 7, opt);
+  ExpectBitIdentical(OrderPreservingBiases(fecs, 7, opt), oracle, "γ=1");
+  EXPECT_EQ(oracle, (std::vector<double>{0, 0, 0, 0}));
 }
 
 }  // namespace

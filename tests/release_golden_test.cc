@@ -3,7 +3,8 @@
 /// two code paths of one build with each other, so a change that alters the
 /// bytes the same way on every path passes all of them. This test replays a
 /// fixed BMS-WebView-1 stream through StreamPrivacyEngine under every scheme
-/// (republish cache on) at threads=1 and threads=4, and compares an FNV-1a
+/// (republish cache on), and under the order-preserving scheme also at
+/// γ = 1, 4 and 8, at threads=1 and threads=4, and compares an FNV-1a
 /// digest of each WriteRelease log against a recorded constant. The window
 /// holds enough FECs that the Algorithm 1 DP runs full γ-windows over
 /// multi-point bias grids. Re-record a constant only for a deliberate change
@@ -30,13 +31,15 @@ constexpr size_t kStride = 25;
 constexpr size_t kReleases = 12;
 constexpr size_t kMinFecs = 50;
 
-ButterflyConfig GoldenConfig(ButterflyScheme scheme, int64_t threads) {
+ButterflyConfig GoldenConfig(ButterflyScheme scheme, size_t gamma,
+                             int64_t threads) {
   ButterflyConfig config;
   config.epsilon = 0.016;
   config.delta = 0.4;
   config.min_support = 12;
   config.vulnerable_support = 3;
   config.scheme = scheme;
+  config.order_opt.gamma = gamma;
   config.lambda = 0.4;
   config.republish_cache = true;
   config.threads = threads;
@@ -99,22 +102,30 @@ Replay ReplayStream(const ButterflyConfig& config) {
 
 struct GoldenCase {
   ButterflyScheme scheme;
+  size_t gamma;  ///< Algorithm 1's window length
   uint64_t digest;
 };
 
+// Every scheme at the default γ = 2, and the order-preserving scheme at
+// γ = 1, 4 and 8, whose DP windows have other lengths.
 constexpr GoldenCase kGolden[] = {
-    {ButterflyScheme::kBasic, 0xdfcfe2a98126fd23ull},
-    {ButterflyScheme::kOrderPreserving, 0x239ae34eac3c11d2ull},
-    {ButterflyScheme::kRatioPreserving, 0x8bb9a56a336368a6ull},
-    {ButterflyScheme::kHybrid, 0x2640541c97ce85d1ull},
+    {ButterflyScheme::kBasic, 2, 0xdfcfe2a98126fd23ull},
+    {ButterflyScheme::kOrderPreserving, 2, 0x239ae34eac3c11d2ull},
+    {ButterflyScheme::kRatioPreserving, 2, 0x8bb9a56a336368a6ull},
+    {ButterflyScheme::kHybrid, 2, 0x2640541c97ce85d1ull},
+    {ButterflyScheme::kOrderPreserving, 1, 0x60f41a874457335dull},
+    {ButterflyScheme::kOrderPreserving, 4, 0x31867df7de0901a8ull},
+    {ButterflyScheme::kOrderPreserving, 8, 0x3d11419331a1e12eull},
 };
 
 TEST(ReleaseGoldenTest, LogDigestsMatchRecordedConstants) {
   for (const GoldenCase& golden : kGolden) {
     for (int64_t threads : {int64_t{1}, int64_t{4}}) {
-      const std::string label =
-          SchemeName(golden.scheme) + " @" + std::to_string(threads);
-      const Replay replay = ReplayStream(GoldenConfig(golden.scheme, threads));
+      const std::string label = SchemeName(golden.scheme) + " γ=" +
+                                std::to_string(golden.gamma) + " @" +
+                                std::to_string(threads);
+      const Replay replay =
+          ReplayStream(GoldenConfig(golden.scheme, golden.gamma, threads));
       EXPECT_EQ(replay.releases, kReleases) << label;
       EXPECT_GE(replay.min_fecs, kMinFecs) << label;
       EXPECT_EQ(replay.any_bias, golden.scheme != ButterflyScheme::kBasic)
