@@ -23,9 +23,9 @@
 ///    (`unattributed_ns`). The stages must cover at least 95% of its wall
 ///    time; otherwise the binary prints STAGE COVERAGE and exits 1.
 /// Rows are measured with the harness's warmup + median-of-N discipline.
-/// Results are written as machine-readable JSON (--json=PATH; see
-/// BENCH_overhead.json) so future PRs can diff the trajectory. --smoke runs
-/// a seconds-scale variant, registered in ctest.
+/// Results are written as machine-readable JSON only when --json=PATH names
+/// a file (see BENCH_overhead.json), so future PRs can diff the trajectory.
+/// --smoke runs a seconds-scale variant, registered in ctest.
 ///
 /// Flags: --smoke --json=PATH
 ///        --baseline=PATH (fail if a guarded bench regresses >3x vs artifact)
@@ -747,8 +747,7 @@ int main(int argc, char** argv) {
 
   FlagParser flags(argc, argv);
   const bool smoke = flags.GetBool("smoke", false);
-  const std::string json_path =
-      flags.GetString("json", smoke ? "BENCH_overhead.json" : "");
+  const std::string json_path = flags.GetString("json", "");
   const std::string baseline_path = flags.GetString("baseline", "");
   const double baseline_factor = flags.GetDouble("baseline_factor", 3.0);
   if (!flags.ok()) {

@@ -25,7 +25,8 @@
 /// the million-item alphabet where dense per-tenant row stores would not fit
 /// at fleet scale.
 ///
-/// Flags: --smoke --json=PATH (see BENCH_throughput.json)
+/// Flags: --smoke --json=PATH (written only when given; see
+///        BENCH_throughput.json)
 ///        --baseline=PATH (fail if a fleet row regresses >3x vs artifact)
 ///        --baseline_factor=F (override the 3x bound)
 
@@ -334,8 +335,7 @@ int main(int argc, char** argv) {
 
   FlagParser flags(argc, argv);
   const bool smoke = flags.GetBool("smoke", false);
-  const std::string json_path =
-      flags.GetString("json", smoke ? "BENCH_throughput.json" : "");
+  const std::string json_path = flags.GetString("json", "");
   const std::string baseline_path = flags.GetString("baseline", "");
   const double baseline_factor = flags.GetDouble("baseline_factor", 3.0);
   if (!flags.ok()) {

@@ -46,9 +46,7 @@
 #include "core/butterfly.h"
 #include "core/config.h"
 #include "core/noise.h"
-#include "core/parameter_advisor.h"
 #include "core/release_log.h"
-#include "core/rule_release.h"
 #include "core/stream_engine.h"
 
 // Evaluation.

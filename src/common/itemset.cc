@@ -1,41 +1,57 @@
 #include "common/itemset.h"
 
-#include <algorithm>
 #include <cassert>
 #include <sstream>
 
 namespace butterfly {
 
-Itemset::Itemset(std::vector<Item> items) : items_(std::move(items)) {
-  std::sort(items_.begin(), items_.end());
-  items_.erase(std::unique(items_.begin(), items_.end()), items_.end());
-}
-
-Itemset::Itemset(std::initializer_list<Item> items)
-    : Itemset(std::vector<Item>(items)) {}
-
-Itemset Itemset::FromSorted(std::vector<Item> sorted_items) {
-  assert(std::is_sorted(sorted_items.begin(), sorted_items.end()));
-  assert(std::adjacent_find(sorted_items.begin(), sorted_items.end()) ==
-         sorted_items.end());
+template <typename Write>
+Itemset Itemset::Build(size_t bound, const Write& write) {
   Itemset s;
-  s.items_ = std::move(sorted_items);
+  Item* first = s.Reset(bound);
+  s.size_ = static_cast<uint32_t>(write(first) - first);
   return s;
 }
 
+Itemset::Itemset(std::span<const Item> items) {
+  Item* first = Reset(items.size());
+  Item* last = std::copy(items.begin(), items.end(), first);
+  std::sort(first, last);
+  size_ = static_cast<uint32_t>(std::unique(first, last) - first);
+}
+
+Itemset Itemset::FromSorted(std::span<const Item> sorted_items) {
+  assert(std::is_sorted(sorted_items.begin(), sorted_items.end()));
+  assert(std::adjacent_find(sorted_items.begin(), sorted_items.end()) ==
+         sorted_items.end());
+  return Build(sorted_items.size(), [&](Item* out) {
+    return std::copy(sorted_items.begin(), sorted_items.end(), out);
+  });
+}
+
+Item* Itemset::Reset(size_t n) {
+  if (n > capacity_) {
+    Item* grown = new Item[n];  // before the delete: new may throw
+    if (on_heap()) delete[] heap_;
+    heap_ = grown;
+    capacity_ = static_cast<uint32_t>(n);
+  }
+  size_ = static_cast<uint32_t>(n);
+  return on_heap() ? heap_ : inline_;
+}
+
 bool Itemset::Contains(Item item) const {
-  return std::binary_search(items_.begin(), items_.end(), item);
+  return std::binary_search(begin(), end(), item);
 }
 
 bool Itemset::ContainsAll(const Itemset& other) const {
-  return std::includes(items_.begin(), items_.end(), other.items_.begin(),
-                       other.items_.end());
+  return std::includes(begin(), end(), other.begin(), other.end());
 }
 
 bool Itemset::DisjointWith(const Itemset& other) const {
-  auto a = items_.begin();
-  auto b = other.items_.begin();
-  while (a != items_.end() && b != other.items_.end()) {
+  const Item* a = begin();
+  const Item* b = other.begin();
+  while (a != end() && b != other.end()) {
     if (*a < *b) {
       ++a;
     } else if (*b < *a) {
@@ -48,60 +64,49 @@ bool Itemset::DisjointWith(const Itemset& other) const {
 }
 
 Itemset Itemset::Union(const Itemset& other) const {
-  std::vector<Item> merged;
-  merged.reserve(items_.size() + other.items_.size());
-  std::set_union(items_.begin(), items_.end(), other.items_.begin(),
-                 other.items_.end(), std::back_inserter(merged));
-  return FromSorted(std::move(merged));
+  return Build(size_ + other.size_, [&](Item* out) {
+    return std::set_union(begin(), end(), other.begin(), other.end(), out);
+  });
 }
 
-Itemset Itemset::With(Item item) const {
-  if (Contains(item)) return *this;
-  std::vector<Item> merged(items_);
-  merged.insert(std::upper_bound(merged.begin(), merged.end(), item), item);
-  return FromSorted(std::move(merged));
-}
+Itemset Itemset::With(Item item) const { return Union(Itemset{item}); }
 
 void Itemset::AssignWith(const Itemset& base, Item item) {
   assert(&base != this);
-  items_.clear();
-  items_.reserve(base.items_.size() + 1);
-  auto split = std::lower_bound(base.items_.begin(), base.items_.end(), item);
-  items_.insert(items_.end(), base.items_.begin(), split);
-  if (split == base.items_.end() || *split != item) items_.push_back(item);
-  items_.insert(items_.end(), split, base.items_.end());
+  const Item* split = std::lower_bound(base.begin(), base.end(), item);
+  const bool present = split != base.end() && *split == item;
+  Item* out = Reset(base.size_ + (present ? 0 : 1));
+  out = std::copy(base.begin(), split, out);
+  if (!present) *out++ = item;
+  std::copy(split, base.end(), out);
 }
 
 Itemset Itemset::Minus(const Itemset& other) const {
-  std::vector<Item> diff;
-  diff.reserve(items_.size());
-  std::set_difference(items_.begin(), items_.end(), other.items_.begin(),
-                      other.items_.end(), std::back_inserter(diff));
-  return FromSorted(std::move(diff));
+  return Build(size_, [&](Item* out) {
+    return std::set_difference(begin(), end(), other.begin(), other.end(),
+                               out);
+  });
 }
 
 Itemset Itemset::Without(Item item) const {
-  std::vector<Item> diff;
-  diff.reserve(items_.size());
-  for (Item i : items_) {
-    if (i != item) diff.push_back(i);
-  }
-  return FromSorted(std::move(diff));
+  return Build(size_, [&](Item* out) {
+    return std::remove_copy(begin(), end(), out, item);
+  });
 }
 
 Itemset Itemset::Intersect(const Itemset& other) const {
-  std::vector<Item> common;
-  std::set_intersection(items_.begin(), items_.end(), other.items_.begin(),
-                        other.items_.end(), std::back_inserter(common));
-  return FromSorted(std::move(common));
+  return Build(std::min(size_, other.size_), [&](Item* out) {
+    return std::set_intersection(begin(), end(), other.begin(), other.end(),
+                                 out);
+  });
 }
 
 std::string Itemset::ToString() const {
   std::ostringstream out;
   out << '{';
-  for (size_t i = 0; i < items_.size(); ++i) {
+  for (size_t i = 0; i < size_; ++i) {
     if (i > 0) out << ", ";
-    out << items_[i];
+    out << data()[i];
   }
   out << '}';
   return out.str();
@@ -110,7 +115,7 @@ std::string Itemset::ToString() const {
 size_t Itemset::Hash() const {
   // FNV-1a over the item bytes.
   size_t h = 1469598103934665603ull;
-  for (Item item : items_) {
+  for (Item item : items()) {
     for (int shift = 0; shift < 32; shift += 8) {
       h ^= static_cast<size_t>((item >> shift) & 0xff);
       h *= 1099511628211ull;

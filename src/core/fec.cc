@@ -6,18 +6,19 @@
 namespace butterfly {
 
 std::vector<Fec> PartitionIntoFecs(const MiningOutput& output) {
-  std::vector<Support> supports;
-  supports.reserve(output.size());
-  for (const FrequentItemset& f : output.itemsets()) {
-    supports.push_back(f.support);
-  }
-  std::sort(supports.begin(), supports.end());
   std::vector<Fec> fecs;
-  for (Support support : supports) {
-    if (fecs.empty() || fecs.back().support != support) {
-      fecs.push_back(Fec{support, 0});
+  if (output.empty()) return fecs;
+  const auto [lowest, highest] = std::ranges::minmax_element(
+      output.itemsets(), {}, &FrequentItemset::support);
+  const Support base = lowest->support;
+  std::vector<size_t> counts(static_cast<size_t>(highest->support - base) + 1);
+  for (const FrequentItemset& f : output.itemsets()) {
+    ++counts[static_cast<size_t>(f.support - base)];
+  }
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] > 0) {
+      fecs.push_back(Fec{base + static_cast<Support>(i), counts[i]});
     }
-    ++fecs.back().member_count;
   }
   return fecs;
 }

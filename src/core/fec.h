@@ -24,9 +24,9 @@ struct Fec {
   size_t member_count = 0;  ///< s_i, the itemsets with this support
 };
 
-/// Counts the FECs of a mining output, strictly ascending by support: sorts
-/// its support values and run-length encodes them. Sealed and unsealed
-/// outputs give the same result.
+/// Counts the FECs of a mining output, strictly ascending by support: counts
+/// its support values over [lowest, highest], a range of at most H entries
+/// for a window's output. Sealed and unsealed outputs give the same result.
 std::vector<Fec> PartitionIntoFecs(const MiningOutput& output);
 
 /// The FEC partition of one mined output. StreamPrivacyEngine rebuilds one

@@ -1,5 +1,6 @@
 #include "core/release_log.h"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,17 +13,26 @@ Status WriteRelease(std::ostream* out, const std::string& label,
   if (label.find_first_of(" \n") != std::string::npos) {
     return Status::InvalidArgument("release label must not contain spaces");
   }
-  *out << "#release " << (label.empty() ? "-" : label) << ' '
-       << release.window_size() << ' ' << release.min_support() << ' '
-       << release.size() << '\n';
+  // The whole release is formatted into one buffer and written once.
+  std::string text = "#release ";
+  text += label.empty() ? "-" : label;
+  text += ' ';
+  const auto put = [&text](auto number, char separator) {
+    char digits[24];
+    text.append(digits,
+                std::to_chars(digits, digits + sizeof(digits), number).ptr);
+    text += separator;
+  };
+  put(release.window_size(), ' ');
+  put(release.min_support(), ' ');
+  put(release.size(), '\n');
   for (const SanitizedItemset& item : release.items()) {
-    for (size_t i = 0; i < item.itemset.size(); ++i) {
-      if (i > 0) *out << ' ';
-      *out << item.itemset[i];
-    }
-    *out << ' ' << item.sanitized_support << '\n';
+    if (item.itemset.empty()) text += ' ';
+    for (Item i : item.itemset) put(i, ' ');
+    put(item.sanitized_support, '\n');
   }
-  *out << '\n';
+  text += '\n';
+  out->write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!*out) return Status::IOError("write failed");
   return Status::OK();
 }

@@ -9,13 +9,18 @@
 /// very same sanitized support is republished, so repeated observation adds
 /// zero information. A changed true support invalidates the entry and a
 /// fresh draw is made.
+///
+/// The pins are one run sorted by itemset, which a release's lookups, in
+/// canonical order, walk forward; keys new in an epoch collect in a second
+/// sorted run that NextEpoch merges in after it drops idle entries.
 
 #ifndef BUTTERFLY_CORE_REPUBLISH_CACHE_H_
 #define BUTTERFLY_CORE_REPUBLISH_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/itemset.h"
 #include "common/status.h"
@@ -54,9 +59,12 @@ class RepublishCache {
   void NextEpoch();
 
   /// Drops every pinned value (audit-driven redraw support).
-  void Clear() { entries_.clear(); }
+  void Clear() {
+    run_.clear();
+    fresh_.clear();
+  }
 
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return run_.size() + fresh_.size(); }
 
   /// Serializes every pinned entry (sorted by itemset for deterministic
   /// bytes) plus the epoch clock. The cache is ESSENTIAL checkpoint state:
@@ -67,18 +75,26 @@ class RepublishCache {
   void Checkpoint(persist::CheckpointWriter* writer) const;
 
   /// Restores from a checkpoint section, replacing the current contents.
-  /// The cache keeps its own idle budget.
+  /// Entries may come in any order; a duplicate itemset is rejected. The
+  /// cache keeps its own idle budget.
   Status Restore(persist::CheckpointReader* reader);
 
  private:
   struct Slot {
+    Itemset itemset;
     Entry entry;
     uint64_t last_seen = 0;
   };
 
+  /// The slot pinning \p itemset, or null. Leaves cursor_ where the run's
+  /// search for it ended.
+  Slot* Find(const Itemset& itemset);
+
   uint64_t max_idle_epochs_;
   uint64_t epoch_ = 0;
-  std::unordered_map<Itemset, Slot, ItemsetHash> entries_;
+  std::vector<Slot> run_;    ///< sorted by itemset, duplicate-free
+  std::vector<Slot> fresh_;  ///< keys stored this epoch and not in run_, sorted
+  size_t cursor_ = 0;  ///< where Find's last search ended; only a hint
 };
 
 }  // namespace butterfly

@@ -10,7 +10,7 @@ namespace {
 
 // Builds the itemset I ∪ {items of D selected by mask}.
 Itemset Compose(const Itemset& base, const Itemset& extension, uint32_t mask) {
-  std::vector<Item> items(base.items());
+  std::vector<Item> items(base.begin(), base.end());
   for (size_t b = 0; b < extension.size(); ++b) {
     if (mask & (1u << b)) items.push_back(extension[b]);
   }

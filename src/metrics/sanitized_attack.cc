@@ -26,7 +26,7 @@ std::optional<Interval> DerivePatternInterval(const IntervalMap& knowledge,
   if (negated.size() >= 31) return std::nullopt;
   Interval total = Interval::Exact(0);
   for (uint32_t mask = 0; mask < (1u << negated.size()); ++mask) {
-    std::vector<Item> items(base.items());
+    std::vector<Item> items(base.begin(), base.end());
     for (size_t b = 0; b < negated.size(); ++b) {
       if (mask & (1u << b)) items.push_back(negated[b]);
     }

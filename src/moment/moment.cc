@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -59,13 +60,13 @@ struct MomentMiner::CetNode {
     return pos < ext_counts.size() && ext_counts[pos].item == item;
   }
 
-  /// The first of the sorted \p items above the branch item (every item,
+  /// The tail of the sorted \p items above the branch item (every item,
   /// at the root): the candidates for children, all outside the itemset.
-  std::vector<Item>::const_iterator FirstAbove(
-      const std::vector<Item>& items) const {
-    return is_root() ? items.begin()
-                     : std::upper_bound(items.begin(), items.end(),
-                                        branch_item);
+  std::span<const Item> Above(std::span<const Item> items) const {
+    if (is_root()) return items;
+    return items.subspan(static_cast<size_t>(
+        std::upper_bound(items.begin(), items.end(), branch_item) -
+        items.begin()));
   }
 
   /// Index into children for \p item, or npos.
@@ -193,8 +194,8 @@ void MomentMiner::VisitContained(uint32_t idx, const Itemset& record,
   CetNode& node = N(idx);  // stable: fn never allocates arena nodes
   fn(&node);
   if (node.children.empty()) return;
-  for (auto it = node.FirstAbove(record.items()); it != record.end(); ++it) {
-    const size_t pos = node.FindChild(*it);
+  for (Item j : node.Above(record.items())) {
+    const size_t pos = node.FindChild(j);
     if (pos != CetNode::npos) {
       VisitContained(node.children[pos].node, record, fn);
     }
@@ -393,8 +394,7 @@ void MomentMiner::UpdateAdd(uint32_t idx, const std::vector<Item>& items) {
 
   // Recursion below may grow the arena, so the node is re-read through N()
   // after every step that can allocate.
-  for (auto it = N(idx).FirstAbove(items); it != items.end(); ++it) {
-    const Item j = *it;
+  for (Item j : N(idx).Above(items)) {
     const size_t pos = N(idx).FindChild(j);
     if (pos != CetNode::npos) {
       UpdateAdd(N(idx).children[pos].node, items);
@@ -446,8 +446,8 @@ bool MomentMiner::UpdateDelete(uint32_t idx, const std::vector<Item>& items) {
     return false;
   }
 
-  for (auto it = node.FirstAbove(items); it != items.end(); ++it) {
-    const size_t pos = node.FindChild(*it);
+  for (Item j : node.Above(items)) {
+    const size_t pos = node.FindChild(j);
     if (pos == CetNode::npos) continue;
     const uint32_t child_idx = node.children[pos].node;
     if (UpdateDelete(child_idx, items)) {
@@ -690,8 +690,9 @@ MomentStats MomentMiner::Stats() const {
     above.clear();
     index_.Tidset(node.itemset, &tidset);
     tidset.ForEachSetBit([&](size_t slot) {
-      const std::vector<Item>& record = index_.transaction(slot)->items.items();
-      above.insert(above.end(), node.FirstAbove(record), record.end());
+      const std::span<const Item> record =
+          node.Above(index_.transaction(slot)->items.items());
+      above.insert(above.end(), record.begin(), record.end());
     });
     std::sort(above.begin(), above.end());
     const auto distinct = static_cast<size_t>(

@@ -1,10 +1,13 @@
 #include "core/fec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace butterfly {
 namespace {
@@ -110,6 +113,52 @@ TEST(FecTest, PartitionCoversEveryItemset) {
   size_t total = 0;
   for (const Fec& fec : fecs) total += fec.member_count;
   EXPECT_EQ(total, out.size());
+}
+
+// The partition as it was computed before supports were counted: sort the
+// supports and run-length encode them.
+std::vector<Fec> SortAndRunLength(const MiningOutput& output) {
+  std::vector<Support> supports;
+  for (const FrequentItemset& f : output.itemsets()) {
+    supports.push_back(f.support);
+  }
+  std::sort(supports.begin(), supports.end());
+  std::vector<Fec> fecs;
+  for (Support support : supports) {
+    if (fecs.empty() || fecs.back().support != support) {
+      fecs.push_back(Fec{support, 0});
+    }
+    ++fecs.back().member_count;
+  }
+  return fecs;
+}
+
+TEST(FecTest, CountingMatchesSortAndRunLengthOnRandomOutputs) {
+  Rng rng(11);
+  for (int round = 0; round < 60; ++round) {
+    const Support c = rng.UniformInt(1, 20);
+    // Narrow ranges with many ties, and ranges up to the window limit.
+    const Support top = round % 3 == 0 ? 65536 : c + rng.UniformInt(0, 300);
+    MiningOutput out(c);
+    const int64_t size = rng.UniformInt(0, 2000);
+    for (int64_t i = 0; i < size; ++i) {
+      out.Add(Itemset{static_cast<Item>(i)}, rng.UniformInt(c, top));
+    }
+    if (round % 3 == 0 && size > 1) {
+      // Pin both ends of [C, 65,536].
+      out.Add(Itemset{static_cast<Item>(size)}, c);
+      out.Add(Itemset{static_cast<Item>(size + 1)}, 65536);
+    }
+    if (round % 2 == 0) out.Seal();
+    const std::vector<Fec> counted = PartitionIntoFecs(out);
+    const std::vector<Fec> sorted = SortAndRunLength(out);
+    ASSERT_EQ(counted.size(), sorted.size()) << "round " << round;
+    for (size_t i = 0; i < counted.size(); ++i) {
+      EXPECT_EQ(counted[i].support, sorted[i].support) << round << " " << i;
+      EXPECT_EQ(counted[i].member_count, sorted[i].member_count)
+          << round << " " << i;
+    }
+  }
 }
 
 TEST(MaxAdjustableBiasTest, ClosedForm) {
