@@ -84,7 +84,9 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
   if (grain == 0) grain = 1;
   if (pool == nullptr || pool->worker_count() == 0 || n <= grain ||
       ThreadPool::OnWorkerThread()) {
-    body(0, n);
+    for (size_t begin = 0; begin < n; begin += grain) {
+      body(begin, std::min(begin + grain, n));
+    }
     return;
   }
 
@@ -92,12 +94,12 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
   // after the caller's rethrow still touch valid memory.
   struct Call {
     // bfly-lint: allow(raw-atomic) the chunk cursor is the one lock-free
-    // protocol in src/: a participant claims [begin, begin + chunk) with a
+    // protocol in src/: a participant claims [begin, begin + grain) with a
     // single fetch_add, and every other shared field is either written
     // before Submit (whose queue lock publishes it) or guarded by `mu`.
     std::atomic<size_t> cursor{0};
     size_t n = 0;
-    size_t chunk = 0;
+    size_t grain = 0;
     const std::function<void(size_t, size_t)>* body = nullptr;
     Mutex mu;
     CondVar done_cv;
@@ -106,18 +108,15 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
   };
   auto call = std::make_shared<Call>();
   call->n = n;
-  // Aim for several chunks per participant so skewed bodies balance, but
-  // never below the caller's grain.
-  size_t participants = pool->worker_count() + 1;
-  call->chunk = std::max(grain, n / (participants * 4) + 1);
+  call->grain = grain;
   call->body = &body;
 
   auto run_chunks = [call] {
     try {
       for (;;) {
-        size_t begin = call->cursor.fetch_add(call->chunk);
+        size_t begin = call->cursor.fetch_add(call->grain);
         if (begin >= call->n) break;
-        (*call->body)(begin, std::min(begin + call->chunk, call->n));
+        (*call->body)(begin, std::min(begin + call->grain, call->n));
       }
     } catch (...) {
       MutexLock lock(&call->mu);
@@ -125,7 +124,10 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
     }
   };
 
-  size_t helpers = std::min(pool->worker_count(), (n - 1) / call->chunk + 1);
+  // The caller takes claims too, so a call with c claims needs at most
+  // c - 1 helpers (c >= 2 here, since n > grain).
+  const size_t claims = (n - 1) / grain + 1;
+  const size_t helpers = std::min(pool->worker_count(), claims - 1);
   {
     MutexLock lock(&call->mu);
     call->pending = helpers;

@@ -1,16 +1,17 @@
 /// \file thread_pool.h
 /// \brief A small reusable worker pool and a chunked ParallelFor on top of
-/// it (no external deps). Its users: EngineFleet::Pump (one tenant per
-/// claim) and the adversary's breach finder. A single release never splits
-/// across it.
+/// it (no external deps). Its users: EngineFleet's pump and restore (one
+/// tenant per claim) and the adversary's breach finder (16 anchors per
+/// claim). A single release never splits across it.
 ///
 /// Design points:
 ///  * A pool of size `threads` spawns `threads - 1` workers; the caller of
 ///    ParallelFor is the remaining participant, so `threads == 1` means
 ///    strictly serial execution with no pool at all.
-///  * Work is handed out as [begin, end) chunks claimed from a shared atomic
-///    cursor, which load-balances skewed iterations without a task queue
-///    allocation per chunk.
+///  * Work is handed out as [begin, end) chunks of exactly `grain` indices
+///    (the last one shorter) claimed from a shared atomic cursor, which
+///    load-balances skewed iterations without a task queue allocation per
+///    chunk. The caller's grain is the claim width: nothing widens it.
 ///  * ParallelFor called from inside a worker runs inline (no nested
 ///    dispatch), so library code may use it without knowing its caller.
 ///  * Determinism is the caller's contract: bodies must write only to
@@ -75,12 +76,12 @@ size_t ResolveThreadCount(int64_t requested);
 /// (serial). Pools live until process exit.
 ThreadPool* SharedPool(size_t threads);
 
-/// Runs body(begin, end) over a partition of [0, n), on the caller plus the
-/// pool's workers. Chunks are at least `grain` wide; the caller participates
-/// and the call returns only when every index is processed. With a null pool
-/// (or n <= grain, or when already on a worker thread) the body runs inline
-/// as body(0, n). The first exception thrown by a body is rethrown on the
-/// caller after all participants stop.
+/// Runs body(begin, end) once for every claim [k * grain, min((k + 1) *
+/// grain, n)) of [0, n), on the caller plus the pool's workers; a grain of 0
+/// counts as 1. The caller participates and the call returns only when every
+/// index is processed. With a null pool (or n <= grain, or when already on a
+/// worker thread) the same claims run inline, in order. The first exception
+/// thrown by a body is rethrown on the caller after all participants stop.
 void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
                  const std::function<void(size_t, size_t)>& body);
 

@@ -8,13 +8,13 @@
 
 namespace butterfly {
 
-Status WriteRelease(std::ostream* out, const std::string& label,
-                    const SanitizedOutput& release) {
+Status AppendRelease(std::string* out, const std::string& label,
+                     const SanitizedOutput& release) {
   if (label.find_first_of(" \n") != std::string::npos) {
     return Status::InvalidArgument("release label must not contain spaces");
   }
-  // The whole release is formatted into one buffer and written once.
-  std::string text = "#release ";
+  std::string& text = *out;
+  text += "#release ";
   text += label.empty() ? "-" : label;
   text += ' ';
   const auto put = [&text](auto number, char separator) {
@@ -32,6 +32,14 @@ Status WriteRelease(std::ostream* out, const std::string& label,
     put(item.sanitized_support, '\n');
   }
   text += '\n';
+  return Status::OK();
+}
+
+Status WriteRelease(std::ostream* out, const std::string& label,
+                    const SanitizedOutput& release) {
+  // The whole release is formatted into one buffer and written once.
+  std::string text;
+  if (Status s = AppendRelease(&text, label, release); !s.ok()) return s;
   out->write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!*out) return Status::IOError("write failed");
   return Status::OK();

@@ -34,7 +34,12 @@ struct LoggedRelease {
   std::vector<std::pair<Itemset, Support>> items;
 };
 
-/// Appends one release block to \p out.
+/// Appends one release block to \p out. Fails, appending nothing, if
+/// \p label holds a space or a newline.
+Status AppendRelease(std::string* out, const std::string& label,
+                     const SanitizedOutput& release);
+
+/// Appends one release block to \p out: AppendRelease's bytes, written once.
 Status WriteRelease(std::ostream* out, const std::string& label,
                     const SanitizedOutput& release);
 

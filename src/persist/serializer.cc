@@ -61,13 +61,6 @@ uint32_t Crc32(const void* data, size_t size, uint32_t crc) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void CheckpointWriter::AppendLe(uint64_t v, int bytes) {
-  BFLY_DCHECK_MSG(bytes > 0 && bytes <= 8, "primitive width out of range");
-  for (int i = 0; i < bytes; ++i) {
-    buffer_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
 void CheckpointWriter::F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
 
 void CheckpointWriter::Str(std::string_view s) {

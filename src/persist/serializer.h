@@ -44,9 +44,9 @@ constexpr uint32_t SectionTag(char a, char b, char c, char d) {
 class CheckpointWriter {
  public:
   void U8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { AppendLe(v, 4); }
-  void U64(uint64_t v) { AppendLe(v, 8); }
-  void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v), 8); }
+  void U32(uint32_t v) { AppendLe<4>(v); }
+  void U64(uint64_t v) { AppendLe<8>(v); }
+  void I64(int64_t v) { AppendLe<8>(static_cast<uint64_t>(v)); }
   /// Doubles round-trip bit-exactly (IEEE-754 image), which the bit-identical
   /// resume guarantee needs for biases and variances.
   void F64(double v);
@@ -62,7 +62,18 @@ class CheckpointWriter {
   size_t bytes() const { return buffer_.size(); }
 
  private:
-  void AppendLe(uint64_t v, int bytes);
+  /// Appends the low \p Bytes bytes of \p v, least significant first. The
+  /// image is built by shifts, so the host's byte order cannot matter, and
+  /// appended in one call.
+  template <size_t Bytes>
+  void AppendLe(uint64_t v) {
+    static_assert(Bytes > 0 && Bytes <= 8, "primitive width out of range");
+    char image[Bytes];
+    for (size_t i = 0; i < Bytes; ++i) {
+      image[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+    }
+    buffer_.append(image, Bytes);
+  }
 
   std::string buffer_;
 };

@@ -1,8 +1,8 @@
 #include "service/engine_fleet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -14,6 +14,44 @@
 #include "persist/serializer.h"
 
 namespace butterfly {
+
+void LatencyHistogram::Record(double ns) {
+  // Bucket b holds [kMinNs * 2^(b / k), kMinNs * 2^((b + 1) / k)) for k
+  // buckets per octave; the comparison also sends NaN to bucket 0.
+  const double position =
+      std::log2(ns / kMinNs) * static_cast<double>(kBucketsPerOctave);
+  size_t bucket = 0;
+  if (position > 0) {
+    bucket = position >= static_cast<double>(kBuckets - 1)
+                 ? kBuckets - 1
+                 : static_cast<size_t>(position);
+  }
+  ++counts_[bucket];
+}
+
+LatencyHistogram& LatencyHistogram::operator+=(const LatencyHistogram& other) {
+  for (size_t b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];
+  return *this;
+}
+
+uint64_t LatencyHistogram::count() const {
+  return std::accumulate(counts_.begin(), counts_.end(), uint64_t{0});
+}
+
+double LatencyHistogram::Quantile(double q) const {
+  const uint64_t total = count();
+  if (total == 0) return 0;
+  const auto rank =
+      static_cast<uint64_t>(static_cast<double>(total - 1) * q);
+  uint64_t seen = 0;
+  size_t bucket = 0;
+  for (; bucket + 1 < kBuckets; ++bucket) {
+    seen += counts_[bucket];
+    if (seen > rank) break;
+  }
+  return kMinNs * std::exp2((static_cast<double>(bucket) + 0.5) /
+                            static_cast<double>(kBucketsPerOctave));
+}
 
 ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant) {
   ButterflyConfig engine = config.engine;
@@ -68,6 +106,8 @@ EngineFleet::EngineFleet(EngineFleet&& other)
   MutexLock lock(&other.pump_mu_);
   checkpoint_cursor_ = other.checkpoint_cursor_;
   checkpoints_written_ = other.checkpoints_written_;
+  pump_wall_ns_ = other.pump_wall_ns_;
+  restore_wall_ns_ = other.restore_wall_ns_;
 }
 
 Result<EngineFleet> EngineFleet::Create(const FleetConfig& config) {
@@ -118,17 +158,15 @@ size_t EngineFleet::PumpTenant(Tenant* tenant) {
 void EngineFleet::ReleaseTenant(Tenant* tenant) {
   Stopwatch watch;
   ReleaseResult result = tenant->engine.Release();
-  tenant->latencies_ns.push_back(watch.Seconds() * 1e9);
+  tenant->latencies.Record(watch.Seconds() * 1e9);
 
-  std::ostringstream out;
-  Status written = WriteRelease(
-      &out,
+  Status written = AppendRelease(
+      &tenant->log,
       ReleaseLabel(tenant->id, static_cast<uint64_t>(
                                    tenant->engine.miner().window()
                                        .stream_position())),
       result.output);
   BFLY_CHECK_MSG(written.ok(), "in-memory release serialization failed");
-  tenant->log += out.str();
   ++tenant->releases;
   tenant->next_release_pos += config_.stride;
   tenant->cumulative += result.stats.spans;
@@ -142,18 +180,22 @@ size_t EngineFleet::Pump() {
   // for the whole call (see Tenant's comment) — which is why the lock must
   // span the whole drain.
   MutexLock pump_lock(&pump_mu_);
-  // One index per tenant. The caller and the pool's workers claim chunks of
-  // max(1, n / (4p) + 1) tenants for p participants off ParallelFor's shared
-  // cursor (5 tenants per claim for 64 tenants at 4 threads), so uneven
-  // per-tenant costs balance across chunks, and each tenant's appends and
-  // releases run back to back on one thread.
+  const Stopwatch wall;
+  // One slot per tenant. The caller and the pool's workers claim one tenant
+  // at a time off ParallelFor's shared cursor, so uneven per-tenant costs
+  // balance to within one tenant, and each tenant's appends and releases
+  // run back to back on one thread.
   std::vector<size_t> released(tenants_.size(), 0);
   ParallelFor(pool_, tenants_.size(), 1, [this, &released](size_t begin,
                                                             size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      released[i] = PumpTenant(tenants_[i].get());
+      Tenant* tenant = tenants_[i].get();
+      const Stopwatch busy;
+      released[i] = PumpTenant(tenant);
+      tenant->pump_busy_ns += busy.Seconds() * 1e9;
     }
   });
+  pump_wall_ns_ += wall.Seconds() * 1e9;
   return std::accumulate(released.begin(), released.end(), size_t{0});
 }
 
@@ -188,8 +230,10 @@ FleetStats EngineFleet::Stats() const {
   stats.tenants = tenants_.size();
   stats.threads = ResolveThreadCount(config_.threads);
   stats.checkpoints_written = checkpoints_written_;
+  stats.pump_wall_ns = pump_wall_ns_;
+  stats.restore_wall_ns = restore_wall_ns_;
 
-  std::vector<double> latencies;
+  LatencyHistogram latencies;
   for (const std::unique_ptr<Tenant>& tenant : tenants_) {
     stats.ingested += static_cast<uint64_t>(
         tenant->engine.miner().window().stream_position());
@@ -203,16 +247,11 @@ FleetStats EngineFleet::Stats() const {
     stats.spans += tenant->cumulative;
     stats.index_bytes +=
         tenant->engine.miner().bitmap_index().MemoryStats().index_bytes;
-    latencies.insert(latencies.end(), tenant->latencies_ns.begin(),
-                     tenant->latencies_ns.end());
+    stats.pump_busy_ns += tenant->pump_busy_ns;
+    latencies += tenant->latencies;
   }
-  if (!latencies.empty()) {
-    std::sort(latencies.begin(), latencies.end());
-    const size_t last = latencies.size() - 1;
-    stats.release_p50_ns = latencies[last / 2];
-    stats.release_p99_ns =
-        latencies[static_cast<size_t>(static_cast<double>(last) * 0.99)];
-  }
+  stats.release_p50_ns = latencies.Quantile(0.5);
+  stats.release_p99_ns = latencies.Quantile(0.99);
   return stats;
 }
 
@@ -240,42 +279,56 @@ Result<uint64_t> EngineFleet::CheckpointNextTenant(const std::string& dir) {
 
 Status EngineFleet::RestoreTenants(const std::string& dir) {
   MutexLock pump_lock(&pump_mu_);
-  for (std::unique_ptr<Tenant>& tenant : tenants_) {
-    {
-      MutexLock lock(&tenant->queue_mu);
-      if (!tenant->queued.empty() ||
-          tenant->drain_pos != tenant->draining.size()) {
-        return Status::InvalidArgument(
-            "RestoreTenants requires empty ingest queues: tenant " +
-            std::to_string(tenant->id) + " has buffered records");
-      }
+  const Stopwatch wall;
+  for (const std::unique_ptr<Tenant>& tenant : tenants_) {
+    MutexLock lock(&tenant->queue_mu);
+    if (!tenant->queued.empty() ||
+        tenant->drain_pos != tenant->draining.size()) {
+      return Status::InvalidArgument(
+          "RestoreTenants requires empty ingest queues: tenant " +
+          std::to_string(tenant->id) + " has buffered records");
     }
-    Result<std::string> payload =
-        persist::ReadCheckpointFile(TenantCheckpointPath(dir, tenant->id));
-    if (!payload.ok()) {
-      // A missing snapshot is the round-robin steady state (the cursor had
-      // not reached this tenant yet); the tenant keeps its current state.
-      if (payload.status().code() == StatusCode::kNotFound) continue;
-      return payload.status();
-    }
-    persist::CheckpointReader reader(*payload);
-    // Restore() bit-compares the snapshot's capacity and config against
-    // this tenant's (including the derived seed), so a snapshot written by
-    // a different tenant or fleet configuration is rejected here.
-    if (Status s = tenant->engine.Restore(&reader); !s.ok()) return s;
-    tenant->draining.clear();
-    tenant->drain_pos = 0;
-    tenant->releases = tenant->engine.release_epoch();
-    tenant->next_release_pos =
-        config_.window + tenant->releases * config_.stride;
-    tenant->log.clear();
-    tenant->latencies_ns.clear();
-    tenant->cumulative = StageSpans{};
-    if (!reader.AtEnd()) {
-      return Status::IOError("checkpoint corrupt: trailing bytes after the "
-                             "engine state for tenant " +
-                             std::to_string(tenant->id));
-    }
+  }
+  // One slot per tenant, written only by the participant that claimed it.
+  std::vector<Status> restored(tenants_.size());
+  ParallelFor(pool_, tenants_.size(), 1,
+              [this, &dir, &restored](size_t begin, size_t end) {
+                for (size_t i = begin; i < end; ++i) {
+                  restored[i] = RestoreTenant(tenants_[i].get(), dir);
+                }
+              });
+  restore_wall_ns_ = wall.Seconds() * 1e9;
+  for (Status& status : restored) {
+    if (!status.ok()) return std::move(status);
+  }
+  return Status::OK();
+}
+
+Status EngineFleet::RestoreTenant(Tenant* tenant, const std::string& dir) {
+  Result<std::string> payload =
+      persist::ReadCheckpointFile(TenantCheckpointPath(dir, tenant->id));
+  if (!payload.ok()) {
+    // A missing snapshot is the round-robin steady state (the cursor had
+    // not reached this tenant yet); the tenant keeps its current state.
+    if (payload.status().code() == StatusCode::kNotFound) return Status::OK();
+    return payload.status();
+  }
+  persist::CheckpointReader reader(*payload);
+  // Restore() bit-compares the snapshot's capacity and config against this
+  // tenant's (including the derived seed), so a snapshot written by a
+  // different tenant or fleet configuration is rejected here.
+  if (Status s = tenant->engine.Restore(&reader); !s.ok()) return s;
+  tenant->draining.clear();
+  tenant->drain_pos = 0;
+  tenant->releases = tenant->engine.release_epoch();
+  tenant->next_release_pos = config_.window + tenant->releases * config_.stride;
+  tenant->log.clear();
+  tenant->latencies = LatencyHistogram{};
+  tenant->cumulative = StageSpans{};
+  if (!reader.AtEnd()) {
+    return Status::IOError("checkpoint corrupt: trailing bytes after the "
+                           "engine state for tenant " +
+                           std::to_string(tenant->id));
   }
   return Status::OK();
 }

@@ -9,17 +9,16 @@
 ///    append under a short lock, the pump swaps the buffer out and replays
 ///    it into the engine lock-free.
 ///  * Pump() is one ParallelFor over the tenants: the caller and the pool's
-///    workers claim chunks of tenants off a shared cursor, and whoever
+///    workers claim one tenant at a time off a shared cursor, and whoever
 ///    claims a tenant drains its queue end to end, releasing inline at each
 ///    release point (the window content at release time is what the
-///    determinism contract is about). With grain 1, ParallelFor's chunk is
-///    n / (4p) + 1 tenants for p participants: 5 tenants per claim for 64
-///    tenants at 4 threads. A tenant's appends and its release run back to
-///    back on one thread, and no barrier separates one tenant's work from
-///    another's.
+///    determinism contract is about). A tenant's appends and its release
+///    run back to back on one thread, and no barrier separates one tenant's
+///    work from another's.
 ///  * Round-robin checkpointing walks the tenants one SaveEngineCheckpoint
 ///    per call, bounding the per-call latency a snapshot adds to the pump
-///    loop; RestoreTenants reloads whichever snapshots exist.
+///    loop; RestoreTenants reloads whichever snapshots exist, one tenant per
+///    claim on the same pool.
 ///
 /// Determinism contract: each tenant's release log is byte-identical to
 /// running that tenant alone, serially, at any thread count. Three
@@ -34,6 +33,7 @@
 #ifndef BUTTERFLY_SERVICE_ENGINE_FLEET_H_
 #define BUTTERFLY_SERVICE_ENGINE_FLEET_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -80,6 +80,35 @@ struct FleetConfig {
 /// tenant's engine exactly.
 ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant);
 
+/// A fixed-size record of latencies: kBucketsPerOctave log-spaced buckets
+/// per doubling, from kMinNs (1.02 us) up to kMinNs * 2^kOctaves (17.2 s),
+/// one 64-bit count each (768 bytes). A quantile reads the geometric
+/// midpoint of the bucket that holds its rank, so for latencies inside that
+/// range it lies within kRelativeError (2^(1/8) - 1, under 9.1%) of the
+/// exact order statistic. A latency outside the range counts in the nearest
+/// end bucket.
+class LatencyHistogram {
+ public:
+  static constexpr size_t kBucketsPerOctave = 4;
+  static constexpr size_t kOctaves = 24;
+  static constexpr size_t kBuckets = kBucketsPerOctave * kOctaves;
+  static constexpr double kMinNs = 1024;
+  static constexpr double kRelativeError = 0.0906;  ///< > 2^(1/8) - 1
+
+  void Record(double ns);
+  LatencyHistogram& operator+=(const LatencyHistogram& other);
+
+  uint64_t count() const;
+
+  /// The latency at rank floor(q * (count() - 1)) of the recorded ones, in
+  /// ascending order, to within kRelativeError, for q in [0, 1]; 0 if none
+  /// is recorded.
+  double Quantile(double q) const;
+
+ private:
+  std::array<uint64_t, kBuckets> counts_{};
+};
+
 /// Aggregated fleet statistics: totals across every tenant since creation
 /// (or restore), plus the release-latency distribution of the individual
 /// engine.Release() calls as executed inside Pump().
@@ -91,8 +120,23 @@ struct FleetStats {
   uint64_t queued = 0;    ///< records accepted but not yet pumped
   uint64_t releases = 0;  ///< releases emitted across all tenants
 
+  /// Per-release latency percentiles, read from the tenants' summed
+  /// LatencyHistograms: each is within LatencyHistogram::kRelativeError
+  /// (9.1%) of the exact percentile.
   double release_p50_ns = 0;  ///< median per-release latency
   double release_p99_ns = 0;  ///< tail per-release latency
+
+  /// Pump phases since creation (a restore does not reset them).
+  /// `pump_wall_ns` sums the wall time of every Pump() call, and
+  /// `pump_busy_ns` the time participants spent draining tenants (two clock
+  /// reads per claimed tenant). threads * pump_wall_ns - pump_busy_ns is the
+  /// participants' idle time: claims, and the wait at the end of each
+  /// ParallelFor for the slowest participant.
+  double pump_wall_ns = 0;
+  double pump_busy_ns = 0;
+
+  /// Wall time of the last RestoreTenants() call; 0 before any.
+  double restore_wall_ns = 0;
 
   /// Stage spans summed over every release (see ReleaseStats).
   StageSpans spans;
@@ -168,15 +212,19 @@ class EngineFleet {
   /// different tenant or fleet is rejected, not silently adopted). Tenants
   /// without a snapshot keep their current state. Queues must be empty —
   /// restore replaces engine state, and queued records belong to the state
-  /// being replaced. Serializes against Pump() via the pump lock.
+  /// being replaced — so a buffered record for any tenant fails the call
+  /// with kInvalidArgument before any tenant is touched. Serializes against
+  /// Pump() via the pump lock.
   ///
-  /// Each tenant's restore is all or nothing (StreamPrivacyEngine::Restore):
-  /// a snapshot that fails to parse leaves that tenant exactly as it was,
-  /// never a mix of the snapshot's window with its own epoch and pins. A
-  /// snapshot with stray bytes after the engine state restores its tenant
-  /// whole, bookkeeping included, and then reports them. The call returns
-  /// the first error; tenants restored before it keep their restored state,
-  /// and later tenants are untouched.
+  /// Tenants restore in parallel, one per claim on the pump's pool. Each
+  /// tenant's restore is all or nothing (StreamPrivacyEngine::Restore): a
+  /// snapshot that fails to read or parse leaves that tenant exactly as it
+  /// was, never a mix of the snapshot's window with its own epoch and pins.
+  /// A snapshot with stray bytes after the engine state restores its tenant
+  /// whole, bookkeeping included, and then reports them. Every valid
+  /// snapshot restores, whichever others fail, and the call returns the
+  /// error of the lowest-numbered failing tenant, so the outcome does not
+  /// depend on thread count or claim order.
   Status RestoreTenants(const std::string& dir) BFLY_EXCLUDES(pump_mu_);
 
   static std::string TenantCheckpointPath(const std::string& dir,
@@ -194,10 +242,10 @@ class EngineFleet {
   /// one pump participant at a time; `queue_mu` is the only producer/pump
   /// shared state. The pump-side fields (engine, draining, drain_pos, log,
   /// ...) are owned by whichever participant claimed the tenant in the
-  /// current Pump(); readers outside Pump() serialize through the pump lock,
-  /// which excludes the whole drain — an ownership handoff the per-member
-  /// annotations cannot express, so those members carry comments, not
-  /// GUARDED_BY.
+  /// current Pump() or RestoreTenants(); readers outside those calls
+  /// serialize through the pump lock, which both hold throughout — an
+  /// ownership handoff the per-member annotations cannot express, so those
+  /// members carry comments, not GUARDED_BY.
   struct Tenant {
     Tenant(uint64_t tenant_id, size_t window, const ButterflyConfig& cfg)
         : id(tenant_id), engine(window, cfg) {}
@@ -216,12 +264,14 @@ class EngineFleet {
     /// Stream position of the next due release: window + releases * stride.
     uint64_t next_release_pos = 0;
 
-    std::string log;                   ///< concatenated WriteRelease bytes
+    std::string log;             ///< concatenated WriteRelease bytes
     uint64_t releases = 0;
-    std::vector<double> latencies_ns;  ///< one entry per release
+    LatencyHistogram latencies;  ///< of this tenant's releases
 
     /// Stage spans summed over this tenant's releases.
     StageSpans cumulative;
+    /// Time pump participants spent in PumpTenant for this tenant.
+    double pump_busy_ns = 0;
   };
 
   explicit EngineFleet(FleetConfig config);
@@ -229,6 +279,10 @@ class EngineFleet {
   /// Drains one tenant's buffered records into its engine, releasing at
   /// every release point it crosses; returns the releases emitted.
   size_t PumpTenant(Tenant* tenant);
+
+  /// Restores one tenant from its snapshot under \p dir, if there is one
+  /// (RestoreTenants' per-tenant body).
+  Status RestoreTenant(Tenant* tenant, const std::string& dir);
 
   /// One tenant's release: sanitize, serialize into the log, account.
   void ReleaseTenant(Tenant* tenant);
@@ -246,6 +300,8 @@ class EngineFleet {
   mutable Mutex pump_mu_;
   size_t checkpoint_cursor_ BFLY_GUARDED_BY(pump_mu_) = 0;
   uint64_t checkpoints_written_ BFLY_GUARDED_BY(pump_mu_) = 0;
+  double pump_wall_ns_ BFLY_GUARDED_BY(pump_mu_) = 0;
+  double restore_wall_ns_ BFLY_GUARDED_BY(pump_mu_) = 0;
 };
 
 }  // namespace butterfly

@@ -6,9 +6,13 @@
 /// tenants has a snapshot on disk.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -381,6 +385,195 @@ TEST(FleetTest, RestoreWithTrailingBytesKeepsTheTenantCoherent) {
   EXPECT_EQ(fleet->ReleaseCount(0), 7u);
   EXPECT_EQ(fleet->ReleaseCount(0), fleet->engine(0).release_epoch());
   std::remove(path.c_str());
+}
+
+/// A fresh directory of this process's own under the test temp dir, removed
+/// with everything in it when the test ends.
+class TenantSnapshotDir {
+ public:
+  explicit TenantSnapshotDir(const std::string& name)
+      : path_(::testing::TempDir() + "/" + std::to_string(getpid()) + "_" +
+              name) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~TenantSnapshotDir() { std::filesystem::remove_all(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+constexpr size_t kRestoreTenants = 8;
+constexpr size_t kCut = 55;             // snapshot position
+constexpr size_t kReleasesAtCut = 2;    // positions 40 and 50
+
+std::vector<std::vector<Transaction>> TenantStreams(size_t tenants) {
+  std::vector<std::vector<Transaction>> streams;
+  for (uint64_t t = 0; t < tenants; ++t) streams.push_back(TenantStream(t));
+  return streams;
+}
+
+/// Feeds every tenant its stream from its current position up to \p end
+/// and pumps once.
+void FeedTo(EngineFleet* fleet,
+            const std::vector<std::vector<Transaction>>& streams, size_t end) {
+  for (uint64_t t = 0; t < fleet->tenant_count(); ++t) {
+    for (size_t i = fleet->StreamPosition(t); i < end; ++i) {
+      ASSERT_TRUE(fleet->Ingest(t, streams[t][i]).ok());
+    }
+  }
+  fleet->Pump();
+}
+
+/// Snapshots every tenant of a fleet fed to record kCut into \p dir.
+void SnapshotAtCut(const std::vector<std::vector<Transaction>>& streams,
+                   const std::string& dir) {
+  auto fleet = EngineFleet::Create(MakeFleetConfig(streams.size(), 4));
+  ASSERT_TRUE(fleet.ok());
+  FeedTo(&*fleet, streams, kCut);
+  for (size_t t = 0; t < streams.size(); ++t) {
+    ASSERT_TRUE(fleet->CheckpointNextTenant(dir).ok());
+  }
+}
+
+TEST(FleetRestoreTest, ParallelRestoreResumesByteIdenticallyAtEveryThreadCount) {
+  const TenantSnapshotDir dir("parallel_restore");
+  const auto streams = TenantStreams(kRestoreTenants);
+  SnapshotAtCut(streams, dir.path());
+
+  std::vector<std::string> first_logs;
+  for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const FleetConfig config = MakeFleetConfig(kRestoreTenants, threads);
+    auto fleet = EngineFleet::Create(config);
+    ASSERT_TRUE(fleet.ok());
+    ASSERT_TRUE(fleet->RestoreTenants(dir.path()).ok());
+    EXPECT_GT(fleet->Stats().restore_wall_ns, 0);
+    for (uint64_t t = 0; t < kRestoreTenants; ++t) {
+      EXPECT_EQ(fleet->StreamPosition(t), kCut);
+      EXPECT_EQ(fleet->ReleaseCount(t), kReleasesAtCut);
+    }
+    FeedTo(&*fleet, streams, kRecords);
+
+    std::vector<std::string> logs;
+    for (uint64_t t = 0; t < kRestoreTenants; ++t) {
+      EXPECT_EQ(fleet->ReleaseLog(t),
+                Concat(SoloReleases(config, t, streams[t]), kReleasesAtCut))
+          << "tenant " << t;
+      logs.push_back(fleet->ReleaseLog(t));
+    }
+    if (first_logs.empty()) first_logs = logs;
+    EXPECT_EQ(logs, first_logs);
+  }
+}
+
+TEST(FleetRestoreTest, CorruptSnapshotsFailTheLowestTenantAndSpareTheRest) {
+  const TenantSnapshotDir dir("corrupt_restore");
+  const auto streams = TenantStreams(kRestoreTenants);
+  SnapshotAtCut(streams, dir.path());
+  // Tenant 2: a payload cut short under a valid CRC, so the engine's own
+  // restore fails partway through. Tenant 5: another tenant's snapshot,
+  // which its config check rejects. The two fail with different codes.
+  const std::string path2 = EngineFleet::TenantCheckpointPath(dir.path(), 2);
+  auto payload = persist::ReadCheckpointFile(path2);
+  ASSERT_TRUE(payload.ok());
+  payload->resize(payload->size() - 16);
+  ASSERT_TRUE(persist::WriteCheckpointFile(path2, *payload).ok());
+  std::filesystem::copy_file(
+      EngineFleet::TenantCheckpointPath(dir.path(), 6),
+      EngineFleet::TenantCheckpointPath(dir.path(), 5),
+      std::filesystem::copy_options::overwrite_existing);
+
+  constexpr size_t kBefore = 70;  // releases at 40, 50, 60 and 70
+  for (int64_t threads : {int64_t{1}, int64_t{2}, int64_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const FleetConfig config = MakeFleetConfig(kRestoreTenants, threads);
+    auto fleet = EngineFleet::Create(config);
+    ASSERT_TRUE(fleet.ok());
+    FeedTo(&*fleet, streams, kBefore);
+    std::vector<std::string> logs_before;
+    for (uint64_t t = 0; t < kRestoreTenants; ++t) {
+      logs_before.push_back(fleet->ReleaseLog(t));
+    }
+
+    const Status restored = fleet->RestoreTenants(dir.path());
+    EXPECT_EQ(restored.code(), StatusCode::kIOError) << restored.ToString();
+    EXPECT_NE(restored.message().find("truncated"), std::string::npos)
+        << restored.ToString();
+
+    for (uint64_t t = 0; t < kRestoreTenants; ++t) {
+      const bool failed = t == 2 || t == 5;
+      EXPECT_EQ(fleet->StreamPosition(t), failed ? kBefore : kCut)
+          << "tenant " << t;
+      EXPECT_EQ(fleet->ReleaseCount(t), failed ? 4u : kReleasesAtCut)
+          << "tenant " << t;
+      EXPECT_EQ(fleet->ReleaseLog(t), failed ? logs_before[t] : "")
+          << "tenant " << t;
+    }
+    // Every tenant resumes from where it stands: the failed two run on
+    // from record 70, the restored six from their snapshot.
+    FeedTo(&*fleet, streams, kRecords);
+    for (uint64_t t = 0; t < kRestoreTenants; ++t) {
+      const bool failed = t == 2 || t == 5;
+      EXPECT_EQ(fleet->ReleaseLog(t),
+                Concat(SoloReleases(config, t, streams[t]),
+                       failed ? 0 : kReleasesAtCut))
+          << "tenant " << t;
+    }
+  }
+}
+
+TEST(FleetRestoreTest, QueuedRecordForTheLastTenantRestoresNoTenant) {
+  const TenantSnapshotDir dir("queued_restore");
+  const auto streams = TenantStreams(kRestoreTenants);
+  SnapshotAtCut(streams, dir.path());
+
+  auto fleet = EngineFleet::Create(MakeFleetConfig(kRestoreTenants, 4));
+  ASSERT_TRUE(fleet.ok());
+  ASSERT_TRUE(fleet->Ingest(kRestoreTenants - 1, streams.back()[0]).ok());
+  EXPECT_EQ(fleet->RestoreTenants(dir.path()).code(),
+            StatusCode::kInvalidArgument);
+  for (uint64_t t = 0; t < kRestoreTenants; ++t) {
+    EXPECT_EQ(fleet->StreamPosition(t), 0u) << "tenant " << t;
+    EXPECT_EQ(fleet->ReleaseCount(t), 0u) << "tenant " << t;
+  }
+  EXPECT_EQ(fleet->Stats().queued, 1u);
+}
+
+TEST(LatencyHistogramTest, PercentilesWithinTheStatedErrorOfExact) {
+  // 2,000 latencies spread log-uniformly over 20 us - 20 ms by a fixed
+  // LCG: the exact percentiles are order statistics of the sorted list,
+  // at the ranks FleetStats reads.
+  std::vector<double> latencies;
+  LatencyHistogram histogram;
+  uint64_t state = 12345;
+  for (int i = 0; i < 2000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const double u = static_cast<double>(state >> 11) * 0x1.0p-53;
+    latencies.push_back(20e3 * std::pow(1000.0, u));
+    histogram.Record(latencies.back());
+  }
+  std::sort(latencies.begin(), latencies.end());
+  const size_t last = latencies.size() - 1;
+  EXPECT_EQ(histogram.count(), latencies.size());
+  for (double q : {0.5, 0.99}) {
+    const double exact =
+        latencies[static_cast<size_t>(static_cast<double>(last) * q)];
+    EXPECT_LE(std::abs(histogram.Quantile(q) - exact),
+              LatencyHistogram::kRelativeError * exact)
+        << "q=" << q << " exact " << exact;
+  }
+
+  // Summing two halves gives the whole; an empty record reads 0.
+  LatencyHistogram low, high;
+  for (size_t i = 0; i < latencies.size(); ++i) {
+    (i % 2 == 0 ? low : high).Record(latencies[i]);
+  }
+  low += high;
+  EXPECT_EQ(low.Quantile(0.5), histogram.Quantile(0.5));
+  EXPECT_EQ(low.Quantile(0.99), histogram.Quantile(0.99));
+  EXPECT_EQ(LatencyHistogram{}.Quantile(0.5), 0);
 }
 
 TEST(FleetConfigTest, ValidateCatchesBadShapes) {

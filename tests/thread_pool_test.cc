@@ -1,9 +1,12 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,6 +65,32 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
     for (size_t i = 0; i < n; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " at " << threads
                                    << " threads";
+    }
+  }
+}
+
+TEST(ParallelForTest, EveryClaimIsExactlyGrainWide) {
+  // Claim k is [k * grain, min((k + 1) * grain, n)), on the serial path
+  // (1 thread) as on the pool; n = 100 leaves a short last claim for 7 and
+  // 16, and n <= grain runs as one claim.
+  for (size_t threads = 1; threads <= 4; ++threads) {
+    for (size_t grain : {size_t{1}, size_t{7}, size_t{16}}) {
+      for (size_t n : {size_t{100}, grain}) {
+        std::mutex mu;
+        std::vector<std::pair<size_t, size_t>> claims;
+        ParallelFor(threads, n, grain, [&](size_t begin, size_t end) {
+          std::lock_guard<std::mutex> lock(mu);
+          claims.emplace_back(begin, end);
+        });
+        std::sort(claims.begin(), claims.end());
+        ASSERT_EQ(claims.size(), (n + grain - 1) / grain)
+            << threads << " threads, grain " << grain << ", n " << n;
+        for (size_t k = 0; k < claims.size(); ++k) {
+          EXPECT_EQ(claims[k].first, k * grain);
+          EXPECT_EQ(claims[k].second, std::min((k + 1) * grain, n))
+              << threads << " threads, grain " << grain << ", claim " << k;
+        }
+      }
     }
   }
 }
