@@ -25,10 +25,18 @@
 /// the million-item alphabet where dense per-tenant row stores would not fit
 /// at fleet scale.
 ///
+/// Each row also prints the pump participants' idle share and cpu/wall, the
+/// process's CPU time (user + sys) over the wall time of its timed pumps. On
+/// a host that runs every thread, cpu/wall is about threads × (1 − idle
+/// share); well below that, the host did not run threads the pool counted
+/// as busy.
+///
 /// Flags: --smoke --json=PATH (written only when given; see
 ///        BENCH_throughput.json)
 ///        --baseline=PATH (fail if a fleet row regresses >3x vs artifact)
 ///        --baseline_factor=F (override the 3x bound)
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -134,7 +142,29 @@ std::string SoloReferenceLog(const FleetConfig& config, uint64_t tenant,
 struct CellResult {
   double seconds = 0;
   FleetStats stats;
+  double pump_cpu_s = 0;   ///< process user + sys time inside Pump()
+  double pump_wall_s = 0;  ///< wall time inside Pump()
 };
+
+/// The process's user + sys CPU time so far, all threads, in seconds.
+double ProcessCpuSeconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// One Pump() call, adding its CPU and wall time to *cell.
+void TimedPump(EngineFleet* fleet, CellResult* cell) {
+  const double cpu = ProcessCpuSeconds();
+  Stopwatch watch;
+  fleet->Pump();
+  cell->pump_wall_s += watch.Seconds();
+  cell->pump_cpu_s += ProcessCpuSeconds() - cpu;
+}
 
 /// Replays the streams through a fresh fleet: one stride of records per
 /// tenant between Pump() calls, so queues carry real batches and releases
@@ -150,6 +180,7 @@ CellResult RunCell(const FleetConfig& config,
     std::exit(1);
   }
   const size_t records = streams[0].size();
+  CellResult cell;
   Stopwatch watch;
   for (size_t pos = 0; pos < records; ++pos) {
     for (size_t t = 0; t < config.tenants; ++t) {
@@ -158,10 +189,9 @@ CellResult RunCell(const FleetConfig& config,
         std::exit(1);
       }
     }
-    if ((pos + 1) % config.stride == 0) fleet->Pump();
+    if ((pos + 1) % config.stride == 0) TimedPump(&*fleet, &cell);
   }
-  fleet->Pump();
-  CellResult cell;
+  TimedPump(&*fleet, &cell);
   cell.seconds = watch.Seconds();
   for (size_t t = 0; t < config.tenants; ++t) {
     if (fleet->ReleaseLog(t) != references[t]) {
@@ -200,7 +230,7 @@ void RunGrid(const GridShape& shape, const RepeatPlan& plan) {
           "; p50/p99 from log buckets, within " +
           FormatDouble(LatencyHistogram::kRelativeError * 100, 1) + "%",
       {"tenants", "threads", "releases/s", "p50 ms", "p99 ms",
-       "pump idle %", "speedup", "identical"});
+       "pump idle %", "cpu/wall", "speedup", "identical"});
 
   for (size_t tenants : shape.tenants) {
     double base_rps = 0;
@@ -228,6 +258,8 @@ void RunGrid(const GridShape& shape, const RepeatPlan& plan) {
       rec.speedup_vs_1t = base_rps > 0 ? rps / base_rps : 0;
       rec.p50_ns = last.stats.release_p50_ns;
       rec.p99_ns = last.stats.release_p99_ns;
+      rec.cpu_per_wall =
+          last.pump_wall_s > 0 ? last.pump_cpu_s / last.pump_wall_s : 0;
       g_records.push_back(rec);
 
       // The pump participants' idle share: capacity (threads x pump wall
@@ -243,6 +275,7 @@ void RunGrid(const GridShape& shape, const RepeatPlan& plan) {
                      FormatDouble(last.stats.release_p50_ns / 1e6, 3),
                      FormatDouble(last.stats.release_p99_ns / 1e6, 3),
                      FormatDouble(idle_pct, 1),
+                     FormatDouble(rec.cpu_per_wall, 2),
                      FormatDouble(rec.speedup_vs_1t, 2), "yes"});
     }
   }

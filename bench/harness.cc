@@ -177,6 +177,9 @@ bool WriteBenchJson(const std::string& path,
       std::fprintf(f, ", \"p50_ns\": %.1f, \"p99_ns\": %.1f", r.p50_ns,
                    r.p99_ns);
     }
+    if (r.cpu_per_wall > 0) {
+      std::fprintf(f, ", \"cpu_per_wall\": %.3f", r.cpu_per_wall);
+    }
     for (size_t s = 0; s < kStageCount; ++s) {
       if (r.spans.ns[s] == 0) continue;
       std::fprintf(f, ", \"%.*s_ns\": %.1f",
@@ -265,6 +268,9 @@ bool ReadBenchJson(const std::string& path,
     if (ExtractField(line, "tenants", &value)) r.tenants = std::stoul(value);
     if (ExtractField(line, "p50_ns", &value)) r.p50_ns = std::stod(value);
     if (ExtractField(line, "p99_ns", &value)) r.p99_ns = std::stod(value);
+    if (ExtractField(line, "cpu_per_wall", &value)) {
+      r.cpu_per_wall = std::stod(value);
+    }
     for (size_t s = 0; s < kStageCount; ++s) {
       if (ExtractField(line, std::string(kStageNames[s]) + "_ns", &value)) {
         r.spans.ns[s] = std::stod(value);

@@ -113,6 +113,10 @@ struct BenchRecord {
   size_t tenants = 0;
   double p50_ns = -1;
   double p99_ns = -1;
+  /// Fleet rows: the process's CPU time (user + sys) during the timed
+  /// pumps over their wall time, so a pump starved by its host reads low
+  /// where an idle pool's share does not tell (0 = absent).
+  double cpu_per_wall = 0;
   /// Per-stage ns/window; a zero stage is not written.
   StageSpans spans;
   /// Release rows: ns_per_window minus spans.Total(), the time no stage

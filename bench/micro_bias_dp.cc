@@ -1,6 +1,6 @@
 /// \file micro_bias_dp.cc
 /// \brief google-benchmark microbenchmarks for the order-preserving bias DP
-/// (Algorithm 1): the flat-table implementation versus the map-based
+/// (Algorithm 1): the flat compact-row implementation versus the map-based
 /// reference, swept over FEC count and window length γ. The flat DP is the
 /// release hot path; the reference is the retained oracle it must match
 /// bit-for-bit (see bias_property_test.cc), so their gap here is exactly the
@@ -17,6 +17,7 @@
 #include "core/noise.h"
 #include "datagen/profiles.h"
 #include "moment/moment.h"
+#include "stream/window_bitmap_index.h"
 
 namespace butterfly {
 namespace {
@@ -108,19 +109,21 @@ void BM_BiasDpWideGrid(benchmark::State& state) {
 BENCHMARK(BM_BiasDpWideGrid)->Arg(1)->Arg(2)->Arg(3)->ArgName("gamma");
 
 /// Algorithm 1 on the FECs of one mined window shaped like an end-to-end
-/// workload's: Moment mines the first H records of a BMS-WebView-1 stream
+/// workload's: Moment mines the first H records of the workload's stream
 /// (data seed 7) at support C, and the FECs are profiled as
 /// ButterflyEngine::Sanitize profiles them, at δ = 0.4 and K = 5 (α = 7).
 /// The mining runs in setup, untimed.
-void BM_BiasDpMinedWindow(benchmark::State& state, size_t window,
-                          Support min_support, double epsilon) {
-  Result<std::vector<Transaction>> data =
-      GenerateProfile(DatasetProfile::kBmsWebView1, window, 7);
+void BM_BiasDpMinedWindow(benchmark::State& state, DatasetProfile profile,
+                          size_t window, Support min_support, double epsilon) {
+  Result<std::vector<Transaction>> data = GenerateProfile(profile, window, 7);
   if (!data.ok()) {
     state.SkipWithError(data.status().ToString().c_str());
     return;
   }
-  MomentMiner miner(window, min_support);
+  MomentMiner miner(window, min_support,
+                    profile == DatasetProfile::kWebScale1M
+                        ? IndexRowStore::kHybrid
+                        : IndexRowStore::kDense);
   for (const Transaction& t : *data) miner.Append(t);
   const NoiseModel noise(0.4, 5);
   std::vector<FecProfile> fecs;
@@ -139,9 +142,15 @@ void BM_BiasDpMinedWindow(benchmark::State& state, size_t window,
   state.counters["fecs"] = static_cast<double>(fecs.size());
 }
 
-// solo-dense: H = 5000, C = 8, ε = 0.1; fleet-64: H = 500, C = 15, ε = 0.03.
-BENCHMARK_CAPTURE(BM_BiasDpMinedWindow, solo_dense, 5000, 8, 0.1);
-BENCHMARK_CAPTURE(BM_BiasDpMinedWindow, fleet_64, 500, 15, 0.03);
+// solo-dense: BMS-WebView-1, H = 5000, C = 8, ε = 0.1; fleet-64:
+// BMS-WebView-1, H = 500, C = 15, ε = 0.03; solo-webscale: WebScale1M on the
+// hybrid index, H = 5000, C = 25, ε = 0.016.
+BENCHMARK_CAPTURE(BM_BiasDpMinedWindow, solo_dense,
+                  DatasetProfile::kBmsWebView1, 5000, 8, 0.1);
+BENCHMARK_CAPTURE(BM_BiasDpMinedWindow, fleet_64,
+                  DatasetProfile::kBmsWebView1, 500, 15, 0.03);
+BENCHMARK_CAPTURE(BM_BiasDpMinedWindow, solo_webscale,
+                  DatasetProfile::kWebScale1M, 5000, 25, 0.016);
 
 /// The flat DP without scratch reuse — isolates what the preallocated
 /// scratch saves (allocation/zeroing per release).

@@ -85,6 +85,11 @@ std::optional<ButterflyScheme> ParseScheme(const std::string& name) {
   return std::nullopt;
 }
 
+/// The most records the CLI generates: one stream's, or a fleet's streams
+/// together, which it holds in memory at once. A record takes about 40
+/// bytes (a Transaction with its items inline), so about 400 MB at the limit.
+constexpr size_t kMaxGeneratedRecords = 10'000'000;
+
 int Fail(const std::string& message) {
   std::fprintf(stderr, "butterfly_cli: %s\n", message.c_str());
   return 1;
@@ -146,6 +151,20 @@ int main(int argc, char** argv) {
   std::vector<std::string> unread = flags.UnreadFlags();
   if (!unread.empty()) return Fail("unknown flag --" + unread.front());
   if (stride == 0) return Fail("--stride must be positive");
+  // Records per generated stream: --records, or enough for --reports
+  // releases. Counted and bounded before anything is generated; a --data
+  // file brings its own records.
+  size_t stream_records = records;
+  if (stream_records == 0 &&
+      (__builtin_mul_overflow(stride, reports, &stream_records) ||
+       __builtin_add_overflow(stream_records, window, &stream_records))) {
+    return Fail("--window + --stride * --reports overflows");
+  }
+  if (data_path.empty() && stream_records > kMaxGeneratedRecords) {
+    return Fail("--records/--reports: " + std::to_string(stream_records) +
+                " records per stream exceed the limit of " +
+                std::to_string(kMaxGeneratedRecords));
+  }
 
   std::optional<ButterflyScheme> scheme = ParseScheme(scheme_name);
   if (!scheme) return Fail("unknown scheme '" + scheme_name + "'");
@@ -185,10 +204,19 @@ int main(int argc, char** argv) {
       }
       fleet_config.tenant_policies = std::move(*kinds);
     }
+    // Bound the tenants before their streams are generated.
+    if (Status s = fleet_config.Validate(); !s.ok()) return Fail(s.ToString());
+    size_t fleet_records = 0;
+    if (data_path.empty() &&
+        (__builtin_mul_overflow(stream_records, tenants, &fleet_records) ||
+         fleet_records > kMaxGeneratedRecords)) {
+      return Fail("--tenants x records per stream exceed the limit of " +
+                  std::to_string(kMaxGeneratedRecords) + " records");
+    }
 
     // Per-tenant streams: distinct data seeds from a profile, or every
     // tenant replaying the same FIMI file.
-    const size_t n = records ? records : window + stride * reports;
+    const size_t n = stream_records;
     std::vector<std::vector<Transaction>> streams(tenants);
     for (size_t t = 0; t < tenants; ++t) {
       Result<std::vector<Transaction>> data = [&]() {
@@ -281,7 +309,7 @@ int main(int argc, char** argv) {
   // Load or generate the stream.
   Result<std::vector<Transaction>> data = [&]() {
     if (!data_path.empty()) return LoadFimiFile(data_path);
-    size_t n = records ? records : window + stride * reports;
+    const size_t n = stream_records;
     if (profile_name == "webview1") {
       return GenerateProfile(DatasetProfile::kBmsWebView1, n);
     }

@@ -70,8 +70,8 @@ size_t DeriveGridCap(const OrderOptConfig& opt, size_t gamma) {
     grid_cap = std::min<size_t>(
         grid_cap, std::max<size_t>(3, static_cast<size_t>(budget)));
   }
-  // Candidate indices and grid sizes are bytes (the reference packs index + 1
-  // into a key byte; the flat DP marks a dead row with its grid size), so a
+  // Candidate indices and band ends are bytes (the reference packs index + 1
+  // into a key byte; the flat DP stores digits and band ends in bytes), so a
   // grid never exceeds 255 points.
   return std::min<size_t>(grid_cap, 255);
 }
@@ -92,198 +92,280 @@ struct DpEntry {
 };
 
 // ---------------------------------------------------------------------------
-// Row kernel. For each candidate c in [lo, hi) it sums the window's pair rows
-// in window order, base + ((row0 + row1) + …), the association of the
-// reference's added-loop, and keeps the total and its dropped digit where the
-// total is strictly below best[c], so a tie keeps the earlier column as the
-// reference's strict-< does. The first column of an output row stores its
-// totals instead. The window length W is a template parameter so the sum
-// unrolls; the select is branch-free.
+// Compact rows. Step i's state (q, c) is a surviving window q (the digits of
+// every window FEC but the entering one) and the entering FEC's candidate c.
+// Row q stores only its extent: one cost and one backtrack byte per slot of
+// its band [lo, hi), then, if hi < r, a single tail slot at hi that stands
+// for every c in [hi, r). A row's band is that of its class, q % classes:
+// the digit of q's last FEC, or 0 while γ = 1 leaves q empty. Why the tail
+// is one value and the kernel's other shortcuts are exact:
+// OrderPreservingBiases in bias_setting.h.
 // ---------------------------------------------------------------------------
 
-template <size_t W, bool kFirst>
-void MergeRows(double* best, uint8_t* drop, const double* const* rows,
-               double base, uint8_t digit, size_t lo, size_t hi) {
-  // Local copies: a store through the byte pointer `drop` may alias
-  // anything, so the pointers behind `rows` would be reloaded every element.
-  const double* r[W];
-  for (size_t k = 0; k < W; ++k) r[k] = rows[k];
-  for (size_t c = lo; c < hi; ++c) {
-    double sum = r[0][c];
-    for (size_t k = 1; k < W; ++k) sum += r[k][c];
-    const double total = base + sum;
-    if (kFirst) {
-      best[c] = total;
-      drop[c] = digit;
-    } else {
-      const double cur = best[c];
-      const uint8_t win = static_cast<uint8_t>(-int{total < cur});
-      best[c] = total < cur ? total : cur;
-      drop[c] = static_cast<uint8_t>((digit & win) | (drop[c] & ~win));
-    }
-  }
-}
-
-// Picks, in ascending d0 from begin to end, the columns whose base
-// base[d0 * stride] is finite and strictly below every earlier one's, into
-// digits/bases; returns how many. No other column can win an output slot
-// (bias_setting.h says why). Which columns qualify varies from row to row, so
-// the pass is branch-free.
-template <typename Finite>
-size_t PickColumns(size_t begin, size_t end, const double* base,
-                   size_t stride, Finite finite, uint8_t* digits,
-                   double* bases) {
-  // Costs are never negative or NaN, so their bit patterns order like their
-  // values; the floor kept as bits is selected without a branch.
-  size_t m = 0;
-  uint64_t floor = std::bit_cast<uint64_t>(kInf);
-  for (size_t d0 = begin; d0 < end; ++d0) {
-    const double b = base[d0 * stride];
-    const uint64_t bits = std::bit_cast<uint64_t>(b);
-    digits[m] = static_cast<uint8_t>(d0);
-    bases[m] = b;
-    const bool take = finite(d0) & (bits < floor);
-    m += take;
-    floor = take ? bits : floor;
-  }
-  return m;
-}
+/// One step's rows, as the next step reads them.
+struct StepRows {
+  const double* cost = nullptr;   ///< row q's extent at cost + q * stride
+  const uint8_t* live = nullptr;  ///< per row: 1 if its states are finite
+  const uint8_t* lo = nullptr;    ///< per class: first band slot
+  const uint8_t* hi = nullptr;    ///< per class: band end, the tail slot
+  size_t classes = 1;
+  size_t stride = 1;
+  size_t r = 1;                   ///< grid size of the step's last FEC
+};
 
 /// Everything one step needs, by value or raw pointer into the scratch.
 struct StepJob {
-  const double* prev_cost = nullptr;
-  const uint8_t* prev_live = nullptr;  ///< per previous row: first finite c
-  double* cur_cost = nullptr;
-  uint8_t* cur_live = nullptr;         ///< per output row: first finite c
-  uint8_t* drop = nullptr;             ///< this step's backtrack bytes
-  const double* pair = nullptr;        ///< this step's pairwise-cost tables
-  const uint8_t* band_lo = nullptr;    ///< per last digit: first feasible c
-  const uint8_t* band_hi = nullptr;    ///< per last digit: end of the band
-  size_t pair_off[8] = {};             ///< per window position into `pair`
-  size_t radix[8] = {};                ///< grid sizes of the window's FECs
-  size_t r_cur = 0;                    ///< grid size of the entering FEC
-  size_t keep = 0;                     ///< output rows (the q axis)
-  bool drops = false;                  ///< window full: oldest FEC leaves
+  StepRows prev;                    ///< step i − 1's rows
+  double* cost = nullptr;           ///< step i's rows, at `stride`
+  uint8_t* live = nullptr;          ///< per output row: 1 once written
+  uint8_t* drop = nullptr;          ///< backtrack bytes, laid out as `cost`
+  uint8_t* lo = nullptr;            ///< step i's bands per class
+  uint8_t* hi = nullptr;
+  size_t stride = 0;
+  const int64_t* est_cur = nullptr;  ///< the entering FEC's estimators
+  const int64_t* est[8] = {};        ///< per window position
+  double weight[8] = {};             ///< per window position: s_j + s_i
+  size_t radix[8] = {};              ///< grid sizes of the window's FECs
+  size_t r_cur = 0;                  ///< grid size of the entering FEC
+  size_t keep = 0;                   ///< output rows (the q axis)
+  int64_t alpha = 0;
+  bool drops = false;                ///< window full: oldest FEC leaves
   const uint32_t* prev_rows = nullptr;  ///< the previous step's live rows
   size_t prev_row_count = 0;
   std::vector<uint32_t>* cur_rows = nullptr;  ///< receives the live rows
   uint64_t* rq_bits = nullptr;  ///< bitmap over rq, zero on entry and exit
 };
 
-// Completes output row q after its band [lo, hi) is merged: every column's
-// total past the band is its base, so [hi, r_cur) takes the smallest picked
-// base and its digit. Lists q as live for the next step.
-void FinishRow(const StepJob& j, size_t q, size_t lo, size_t hi,
-               double tail, uint8_t tail_digit) {
-  double* out = j.cur_cost + q * j.r_cur;
-  std::fill(out + hi, out + j.r_cur, tail);
-  uint8_t* dr = j.drop + q * j.r_cur;
-  std::fill(dr + hi, dr + j.r_cur, tail_digit);
-  j.cur_live[q] = static_cast<uint8_t>(lo);
+/// The columns that can win an output row's slots, in ascending d0 with
+/// strictly falling bases: `ka` tail columns, far from every slot of the
+/// row, then `kb` band columns with their dropped FEC's estimators.
+struct Columns {
+  const uint8_t* a_digit;
+  const double* a_base;
+  size_t ka;
+  const uint8_t* b_digit;
+  const double* b_base;
+  const int64_t* b_est;
+  size_t kb;
+
+  double base(size_t t) const { return t < ka ? a_base[t] : b_base[t - ka]; }
+  uint8_t digit(size_t t) const {
+    return t < ka ? a_digit[t] : b_digit[t - ka];
+  }
+};
+
+// Writes output row q: each band slot c in [lo, hi) gets the smallest total
+// over the columns and the first column that reaches it, as the reference's
+// strict-< sweep in ascending d0 keeps; the tail slot gets the last column's
+// base and digit. The kept window FECs' pair costs are computed in place and
+// summed in window order, so every total is the reference's double.
+template <size_t W>
+void EmitRow(const StepJob& j, size_t q, size_t lo, size_t hi,
+             const Columns& columns, const int64_t (&kept)[W]) {
+  // Local copies: the byte stores through `dr` may alias anything, so every
+  // field read through a reference would be reloaded after each store.
+  const Columns col = columns;
+  const int64_t alpha = j.alpha;
+  const bool drops = j.drops;
+  const size_t first_pos = drops ? 1 : 0;
+  const int64_t* est_cur = j.est_cur;
+  double weight[W];
+  for (size_t k = 0; k < W; ++k) weight[k] = j.weight[k];
+  double* out = j.cost + q * j.stride;
+  uint8_t* dr = j.drop + q * j.stride;
+  // The kept FECs far from the band's first candidate are far from all of
+  // them and add 0.0; leading zeros leave every sum's bits unchanged, so the
+  // sums start at k_near. The last kept FEC is near across its band.
+  size_t k_near = first_pos;
+  while (k_near + 1 < W && est_cur[lo] - kept[k_near] > alpha) ++k_near;
+  double term[W] = {};  // the kept FECs' pair costs with c; 0.0 before k_near
+  size_t f = 0;  // band columns far from c: their pair cost with c is 0.0
+  size_t g = 0;  // band columns below c
+  for (size_t c = lo; c < hi; ++c) {
+    const int64_t ec = est_cur[c];
+    double kept_sum = 0.0;
+    for (size_t k = k_near; k < W; ++k) {
+      // PairCost without a branch: the band cost's bits, or those of 0.0
+      // once the distance passes α.
+      const int64_t d = ec - kept[k];
+      const uint64_t near = uint64_t{0} - uint64_t{d <= alpha};
+      term[k] = std::bit_cast<double>(
+          std::bit_cast<uint64_t>(BandCost(weight[k], d, alpha)) & near);
+      kept_sum = k == k_near ? term[k] : kept_sum + term[k];
+    }
+    if (!drops) {
+      f = g = col.kb;
+    } else {
+      while (f < col.kb && ec - col.b_est[f] > alpha) ++f;
+      g = col.kb;
+      if (W == 1) {
+        // Only γ = 1's columns can lie at or above c: for W >= 2 the
+        // dropped FEC lies below the window's last, which lies below c.
+        g = f;
+        while (g < col.kb && ec > col.b_est[g]) ++g;
+      }
+    }
+    // Far totals base + ((0.0 + T₁) + …) fall with the base, so the last far
+    // column is the smallest; the first column it ties with is the winner.
+    double best = kInf;
+    size_t arg = 0;
+    if (const size_t far = col.ka + f; far > 0) {
+      arg = far - 1;
+      best = col.base(arg) + kept_sum;
+      while (arg > 0 && col.base(arg - 1) + kept_sum == best) --arg;
+    }
+    for (size_t u = f; u < g; ++u) {
+      double sum = BandCost(weight[0], ec - col.b_est[u], alpha);
+      for (size_t k = 1; k < W; ++k) sum += term[k];
+      const double total = col.b_base[u] + sum;
+      if (total < best) {
+        best = total;
+        arg = col.ka + u;
+      }
+    }
+    out[c - lo] = best;
+    dr[c - lo] = col.digit(arg);
+  }
+  if (hi < j.r_cur) {
+    const size_t last = col.ka + col.kb - 1;
+    out[hi - lo] = col.base(last);
+    dr[hi - lo] = col.digit(last);
+  }
+  j.live[q] = 1;
   j.cur_rows->push_back(static_cast<uint32_t>(q));
 }
 
 // ---------------------------------------------------------------------------
 // Output-major step kernel. One DP step maps previous states p to output
 // slots (q, c) where q = p % keep is the part of the window that survives and
-// d0 = p / keep is the dropped digit. Only live q are visited, those some d0
-// gives a finite base: the previous step's live rows name them, and its
-// per-row first finite candidate tells which d0 do. For a live q the kernel
-// picks the columns that can win a slot, merges them over the band [lo, hi)
-// of q's last digit, and fills [hi, r_cur) with the smallest picked base;
-// [0, lo) stays unwritten, as no finite state lies there. Why each shortcut
-// is exact: OrderPreservingBiases in bias_setting.h.
+// d0 = p / keep is the dropped digit; q = rq * g_last + dl, where dl is the
+// digit of the previous step's last FEC and rq the surviving digits before
+// it. Column d0 of q is previous row (d0, rq) read at slot dl: its band value
+// if dl lies in that row's band, its tail past the band. Only live rq are
+// visited, those whose previous rows the previous step listed.
 // ---------------------------------------------------------------------------
 
 template <size_t W>
 void RunBiasStep(const StepJob& job) {
   // A local copy: the byte stores below could otherwise alias its fields.
   const StepJob j = job;
-  const size_t r_cur = j.r_cur;
-  const size_t r0 = j.drops ? j.radix[0] : 1;
-  std::fill(j.cur_live, j.cur_live + j.keep, static_cast<uint8_t>(r_cur));
-  uint8_t digits[256];
-  double bases[256];
-  const double* rows[W] = {};
+  const StepRows& p = j.prev;
+  std::fill(j.live, j.live + j.keep, uint8_t{0});
+  uint8_t a_digit[256];
+  double a_base[256];
+  uint8_t b_digit[256];
+  double b_base[256];
+  int64_t b_est[256];
+  int64_t kept[W] = {};
   if (W == 1 && j.drops) {
-    // γ = 1: one output row; column d0 is feasible from band_lo[d0], which
-    // never decreases in d0, and its band ends at band_hi[d0].
-    const size_t m = PickColumns(
-        j.prev_live[0], r0, j.prev_cost, 1, [](size_t) { return true; },
-        digits, bases);
-    const size_t hi = j.band_hi[digits[m - 1]];
-    rows[0] = j.pair + digits[0] * r_cur;
-    MergeRows<W, true>(j.cur_cost, j.drop, rows, bases[0], digits[0],
-                       j.band_lo[digits[0]], hi);
-    for (size_t t = 1; t < m; ++t) {
-      rows[0] = j.pair + digits[t] * r_cur;
-      MergeRows<W, false>(j.cur_cost, j.drop, rows, bases[t], digits[t],
-                          j.band_lo[digits[t]], hi);
+    // γ = 1: q is empty and column d0 is the dropped FEC's own candidate, a
+    // slot of the one previous row: its band run, then its tail, which only
+    // d0 = hi can take (a later d0's equal base is not strictly below).
+    const size_t plo = p.lo[0];
+    const size_t phi = p.hi[0];
+    size_t kb = 0;
+    double floor = kInf;
+    for (size_t d0 = plo; d0 < std::min(phi + 1, p.r); ++d0) {
+      const double v = p.cost[d0 - plo];
+      if (v < floor) {
+        b_digit[kb] = static_cast<uint8_t>(d0);
+        b_base[kb] = v;
+        b_est[kb] = j.est[0][d0];
+        floor = v;
+        ++kb;
+      }
     }
-    FinishRow(j, 0, j.band_lo[digits[0]], hi, bases[m - 1], digits[m - 1]);
+    // The row's band runs from the first column's first feasible slot to
+    // where the last column's pair cost reaches 0.0.
+    size_t lo = 0;
+    while (lo < j.r_cur && j.est_cur[lo] <= b_est[0]) ++lo;
+    size_t hi = lo;
+    while (hi < j.r_cur && j.est_cur[hi] - b_est[kb - 1] < j.alpha + 1) ++hi;
+    j.lo[0] = static_cast<uint8_t>(lo);
+    j.hi[0] = static_cast<uint8_t>(hi);
+    EmitRow<W>(j, 0, lo, hi,
+               Columns{a_digit, a_base, 0, b_digit, b_base, b_est, kb}, kept);
     return;
   }
-  // q = rq * g_last + dl: dl is the digit of the window's last FEC, and rq
-  // its other surviving digits. Previous state (d0, q) lies in previous row
-  // d0 * rq_count + rq, so rq is live when one of those rows is.
   const size_t g_last = j.radix[W - 1];
   const size_t rq_count = j.keep / g_last;
   const size_t first_pos = j.drops ? 1 : 0;
+  const size_t r0 = j.drops ? j.radix[0] : 1;
+  // Output rows from dl_end on have no candidate above dl's estimator (the
+  // band starts rise with dl).
+  size_t dl_end = g_last;
+  while (dl_end > 0 && j.lo[dl_end - 1] == j.r_cur) --dl_end;
+  // Rows number at most kMaxOrderStates, so the digit arithmetic divides
+  // 32-bit values, which is faster than 64-bit division.
+  const uint32_t rq_count32 = static_cast<uint32_t>(rq_count);
   for (size_t r = 0; r < j.prev_row_count; ++r) {
-    const size_t rq = j.prev_rows[r] % rq_count;
+    const uint32_t rq = j.prev_rows[r] % rq_count32;
     j.rq_bits[rq / 64] |= uint64_t{1} << (rq % 64);
   }
-  digits[0] = 0;  // what a step that drops nothing stores; never read
+  // Previous row (d0, rq) is d0 * rq_count + rq, and its class is its last
+  // digit: d0 itself when rq is empty and d0 drops (W = 2), else rq's last
+  // digit (or 0) for every d0. So the class is cls0 + d0 * cls_step.
+  const size_t cls_step = W == 2 && j.drops ? 1 : 0;
   for (size_t word = 0; word * 64 < rq_count; ++word) {
     for (uint64_t bits = j.rq_bits[word]; bits != 0; bits &= bits - 1) {
       const size_t rq = word * 64 + static_cast<size_t>(std::countr_zero(bits));
-      // The pair rows of rq's digits.
-      for (size_t k = W - 1, rest = rq; k-- > first_pos;) {
-        rows[k] = j.pair + j.pair_off[k] + (rest % j.radix[k]) * r_cur;
-        rest /= j.radix[k];
+      size_t cls0 = 0;
+      uint32_t rest = static_cast<uint32_t>(rq);
+      for (size_t k = W - 1; k-- > first_pos;) {
+        const uint32_t radix = static_cast<uint32_t>(j.radix[k]);
+        const uint32_t digit = rest % radix;
+        if (k == W - 2) cls0 = digit;
+        kept[k] = j.est[k][digit];
+        rest /= radix;
       }
-      // Column d0 has a finite base for q iff live[d0 * rq_count] <= dl. Per
-      // dl, the columns that do lie in [d_begin, d_end[dl]).
-      const uint8_t* live = j.prev_live + rq;
-      size_t first_dl = g_last;
-      size_t d_begin = r0;
-      uint8_t d_end[256];
-      std::fill(d_end, d_end + g_last, uint8_t{0});
+      // The strict prefix minima, in ascending d0, of the live rows' tails;
+      // and the first live row's band start, the first dl any column has.
+      size_t ka_all = 0;
+      double floor = kInf;
+      size_t dl_begin = g_last;
       for (size_t d0 = 0; d0 < r0; ++d0) {
-        const size_t from = live[d0 * rq_count];
-        if (from < g_last) {
-          first_dl = std::min(first_dl, from);
-          d_begin = std::min(d_begin, d0);
-          d_end[from] = static_cast<uint8_t>(d0 + 1);
+        const size_t row = d0 * rq_count + rq;
+        const size_t cls = cls0 + d0 * cls_step;
+        if (!p.live[row]) continue;
+        dl_begin = std::min<size_t>(dl_begin, p.lo[cls]);
+        if (p.hi[cls] == p.r) continue;
+        const double v = p.cost[row * p.stride + p.hi[cls] - p.lo[cls]];
+        if (v < floor) {
+          a_digit[ka_all] = static_cast<uint8_t>(d0);
+          a_base[ka_all] = v;
+          floor = v;
+          ++ka_all;
         }
       }
-      for (size_t dl = first_dl + 1; dl < g_last; ++dl) {
-        d_end[dl] = std::max(d_end[dl], d_end[dl - 1]);
-      }
-      for (size_t dl = first_dl; dl < g_last; ++dl) {
-        const size_t q = rq * g_last + dl;
-        const double* base_col = j.prev_cost + q;
-        size_t m = 1;
-        if (j.drops) {
-          m = PickColumns(
-              d_begin, d_end[dl], base_col, j.keep,
-              [&](size_t d0) { return live[d0 * rq_count] <= dl; }, digits,
-              bases);
-        } else {
-          bases[0] = base_col[0];
+      // The rows' bands rise with d0, so dl's columns are the tails of
+      // d0 < a, then the band values of d0 in [a, b), then nothing.
+      size_t a = 0;
+      size_t b = 0;
+      size_t ka = 0;
+      for (size_t dl = dl_begin; dl < dl_end; ++dl) {
+        while (a < r0 && p.hi[cls0 + a * cls_step] <= dl) ++a;
+        while (b < r0 && p.lo[cls0 + b * cls_step] <= dl) ++b;
+        while (ka < ka_all && a_digit[ka] < a) ++ka;
+        size_t kb = 0;
+        floor = ka > 0 ? a_base[ka - 1] : kInf;
+        for (size_t d0 = a; d0 < b; ++d0) {
+          const size_t row = d0 * rq_count + rq;
+          if (!p.live[row]) continue;
+          const size_t cls = cls0 + d0 * cls_step;
+          const double v = p.cost[row * p.stride + dl - p.lo[cls]];
+          if (v < floor) {
+            b_digit[kb] = static_cast<uint8_t>(d0);
+            b_base[kb] = v;
+            b_est[kb] = j.drops ? j.est[0][d0] : 0;
+            floor = v;
+            ++kb;
+          }
         }
-        rows[W - 1] = j.pair + j.pair_off[W - 1] + dl * r_cur;
-        const size_t lo = j.band_lo[dl];
-        const size_t hi = j.band_hi[dl];
-        double* out = j.cur_cost + q * r_cur;
-        uint8_t* dr = j.drop + q * r_cur;
-        if (j.drops) rows[0] = j.pair + digits[0] * r_cur;
-        MergeRows<W, true>(out, dr, rows, bases[0], digits[0], lo, hi);
-        for (size_t t = 1; t < m; ++t) {
-          rows[0] = j.pair + digits[t] * r_cur;
-          MergeRows<W, false>(out, dr, rows, bases[t], digits[t], lo, hi);
-        }
-        FinishRow(j, q, lo, hi, bases[m - 1], digits[m - 1]);
+        if (ka + kb == 0) continue;
+        kept[W - 1] = j.est[W - 1][dl];
+        EmitRow<W>(j, rq * g_last + dl, j.lo[dl], j.hi[dl],
+                   Columns{a_digit, a_base, ka, b_digit, b_base, b_est, kb},
+                   kept);
       }
     }
     j.rq_bits[word] = 0;
@@ -295,49 +377,6 @@ constexpr void (*kRunBiasStep[9])(const StepJob&) = {
     nullptr,         &RunBiasStep<1>, &RunBiasStep<2>,
     &RunBiasStep<3>, &RunBiasStep<4>, &RunBiasStep<5>,
     &RunBiasStep<6>, &RunBiasStep<7>, &RunBiasStep<8>};
-
-/// Fills the pairwise-cost tables (k-major, each T_k laid out [d][c]) of step
-/// \p i on their bands, and the last window FEC's per-digit band [lo, hi).
-/// Row d of T_k is evaluated only on the candidates at distance 1 .. α from
-/// est_j[d]; below lies no finite state, above the cost is 0.0, and rows the
-/// kernel reads past their band get that tail as zeros.
-void BuildStepTables(const std::vector<FecProfile>& fecs,
-                     const std::vector<std::vector<int64_t>>& est,
-                     int64_t alpha, size_t i, size_t gamma, double* pair_dst,
-                     uint8_t* band_lo, uint8_t* band_hi) {
-  const size_t w = std::min(i, gamma);
-  const size_t first_fec = i - w;
-  const size_t r_cur = est[i].size();
-  const int64_t* est_cur = est[i].data();
-  double* table = pair_dst;
-  for (size_t k = 0; k < w; ++k) {
-    const size_t j = first_fec + k;
-    const int64_t* est_j = est[j].data();
-    const double weight =
-        static_cast<double>(fecs[j].member_count + fecs[i].member_count);
-    const bool last = k + 1 == w;
-    // Only γ = 1 merges the last FEC's rows past their own band.
-    const bool zero_tail = !last || gamma == 1;
-    // Both band ends rise with d, since est_j rises with d.
-    size_t lo = 0;
-    size_t hi = 0;
-    for (size_t d = 0; d < est[j].size(); ++d) {
-      while (lo < r_cur && est_cur[lo] <= est_j[d]) ++lo;
-      hi = std::max(hi, lo);
-      while (hi < r_cur && est_cur[hi] - est_j[d] < alpha + 1) ++hi;
-      double* row = table + d * r_cur;
-      for (size_t c = lo; c < hi; ++c) {
-        row[c] = BandCost(weight, est_cur[c] - est_j[d], alpha);
-      }
-      if (zero_tail) std::fill(row + hi, row + r_cur, 0.0);
-      if (last) {
-        band_lo[d] = static_cast<uint8_t>(lo);
-        band_hi[d] = static_cast<uint8_t>(hi);
-      }
-    }
-    table += est[j].size() * r_cur;
-  }
-}
 
 }  // namespace
 
@@ -482,87 +521,104 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
     for (int64_t& e : s.est[i]) e += fecs[i].support;
   }
 
-  // State space per step: the mixed-radix product of the window's grid sizes
-  // (most significant digit = earliest FEC in the window, so ascending flat
-  // index is lexicographic window order). With max_states at most
-  // kMaxOrderStates, DeriveGridCap keeps every step at or below that many.
-  s.state_count.assign(n, 0);
-  s.step_offset.assign(n, 0);
-  size_t backtrack_bytes = 0;
+  // Step i's rows are the mixed-radix windows of its FECs but the last (most
+  // significant digit = earliest FEC, so ascending row then ascending c is
+  // lexicographic window order). With max_states at most kMaxOrderStates,
+  // DeriveGridCap keeps every step at or below that many states. Its band
+  // classes are the previous FEC's digits, or one class while γ = 1 keeps no
+  // digit in q.
+  s.steps.assign(n, BiasDpScratch::Step{});
+  size_t band_entries = 0;
   for (size_t i = 0; i < n; ++i) {
-    const size_t w = std::min(i + 1, gamma);
-    size_t states = 1;
-    for (size_t j = i + 1 - w; j <= i; ++j) states *= s.est[j].size();
-    s.state_count[i] = states;
-    s.step_offset[i] = backtrack_bytes;
-    backtrack_bytes += states;
+    BiasDpScratch::Step& st = s.steps[i];
+    st.rows = 1;
+    for (size_t j = i + 1 - std::min(i + 1, gamma); j < i; ++j) {
+      st.rows *= s.est[j].size();
+    }
+    st.classes = i == 0 || gamma == 1 ? 1 : s.est[i - 1].size();
+    st.band = band_entries;
+    band_entries += st.classes;
   }
-  if (s.dropped.size() < backtrack_bytes) s.dropped.resize(backtrack_bytes);
-
-  // Each step's pairwise cost tables and bands are built just before the
-  // step, into buffers sized for the largest step.
-  size_t max_step_doubles = 0;
-  size_t max_states = s.state_count[0];
+  if (s.band_lo.size() < band_entries) {
+    s.band_lo.resize(band_entries);
+    s.band_hi.resize(band_entries);
+  }
+  // Each class's band: the candidates at distance 1 .. α above that digit's
+  // estimator. Both ends rise with the digit. γ = 1's kernel sets its own.
+  s.band_lo[0] = 0;
+  s.band_hi[0] = 0;
+  s.steps[0].stride = 1;
+  size_t backtrack_bytes = 0;
+  size_t max_cost = 1;
   size_t max_rows = 1;
   for (size_t i = 1; i < n; ++i) {
-    const size_t w = std::min(i, gamma);
-    size_t step_doubles = 0;
-    for (size_t j = i - w; j < i; ++j) {
-      step_doubles += s.est[j].size() * s.est[i].size();
+    BiasDpScratch::Step& st = s.steps[i];
+    const int64_t* est_cur = s.est[i].data();
+    const size_t r_cur = s.est[i].size();
+    st.stride = r_cur;
+    if (gamma > 1) {
+      st.stride = 0;
+      size_t lo = 0;
+      size_t hi = 0;
+      for (size_t d = 0; d < st.classes; ++d) {
+        const int64_t e = s.est[i - 1][d];
+        while (lo < r_cur && est_cur[lo] <= e) ++lo;
+        hi = std::max(hi, lo);
+        while (hi < r_cur && est_cur[hi] - e < alpha + 1) ++hi;
+        s.band_lo[st.band + d] = static_cast<uint8_t>(lo);
+        s.band_hi[st.band + d] = static_cast<uint8_t>(hi);
+        st.stride = std::max(st.stride, hi - lo + (hi < r_cur ? 1 : 0));
+      }
     }
-    max_step_doubles = std::max(max_step_doubles, step_doubles);
-    max_states = std::max(max_states, s.state_count[i]);
-    max_rows = std::max(max_rows, s.state_count[i] / s.est[i].size());
+    st.dropped = backtrack_bytes;
+    backtrack_bytes += st.rows * st.stride;
+    max_cost = std::max(max_cost, st.rows * st.stride);
+    max_rows = std::max(max_rows, st.rows);
   }
-  if (s.pair_cost.size() < max_step_doubles) {
-    s.pair_cost.resize(max_step_doubles);
-  }
+  if (s.dropped.size() < backtrack_bytes) s.dropped.resize(backtrack_bytes);
   for (std::vector<double>* v : {&s.prev_cost, &s.cur_cost}) {
-    if (v->size() < max_states) v->resize(max_states);
+    if (v->size() < max_cost) v->resize(max_cost);
   }
   for (std::vector<uint8_t>* v : {&s.prev_live, &s.cur_live}) {
     if (v->size() < max_rows) v->resize(max_rows);
   }
   if (s.rq_bits.size() < max_rows / 64 + 1) s.rq_bits.resize(max_rows / 64 + 1);
-  s.band_lo.resize(255);
-  s.band_hi.resize(255);
 
-  // Step 0: FEC 0 alone in the window, one live row of zero costs.
-  std::fill(s.prev_cost.begin(), s.prev_cost.begin() + s.state_count[0], 0.0);
-  s.prev_live[0] = 0;
+  // Step 0: FEC 0 alone in the window, one live row whose every slot is the
+  // tail 0.0.
+  s.prev_cost[0] = 0.0;
+  s.prev_live[0] = 1;
   s.prev_rows.assign(1, 0);
 
   for (size_t i = 1; i < n; ++i) {
     const size_t w_prev = std::min(i, gamma);
-    const bool drops = w_prev == gamma;
     const size_t first_fec = i - w_prev;
-    const size_t prev_states = s.state_count[i - 1];
-    const size_t r_cur = s.est[i].size();
-
-    BuildStepTables(fecs, s.est, alpha, i, gamma, s.pair_cost.data(),
-                    s.band_lo.data(), s.band_hi.data());
+    const BiasDpScratch::Step& sp = s.steps[i - 1];
+    const BiasDpScratch::Step& st = s.steps[i];
 
     StepJob job;
-    job.prev_cost = s.prev_cost.data();
-    job.prev_live = s.prev_live.data();
-    job.cur_cost = s.cur_cost.data();
-    job.cur_live = s.cur_live.data();
-    job.drop = s.dropped.data() + s.step_offset[i];
-    job.pair = s.pair_cost.data();
-    job.band_lo = s.band_lo.data();
-    job.band_hi = s.band_hi.data();
-    {
-      size_t off = 0;
-      for (size_t k = 0; k < w_prev; ++k) {
-        job.pair_off[k] = off;
-        job.radix[k] = s.est[first_fec + k].size();
-        off += job.radix[k] * r_cur;
-      }
+    job.prev = StepRows{s.prev_cost.data(),      s.prev_live.data(),
+                        s.band_lo.data() + sp.band, s.band_hi.data() + sp.band,
+                        sp.classes,              sp.stride,
+                        s.est[i - 1].size()};
+    job.cost = s.cur_cost.data();
+    job.live = s.cur_live.data();
+    job.drop = s.dropped.data() + st.dropped;
+    job.lo = s.band_lo.data() + st.band;
+    job.hi = s.band_hi.data() + st.band;
+    job.stride = st.stride;
+    job.est_cur = s.est[i].data();
+    for (size_t k = 0; k < w_prev; ++k) {
+      const size_t j = first_fec + k;
+      job.est[k] = s.est[j].data();
+      job.weight[k] =
+          static_cast<double>(fecs[j].member_count + fecs[i].member_count);
+      job.radix[k] = s.est[j].size();
     }
-    job.r_cur = r_cur;
-    // Digits kept from the previous window when the oldest drops out.
-    job.keep = drops ? prev_states / job.radix[0] : prev_states;
-    job.drops = drops;
+    job.r_cur = s.est[i].size();
+    job.keep = st.rows;
+    job.alpha = alpha;
+    job.drops = w_prev == gamma;
     job.prev_rows = s.prev_rows.data();
     job.prev_row_count = s.prev_rows.size();
     s.cur_rows.clear();
@@ -576,14 +632,19 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
   }
 
   // Pick the cheapest final state (ties to the lexicographically smallest,
-  // matching the reference's ordered-map sweep) and backtrack.
+  // matching the reference's ordered-map sweep): each live row's band, then
+  // its tail at c = hi, the first of the equal tail slots.
+  const BiasDpScratch::Step& last = s.steps[n - 1];
   const size_t r_last = s.est[n - 1].size();
   size_t best_state = 0;
   double best_cost = kInf;
   for (const uint32_t q : s.prev_rows) {
-    for (size_t c = s.prev_live[q]; c < r_last; ++c) {
-      if (s.prev_cost[q * r_last + c] < best_cost) {
-        best_cost = s.prev_cost[q * r_last + c];
+    const size_t lo = s.band_lo[last.band + q % last.classes];
+    const size_t hi = s.band_hi[last.band + q % last.classes];
+    const double* row = s.prev_cost.data() + q * last.stride;
+    for (size_t c = lo; c < std::min(hi + 1, r_last); ++c) {
+      if (row[c - lo] < best_cost) {
+        best_cost = row[c - lo];
         best_state = q * r_last + c;
       }
     }
@@ -599,13 +660,19 @@ std::vector<double> OrderPreservingBiases(const std::vector<FecProfile>& fecs,
       idx /= s.est[pos].size();
     }
     // Walk back: at step i the stored `dropped` is the choice of FEC i - γ.
+    // State (q, c)'s byte is its band byte below hi, the tail's from hi on.
     size_t state = best_state;
     for (size_t i = n - 1; i >= gamma; --i) {
-      const uint8_t drop = s.dropped[s.step_offset[i] + state];
+      const BiasDpScratch::Step& st = s.steps[i];
+      const size_t q = state / s.est[i].size();
+      const size_t c = state % s.est[i].size();
+      const size_t lo = s.band_lo[st.band + q % st.classes];
+      const size_t hi = s.band_hi[st.band + q % st.classes];
+      const uint8_t drop =
+          s.dropped[st.dropped + q * st.stride + std::min(c, hi) - lo];
       s.choice[i - gamma] = drop;
       // Parent state at step i-1: dropped digit prepended, last removed.
-      const size_t keep_prev = s.state_count[i - 1] / s.est[i - gamma].size();
-      state = static_cast<size_t>(drop) * keep_prev + state / s.est[i].size();
+      state = static_cast<size_t>(drop) * st.rows + q;
     }
   }
 

@@ -26,28 +26,40 @@ struct FecProfile {
 /// All-zero biases (the basic scheme's setting).
 std::vector<double> ZeroBiases(size_t n);
 
-/// Preallocated working memory for the flat-table order-preserving DP,
-/// reusable across calls so the per-release hot path performs no steady-state
-/// allocation. A default-constructed scratch is valid; buffers grow on first
-/// use and keep their capacity afterwards. Not thread-safe: use one scratch
-/// per concurrent caller.
+/// Preallocated working memory for the order-preserving DP, reusable across
+/// calls so the per-release hot path performs no steady-state allocation. A
+/// default-constructed scratch is valid; buffers grow on first use and keep
+/// their capacity afterwards. Not thread-safe: use one scratch per concurrent
+/// caller.
+///
+/// Step i's rows are its surviving windows q, and each row is compact: it
+/// stores a cost and a backtrack byte per slot of its band [lo, hi) (the
+/// entering FEC's candidates at distance 1 .. α above the estimator of q's
+/// last FEC), then, if hi < r, one tail slot that stands for every candidate
+/// in [hi, r). Rows whose last FECs share a digit share a band, so bands are
+/// kept per class, not per row.
 struct BiasDpScratch {
+  /// The layout of one step's rows.
+  struct Step {
+    size_t rows = 0;     ///< surviving windows q
+    size_t classes = 0;  ///< band classes; row q's class is q % classes
+    size_t stride = 0;   ///< slots per row: the widest band plus its tail
+    size_t dropped = 0;  ///< offset of the step's row 0 in `dropped`
+    size_t band = 0;     ///< offset of the step's class 0 in the band arrays
+  };
   std::vector<std::vector<int64_t>> est;  ///< est[i][c] = t_i + grid_i[c]
-  std::vector<size_t> state_count;        ///< DP states per step
-  std::vector<size_t> step_offset;        ///< per-step base into `dropped`
-  /// Flat cost tables of steps i−1 and i, one row of r_i candidates per
-  /// surviving window. Only a live row's finite part [live, r_i) is written.
+  std::vector<Step> steps;
+  /// Compact rows of steps i−1 and i; only live rows are written.
   std::vector<double> prev_cost;
   std::vector<double> cur_cost;
-  std::vector<uint8_t> prev_live;  ///< per row: first finite c, r_i if none
+  std::vector<uint8_t> prev_live;  ///< per row: 1 if its states are finite
   std::vector<uint8_t> cur_live;
   std::vector<uint32_t> prev_rows;  ///< step i−1's live rows, ascending
   std::vector<uint32_t> cur_rows;   ///< step i's live rows, ascending
-  /// Per (step, state) backtrack digit; only finite states are written.
+  /// Per (step, row) backtrack digits, laid out as the rows' costs.
   std::vector<uint8_t> dropped;
-  std::vector<double> pair_cost;   ///< the current step's pair tables
-  std::vector<uint8_t> band_lo;    ///< per last digit: first feasible c
-  std::vector<uint8_t> band_hi;    ///< per last digit: end of the cost band
+  std::vector<uint8_t> band_lo;    ///< per (step, class): first band slot
+  std::vector<uint8_t> band_hi;    ///< per (step, class): band end, the tail
   std::vector<uint64_t> rq_bits;   ///< a step's live surviving windows
   std::vector<uint8_t> choice;     ///< backtracked candidate per FEC
 };
@@ -59,35 +71,40 @@ struct BiasDpScratch {
 /// length. The grid resolution adapts to the state budget in
 /// \p opt so that the table stays within max_states entries.
 ///
-/// The DP runs over dense flat tables indexed by mixed-radix packed candidate
-/// windows; \p scratch (optional) lets callers reuse the tables across
-/// releases. Equal-cost ties are broken toward the lexicographically
+/// The DP runs over compact rows (see BiasDpScratch) indexed by mixed-radix
+/// packed candidate windows; \p scratch (optional) lets callers reuse them
+/// across releases. Equal-cost ties are broken toward the lexicographically
 /// smallest candidate window, so the result is deterministic and identical
 /// to OrderPreservingBiasesReference. Each step is an output-major sweep:
-/// for each surviving window q (the digits kept when the oldest FEC leaves)
-/// with a finite base, it merges one row per dropped digit d0, in ascending
-/// d0, into q's output row, summed as base + ((T_0 + T_1) + …), the
-/// reference's association, and keeps a total and its d0 (the backtrack
-/// byte) only where it is strictly below the slot's, as the reference's
-/// strict-< sweep does. The shortcuts below leave every cost and every
-/// backtrack byte equal to the reference's:
-///  - Only columns that can win are merged: those whose base is finite and
-///    strictly below every earlier column's base for q, picked in one
-///    branch-free pass. The dropped FEC's estimators rise with d0 and the
-///    pair cost does not grow with distance, so an earlier column's pair row
-///    is <= a later one's at every candidate; IEEE addition is monotone, so
-///    its totals are too; and for γ = 1 the feasibility bound band_lo[d0]
-///    never decreases, so the earlier column reaches every slot the later
-///    one does. A skipped column thus never has a total strictly below an
-///    earlier column's, and cannot be the reference's strict-< winner.
-///  - The merge runs only on the band [band_lo, band_hi) of q's last digit:
-///    the candidates at distance 1 .. α above that FEC's estimator, so the
-///    pair tables are evaluated only there. Below the band no finite state
-///    lies (the estimators must rise); above it every pair cost is 0.0, as
-///    every earlier window FEC's estimator is lower still, so each column's
-///    total is its base. The picked bases fall strictly, so the last picked
-///    column is the first d0 with the smallest base: [band_hi, r) takes its
-///    base and its digit.
+/// for each surviving window q (the digits kept when the oldest FEC leaves),
+/// slot c takes the smallest total base + ((T_0 + T_1) + …) over the dropped
+/// digits d0, the reference's association, and the first d0 that reaches it
+/// (the backtrack byte), as the reference's strict-< sweep in ascending d0
+/// keeps. Every cost and backtrack byte equals the reference's because:
+///  - Only columns that can win are read: those whose base is finite and
+///    strictly below every earlier column's base for q. The dropped FEC's
+///    estimators rise with d0 and the pair cost does not grow with distance,
+///    so an earlier column's total is <= a later one's at every candidate
+///    (IEEE addition is monotone), and for γ = 1 an earlier column is
+///    feasible wherever a later one is.
+///  - Compact rows: a row stores its band [lo, hi), the candidates at
+///    distance 1 .. α above the estimator of q's last FEC, and one tail value
+///    for [hi, r). Below the band no finite state lies; above it every pair
+///    cost is 0.0, so each column's total is its base, and the last picked
+///    column (the first with the smallest base) wins every tail slot.
+///  - Tails read once: column d0 of q reads the previous row (d0, q's other
+///    digits) at q's last digit dl, a band value or that row's tail. The
+///    previous rows' bands rise with d0 (at γ = 2) or are all the same (γ >=
+///    3), so the columns are a run of tails, then band values; the tails'
+///    strict prefix minima are taken once per surviving prefix and shared by
+///    every dl. A tail column's dropped FEC lies α + 1 or more below dl's,
+///    so its pair cost with every slot of q is 0.0.
+///  - One evaluation per band slot: a column whose dropped FEC lies α + 1
+///    or more below c adds T_0 = 0.0, so its total base + ((0.0 + T_1) + …)
+///    falls with its base and the last such column is the smallest; a walk
+///    back over totals that round to the same double finds the first of
+///    them. Only the at most α columns nearer c are summed explicitly. Pair
+///    costs are computed in place with the reference's expression.
 ///  - A surviving window no column reaches is never visited: each step lists
 ///    its live rows, and the next step visits only the windows they feed.
 /// Precondition: opt.max_states <= kMaxOrderStates (ButterflyConfig::Validate

@@ -65,6 +65,11 @@ std::optional<ReleasePolicyKind> ParseReleasePolicyKind(std::string_view name);
 /// FleetConfig::threads; 0 means hardware concurrency).
 constexpr int64_t kMaxThreads = 1024;
 
+/// Largest tenant count FleetConfig::Validate accepts. A fleet builds every
+/// tenant's engine up front; at fleet-64's shape (H = 500, BMS-WebView-1,
+/// C = 15) a tenant holds about 0.3 MiB, so the limit is about 1.2 GiB.
+constexpr size_t kMaxTenants = 4096;
+
 /// Largest ε that ButterflyConfig::Validate accepts. It keeps every maximum
 /// adjustable bias βᵐ = sqrt(ε·t² − σ²) below 1000·t, so the bias grids and
 /// the estimators t + β of any window's supports fit in int64.

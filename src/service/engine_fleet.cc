@@ -65,6 +65,10 @@ ButterflyConfig TenantEngineConfig(const FleetConfig& config, uint64_t tenant) {
 
 Status FleetConfig::Validate() const {
   if (tenants == 0) return Status::InvalidArgument("fleet needs >= 1 tenant");
+  if (tenants > kMaxTenants) {
+    return Status::InvalidArgument("fleet tenants must be at most " +
+                                   std::to_string(kMaxTenants));
+  }
   if (stride == 0) return Status::InvalidArgument("stride must be positive");
   if (threads < 0 || threads > kMaxThreads) {
     return Status::InvalidArgument("fleet threads must lie in [0, " +

@@ -2,8 +2,11 @@
 /// \brief Algorithm 1's flat output-major DP against the map-based oracle:
 /// they must agree bit for bit across γ ∈ {1..8}, under a starved state
 /// budget, on profiles shaped like the end-to-end workloads' windows, whose
-/// wide grids and tied base costs drive the DP's column skip and bands, and
-/// on a γ = 1 profile built so that the merge's feasibility bound decides.
+/// wide grids and tied base costs drive the DP's column skip and bands, on
+/// the compact rows' edges (rows with and without a tail side by side, an
+/// optimum in a first tail slot, a rounding tie that crosses from band
+/// columns into tail columns), and on a γ = 1 profile built so that the
+/// feasibility bound decides.
 
 #include <algorithm>
 #include <cstdint>
@@ -84,7 +87,9 @@ TEST(BiasFrontierTest, StarvedStateBudgetKeepsFlatAndOracleAligned) {
 /// (α = 7, σ² = 5.25). At ε = 0.1 from support 8 with 1–200 members, a
 /// dense-lattice window: supports into the thousands, and all but the lowest
 /// FECs' grids hold 21 points. At ε = 0.03 from support 15 with 1–30
-/// members, a fleet tenant's small window.
+/// members, a fleet tenant's small window. At ε = 0.016 from support 25 with
+/// 1–54 members, a WebScale1M window, whose grids widen only as the supports
+/// pass the hundreds.
 std::vector<FecProfile> WorkloadProfiles(Rng* rng, size_t n, double epsilon,
                                          Support first, int64_t members) {
   std::vector<FecProfile> fecs;
@@ -108,7 +113,8 @@ TEST(BiasFrontierTest, WorkloadShapedProfilesMatchOracle) {
     int64_t members;
   };
   for (const Shape& shape :
-       {Shape{"dense", 0.1, 8, 200}, Shape{"fleet", 0.03, 15, 30}}) {
+       {Shape{"dense", 0.1, 8, 200}, Shape{"fleet", 0.03, 15, 30},
+        Shape{"webscale", 0.016, 25, 54}}) {
     for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
                          size_t{8}}) {
       // The oracle's maps grow with the state count, which peaks at γ = 4.
@@ -138,9 +144,10 @@ TEST(BiasFrontierTest, TiedBaseCostsMatchOracle) {
   // Equal member counts and evenly spaced supports make many candidate
   // windows cost the same, so several dropped-digit columns of one output
   // state tie on base cost and the strict-< tie-break decides. At spacing 4
-  // the dropped FEC's band ends inside the merge range of the FEC after it,
-  // so the kernel reads the pair tables' zero tails. At α = 2^24 the costs
-  // pass 2^53 and round, so the order in which a total is summed matters.
+  // the dropped FEC's band ends inside the band of the FEC after it, so
+  // some columns are far from a slot and others near it. At α = 2^24 the
+  // costs pass 2^53 and round, so the order in which a total is summed
+  // matters.
   BiasDpScratch scratch;
   for (Support spacing : {Support{12}, Support{4}}) {
     std::vector<FecProfile> fecs;
@@ -160,6 +167,63 @@ TEST(BiasFrontierTest, TiedBaseCostsMatchOracle) {
       }
     }
   }
+}
+
+TEST(BiasFrontierTest, RowsWithAndWithoutTailsMatchOracle) {
+  // α = 7 and 7-point grids 4 apart: FEC 0's low candidates lie 8 or more
+  // below FEC 1's top ones, so their rows over FEC 1 end in a tail, while
+  // from FEC 0's estimator 100 on every FEC 1 candidate lies within α and
+  // the band reaches the grid's end. The next step reads both kinds of row
+  // side by side, as do later ones.
+  const std::vector<FecProfile> fecs = {
+      {100, 1, 3.0}, {104, 2, 3.0}, {108, 3, 3.0}, {112, 1, 3.0},
+      {116, 2, 3.0}, {121, 4, 3.0}};
+  for (size_t gamma : {size_t{1}, size_t{2}, size_t{3}}) {
+    OrderOptConfig opt;
+    opt.gamma = gamma;
+    ExpectBitIdentical(OrderPreservingBiases(fecs, 7, opt),
+                       OrderPreservingBiasesReference(fecs, 7, opt),
+                       "tails γ=" + std::to_string(gamma));
+  }
+}
+
+TEST(BiasFrontierTest, OptimumInFirstTailSlotMatchesOracle) {
+  // FEC 1 is fixed at 107, so FEC 2's row has a one-slot band (114, at
+  // distance 7) and a tail from 115 on that costs nothing. Every tail slot
+  // ties; the lexicographically first, 115, is the optimum.
+  const std::vector<FecProfile> fecs = {
+      {100, 5, 3.0}, {107, 5, 0.0}, {120, 1, 6.0}};
+  for (size_t gamma : {size_t{1}, size_t{2}}) {
+    OrderOptConfig opt;
+    opt.gamma = gamma;
+    const std::vector<double> oracle =
+        OrderPreservingBiasesReference(fecs, 7, opt);
+    ExpectBitIdentical(OrderPreservingBiases(fecs, 7, opt), oracle,
+                       "first tail γ=" + std::to_string(gamma));
+    EXPECT_EQ(oracle, (std::vector<double>{-3, 0, -5}));
+  }
+}
+
+TEST(BiasFrontierTest, FarTieAcrossTailColumnsMatchesOracle) {
+  // γ = 2, α = 2^24, and FEC 1's candidates x = t_1 + k sit 1 apart. In
+  // the last step, FEC 2's row reads x = t_1, α + 1 below FEC 2, as a tail
+  // column with base 8, and x = t_1 + 1, α below it, as a band column with
+  // base 7. Both lie α + 1 or more below FEC 3, so each adds only FEC 2's
+  // pair cost 256·α² = 2^56, and both totals round to 2^56: the walk back
+  // over the tie crosses from the band column into the tail columns, whose
+  // first column with that total is the reference's winner.
+  const int64_t alpha = int64_t{1} << 24;
+  const std::vector<FecProfile> fecs = {{100, 1, 0.0},
+                                        {100 + alpha - 1, 1, 10.0},
+                                        {100 + 2 * alpha, 4, 0.0},
+                                        {101 + 2 * alpha, 252, 0.0}};
+  OrderOptConfig opt;
+  opt.gamma = 2;
+  const std::vector<double> oracle =
+      OrderPreservingBiasesReference(fecs, alpha, opt);
+  ExpectBitIdentical(OrderPreservingBiases(fecs, alpha, opt), oracle,
+                     "far tie");
+  EXPECT_EQ(oracle, (std::vector<double>{0, 0, 0, 0}));
 }
 
 TEST(BiasFrontierTest, GammaOneBoundSkipsInfeasibleCheapestColumn) {

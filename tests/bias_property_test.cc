@@ -1,7 +1,7 @@
-/// Property tests pinning the flat-table order-preserving DP to the retained
+/// Property tests pinning the flat order-preserving DP to the retained
 /// map-based reference. They must be bit-identical: the reference is the
 /// oracle that proves the flat DP's shortcuts (the dominated-column skip,
-/// the fused row sum, the zero tails of the pair tables) exact.
+/// the compact rows' tails, the one evaluation per band slot) exact.
 
 #include <cstdint>
 #include <vector>

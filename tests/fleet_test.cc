@@ -596,6 +596,13 @@ TEST(FleetConfigTest, ValidateCatchesBadShapes) {
   config = MakeFleetConfig(1, 1);
   config.threads = kMaxThreads;
   EXPECT_TRUE(config.Validate().ok());
+  // The fleet builds every tenant's engine up front, so the count is bounded
+  // before anything is allocated.
+  config = MakeFleetConfig(1, 1);
+  config.tenants = kMaxTenants;
+  EXPECT_TRUE(config.Validate().ok());
+  config.tenants = kMaxTenants + 1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   // A window past kMaxWindow fails validation, on either store, instead of
   // aborting (hybrid) or allocating its slot table (dense) while the fleet
   // builds its engines.
